@@ -10,6 +10,10 @@ termination rules are supported:
 * mixing mode stops at the first zero difference, which is only valid for
   algebras where a mixing or sliding identity has been verified, and is
   enforced by callers.
+
+SpanLadder works over any field and is the reference.  The exact-length
+sweep over GF(p) runs one ladder per subspace, so it uses a copy of the
+same ladder on plain residue lists (``_residue_ladder``) instead.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 import bisect
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import partial
+from itertools import chain, combinations, product
 
 from .algebra import Algebra, Element
 from .errors import DimensionMismatch, NotFiniteField, ResourceLimit
@@ -349,80 +354,209 @@ def enumerate_subspace_rows(p: int, n: int):
                 yield tuple(tuple(row) for row in rows)
 
 
+def _subspace_rows(p: int, n: int, must_contain, budget):
+    """Row tuples of the subspaces to visit, after a budget check.
+
+    Without a nonzero ``must_contain`` these are the RREF rows of every
+    subspace of GF(p)^n.  With one, v, let c be its first nonzero
+    coordinate: since v lies outside the hyperplane H = {x_c = 0},
+    U -> U ∩ H is a bijection from the subspaces that contain v onto the
+    subspaces of H, with inverse W -> W + <v>.  So the subspaces of
+    GF(p)^(n-1) are enumerated, a zero is inserted at c, and each row tuple
+    stands for its span plus <v>; no subspace is visited and then dropped.
+    """
+    c = None
+    if must_contain is not None:
+        c = next((i for i, x in enumerate(must_contain) if x % p), None)
+    m = n if c is None else n - 1
+    if budget is not None and count_subspaces(m, p) > budget:
+        raise ResourceLimit(f"{count_subspaces(m, p)} subspaces exceed budget {budget}")
+    rows_iter = enumerate_subspace_rows(p, m)
+    if c is None:
+        return rows_iter
+    return (tuple(r[:c] + (0,) + r[c:] for r in rows) for rows in rows_iter)
+
+
+def _rref_basis(field: Field, n: int, rows, extra=None) -> SpanBasis:
+    """Reduced row-echelon basis of the span of rows, plus extra if given."""
+    basis = SpanBasis(field, n)
+    for row in rows:
+        basis.insert(list(row))
+    if extra is not None:
+        basis.insert(list(extra))
+    return basis
+
+
 def enumerate_subspaces(field: Field, n: int, must_contain: Element | None = None,
                         budget: int | None = DEFAULT_SUBSPACE_BUDGET):
-    """Every subspace of GF(p)^n exactly once, as SpanBasis objects."""
+    """Every subspace of GF(p)^n exactly once, as SpanBasis objects.
+
+    With ``must_contain`` only the subspaces containing that vector, each
+    exactly once (every subspace when it is zero).  The budget counts the
+    subspaces actually enumerated.
+    """
     if not isinstance(field, PrimeField):
         raise NotFiniteField("subspace enumeration needs a prime field")
-    p = field.p
-    if budget is not None and count_subspaces(n, p) > budget:
-        raise ResourceLimit(f"{count_subspaces(n, p)} subspaces exceed budget {budget}")
-    target = tuple(must_contain) if must_contain is not None else None
-    for rows in enumerate_subspace_rows(p, n):
-        basis = SpanBasis(field, n)
-        for row in rows:
-            basis.insert(list(row))
-        if target is not None and not basis.contains(target):
-            continue
-        yield basis
+    if must_contain is not None and len(must_contain) != n:
+        raise DimensionMismatch("must_contain has wrong length")
+    for rows in _subspace_rows(field.p, n, must_contain, budget):
+        yield _rref_basis(field, n, rows, must_contain)
 
 
 # -- exact algebra length over prime fields ---------------------------------
 
 
-def _generic_subspace_length(algebra, rows, mode):
-    gens = [algebra.element(r) for r in rows]
-    seq = diff_sequence(algebra, gens, mode=mode)
-    return seq.length_of_set, seq.generating
+def _product_table(algebra: Algebra) -> list:
+    """table[i] lists (j, ((k, c), ...)) for each b_i b_j != 0; 0-based ints."""
+    table = [[] for _ in range(algebra.dim)]
+    for (i, j), terms in sorted(algebra.sc.items()):
+        table[i - 1].append((j - 1, tuple((k - 1, int(c)) for k, c in terms)))
+    return table
+
+
+def _residue_ladder(table: list, p: int, unity, mixing: bool, gens) -> tuple:
+    """(l(S), S generates A) of the span ladder of gens over GF(p).
+
+    The same steps and stopping rules as diff_sequence on SpanLadder, on
+    lists of residues with ``% p`` inlined.  The basis rows are kept fully
+    reduced in insertion order, so a vector's pivot entries are its
+    coefficients.  Two shortcuts leave the result unchanged: the ladder
+    stops once the span is all of A (it is closed and can gain nothing),
+    and the closure check stops at the first pair whose product leaves the
+    span (the others stay pending).
+    """
+    n = len(table)
+    rows, pivots = [], []
+
+    def mul(u, v):
+        acc = [0] * n
+        for i, ui in enumerate(u):
+            if ui:
+                for j, terms in table[i]:
+                    vj = v[j]
+                    if vj:
+                        c = ui * vj
+                        for k, s in terms:
+                            acc[k] += c * s
+        return acc
+
+    def residue(v):
+        for row, j in zip(rows, pivots):
+            c = v[j] % p
+            if c:
+                v = [x - c * y for x, y in zip(v, row)]
+        return [x % p for x in v]
+
+    def insert(vectors):
+        """Insert each vector; the normalized residues that were new."""
+        new = []
+        for v in vectors:
+            v = residue(v)
+            lead = next((j for j, x in enumerate(v) if x), None)
+            if lead is None:
+                continue
+            if v[lead] != 1:
+                s = pow(v[lead], -1, p)
+                v = [x * s % p for x in v]
+            for idx, row in enumerate(rows):
+                c = row[lead]
+                if c:
+                    rows[idx] = [(x - c * y) % p for x, y in zip(row, v)]
+            rows.append(v)
+            pivots.append(lead)
+            new.append(v)
+            if len(rows) == n:
+                break
+        return new
+
+    level_reps = [insert([unity] if unity is not None else [])]
+    if mixing:
+        cap = n + 2
+        while len(rows) < n:
+            level = len(level_reps) - 1
+            if level >= cap:
+                raise ResourceLimit(
+                    "mixing-mode run exceeded dim+2 levels; the mixing "
+                    "hypothesis is violated or the engine is inconsistent")
+            if level == 0:
+                new = insert(gens)
+            else:
+                prev = level_reps[level]
+                new = insert(chain((mul(u, s) for u in prev for s in gens),
+                                   (mul(s, u) for u in prev for s in gens)))
+            level_reps.append(new)
+            if not new:
+                break
+    else:
+        cap = max(DEFAULT_MAX_LEVEL, n + 2)
+        spanning = []
+        pending = []  # (u, v) spanning pairs not yet known to multiply into the span
+
+        def closed(level):
+            for u in level_reps[level]:
+                spanning.append(u)
+                pending.extend((u, v) for v in spanning)
+                pending.extend((v, u) for v in spanning[:-1])
+            if level == 0 and any(any(residue(s)) for s in gens):
+                return False
+            while pending:
+                if any(residue(mul(*pending[-1]))):
+                    return False
+                pending.pop()
+            return True
+
+        while len(rows) < n:
+            level = len(level_reps) - 1
+            if closed(level):
+                break
+            if level >= cap:
+                raise ResourceLimit(f"general-mode run exceeded {cap} levels")
+            m = level + 1
+            if m == 1:
+                new = insert(gens)
+            else:
+                new = insert(mul(u, v) for i in range(1, m)
+                             for u in level_reps[i] for v in level_reps[m - i])
+            level_reps.append(new)
+
+    length = max((k for k, reps in enumerate(level_reps) if reps), default=0)
+    return length, len(rows) == n
 
 
 def exact_algebra_length(algebra: Algebra, mode: str = "general",
                          budget: int | None = DEFAULT_SUBSPACE_BUDGET,
-                         threads: int = 1, use_kernel: bool | None = None):
+                         threads: int = 1):
     """Maximum of l(S) over generating sets, with an achieving witness.
 
     The maximum over all generating sets equals the maximum over RREF bases
     of subspaces (containing the unity when there is one), because the span
     ladder of S depends on S only through Lin_1(S).  Prime fields only.
+    For a unital algebra only the subspaces containing the unity are
+    enumerated (see _subspace_rows), and the budget counts those.  The
+    witness is the RREF basis of the first subspace in enumeration order
+    that attains the maximum.
     """
     field = algebra.field
     if not isinstance(field, PrimeField):
         raise NotFiniteField("exact length needs a prime field")
-    p, n = field.p, algebra.dim
-    if budget is not None and count_subspaces(n, p) > budget:
-        raise ResourceLimit(f"{count_subspaces(n, p)} subspaces exceed budget {budget}")
-
-    unity = tuple(algebra.unity) if algebra.unity is not None else None
-    check = SpanBasis(field, n)
-    candidates = []
-    for rows in enumerate_subspace_rows(p, n):
-        if unity is not None:
-            check.rows = [list(r) for r in rows]
-            check.pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
-            if not check.contains(unity):
-                continue
-        candidates.append(rows)
-
-    from . import kernels
-    if use_kernel is None:
-        use_kernel = kernels.kernel_ok(algebra)
-    if use_kernel:
-        results = kernels.batch_subspace_lengths(algebra, candidates, mode, threads)
+    if mode not in ("general", "mixing"):
+        raise ValueError(f"unknown mode {mode!r}")
+    n, unity = algebra.dim, algebra.unity
+    candidates = list(_subspace_rows(field.p, n, unity, budget))
+    run = partial(_residue_ladder, _product_table(algebra), field.p,
+                  list(unity) if unity is not None else None, mode == "mixing")
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, candidates))
     else:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(
-                    lambda rows: _generic_subspace_length(algebra, rows, mode),
-                    candidates, chunksize=max(1, len(candidates) // (threads * 4))))
-        else:
-            results = [_generic_subspace_length(algebra, rows, mode) for rows in candidates]
+        results = map(run, candidates)
 
     best = None
-    for idx, (length, generating) in enumerate(results):
+    for rows, (length, generating) in zip(candidates, results):
         if generating and (best is None or length > best[0]):
-            best = (length, idx)
+            best = (length, rows)
     assert best is not None  # the whole space always generates
-    length, idx = best
-    rows = candidates[idx]
-    witness = generator_set([algebra.element(r) for r in rows])
+    length, rows = best
+    basis = _rref_basis(field, n, rows, unity)
+    witness = generator_set([algebra.element(r) for r in basis.row_tuples()])
     return length, witness

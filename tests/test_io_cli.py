@@ -127,6 +127,19 @@ def test_cli_exact_length_and_bounds(tmp_path, capsys):
     assert "FAIL" not in out and "alt-min-dim" in out
 
 
+def test_cli_exact_length_budget(tmp_path, capsys):
+    # z2n:2 is unital of dim 4 over GF(2): the sweep enumerates the 16
+    # subspaces of GF(2)^3, not the 67 of GF(2)^4
+    path = str(tmp_path / "z2n2.alg")
+    _run(capsys, "gen", "z2n:2", "-o", path)
+    code, out = _run(capsys, "exact-length", path, "--budget", "20")
+    assert code == 0 and "l(A) = 2" in out
+    code = main(["exact-length", path, "--budget", "15"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "16 subspaces exceed budget 15" in captured.err
+
+
 def test_cli_canonical_verify(tmp_path, capsys):
     path = str(tmp_path / "aalt.alg")
     _run(capsys, "gen", "aalt", "-o", path)

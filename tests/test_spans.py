@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from alglen import examples, kernels
+from alglen import examples, spans
 from alglen.errors import NotFiniteField, ResourceLimit
 from alglen.field import PrimeField, Rationals
 from alglen.spans import (SpanBasis, count_subspaces, diff_sequence,
@@ -122,9 +122,53 @@ def test_subspace_must_contain():
     assert sorted(b.rank for b in found) == [1, 2]
 
 
+def _must_contain_vectors(p, n):
+    # the first nonzero coordinate at every position, with value p - 1
+    yield (0,) * n
+    for c in range(n):
+        yield (0,) * c + (p - 1,) + (1,) * (n - c - 1)
+    if (p, n) == (3, 4):
+        yield (0, 2, 1, 0)
+
+
+@pytest.mark.parametrize("p, max_n", [(2, 5), (3, 4)])
+def test_lifted_subspaces_equal_filtered_enumeration(p, max_n):
+    field = PrimeField(p)
+    for n in range(1, max_n + 1):
+        everything = [b.row_tuples() for b in enumerate_subspaces(field, n)]
+        for v in _must_contain_vectors(p, n):
+            lifted = [b.row_tuples() for b in enumerate_subspaces(field, n, must_contain=v)]
+            assert len(set(lifted)) == len(lifted), (n, v)
+            expected = set()
+            for rows in everything:
+                basis = SpanBasis(field, n)
+                for row in rows:
+                    basis.insert(list(row))
+                if basis.contains(v):
+                    expected.add(rows)
+            assert set(lifted) == expected, (n, v)
+            if any(v):
+                assert len(lifted) == count_subspaces(n - 1, p)
+
+
 def test_subspace_budget():
     with pytest.raises(ResourceLimit):
         list(enumerate_subspaces(PrimeField(5), 8, budget=1000))
+    # the budget counts the lifted enumeration: 16 subspaces of GF(2)^3
+    # contain a given vector of GF(2)^4, out of 67 in all
+    f2 = PrimeField(2)
+    assert count_subspaces(3, 2) == 16 and count_subspaces(4, 2) == 67
+    assert len(list(enumerate_subspaces(f2, 4, must_contain=(0, 1, 1, 0), budget=20))) == 16
+    with pytest.raises(ResourceLimit):
+        list(enumerate_subspaces(f2, 4, must_contain=(0, 1, 1, 0), budget=15))
+    with pytest.raises(ResourceLimit):
+        list(enumerate_subspaces(f2, 4, budget=20))
+
+
+def test_exact_length_budget_counts_unital_subspaces(z2n2):
+    assert exact_algebra_length(z2n2, budget=20)[0] == 2
+    with pytest.raises(ResourceLimit):
+        exact_algebra_length(z2n2, budget=15)
 
 
 def test_subspaces_are_rref_and_unique():
@@ -152,21 +196,22 @@ def test_exact_length_requires_prime_field(aflex):
         exact_algebra_length(aflex)
 
 
-def test_kernel_agrees_with_generic(aflex_gf2):
-    if not kernels.kernel_ok(aflex_gf2):
-        pytest.skip("kernel unavailable for this algebra")
-    fast = exact_algebra_length(aflex_gf2, use_kernel=True)
-    slow = exact_algebra_length(aflex_gf2, use_kernel=False)
-    assert fast[0] == slow[0] == 3
-    assert fast[1].elements == slow[1].elements
-
-
-def test_kernel_gf3_agrees_with_generic():
-    f3 = PrimeField(3)
-    alg = examples.make_a_flex(f3)
-    fast = exact_algebra_length(alg, use_kernel=True)
-    slow = exact_algebra_length(alg, use_kernel=False)
-    assert fast[0] == slow[0]
+def test_sweep_ladder_agrees_with_diff_sequence():
+    # the residue-list ladder of the exact-length sweep against SpanLadder,
+    # on every subspace the sweep visits, in both termination modes
+    for field in (PrimeField(2), PrimeField(3)):
+        for make in (examples.make_a_flex, examples.make_a_alt):
+            for algebra in (make(field), examples.make_unital_hull(make(field))):
+                p, n = field.p, algebra.dim
+                table = spans._product_table(algebra)
+                unity = list(algebra.unity) if algebra.unity is not None else None
+                for rows in spans._subspace_rows(p, n, algebra.unity, None):
+                    gens = [algebra.element(r) for r in rows]
+                    for mode in ("general", "mixing"):
+                        seq = diff_sequence(algebra, gens, mode=mode)
+                        fast = spans._residue_ladder(table, p, unity, mode == "mixing", rows)
+                        assert fast == (seq.length_of_set, seq.generating), \
+                            (field, algebra.dim, mode, rows)
 
 
 def test_exact_length_thread_determinism(aalt_gf2):
