@@ -214,6 +214,36 @@ def test_sweep_ladder_agrees_with_diff_sequence():
                             (field, algebra.dim, mode, rows)
 
 
+def _generic_exact_length(algebra, mode="general"):
+    # the sweep spelled out with the generic SpanLadder: diff_sequence on every
+    # enumerated subspace, keeping the first generating one of maximal length
+    best = None
+    for basis in enumerate_subspaces(algebra.field, algebra.dim,
+                                     must_contain=algebra.unity, budget=None):
+        gens = [algebra.element(r) for r in basis.row_tuples()]
+        seq = diff_sequence(algebra, gens, mode=mode)
+        if seq.generating and (best is None or seq.length_of_set > best[0]):
+            best = (seq.length_of_set, tuple(gens))
+    return best
+
+
+def test_kernel_agrees_with_generic(aflex_gf2):
+    fast = exact_algebra_length(aflex_gf2)
+    slow = _generic_exact_length(aflex_gf2)
+    assert fast[0] == slow[0] == 3
+    assert tuple(fast[1].elements) == slow[1]
+
+
+def test_kernel_gf3_agrees_with_generic():
+    f3 = PrimeField(3)
+    alg = examples.make_a_flex(f3)
+    for mode in ("general", "mixing"):
+        fast = exact_algebra_length(alg, mode=mode)
+        slow = _generic_exact_length(alg, mode=mode)
+        assert fast[0] == slow[0], mode
+        assert tuple(fast[1].elements) == slow[1], mode
+
+
 def test_exact_length_thread_determinism(aalt_gf2):
     single = exact_algebra_length(aalt_gf2, threads=1)
     multi = exact_algebra_length(aalt_gf2, threads=8)
