@@ -9,9 +9,11 @@ tuples of length n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .field import Field
+from .field import Field, integer_row, rational_row
 
 Element = tuple  # tuple of n scalars
 
@@ -81,25 +83,38 @@ class Algebra:
         f = self.field
         return all(f.is_zero(x) for x in a)
 
+    @cached_property
+    def product_table(self) -> tuple:
+        """(table, D): the structure constants compiled to integers, built once.
+
+        ``table[i]`` lists ``(j, ((k, c), ...))`` for each nonzero product
+        b_(i+1) b_(j+1), with 0-based indices.  Over Q each ``c`` is the
+        numerator of the structure constant over the common denominator D;
+        over GF(p) it is the residue and D = 1.
+        """
+        d = lcm(*(c.denominator for terms in self.sc.values() for _, c in terms))
+        table = [[] for _ in range(self.dim)]
+        for (i, j), terms in sorted(self.sc.items()):
+            table[i - 1].append((j - 1, tuple((k - 1, int(c * d)) for k, c in terms)))
+        return table, d
+
     def multiply(self, a: Element, b: Element) -> Element:
-        """Bilinear product of two coordinate vectors."""
+        """Bilinear product of two coordinate vectors.
+
+        Exact integer arithmetic on :attr:`product_table`: over Q both
+        operands become integer numerators over a common denominator, and
+        the output is divided once by the three denominators; over GF(p)
+        each output coordinate is reduced mod p once.
+        """
         if len(a) != self.dim or len(b) != self.dim:
             raise DimensionMismatch("element length does not match algebra dimension")
-        f = self.field
-        acc = [f.zero()] * self.dim
-        for i, ai in enumerate(a):
-            if f.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                if f.is_zero(bj):
-                    continue
-                terms = self.sc.get((i + 1, j + 1))
-                if not terms:
-                    continue
-                c = f.mul(ai, bj)
-                for k, coeff in terms:
-                    acc[k - 1] = f.add(acc[k - 1], f.mul(c, coeff))
-        return tuple(acc)
+        table, d = self.product_table
+        p = self.field.characteristic
+        if p:
+            return tuple(x % p for x in table_product(table, a, b))
+        a, da = integer_row(a)
+        b, db = integer_row(b)
+        return rational_row(table_product(table, a, b), da * db * d)
 
     # -- unity ------------------------------------------------------------
 
@@ -141,6 +156,20 @@ class Algebra:
             else:
                 parts.append(f"{text}*{self.label(i + 1)}")
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def table_product(table: list, u, v) -> list:
+    """Unreduced integer product of two integer vectors by a compiled table."""
+    acc = [0] * len(table)
+    for i, ui in enumerate(u):
+        if ui:
+            for j, terms in table[i]:
+                vj = v[j]
+                if vj:
+                    c = ui * vj
+                    for k, s in terms:
+                        acc[k] += c * s
+    return acc
 
 
 def find_unity(algebra: Algebra) -> Element | None:

@@ -1,18 +1,57 @@
 """Exact scalar arithmetic over the rationals or a prime field GF(p).
 
-Scalars are plain Python values: ``fractions.Fraction`` over the rationals
-(always stored reduced, positive denominator) and ``int`` residues in
-``[0, p)`` over GF(p).  A :class:`Field` object supplies the operations, so
-no floating point ever enters any computation.
+Scalars are plain Python values.  Over GF(p) they are ``int`` residues in
+``[0, p)``.  Over the rationals an integral scalar may be a plain ``int`` or
+a ``fractions.Fraction`` with denominator 1, and a non-integral one is a
+reduced ``Fraction`` with positive denominator.  The two types agree on
+``==``, ``hash`` and ``str`` (``Fraction(3) == 3``, ``str(Fraction(3)) ==
+"3"``), so no comparison, set, dict key or printed output depends on which
+one a computation produced.  A :class:`Field` object supplies the
+operations, so no floating point ever enters any computation.
+
+The hot loops (``Algebra.multiply``, ``SpanBasis``) do not call the field
+per scalar: over Q they work on integer numerators over one common
+denominator (:func:`integer_row`) and build exact scalars only for their
+output (:func:`rational_row`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
 
-Scalar = object  # Fraction over Q, int over GF(p)
+Scalar = object  # int or Fraction over Q, int residue over GF(p)
+
+
+def integer_row(vec) -> tuple:
+    """(numerators, d) with vec == [x / d for x in numerators]; d > 0 is the lcm.
+
+    ``vec`` holds rational scalars (``int`` or ``Fraction``).  An all-int
+    vector is returned as it is, not copied.
+    """
+    for x in vec:
+        if type(x) is not int:
+            break
+    else:
+        return vec, 1
+    d = 1
+    for x in vec:
+        q = x.denominator
+        if d % q:
+            d = d // gcd(d, q) * q
+    if d == 1:
+        return [x if type(x) is int else x.numerator for x in vec], 1
+    return [x * d if type(x) is int else x.numerator * (d // x.denominator)
+            for x in vec], d
+
+
+def rational_row(numerators, d: int) -> tuple:
+    """The exact scalars x / d, for integers x and d > 0: int when integral."""
+    if d == 1:
+        return tuple(numerators)
+    return tuple(x // d if x % d == 0 else Fraction(x, d) for x in numerators)
 
 
 def is_prime(n: int) -> bool:
@@ -84,13 +123,13 @@ class Rationals(Field):
         return "Q"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
         return a + b
@@ -107,12 +146,12 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        return 1 / a
+        return 1 / Fraction(a)
 
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero("division by 0")
-        return a / b
+        return Fraction(a) / b
 
     def is_zero(self, a) -> bool:
         return a == 0

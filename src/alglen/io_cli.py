@@ -312,7 +312,8 @@ def _cmd_exact_length(args) -> int:
     algebra = _load(args.algebra)
     mode = _pick_mode(algebra, args)
     length, witness = exact_algebra_length(
-        algebra, mode=mode, budget=args.budget, threads=args.threads)
+        algebra, mode=mode, budget=args.budget, threads=args.threads,
+        max_level=args.max_level)
     shown = [algebra.format_element(e) for e in witness.elements]
     _emit({"algebra": args.algebra, "mode": mode, "length": length,
            "witness": shown},
@@ -352,10 +353,13 @@ def _cmd_bounds(args) -> int:
                 shapes.append(("S", word_length(w), sizes))
     exact = None
     if args.exact and isinstance(algebra.field, PrimeField):
-        mode = "mixing" if _verified_fast_mode(algebra, args.seed, args.samples) \
-            else "general"
-        exact, _ = exact_algebra_length(algebra, mode=mode, budget=args.budget,
-                                        threads=args.threads)
+        # classify already ran the checks _verified_fast_mode would repeat,
+        # with the same seed and samples
+        fast = any(report.verdict(name).holds
+                   for name in ("mixing", "left_sliding", "right_sliding"))
+        exact, _ = exact_algebra_length(algebra, mode="mixing" if fast else "general",
+                                        budget=args.budget, threads=args.threads,
+                                        max_level=args.max_level)
     audit_report = bounds_mod.audit(algebra, report, set_results,
                                     algebra_length=exact, canonical_shapes=shapes)
     lines = [f"bounds audit of {args.algebra}"]

@@ -13,7 +13,8 @@ termination rules are supported:
 
 SpanLadder works over any field and is the reference.  The exact-length
 sweep over GF(p) runs one ladder per subspace, so it uses a copy of the
-same ladder on plain residue lists (``_residue_ladder``) instead.
+same ladder on plain residue lists (``_residue_ladder``) instead, with the
+GF(p) row operations of SpanBasis and the algebra's compiled product table.
 """
 
 from __future__ import annotations
@@ -23,75 +24,143 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, product
+from math import gcd
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, table_product
 from .errors import DimensionMismatch, NotFiniteField, ResourceLimit
-from .field import Field, PrimeField
+from .field import Field, PrimeField, integer_row, rational_row
 from .words import GeneratorSet, generator_set
 
 DEFAULT_MAX_LEVEL = 64
 DEFAULT_SUBSPACE_BUDGET = 2_000_000
 
 
+def _reduce_mod(rows, pivots, p: int, v) -> list:
+    """Residue of the int vector v modulo fully reduced rows over GF(p)."""
+    for row, j in zip(rows, pivots):
+        c = v[j] % p
+        if c:
+            v = [x - c * y for x, y in zip(v, row)]
+    return [x % p for x in v]
+
+
+def _normalize_mod(rows, p: int, v, lead: int) -> list:
+    """v scaled to pivot 1 at lead; column lead is cleared from rows in place."""
+    if v[lead] != 1:
+        s = pow(v[lead], -1, p)
+        v = [x * s % p for x in v]
+    for idx, row in enumerate(rows):
+        c = row[lead]
+        if c:
+            rows[idx] = [(x - c * y) % p for x, y in zip(row, v)]
+    return v
+
+
+def _primitive(v: list, lead: int) -> list:
+    """v divided by the gcd of its entries, signed so that v[lead] > 0."""
+    g = gcd(*v)
+    if v[lead] < 0:
+        g = -g
+    return v if g == 1 else [x // g for x in v]
+
+
 class SpanBasis:
-    """Reduced row-echelon basis of a subspace, grown by insertion."""
+    """Reduced row-echelon basis of a subspace, grown by insertion.
+
+    Over GF(p) the stored rows are the RREF rows, as residue lists.  Over Q
+    they are primitive integer rows (gcd 1, positive pivot), each a positive
+    multiple of its RREF row, and elimination is fraction-free (Bareiss):
+    ``v <- (r_p/g) v - (v_p/g) r`` with ``g = gcd(r_p, v_p)``.  ``rows``,
+    ``reduce`` and the residue ``insert`` returns are exact scalars, and
+    ``contains`` builds none.
+    """
 
     def __init__(self, field: Field, dim: int):
         self.field = field
         self.dim = dim
-        self.rows: list[list] = []
+        self.p = field.characteristic  # 0 over Q
+        self._rows: list[list[int]] = []
         self.pivots: list[int] = []
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    @property
+    def rows(self) -> list[list]:
+        """The RREF rows as exact scalars, in pivot order."""
+        if self.p:
+            return [list(r) for r in self._rows]
+        return [list(rational_row(r, r[j])) for r, j in zip(self._rows, self.pivots)]
+
+    def _residue(self, vec) -> tuple:
+        """(w, s): integers w and s > 0 with w / s the residue of vec."""
+        if len(vec) != self.dim:
+            raise DimensionMismatch("vector length does not match basis dimension")
+        if self.p:
+            return _reduce_mod(self._rows, self.pivots, self.p, vec), 1
+        v, s = integer_row(vec)
+        for row, j in zip(self._rows, self.pivots):
+            c = v[j]
+            if c:
+                r = row[j]
+                g = gcd(r, c)
+                if g != 1:
+                    r //= g
+                    c //= g
+                if r == 1:
+                    v = [x - c * y for x, y in zip(v, row)]
+                else:
+                    v = [r * x - c * y for x, y in zip(v, row)]
+                    s *= r
+        return v, s
 
     def reduce(self, vec) -> list:
         """Residue of vec modulo the current row space."""
-        if len(vec) != self.dim:
-            raise DimensionMismatch("vector length does not match basis dimension")
-        f = self.field
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not f.is_zero(c):
-                v = [f.sub(x, f.mul(c, r)) for x, r in zip(v, row)]
-        return v
+        return list(rational_row(*self._residue(vec)))
 
     def contains(self, vec) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for x in self.reduce(vec))
+        return not any(self._residue(vec)[0])
 
     def insert(self, vec):
         """Insert vec; returns (added, normalized residue or None)."""
-        f = self.field
-        v = self.reduce(vec)
-        lead = next((i for i, x in enumerate(v) if not f.is_zero(x)), None)
+        v, _ = self._residue(vec)
+        lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:
             return False, None
-        inv = f.inv(v[lead])
-        v = [f.mul(inv, x) for x in v]
-        for idx, row in enumerate(self.rows):
-            c = row[lead]
-            if not f.is_zero(c):
-                self.rows[idx] = [f.sub(x, f.mul(c, y)) for x, y in zip(row, v)]
+        rows = self._rows
+        if self.p:
+            v = _normalize_mod(rows, self.p, v, lead)
+            residue = tuple(v)
+        else:
+            v = _primitive(list(v), lead)
+            a = v[lead]
+            for idx, row in enumerate(rows):
+                c = row[lead]
+                if c:
+                    g = gcd(a, c)
+                    s, t = a // g, c // g
+                    rows[idx] = _primitive([s * x - t * y for x, y in zip(row, v)],
+                                           self.pivots[idx])
+            residue = rational_row(v, a)
         pos = bisect.bisect_left(self.pivots, lead)
-        self.rows.insert(pos, v)
+        rows.insert(pos, v)
         self.pivots.insert(pos, lead)
-        return True, tuple(v)
+        return True, residue
 
     def row_tuples(self) -> tuple:
         return tuple(tuple(r) for r in self.rows)
 
     def copy(self) -> "SpanBasis":
         c = SpanBasis(self.field, self.dim)
-        c.rows = [list(r) for r in self.rows]
+        c._rows = [list(r) for r in self._rows]
         c.pivots = list(self.pivots)
         return c
 
     def __eq__(self, other):
+        # both row forms are unique per subspace
         return isinstance(other, SpanBasis) and self.field == other.field \
-            and self.dim == other.dim and self.row_tuples() == other.row_tuples()
+            and self.dim == other.dim and self._rows == other._rows
 
     def __repr__(self):
         return f"SpanBasis(rank={self.rank}, dim={self.dim})"
@@ -406,46 +475,22 @@ def enumerate_subspaces(field: Field, n: int, must_contain: Element | None = Non
 # -- exact algebra length over prime fields ---------------------------------
 
 
-def _product_table(algebra: Algebra) -> list:
-    """table[i] lists (j, ((k, c), ...)) for each b_i b_j != 0; 0-based ints."""
-    table = [[] for _ in range(algebra.dim)]
-    for (i, j), terms in sorted(algebra.sc.items()):
-        table[i - 1].append((j - 1, tuple((k - 1, int(c)) for k, c in terms)))
-    return table
-
-
-def _residue_ladder(table: list, p: int, unity, mixing: bool, gens) -> tuple:
+def _residue_ladder(table: list, p: int, unity, mixing: bool, max_level, gens) -> tuple:
     """(l(S), S generates A) of the span ladder of gens over GF(p).
 
-    The same steps and stopping rules as diff_sequence on SpanLadder, on
-    lists of residues with ``% p`` inlined.  The basis rows are kept fully
-    reduced in insertion order, so a vector's pivot entries are its
-    coefficients.  Two shortcuts leave the result unchanged: the ladder
-    stops once the span is all of A (it is closed and can gain nothing),
-    and the closure check stops at the first pair whose product leaves the
-    span (the others stay pending).
+    The same steps, stopping rules and level caps as diff_sequence on
+    SpanLadder, on lists of residues with ``% p`` inlined; ``table`` is the
+    algebra's ``product_table``.  The basis rows are kept fully reduced in
+    insertion order, so a vector's pivot entries are its coefficients.  Two
+    shortcuts leave the result unchanged: the ladder stops once the span is
+    all of A (it is closed and can gain nothing), and the closure check
+    stops at the first pair whose product leaves the span (the others stay
+    pending).
     """
     n = len(table)
     rows, pivots = [], []
-
-    def mul(u, v):
-        acc = [0] * n
-        for i, ui in enumerate(u):
-            if ui:
-                for j, terms in table[i]:
-                    vj = v[j]
-                    if vj:
-                        c = ui * vj
-                        for k, s in terms:
-                            acc[k] += c * s
-        return acc
-
-    def residue(v):
-        for row, j in zip(rows, pivots):
-            c = v[j] % p
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        return [x % p for x in v]
+    mul = partial(table_product, table)
+    residue = partial(_reduce_mod, rows, pivots, p)
 
     def insert(vectors):
         """Insert each vector; the normalized residues that were new."""
@@ -455,13 +500,7 @@ def _residue_ladder(table: list, p: int, unity, mixing: bool, gens) -> tuple:
             lead = next((j for j, x in enumerate(v) if x), None)
             if lead is None:
                 continue
-            if v[lead] != 1:
-                s = pow(v[lead], -1, p)
-                v = [x * s % p for x in v]
-            for idx, row in enumerate(rows):
-                c = row[lead]
-                if c:
-                    rows[idx] = [(x - c * y) % p for x, y in zip(row, v)]
+            v = _normalize_mod(rows, p, v, lead)
             rows.append(v)
             pivots.append(lead)
             new.append(v)
@@ -488,7 +527,7 @@ def _residue_ladder(table: list, p: int, unity, mixing: bool, gens) -> tuple:
             if not new:
                 break
     else:
-        cap = max(DEFAULT_MAX_LEVEL, n + 2)
+        cap = max_level if max_level is not None else max(DEFAULT_MAX_LEVEL, n + 2)
         spanning = []
         pending = []  # (u, v) spanning pairs not yet known to multiply into the span
 
@@ -525,7 +564,7 @@ def _residue_ladder(table: list, p: int, unity, mixing: bool, gens) -> tuple:
 
 def exact_algebra_length(algebra: Algebra, mode: str = "general",
                          budget: int | None = DEFAULT_SUBSPACE_BUDGET,
-                         threads: int = 1):
+                         threads: int = 1, max_level: int | None = None):
     """Maximum of l(S) over generating sets, with an achieving witness.
 
     The maximum over all generating sets equals the maximum over RREF bases
@@ -534,7 +573,8 @@ def exact_algebra_length(algebra: Algebra, mode: str = "general",
     For a unital algebra only the subspaces containing the unity are
     enumerated (see _subspace_rows), and the budget counts those.  The
     witness is the RREF basis of the first subspace in enumeration order
-    that attains the maximum.
+    that attains the maximum.  ``max_level`` caps each general-mode ladder
+    as in diff_sequence; mixing mode keeps its dim+2 cap.
     """
     field = algebra.field
     if not isinstance(field, PrimeField):
@@ -543,8 +583,8 @@ def exact_algebra_length(algebra: Algebra, mode: str = "general",
         raise ValueError(f"unknown mode {mode!r}")
     n, unity = algebra.dim, algebra.unity
     candidates = list(_subspace_rows(field.p, n, unity, budget))
-    run = partial(_residue_ladder, _product_table(algebra), field.p,
-                  list(unity) if unity is not None else None, mode == "mixing")
+    run = partial(_residue_ladder, algebra.product_table[0], field.p,
+                  list(unity) if unity is not None else None, mode == "mixing", max_level)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, candidates))

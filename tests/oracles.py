@@ -11,6 +11,31 @@ from itertools import permutations
 from alglen.words import enumerate_full, evaluate
 
 
+# -- per-scalar Field-method references ---------------------------------------
+
+
+def field_multiply(algebra, a, b):
+    """Bilinear product summed term by term with the Field methods."""
+    f = algebra.field
+    acc = [f.zero()] * algebra.dim
+    for (i, j), terms in algebra.sc.items():
+        c = f.mul(a[i - 1], b[j - 1])
+        for k, coeff in terms:
+            acc[k - 1] = f.add(acc[k - 1], f.mul(c, coeff))
+    return tuple(acc)
+
+
+def field_residue(field, rref, vec):
+    """Residue of vec modulo fully reduced RREF rows, with the Field methods."""
+    v = list(vec)
+    for row in rref:
+        lead = next(i for i, x in enumerate(row) if not field.is_zero(x))
+        c = v[lead]
+        if not field.is_zero(c):
+            v = [field.sub(x, field.mul(c, r)) for x, r in zip(v, row)]
+    return v
+
+
 # -- brute-force span of all words up to a length ------------------------------
 
 

@@ -1,11 +1,14 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from alglen import examples
+from alglen import examples, identities
+from alglen.algebra import find_unity, make_algebra
 from alglen.errors import ParseError
 from alglen.field import PrimeField
 from alglen.io_cli import build_example, main, parse_algebra, print_algebra, resolve_set
+from alglen.spans import solve_coordinates
 
 MINIMAL = """\
 field gf 2
@@ -140,6 +143,44 @@ def test_cli_exact_length_budget(tmp_path, capsys):
     assert "16 subspaces exceed budget 15" in captured.err
 
 
+def test_cli_max_level_caps_general_mode(tmp_path, capsys):
+    # exact-length honours --max-level like length does: aalt over GF(2)
+    # needs more than one level, so both exit 2 with the same message
+    path = str(tmp_path / "aalt2.alg")
+    _run(capsys, "gen", "aalt", "--field", "gf:2", "-o", path)
+    for argv in (["length", path, "--set", "1,2", "--max-level", "1"],
+                 ["exact-length", path, "--mode", "general", "--max-level", "1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert "general-mode run exceeded 1 levels" in captured.err, argv
+    code, out = _run(capsys, "exact-length", path, "--mode", "general", "--max-level", "3")
+    assert code == 0 and "l(A) = 3" in out
+
+
+def test_cli_bounds_exact_checks_mixing_once(tmp_path, capsys, monkeypatch):
+    # the sweep mode comes from the verdicts classify already holds
+    path = str(tmp_path / "aalt2.alg")
+    _run(capsys, "gen", "aalt", "--field", "gf:2", "-o", path)
+    argv = ("bounds", path, "--set", "1,2", "--exact", "--json")
+    code, plain = _run(capsys, *argv)
+    assert code == 0
+    calls = []
+    original = identities.check_mixing
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "check_mixing", counted)
+    code, out = _run(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+    assert out == plain
+    payload = json.loads(out)
+    assert payload["exact_length"] == 3 and payload["audit"]["all_passed"]
+    assert payload["classification"]["verdicts"]["mixing"]["kind"] == "holds-randomized"
+
+
 def test_cli_canonical_verify(tmp_path, capsys):
     path = str(tmp_path / "aalt.alg")
     _run(capsys, "gen", "aalt", "-o", path)
@@ -199,11 +240,54 @@ def test_infer_unity_diagnostic(tmp_path, capsys):
 
 
 def test_find_unity_solver(z2n2, aflex):
-    from alglen.algebra import find_unity
     assert find_unity(z2n2) == z2n2.unity
     assert find_unity(aflex) is None
     m2 = examples.make_matrix_algebra(2)
     assert find_unity(m2) == m2.unity
+
+
+def _rescaled(algebra, lambdas):
+    # the same algebra on the basis lambda_i b_i
+    f = algebra.field
+    products = {(i, j): [(k, f.div(f.mul(f.mul(lambdas[i - 1], lambdas[j - 1]), c),
+                                   lambdas[k - 1])) for k, c in terms]
+                for (i, j), terms in algebra.sc.items()}
+    unity = [f.div(u, lam) for u, lam in zip(algebra.unity, lambdas)]
+    return make_algebra(f, algebra.dim, products, unity=unity, labels=algebra.labels)
+
+
+INFER_RESCALED_HULL = """{
+  "algebra": PATH,
+  "declared": "1/2*e",
+  "identity_element": "1/2*e",
+  "matches_declaration": true
+}
+"""
+
+
+def test_fractional_unity_golden(tmp_path, capsys):
+    # hull:aflex on the basis (2e, e1, e2, 3e3, e4, e5/2): the unity is e/2
+    # and two structure constants are not integral.  The expected values are
+    # the ones the all-Fraction engine gave.
+    half = Fraction(1, 2)
+    algebra = _rescaled(examples.make_unital_hull(examples.make_a_flex()),
+                        [2, 1, 1, 3, 1, half])
+    assert algebra.sc[(2, 3)] == ((4, Fraction(1, 3)),)
+    assert algebra.sc[(3, 6)] == ((5, -half),)
+    assert find_unity(algebra) == (half, 0, 0, 0, 0, 0)
+    f, e = algebra.field, algebra.basis_element
+    assert solve_coordinates(f, [e(1), e(4), e(6)],
+                             [Fraction(1, 3), 0, 0, Fraction(-5, 2), 0, 7]) \
+        == ("ok", [Fraction(1, 3), Fraction(-5, 2), 7])
+    assert solve_coordinates(f, [[1, 2, half], [0, 1, 3], [Fraction(2, 3), 0, 1],
+                                 [1, 3, Fraction(7, 2)]], [1, 2, 3]) == ("dependent", None)
+    text = print_algebra(algebra)
+    assert "unital vec 1/2 0 0 0 0 0" in text and "mul 2 3 4 1/3" in text
+    path = tmp_path / "rescaled.alg"
+    path.write_text(text)
+    code, out = _run(capsys, "infer-unity", str(path), "--json")
+    assert code == 0
+    assert out == INFER_RESCALED_HULL.replace("PATH", json.dumps(str(path)))
 
 
 def test_duplicate_set_warning(z2n2, tmp_path, capsys):

@@ -203,13 +203,14 @@ def test_sweep_ladder_agrees_with_diff_sequence():
         for make in (examples.make_a_flex, examples.make_a_alt):
             for algebra in (make(field), examples.make_unital_hull(make(field))):
                 p, n = field.p, algebra.dim
-                table = spans._product_table(algebra)
+                table = algebra.product_table[0]
                 unity = list(algebra.unity) if algebra.unity is not None else None
                 for rows in spans._subspace_rows(p, n, algebra.unity, None):
                     gens = [algebra.element(r) for r in rows]
                     for mode in ("general", "mixing"):
                         seq = diff_sequence(algebra, gens, mode=mode)
-                        fast = spans._residue_ladder(table, p, unity, mode == "mixing", rows)
+                        fast = spans._residue_ladder(table, p, unity, mode == "mixing", None,
+                                                      rows)
                         assert fast == (seq.length_of_set, seq.generating), \
                             (field, algebra.dim, mode, rows)
 
