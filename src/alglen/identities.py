@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import Algebra, Element
-from .spans import SpanBasis, solve_coordinates
+from .spans import SpanBasis
 
 DEFAULT_SAMPLES = 64
 CHAR2_SAMPLE_FACTOR = 4
@@ -355,11 +355,6 @@ def check_descendingly_alternative(algebra: Algebra, seed: int = 0,
 
 
 # -- sufficient condition ----------------------------------------------------
-
-
-def solve_coords(algebra: Algebra, vectors, target):
-    """Unique coefficients of target in the listed vectors, with a status."""
-    return solve_coordinates(algebra.field, vectors, target)
 
 
 def check_sufficient_condition(algebra: Algebra, variant: str, seed: int = 0,

@@ -28,7 +28,8 @@ from .examples import (make_a_alt, make_a_flex, make_cayley_dickson, make_chain3
                        make_group_algebra_z2n, make_matrix_algebra, make_nilpotent3,
                        make_nonmixing7, make_spin_factor, make_unital_hull)
 from .field import Field, PrimeField, Rationals
-from .spans import diff_sequence, exact_algebra_length, span_ladder_up_to
+from .spans import (DEFAULT_SUBSPACE_BUDGET, diff_sequence, exact_algebra_length,
+                    span_ladder_up_to)
 from .words import (enumerate_restricted, evaluate, format_word, generator_set,
                     parse_word, word_length)
 
@@ -166,6 +167,13 @@ def print_algebra(algebra: Algebra) -> str:
 # -- generator sets --------------------------------------------------------------
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}") from None
+
+
 def resolve_set(algebra: Algebra, set_spec: str | None, set_file: str | None):
     if set_file is not None:
         elements = []
@@ -181,7 +189,8 @@ def resolve_set(algebra: Algebra, set_spec: str | None, set_file: str | None):
         gens = generator_set([algebra.basis_element(i)
                               for i in range(1, algebra.dim + 1)])
     else:
-        indices = [int(tok) for tok in set_spec.split(",") if tok.strip()]
+        indices = [_parse_int(tok, "basis index") for tok in set_spec.split(",")
+                   if tok.strip()]
         gens = generator_set([algebra.basis_element(i) for i in indices],
                              labels=[algebra.label(i) for i in indices])
     if gens.has_duplicates:
@@ -196,7 +205,7 @@ def _resolve_field(spec: str) -> Field:
     if spec == "rational":
         return Rationals()
     if spec.startswith("gf:"):
-        return PrimeField(int(spec.split(":", 1)[1]))
+        return PrimeField(_parse_int(spec.split(":", 1)[1], "modulus"))
     raise ParseError(f"bad field spec {spec!r}; use rational or gf:<p>")
 
 
@@ -205,15 +214,15 @@ def build_example(name: str, field_spec: str = "rational") -> Algebra:
     field = _resolve_field(field_spec)
     base, _, param = name.partition(":")
     if base == "z2n":
-        return make_group_algebra_z2n(int(param or 2))
+        return make_group_algebra_z2n(_parse_int(param or "2", f"{base} size"))
     if base == "aflex":
         return make_a_flex(field)
     if base == "aalt":
         return make_a_alt(field)
     if base == "spin":
-        return make_spin_factor(int(param or 2), field)
+        return make_spin_factor(_parse_int(param or "2", f"{base} size"), field)
     if base == "matrix":
-        return make_matrix_algebra(int(param or 2), field)
+        return make_matrix_algebra(_parse_int(param or "2", f"{base} size"), field)
     if base == "chain3":
         return make_chain3(field)
     if base == "nilpotent3":
@@ -225,7 +234,7 @@ def build_example(name: str, field_spec: str = "rational") -> Algebra:
     if base == "cd":
         level_s, _, gamma_s = param.partition(":")
         gammas = [field.parse(tok) for tok in gamma_s.split(",")] if gamma_s else []
-        return make_cayley_dickson(int(level_s), gammas, field)
+        return make_cayley_dickson(_parse_int(level_s, "Cayley-Dickson level"), gammas, field)
     raise ParseError(f"unknown example {name!r}")
 
 
@@ -243,24 +252,6 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
     else:
         for line in text_lines:
             sys.stdout.write(line + "\n")
-
-
-def _verified_fast_mode(algebra: Algebra, seed: int, samples: int) -> bool:
-    """Mixing or sliding verified (at the stated assurance) for this algebra."""
-    for check in (identities.check_mixing, identities.check_left_sliding,
-                  identities.check_right_sliding):
-        if check(algebra, seed, samples).holds:
-            return True
-    return False
-
-
-def _pick_mode(algebra, args):
-    if args.mode == "general":
-        return "general"
-    verified = _verified_fast_mode(algebra, args.seed, args.samples)
-    if args.mode == "mixing" and not verified:
-        raise ParseError("mixing mode requested but no mixing/sliding identity verified")
-    return "mixing" if verified else "general"
 
 
 def _cmd_classify(args) -> int:
@@ -284,9 +275,8 @@ def _cmd_classify(args) -> int:
 def _cmd_diffseq(args) -> int:
     algebra = _load(args.algebra)
     gens = resolve_set(algebra, args.set, args.set_file)
-    mode = _pick_mode(algebra, args)
-    seq = diff_sequence(algebra, gens, mode=mode, max_level=args.max_level)
-    payload = {"algebra": args.algebra, "mode": mode, "set_size": len(gens),
+    seq = diff_sequence(algebra, gens, max_level=args.max_level)
+    payload = {"algebra": args.algebra, "set_size": len(gens),
                "sequence": seq.as_dict()}
     _emit(payload, args.json, [
         f"d = {list(seq.d)}",
@@ -300,9 +290,8 @@ def _cmd_diffseq(args) -> int:
 def _cmd_length(args) -> int:
     algebra = _load(args.algebra)
     gens = resolve_set(algebra, args.set, args.set_file)
-    mode = _pick_mode(algebra, args)
-    seq = diff_sequence(algebra, gens, mode=mode, max_level=args.max_level)
-    _emit({"algebra": args.algebra, "mode": mode,
+    seq = diff_sequence(algebra, gens, max_level=args.max_level)
+    _emit({"algebra": args.algebra,
            "length_of_set": seq.length_of_set, "generating": seq.generating},
           args.json, [f"l(S) = {seq.length_of_set}"])
     return 0
@@ -310,13 +299,10 @@ def _cmd_length(args) -> int:
 
 def _cmd_exact_length(args) -> int:
     algebra = _load(args.algebra)
-    mode = _pick_mode(algebra, args)
-    length, witness = exact_algebra_length(
-        algebra, mode=mode, budget=args.budget, threads=args.threads,
-        max_level=args.max_level)
+    length, witness = exact_algebra_length(algebra, budget=args.budget,
+                                           max_level=args.max_level)
     shown = [algebra.format_element(e) for e in witness.elements]
-    _emit({"algebra": args.algebra, "mode": mode, "length": length,
-           "witness": shown},
+    _emit({"algebra": args.algebra, "length": length, "witness": shown},
           args.json, [f"l(A) = {length}", f"witness basis: {shown}"])
     return 0
 
@@ -353,12 +339,7 @@ def _cmd_bounds(args) -> int:
                 shapes.append(("S", word_length(w), sizes))
     exact = None
     if args.exact and isinstance(algebra.field, PrimeField):
-        # classify already ran the checks _verified_fast_mode would repeat,
-        # with the same seed and samples
-        fast = any(report.verdict(name).holds
-                   for name in ("mixing", "left_sliding", "right_sliding"))
-        exact, _ = exact_algebra_length(algebra, mode="mixing" if fast else "general",
-                                        budget=args.budget, threads=args.threads,
+        exact, _ = exact_algebra_length(algebra, budget=args.budget,
                                         max_level=args.max_level)
     audit_report = bounds_mod.audit(algebra, report, set_results,
                                     algebra_length=exact, canonical_shapes=shapes)
@@ -475,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "structure-constant algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_set=False, with_threads=False, with_budget=False):
+    def common(p, with_set=False, with_budget=False):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=identities.DEFAULT_SAMPLES)
         p.add_argument("--json", action="store_true")
@@ -485,10 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="'basis', or comma-separated 1-based basis indices")
             p.add_argument("--set-file", default=None, dest="set_file",
                            help="file with one coordinate vector per line")
-        if with_threads:
-            p.add_argument("--threads", type=int, default=1)
         if with_budget:
-            p.add_argument("--budget", type=int, default=2_000_000)
+            p.add_argument("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET)
 
     p = sub.add_parser("classify", help="run every identity-class check")
     p.add_argument("algebra")
@@ -497,27 +476,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diffseq", help="difference sequence of a generator set")
     p.add_argument("algebra")
-    p.add_argument("--mode", choices=("general", "mixing", "auto"), default="general")
     common(p, with_set=True)
     p.set_defaults(func=_cmd_diffseq)
 
     p = sub.add_parser("length", help="length of a generator set")
     p.add_argument("algebra")
-    p.add_argument("--mode", choices=("general", "mixing", "auto"), default="general")
     common(p, with_set=True)
     p.set_defaults(func=_cmd_length)
 
     p = sub.add_parser("exact-length", help="exact algebra length over a prime field")
     p.add_argument("algebra")
-    p.add_argument("--mode", choices=("general", "mixing", "auto"), default="auto")
-    common(p, with_threads=True, with_budget=True)
+    common(p, with_budget=True)
     p.set_defaults(func=_cmd_exact_length)
 
     p = sub.add_parser("bounds", help="audit computed lengths against the bound formulas")
     p.add_argument("algebra")
     p.add_argument("--exact", action="store_true",
                    help="include the exact algebra length (prime fields)")
-    common(p, with_set=True, with_threads=True, with_budget=True)
+    common(p, with_set=True, with_budget=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("canonical", help="canonical two- or three-block form of a word")

@@ -2,14 +2,10 @@
 
 The engine grows the span of words level by level using products of stored
 new-part representatives instead of raw words; bilinearity makes the two
-spans identical while the cost stays polynomial in the rank.  Two
-termination rules are supported:
-
-* general mode stops once the current span V satisfies V*V <= V (then no
-  longer word can leave it);
-* mixing mode stops at the first zero difference, which is only valid for
-  algebras where a mixing or sliding identity has been verified, and is
-  enforced by callers.
+spans identical while the cost stays polynomial in the rank.  A ladder
+stops once the current span V satisfies V*V <= V (the closure criterion):
+then no longer word can leave it, so the sequence has ended for every
+algebra.
 
 SpanLadder works over any field and is the reference.  The exact-length
 sweep over GF(p) runs one ladder per subspace, so it uses a copy of the
@@ -20,10 +16,9 @@ GF(p) row operations of SpanBasis and the algebra's compiled product table.
 from __future__ import annotations
 
 import bisect
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import gcd
 
 from .algebra import Algebra, Element, table_product
@@ -241,23 +236,6 @@ class SpanLadder:
         self._record(new_reps)
         return len(new_reps)
 
-    def step_mixing(self) -> int:
-        """Advance one level using only single-letter products on both sides."""
-        m = self.level + 1
-        new_reps = []
-        if m == 1:
-            candidates = list(self.gens)
-        else:
-            prev = self.level_reps[m - 1]
-            candidates = [self.algebra.multiply(u, s) for u in prev for s in self.gens]
-            candidates += [self.algebra.multiply(s, u) for u in prev for s in self.gens]
-        for vec in candidates:
-            added, res = self.basis.insert(vec)
-            if added:
-                new_reps.append(res)
-        self._record(new_reps)
-        return len(new_reps)
-
     def is_closed(self) -> bool:
         """True when the span absorbs products of its own spanning set.
 
@@ -308,49 +286,28 @@ def solve_coordinates(field: Field, vectors, target):
     return "ok", coeffs
 
 
-def span_ladder_up_to(algebra: Algebra, gens, k: int, mode: str = "general") -> SpanLadder:
+def span_ladder_up_to(algebra: Algebra, gens, k: int) -> SpanLadder:
     """Ladder advanced to level k (or to stabilization, whichever is first)."""
     ladder = SpanLadder(algebra, gens)
-    step = ladder.step_mixing if mode == "mixing" else ladder.step_general
     for _ in range(k):
-        if mode == "general" and ladder.is_closed():
+        if ladder.is_closed():
             break
-        step()
+        ladder.step_general()
     return ladder
 
 
-def diff_sequence(algebra: Algebra, gens, mode: str = "general",
-                  max_level: int | None = None) -> DiffSequence:
-    """Full difference sequence of one generator set, until stabilization.
+def _level_cap(max_level: int | None, dim: int) -> int:
+    return max_level if max_level is not None else max(DEFAULT_MAX_LEVEL, dim + 2)
 
-    Mixing mode stops at the first zero difference and must only be used
-    after a mixing or sliding verdict; general mode stops on the closure
-    criterion, which is sound for every algebra.
-    """
-    if mode not in ("general", "mixing"):
-        raise ValueError(f"unknown mode {mode!r}")
+
+def diff_sequence(algebra: Algebra, gens, max_level: int | None = None) -> DiffSequence:
+    """Full difference sequence of one generator set, until the span is closed."""
     ladder = SpanLadder(algebra, gens)
-    stabilized = None
-    if mode == "mixing":
-        cap = algebra.dim + 2
-        while True:
-            if ladder.level >= cap:
-                raise ResourceLimit(
-                    "mixing-mode run exceeded dim+2 levels; the mixing "
-                    "hypothesis is violated or the engine is inconsistent")
-            grew = ladder.step_mixing()
-            if ladder.level >= 1 and grew == 0:
-                stabilized = "mixing-criterion"
-                break
-    else:
-        cap = max_level if max_level is not None else max(DEFAULT_MAX_LEVEL, algebra.dim + 2)
-        while True:
-            if ladder.is_closed():
-                stabilized = "closure-criterion"
-                break
-            if ladder.level >= cap:
-                raise ResourceLimit(f"general-mode run exceeded {cap} levels")
-            ladder.step_general()
+    cap = _level_cap(max_level, algebra.dim)
+    while not ladder.is_closed():
+        if ladder.level >= cap:
+            raise ResourceLimit(f"general-mode run exceeded {cap} levels")
+        ladder.step_general()
 
     d = list(ladder.d)
     while len(d) > 1 and d[-1] == 0:
@@ -362,7 +319,7 @@ def diff_sequence(algebra: Algebra, gens, mode: str = "general",
     return DiffSequence(
         d=tuple(d),
         length_of_set=length,
-        stabilized_by=stabilized,
+        stabilized_by="closure-criterion",
         generating=(total == algebra.dim),
         total_rank=total,
         dim=algebra.dim,
@@ -381,9 +338,8 @@ def _check_first_difference(algebra, elements, d):
     assert d1 == probe.rank - base, "first difference disagrees with rank of S"
 
 
-def length_of_set(algebra: Algebra, gens, mode: str = "general",
-                  max_level: int | None = None) -> int:
-    return diff_sequence(algebra, gens, mode=mode, max_level=max_level).length_of_set
+def length_of_set(algebra: Algebra, gens, max_level: int | None = None) -> int:
+    return diff_sequence(algebra, gens, max_level=max_level).length_of_set
 
 
 # -- subspace enumeration over prime fields --------------------------------
@@ -475,10 +431,10 @@ def enumerate_subspaces(field: Field, n: int, must_contain: Element | None = Non
 # -- exact algebra length over prime fields ---------------------------------
 
 
-def _residue_ladder(table: list, p: int, unity, mixing: bool, max_level, gens) -> tuple:
+def _residue_ladder(table: list, p: int, unity, max_level, gens) -> tuple:
     """(l(S), S generates A) of the span ladder of gens over GF(p).
 
-    The same steps, stopping rules and level caps as diff_sequence on
+    The same steps, stopping rule and level cap as diff_sequence on
     SpanLadder, on lists of residues with ``% p`` inlined; ``table`` is the
     algebra's ``product_table``.  The basis rows are kept fully reduced in
     insertion order, so a vector's pivot entries are its coefficients.  Two
@@ -509,62 +465,43 @@ def _residue_ladder(table: list, p: int, unity, mixing: bool, max_level, gens) -
         return new
 
     level_reps = [insert([unity] if unity is not None else [])]
-    if mixing:
-        cap = n + 2
-        while len(rows) < n:
-            level = len(level_reps) - 1
-            if level >= cap:
-                raise ResourceLimit(
-                    "mixing-mode run exceeded dim+2 levels; the mixing "
-                    "hypothesis is violated or the engine is inconsistent")
-            if level == 0:
-                new = insert(gens)
-            else:
-                prev = level_reps[level]
-                new = insert(chain((mul(u, s) for u in prev for s in gens),
-                                   (mul(s, u) for u in prev for s in gens)))
-            level_reps.append(new)
-            if not new:
-                break
-    else:
-        cap = max_level if max_level is not None else max(DEFAULT_MAX_LEVEL, n + 2)
-        spanning = []
-        pending = []  # (u, v) spanning pairs not yet known to multiply into the span
+    cap = _level_cap(max_level, n)
+    spanning = []
+    pending = []  # (u, v) spanning pairs not yet known to multiply into the span
 
-        def closed(level):
-            for u in level_reps[level]:
-                spanning.append(u)
-                pending.extend((u, v) for v in spanning)
-                pending.extend((v, u) for v in spanning[:-1])
-            if level == 0 and any(any(residue(s)) for s in gens):
+    def closed(level):
+        for u in level_reps[level]:
+            spanning.append(u)
+            pending.extend((u, v) for v in spanning)
+            pending.extend((v, u) for v in spanning[:-1])
+        if level == 0 and any(any(residue(s)) for s in gens):
+            return False
+        while pending:
+            if any(residue(mul(*pending[-1]))):
                 return False
-            while pending:
-                if any(residue(mul(*pending[-1]))):
-                    return False
-                pending.pop()
-            return True
+            pending.pop()
+        return True
 
-        while len(rows) < n:
-            level = len(level_reps) - 1
-            if closed(level):
-                break
-            if level >= cap:
-                raise ResourceLimit(f"general-mode run exceeded {cap} levels")
-            m = level + 1
-            if m == 1:
-                new = insert(gens)
-            else:
-                new = insert(mul(u, v) for i in range(1, m)
-                             for u in level_reps[i] for v in level_reps[m - i])
-            level_reps.append(new)
+    while len(rows) < n:
+        level = len(level_reps) - 1
+        if closed(level):
+            break
+        if level >= cap:
+            raise ResourceLimit(f"general-mode run exceeded {cap} levels")
+        m = level + 1
+        if m == 1:
+            new = insert(gens)
+        else:
+            new = insert(mul(u, v) for i in range(1, m)
+                         for u in level_reps[i] for v in level_reps[m - i])
+        level_reps.append(new)
 
     length = max((k for k, reps in enumerate(level_reps) if reps), default=0)
     return length, len(rows) == n
 
 
-def exact_algebra_length(algebra: Algebra, mode: str = "general",
-                         budget: int | None = DEFAULT_SUBSPACE_BUDGET,
-                         threads: int = 1, max_level: int | None = None):
+def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE_BUDGET,
+                         max_level: int | None = None):
     """Maximum of l(S) over generating sets, with an achieving witness.
 
     The maximum over all generating sets equals the maximum over RREF bases
@@ -573,26 +510,18 @@ def exact_algebra_length(algebra: Algebra, mode: str = "general",
     For a unital algebra only the subspaces containing the unity are
     enumerated (see _subspace_rows), and the budget counts those.  The
     witness is the RREF basis of the first subspace in enumeration order
-    that attains the maximum.  ``max_level`` caps each general-mode ladder
-    as in diff_sequence; mixing mode keeps its dim+2 cap.
+    that attains the maximum.  ``max_level`` caps each ladder as in
+    diff_sequence.
     """
     field = algebra.field
     if not isinstance(field, PrimeField):
         raise NotFiniteField("exact length needs a prime field")
-    if mode not in ("general", "mixing"):
-        raise ValueError(f"unknown mode {mode!r}")
     n, unity = algebra.dim, algebra.unity
-    candidates = list(_subspace_rows(field.p, n, unity, budget))
     run = partial(_residue_ladder, algebra.product_table[0], field.p,
-                  list(unity) if unity is not None else None, mode == "mixing", max_level)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, candidates))
-    else:
-        results = map(run, candidates)
-
+                  list(unity) if unity is not None else None, max_level)
     best = None
-    for rows, (length, generating) in zip(candidates, results):
+    for rows in _subspace_rows(field.p, n, unity, budget):
+        length, generating = run(rows)
         if generating and (best is None or length > best[0]):
             best = (length, rows)
     assert best is not None  # the whole space always generates

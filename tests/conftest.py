@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# the same examples on every run, whatever the example database holds
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 from alglen import examples
 from alglen.field import PrimeField

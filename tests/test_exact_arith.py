@@ -1,10 +1,13 @@
-"""Differential tests of the integer fast paths of Algebra.multiply and SpanBasis.
+"""Differential tests of the integer fast paths of Algebra.multiply, SpanBasis
+and the span ladder.
 
 Over Q the engine works on integer numerators over a common denominator and
 hands out int or Fraction scalars; over GF(p) on residue lists.  These tests
 compare it with the per-scalar Field-method references in ``oracles`` on
 random algebras of dimension at most 4, and check that a vector's scalar
-types (all Fraction, or int where integral) never change a result.
+types (all Fraction, or int where integral) never change a result.  The
+difference sequences of the span ladder are compared with the spans of all
+words, enumerated by brute force.
 """
 
 from fractions import Fraction
@@ -13,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from alglen.algebra import make_algebra
+from alglen.examples import make_unital_hull
 from alglen.field import PrimeField, Rationals
-from alglen.spans import SpanBasis
+from alglen.spans import SpanBasis, _residue_ladder, diff_sequence
 
 Q = Rationals()
 FIELDS = (Q, PrimeField(2), PrimeField(3))
@@ -49,14 +53,20 @@ def in_contract(field, vec):
                for x in vec)
 
 
+def small_integers(field):
+    if field.characteristic:
+        return scalars(field)
+    return st.integers(-2, 2).map(Fraction)
+
+
 @st.composite
-def algebras(draw, field):
+def algebras(draw, field, constants=scalars):
     dim = draw(st.integers(1, 4))
     index = st.integers(1, dim)
     products = {}
     for i in range(1, dim + 1):
         for j in range(1, dim + 1):
-            products[(i, j)] = draw(st.lists(st.tuples(index, scalars(field)),
+            products[(i, j)] = draw(st.lists(st.tuples(index, constants(field)),
                                              max_size=2, unique_by=lambda t: t[0]))
     return make_algebra(field, dim, products)
 
@@ -157,3 +167,29 @@ def test_span_basis_ignores_scalar_types(case):
         for p in (as_fractions(probe), mixed(probe)):
             assert basis.reduce(p) == as_frac.reduce(probe)
             assert basis.contains(p) == as_frac.contains(probe)
+
+
+@st.composite
+def algebra_and_set(draw):
+    field = draw(st.sampled_from(FIELDS))
+    algebra = draw(algebras(field, small_integers))
+    if algebra.dim < 4 and draw(st.booleans()):
+        algebra = make_unital_hull(algebra)
+    vec = st.tuples(*[small_integers(field)] * algebra.dim)
+    return algebra, draw(st.lists(vec, min_size=1, max_size=2))
+
+
+@SETTINGS
+@given(algebra_and_set())
+def test_ladder_matches_word_spans(case):
+    algebra, gens = case
+    seq = diff_sequence(algebra, gens)
+    dims = oracles.full_span_dims(algebra, gens, len(seq.d) + 1)
+    diffs = tuple([dims[0]] + [b - a for a, b in zip(dims, dims[1:])])
+    assert diffs == seq.d + (0, 0)
+    assert seq.stabilized_by == "closure-criterion"
+    p = algebra.field.characteristic
+    if p:
+        unity = list(algebra.unity) if algebra.unity is not None else None
+        got = _residue_ladder(algebra.product_table[0], p, unity, None, gens)
+        assert got == (seq.length_of_set, seq.generating)

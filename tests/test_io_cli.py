@@ -114,17 +114,32 @@ def test_cli_diffseq_mode_enforcement(tmp_path, capsys):
     _run(capsys, "gen", "nonmix7", "-o", path)
     code, out = _run(capsys, "diffseq", path, "--set", "1,2,3")
     assert code == 0 and "closure-criterion" in out
-    # mixing mode refused: no mixing or sliding identity verifies here
-    code = main(["diffseq", path, "--set", "1,2,3", "--mode", "mixing"])
-    assert code == 2
-    capsys.readouterr()
+    # the closure criterion is the only stopping rule: no option selects another
+    for argv in (["diffseq", path, "--set", "1,2,3", "--mode", "mixing"],
+                 ["exact-length", path, "--mode", "auto"],
+                 ["exact-length", path, "--threads", "2"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
-def test_cli_exact_length_and_bounds(tmp_path, capsys):
+def test_cli_exact_length_and_bounds(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "aalt2.alg")
     _run(capsys, "gen", "aalt", "--field", "gf:2", "-o", path)
+    # the sweep rests on the closure criterion alone, never on an identity check
+    calls = []
+    for name in ("check_mixing", "check_left_sliding", "check_right_sliding"):
+        original = getattr(identities, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(identities, name, counted)
     code, out = _run(capsys, "exact-length", path)
     assert code == 0 and "l(A) = 3" in out
+    assert calls == []
     code, out = _run(capsys, "bounds", path, "--set", "1,2", "--exact")
     assert code == 0
     assert "FAIL" not in out and "alt-min-dim" in out
@@ -149,17 +164,17 @@ def test_cli_max_level_caps_general_mode(tmp_path, capsys):
     path = str(tmp_path / "aalt2.alg")
     _run(capsys, "gen", "aalt", "--field", "gf:2", "-o", path)
     for argv in (["length", path, "--set", "1,2", "--max-level", "1"],
-                 ["exact-length", path, "--mode", "general", "--max-level", "1"]):
+                 ["exact-length", path, "--max-level", "1"]):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2, argv
         assert "general-mode run exceeded 1 levels" in captured.err, argv
-    code, out = _run(capsys, "exact-length", path, "--mode", "general", "--max-level", "3")
+    code, out = _run(capsys, "exact-length", path, "--max-level", "3")
     assert code == 0 and "l(A) = 3" in out
 
 
 def test_cli_bounds_exact_checks_mixing_once(tmp_path, capsys, monkeypatch):
-    # the sweep mode comes from the verdicts classify already holds
+    # the exact sweep adds no identity check to the ones classify runs
     path = str(tmp_path / "aalt2.alg")
     _run(capsys, "gen", "aalt", "--field", "gf:2", "-o", path)
     argv = ("bounds", path, "--set", "1,2", "--exact", "--json")
@@ -209,15 +224,25 @@ def test_cli_usage_errors(tmp_path, capsys):
     code = main(["length", str(bad)])
     assert code == 2
     capsys.readouterr()
+    # malformed integers in arguments: a message, not a traceback
+    good = str(tmp_path / "aflex.alg")
+    _run(capsys, "gen", "aflex", "-o", good)
+    for argv in (["length", good, "--set", "1,x"],
+                 ["gen", "aflex", "--field", "gf:x"],
+                 ["gen", "z2n:x"],
+                 ["gen", "cd:"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err.startswith("error: ") and captured.out == "", argv
 
 
 def test_cli_json_deterministic(tmp_path, capsys):
     path = str(tmp_path / "aalt2.alg")
     _run(capsys, "gen", "aalt", "--field", "gf:2", "-o", path)
     outs = []
-    for threads in ("1", "8"):
-        code, out = _run(capsys, "exact-length", path, "--json",
-                         "--threads", threads)
+    for _ in range(2):
+        code, out = _run(capsys, "exact-length", path, "--json")
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]

@@ -67,17 +67,19 @@ def test_whole_basis_has_length_one(aalt):
 
 
 def test_mixing_mode_matches_general(z2n2, aflex, aalt):
-    # these three are mixing, so the cheap recursion must agree level by level
+    # these three are mixing, so the one-letter-at-a-time words alone must
+    # give the ladder's differences level by level, then stay flat
     cases = [
         (z2n2, [z2n2.basis_element(2), z2n2.basis_element(3)]),
         (aflex, [aflex.basis_element(1), aflex.basis_element(2)]),
         (aalt, [aalt.basis_element(1), aalt.basis_element(2)]),
     ]
     for algebra, gens in cases:
-        a = diff_sequence(algebra, gens, mode="general")
-        b = diff_sequence(algebra, gens, mode="mixing")
-        assert a.d == b.d and a.length_of_set == b.length_of_set
-        assert b.stabilized_by == "mixing-criterion"
+        seq = diff_sequence(algebra, gens)
+        dims = [len(rows) for rows in oracles.restricted_word_span(algebra, gens, len(seq.d))]
+        diffs = tuple([dims[0]] + [b - a for a, b in zip(dims, dims[1:])])
+        assert diffs == seq.d + (0,)
+        assert seq.stabilized_by == "closure-criterion"
 
 
 def test_ladder_matches_oracle(small_registry):
@@ -198,7 +200,7 @@ def test_exact_length_requires_prime_field(aflex):
 
 def test_sweep_ladder_agrees_with_diff_sequence():
     # the residue-list ladder of the exact-length sweep against SpanLadder,
-    # on every subspace the sweep visits, in both termination modes
+    # on every subspace the sweep visits
     for field in (PrimeField(2), PrimeField(3)):
         for make in (examples.make_a_flex, examples.make_a_alt):
             for algebra in (make(field), examples.make_unital_hull(make(field))):
@@ -207,22 +209,20 @@ def test_sweep_ladder_agrees_with_diff_sequence():
                 unity = list(algebra.unity) if algebra.unity is not None else None
                 for rows in spans._subspace_rows(p, n, algebra.unity, None):
                     gens = [algebra.element(r) for r in rows]
-                    for mode in ("general", "mixing"):
-                        seq = diff_sequence(algebra, gens, mode=mode)
-                        fast = spans._residue_ladder(table, p, unity, mode == "mixing", None,
-                                                      rows)
-                        assert fast == (seq.length_of_set, seq.generating), \
-                            (field, algebra.dim, mode, rows)
+                    seq = diff_sequence(algebra, gens)
+                    fast = spans._residue_ladder(table, p, unity, None, rows)
+                    assert fast == (seq.length_of_set, seq.generating), \
+                        (field, algebra.dim, rows)
 
 
-def _generic_exact_length(algebra, mode="general"):
+def _generic_exact_length(algebra):
     # the sweep spelled out with the generic SpanLadder: diff_sequence on every
     # enumerated subspace, keeping the first generating one of maximal length
     best = None
     for basis in enumerate_subspaces(algebra.field, algebra.dim,
                                      must_contain=algebra.unity, budget=None):
         gens = [algebra.element(r) for r in basis.row_tuples()]
-        seq = diff_sequence(algebra, gens, mode=mode)
+        seq = diff_sequence(algebra, gens)
         if seq.generating and (best is None or seq.length_of_set > best[0]):
             best = (seq.length_of_set, tuple(gens))
     return best
@@ -238,18 +238,17 @@ def test_kernel_agrees_with_generic(aflex_gf2):
 def test_kernel_gf3_agrees_with_generic():
     f3 = PrimeField(3)
     alg = examples.make_a_flex(f3)
-    for mode in ("general", "mixing"):
-        fast = exact_algebra_length(alg, mode=mode)
-        slow = _generic_exact_length(alg, mode=mode)
-        assert fast[0] == slow[0], mode
-        assert tuple(fast[1].elements) == slow[1], mode
+    fast = exact_algebra_length(alg)
+    slow = _generic_exact_length(alg)
+    assert fast[0] == slow[0]
+    assert tuple(fast[1].elements) == slow[1]
 
 
 def test_exact_length_thread_determinism(aalt_gf2):
-    single = exact_algebra_length(aalt_gf2, threads=1)
-    multi = exact_algebra_length(aalt_gf2, threads=8)
-    assert single[0] == multi[0]
-    assert single[1].elements == multi[1].elements
+    first = exact_algebra_length(aalt_gf2)
+    again = exact_algebra_length(aalt_gf2)
+    assert first[0] == again[0]
+    assert first[1].elements == again[1].elements
 
 
 def test_witness_generates(z2n2):
