@@ -44,7 +44,7 @@ class WordTooShort(AlgLenError):
 
 
 class DomainError(AlgLenError, ValueError):
-    """Numeric argument outside the domain of a bound formula."""
+    """Numeric argument outside its domain: a bound formula's, or a sample count below 1."""
 
 
 class NotFiniteField(AlgLenError):

@@ -7,15 +7,21 @@ membership identities (sliding, mixing, descending flexibility and
 alternativity) have argument-dependent right-hand spans, so basis sweeps
 are necessary but not sufficient; their positive verdicts carry the
 ``holds-randomized`` assurance level with the sample count used.
+
+Every identity is written once, in ``IDENTITIES``, as the text its failure
+witness carries; the checks, ``replay_witness`` and the README's list of
+classes all read that table.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from functools import partial, reduce
+from itertools import chain, product
 
 from .algebra import Algebra, Element
+from .errors import DomainError
 from .spans import SpanBasis
 
 DEFAULT_SAMPLES = 64
@@ -32,6 +38,115 @@ CLASS_NAMES = (
     "sufficient_condition_flex",
     "sufficient_condition_alt",
 )
+
+# -- the equation table --------------------------------------------------------
+#
+# A word is a letter, or two factors that are letters or bracketed words; a
+# side is a sum of words.  ``lhs = rhs`` is an equality and ``lhs in SPAN``
+# a membership in the span of SPAN's words plus the unity.  A class checks
+# its two-letter equations on pairs and its three-letter ones on triples.
+
+SPANS = {
+    "Lin_1(Q_l)": "x(zy) x(yz) y(xz) y(zx) xy yx xz zx yz zy x y z".split(),
+    "Lin_1(Q_r)": "(xz)y (zx)y (yz)x (zy)x xy yx xz zx yz zy x y z".split(),
+    "Lin_1(P)": "x(zy) x(yz) y(xz) y(zx) (xz)y (zx)y (yz)x (zy)x xy yx xz zx yz zy x y z".split(),
+    "Lin_1(a,b,aa,ab,ba)": "a b aa ab ba".split(),
+    # words of length <= 2 in a, b, c except the squares aa, bb, cc
+    "Lin_2'(a,b,c)": "a b c ab ba cb bc ac ca".split(),
+}
+
+IDENTITIES = {
+    "flexible": ("(ab)a = a(ba)", "(ab)c + (cb)a = a(bc) + c(ba)"),
+    "alternative": ("a(ab) = (aa)b", "(ba)a = b(aa)",
+                    "a(cb) + c(ab) = (ac)b + (ca)b", "(ba)c + (bc)a = b(ac) + b(ca)"),
+    "left_sliding": ("(xy)z in Lin_1(Q_l)",),
+    "right_sliding": ("z(xy) in Lin_1(Q_r)",),
+    "mixing": ("(xy)z in Lin_1(P)", "z(xy) in Lin_1(P)"),
+    "descendingly_flexible": ("(ab)a in Lin_1(a,b,aa,ab,ba)", "a(ba) in Lin_1(a,b,aa,ab,ba)",
+                              "(ab)c + (cb)a in Lin_2'(a,b,c)",
+                              "a(bc) + c(ba) in Lin_2'(a,b,c)"),
+    "descendingly_alternative": ("(ba)a in Lin_1(a,b,aa,ab,ba)", "a(ab) in Lin_1(a,b,aa,ab,ba)",
+                                 "(ab)c + (ac)b in Lin_2'(a,b,c)",
+                                 "a(bc) + b(ac) in Lin_2'(a,b,c)"),
+}
+
+
+def _compile(word, steps):
+    """Append the products that build a word to steps, factors first, once each.
+
+    A step ``(word, left, right)`` names each value by its text, so a
+    product shared by several words or equations is made once per tuple.
+    """
+    if len(word) == 1:
+        return
+    depth = 0
+    for end, ch in enumerate(word):  # the left factor ends where depth returns to 0
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0:
+            break
+    left, right = (f[1:-1] if f[0] == "(" else f for f in (word[:end + 1], word[end + 1:]))
+    _compile(left, steps)
+    _compile(right, steps)
+    if (word, left, right) not in steps:
+        steps.append((word, left, right))
+
+
+class _Equation:
+    """One table text, compiled once into the products it needs."""
+
+    def __init__(self, text):
+        lhs, _, rhs = text.partition(" = ")
+        lhs, _, self.span = lhs.partition(" in ")
+        self.lhs, self.rhs = lhs.split(" + "), rhs.split(" + ") if rhs else None
+        words = self.rhs or SPANS[self.span]
+        self.letters = "".join(sorted(set(filter(str.isalpha, lhs + " ".join(words)))))
+        self.steps = []
+        for word in self.lhs + words:
+            _compile(word, self.steps)
+
+    def evaluate(self, algebra, memo):
+        """The left side's value; memo holds the letters and gains every product."""
+        mul = algebra.multiply
+        for word, left, right in self.steps:
+            if word not in memo:
+                memo[word] = mul(memo[left], memo[right])
+        return reduce(algebra.add, map(memo.__getitem__, self.lhs))
+
+    def __call__(self, algebra, memo) -> bool:
+        """True when the elements in memo violate the equation."""
+        lhs = self.evaluate(algebra, memo)
+        if self.rhs:
+            return lhs != reduce(algebra.add, map(memo.__getitem__, self.rhs))
+        basis = memo.get(self.span)  # each named span is built once per tuple
+        if basis is None:
+            basis = memo[self.span] = span_of(algebra, [memo[w] for w in SPANS[self.span]])
+        return not basis.contains(lhs)
+
+
+def _coefficient_clash(texts, algebra, memo) -> bool:
+    """True when a1 and a2 force different aa-coefficients at one b."""
+    forced = {g for a in (memo["a1"], memo["a2"])
+              for _, g in _forced_coefficients(algebra, a, memo["b"], texts)[1] if g is not None}
+    return len(forced) > 1
+
+
+def _clash(text):
+    return f"aa-coefficient forced by {text.split(' in ')[0]} inconsistent at fixed b"
+
+
+# Every text a failure witness can carry, keyed as it is carried.  The
+# sufficient conditions represent the sandwich products of the descending
+# classes' pair memberships; ``outside`` is their failed ``in``.
+EQUATIONS = {text: _Equation(text) for texts in IDENTITIES.values() for text in texts}
+# a class's texts by the number of elements they quantify over
+_BY_ARITY = {(name, k): [t for t in texts if len(EQUATIONS[t].letters) == k]
+             for name, texts in IDENTITIES.items() for k in (2, 3)}
+_SANDWICHES = {"flex": _BY_ARITY["descendingly_flexible", 2],
+               "alt": _BY_ARITY["descendingly_alternative", 2]}
+EQUATIONS.update({t.replace(" in ", " outside "): EQUATIONS[t]
+                  for texts in _SANDWICHES.values() for t in texts})
+EQUATIONS.update({_clash(t): partial(_coefficient_clash, texts)
+                  for texts in _SANDWICHES.values() for t in texts})
 
 
 @dataclass(frozen=True)
@@ -71,9 +186,8 @@ class Verdict:
         return out
 
 
-def _fails(equation, **elements) -> Verdict:
-    w = Witness(equation, tuple(elements.items()))
-    return Verdict("fails", witness=w)
+def _fails(equation, names, elements) -> Verdict:
+    return Verdict("fails", witness=Witness(equation, tuple(zip(names, elements))))
 
 
 def random_element(algebra: Algebra, seed: int, index: int) -> Element:
@@ -86,6 +200,8 @@ def random_element(algebra: Algebra, seed: int, index: int) -> Element:
 
 
 def sample_count(algebra: Algebra, samples: int) -> int:
+    if samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples}")
     # GF(2) has so few points that the default budget is inflated
     if algebra.field.characteristic == 2:
         return samples * CHAR2_SAMPLE_FACTOR
@@ -109,206 +225,96 @@ def span_of(algebra: Algebra, vectors) -> SpanBasis:
     return basis
 
 
-def _basis_elements(algebra):
-    return [algebra.basis_element(i) for i in range(1, algebra.dim + 1)]
+def _basis_tuples(algebra, arity):
+    return product([algebra.basis_element(i) for i in range(1, algebra.dim + 1)], repeat=arity)
 
 
-def _random_pairs(algebra, n_random, seed, salt):
+def _random_tuples(algebra, arity, n_random, seed, salt):
     for t in range(n_random):
-        yield (random_element(algebra, seed, 2 * t + salt),
-               random_element(algebra, seed, 2 * t + 1 + salt))
+        yield tuple(random_element(algebra, seed, arity * t + i + salt) for i in range(arity))
 
 
-def _random_triples(algebra, n_random, seed, salt):
-    for t in range(n_random):
-        yield (random_element(algebra, seed, 3 * t + salt),
-               random_element(algebra, seed, 3 * t + 1 + salt),
-               random_element(algebra, seed, 3 * t + 2 + salt))
+def _first_failure(algebra, name, tuples) -> Verdict | None:
+    """A failed verdict for the first tuple that breaks a text of its arity."""
+    for elements in tuples:
+        texts = _BY_ARITY[name, len(elements)]
+        letters = EQUATIONS[texts[0]].letters
+        memo = dict(zip(letters, elements))
+        for text in texts:
+            if EQUATIONS[text](algebra, memo):
+                return _fails(text, letters, elements)
+    return None
 
 
-def _pair_stream(algebra, n_random, seed, salt):
-    basis = _basis_elements(algebra)
-    for a, b in product(basis, repeat=2):
-        yield a, b
-    yield from _random_pairs(algebra, n_random, seed, salt)
+# -- equality identities -------------------------------------------------------
 
 
-def _triple_stream(algebra, n_random, seed, salt):
-    basis = _basis_elements(algebra)
-    for a, b, c in product(basis, repeat=3):
-        yield a, b, c
-    yield from _random_triples(algebra, n_random, seed, salt)
-
-
-# -- equality identities -----------------------------------------------------
+def _check_equalities(algebra, name, seed, samples, salt):
+    n = sample_count(algebra, samples)
+    tuples = chain(_basis_tuples(algebra, 2), _random_tuples(algebra, 2, n, seed, salt),
+                   _basis_tuples(algebra, 3))
+    return _first_failure(algebra, name, tuples) or Verdict("holds-exhaustive", samples=n)
 
 
 def check_flexible(algebra: Algebra, seed: int = 0,
                    samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """(ab)a = a(ba) for all a, b.
+    """Flexibility: (ab)a and a(ba) agree for all a, b.
 
     Quadratic in a, so the basis-pair sweep together with the linearized
     basis-triple sweep is complete over any field; the verdict is
     holds-exhaustive when nothing fails.
     """
-    mul = algebra.multiply
-    n = sample_count(algebra, samples)
-    for a, b in _pair_stream(algebra, n, seed, salt=0):
-        if mul(mul(a, b), a) != mul(a, mul(b, a)):
-            return _fails("(ab)a = a(ba)", a=a, b=b)
-    for a, b, c in _triple_stream(algebra, 0, seed, salt=0):
-        lhs = algebra.add(mul(mul(a, b), c), mul(mul(c, b), a))
-        rhs = algebra.add(mul(a, mul(b, c)), mul(c, mul(b, a)))
-        if lhs != rhs:
-            return _fails("(ab)c + (cb)a = a(bc) + c(ba)", a=a, b=b, c=c)
-    return Verdict("holds-exhaustive", samples=n)
+    return _check_equalities(algebra, "flexible", seed, samples, salt=0)
 
 
 def check_alternative(algebra: Algebra, seed: int = 0,
                       samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """a(ab) = (aa)b and (ba)a = b(aa) for all a, b; complete like check_flexible."""
-    mul = algebra.multiply
-    add = algebra.add
+    """Alternativity: a(ab) equals (aa)b and (ba)a equals b(aa); complete like check_flexible."""
+    return _check_equalities(algebra, "alternative", seed, samples, salt=1)
+
+
+# -- sliding and mixing --------------------------------------------------------
+
+
+def _check_memberships(algebra, name, seed, samples, salt):
+    """Sweep basis triples plus random triples through the class's memberships."""
     n = sample_count(algebra, samples)
-    for a, b in _pair_stream(algebra, n, seed, salt=1):
-        if mul(a, mul(a, b)) != mul(mul(a, a), b):
-            return _fails("a(ab) = (aa)b", a=a, b=b)
-        if mul(mul(b, a), a) != mul(b, mul(a, a)):
-            return _fails("(ba)a = b(aa)", a=a, b=b)
-    for a, b, c in _triple_stream(algebra, 0, seed, salt=1):
-        left = add(mul(a, mul(c, b)), mul(c, mul(a, b)))
-        right = add(mul(mul(a, c), b), mul(mul(c, a), b))
-        if left != right:
-            return _fails("a(cb) + c(ab) = (ac)b + (ca)b", a=a, b=b, c=c)
-        left = add(mul(mul(b, a), c), mul(mul(b, c), a))
-        right = add(mul(b, mul(a, c)), mul(b, mul(c, a)))
-        if left != right:
-            return _fails("(ba)c + (bc)a = b(ac) + b(ca)", a=a, b=b, c=c)
-    return Verdict("holds-exhaustive", samples=n)
-
-
-# -- sliding and mixing ------------------------------------------------------
-
-
-def _degree2_monomials(algebra, x, y, z):
-    mul = algebra.multiply
-    return [mul(x, y), mul(y, x), mul(x, z), mul(z, x), mul(y, z), mul(z, y),
-            x, y, z]
-
-
-def _q_left(algebra, x, y, z):
-    mul = algebra.multiply
-    return [mul(x, mul(z, y)), mul(x, mul(y, z)), mul(y, mul(x, z)),
-            mul(y, mul(z, x))] + _degree2_monomials(algebra, x, y, z)
-
-
-def _q_right(algebra, x, y, z):
-    mul = algebra.multiply
-    return [mul(mul(x, z), y), mul(mul(z, x), y), mul(mul(y, z), x),
-            mul(mul(z, y), x)] + _degree2_monomials(algebra, x, y, z)
-
-
-def _membership_check(algebra, seed, samples, salt, equation_targets):
-    """Sweep basis triples plus random triples through a membership test.
-
-    ``equation_targets(x, y, z)`` yields (equation, target, span_vectors)
-    checks; the first non-membership becomes the failure witness.
-    """
-    n = sample_count(algebra, samples)
-    for x, y, z in _triple_stream(algebra, n, seed, salt=salt):
-        for equation, target, vectors in equation_targets(x, y, z):
-            if not span_of(algebra, vectors).contains(target):
-                return _fails(equation, x=x, y=y, z=z)
-    return Verdict("holds-randomized", samples=n, note=_char2_note(algebra))
+    tuples = chain(_basis_tuples(algebra, 3), _random_tuples(algebra, 3, n, seed, salt))
+    return (_first_failure(algebra, name, tuples)
+            or Verdict("holds-randomized", samples=n, note=_char2_note(algebra)))
 
 
 def check_left_sliding(algebra: Algebra, seed: int = 0,
                        samples: int = DEFAULT_SAMPLES) -> Verdict:
     """(xy)z lies in the span of the 13 bounded monomials with 2-fold second factor."""
-    mul = algebra.multiply
-
-    def targets(x, y, z):
-        yield "(xy)z in Lin_1(Q_l)", mul(mul(x, y), z), _q_left(algebra, x, y, z)
-
-    return _membership_check(algebra, seed, samples, 10, targets)
+    return _check_memberships(algebra, "left_sliding", seed, samples, salt=10)
 
 
 def check_right_sliding(algebra: Algebra, seed: int = 0,
                         samples: int = DEFAULT_SAMPLES) -> Verdict:
     """z(xy) lies in the span of the 13 bounded monomials with 2-fold first factor."""
-    mul = algebra.multiply
-
-    def targets(x, y, z):
-        yield "z(xy) in Lin_1(Q_r)", mul(z, mul(x, y)), _q_right(algebra, x, y, z)
-
-    return _membership_check(algebra, seed, samples, 11, targets)
+    return _check_memberships(algebra, "right_sliding", seed, samples, salt=11)
 
 
 def check_mixing(algebra: Algebra, seed: int = 0,
                  samples: int = DEFAULT_SAMPLES) -> Verdict:
     """Both (xy)z and z(xy) lie in the span of the combined monomial pool."""
-    mul = algebra.multiply
-
-    def targets(x, y, z):
-        pool = _q_left(algebra, x, y, z) + _q_right(algebra, x, y, z)[:4]
-        yield "(xy)z in Lin_1(P)", mul(mul(x, y), z), pool
-        yield "z(xy) in Lin_1(P)", mul(z, mul(x, y)), pool
-
-    return _membership_check(algebra, seed, samples, 12, targets)
+    return _check_memberships(algebra, "mixing", seed, samples, salt=12)
 
 
-# -- descending flexibility / alternativity ---------------------------------
+# -- descending flexibility / alternativity -----------------------------------
 
 
-def _pair_span_list(algebra, a, b):
-    mul = algebra.multiply
-    return [a, b, mul(a, a), mul(a, b), mul(b, a)]
-
-
-def _short_span_list(algebra, a, b, c):
-    # words of length <= 2 in a, b, c except the squares aa, bb, cc
-    mul = algebra.multiply
-    return [a, b, c, mul(a, b), mul(b, a), mul(c, b), mul(b, c),
-            mul(a, c), mul(c, a)]
-
-
-def _check_descending(algebra, seed, samples, pair_products, triple_sums,
-                      pair_salt, triple_salt):
+def _check_descending(algebra, name, seed, samples, pair_salt, triple_salt):
     # exhaustive basis sweeps first so witnesses are deterministic basis
     # tuples whenever one exists, then the seeded dense samples
     n = sample_count(algebra, samples)
-    basis_elts = _basis_elements(algebra)
-
-    def check_pair(a, b):
-        basis = span_of(algebra, _pair_span_list(algebra, a, b))
-        for equation, target in pair_products(a, b):
-            if not basis.contains(target):
-                return _fails(equation, a=a, b=b)
-        return None
-
-    def check_triple(a, b, c):
-        basis = span_of(algebra, _short_span_list(algebra, a, b, c))
-        for equation, target in triple_sums(a, b, c):
-            if not basis.contains(target):
-                return _fails(equation, a=a, b=b, c=c)
-        return None
-
-    for a, b in product(basis_elts, repeat=2):
-        bad = check_pair(a, b)
-        if bad:
-            return bad
-    for a, b, c in product(basis_elts, repeat=3):
-        bad = check_triple(a, b, c)
-        if bad:
-            return bad
-    for a, b in _random_pairs(algebra, n, seed, pair_salt):
-        bad = check_pair(a, b)
-        if bad:
-            return bad
-    for a, b, c in _random_triples(algebra, n, seed, triple_salt):
-        bad = check_triple(a, b, c)
-        if bad:
-            return bad
+    tuples = chain(_basis_tuples(algebra, 2), _basis_tuples(algebra, 3),
+                   _random_tuples(algebra, 2, n, seed, pair_salt),
+                   _random_tuples(algebra, 3, n, seed, triple_salt))
+    failure = _first_failure(algebra, name, tuples)
+    if failure:
+        return failure
     if algebra.field.characteristic != 2:
         note = "pair memberships are implied by the symmetrized ones away from characteristic 2"
     else:
@@ -319,42 +325,36 @@ def _check_descending(algebra, seed, samples, pair_products, triple_sums,
 def check_descendingly_flexible(algebra: Algebra, seed: int = 0,
                                 samples: int = DEFAULT_SAMPLES) -> Verdict:
     """(ab)a, a(ba) drop into Lin_1(a,b,aa,ab,ba); symmetrized triple sums drop degree."""
-    mul = algebra.multiply
-    add = algebra.add
-
-    def pairs(a, b):
-        yield "(ab)a in Lin_1(a,b,aa,ab,ba)", mul(mul(a, b), a)
-        yield "a(ba) in Lin_1(a,b,aa,ab,ba)", mul(a, mul(b, a))
-
-    def triples(a, b, c):
-        yield ("(ab)c + (cb)a in Lin_2'(a,b,c)",
-               add(mul(mul(a, b), c), mul(mul(c, b), a)))
-        yield ("a(bc) + c(ba) in Lin_2'(a,b,c)",
-               add(mul(a, mul(b, c)), mul(c, mul(b, a))))
-
-    return _check_descending(algebra, seed, samples, pairs, triples, 20, 21)
+    return _check_descending(algebra, "descendingly_flexible", seed, samples, 20, 21)
 
 
 def check_descendingly_alternative(algebra: Algebra, seed: int = 0,
                                    samples: int = DEFAULT_SAMPLES) -> Verdict:
     """(ba)a, a(ab) drop into Lin_1(a,b,aa,ab,ba); symmetrized triple sums drop degree."""
-    mul = algebra.multiply
-    add = algebra.add
-
-    def pairs(a, b):
-        yield "(ba)a in Lin_1(a,b,aa,ab,ba)", mul(mul(b, a), a)
-        yield "a(ab) in Lin_1(a,b,aa,ab,ba)", mul(a, mul(a, b))
-
-    def triples(a, b, c):
-        yield ("(ab)c + (ac)b in Lin_2'(a,b,c)",
-               add(mul(mul(a, b), c), mul(mul(a, c), b)))
-        yield ("a(bc) + b(ac) in Lin_2'(a,b,c)",
-               add(mul(a, mul(b, c)), mul(b, mul(a, c))))
-
-    return _check_descending(algebra, seed, samples, pairs, triples, 22, 23)
+    return _check_descending(algebra, "descendingly_alternative", seed, samples, 22, 23)
 
 
-# -- sufficient condition ----------------------------------------------------
+# -- sufficient condition ------------------------------------------------------
+
+
+def _forced_coefficients(algebra, a, b, texts):
+    """Reduce aa and each sandwich product modulo Lin_1(a,b,ab,ba) plus the unity.
+
+    Returns that span's rank and, per pair-membership text, whether its
+    product lies in Lin_1(a,b,aa,ab,ba) and the aa-coefficient it forces
+    there; None when aa lies in the smaller span, so nothing is forced.
+    """
+    f = algebra.field
+    memo = {"a": a, "b": b}
+    products = [EQUATIONS[text].evaluate(algebra, memo) for text in texts]
+    basis = span_of(algebra, [memo[w] for w in SPANS["Lin_1(a,b,aa,ab,ba)"] if w != "aa"])
+    aa_res = basis.reduce(memo["aa"])
+    lead = next((i for i, x in enumerate(aa_res) if not f.is_zero(x)), None)
+    residues = [basis.reduce(v) for v in products]
+    if lead is None:  # aa adds nothing, so each product itself must be absorbed
+        return basis.rank, [(all(map(f.is_zero, r)), None) for r in residues]
+    forced = [f.div(r[lead], aa_res[lead]) for r in residues]
+    return basis.rank, [([f.mul(g, x) for x in aa_res] == r, g) for r, g in zip(residues, forced)]
 
 
 def check_sufficient_condition(algebra: Algebra, variant: str, seed: int = 0,
@@ -369,56 +369,36 @@ def check_sufficient_condition(algebra: Algebra, variant: str, seed: int = 0,
     pair even had room for the membership to fail (the remaining monomials
     already span everything, as in dimension 1) the verdict is inconclusive.
     """
-    if variant not in ("flex", "alt"):
+    if variant not in _SANDWICHES:
         raise ValueError("variant must be 'flex' or 'alt'")
-    mul = algebra.multiply
-    f = algebra.field
+    texts = _SANDWICHES[variant]
     n = sample_count(algebra, samples)
     n_b = max(1, int(n**0.5))
     n_a = max(1, (n + n_b - 1) // n_b)
 
-    basis_elts = _basis_elements(algebra)
-    b_values = list(basis_elts)
-    b_values += [random_element(algebra, seed, 7_000 + t) for t in range(n_b)]
-    a_values = list(basis_elts)
-    a_values += [random_element(algebra, seed, 8_000 + t) for t in range(n_a)]
+    # one-element tuples: every basis element, then the seeded random ones
+    b_values = chain(_basis_tuples(algebra, 1), _random_tuples(algebra, 1, n_b, seed, 7_000))
+    a_values = list(chain(_basis_tuples(algebra, 1),
+                          _random_tuples(algebra, 1, n_a, seed, 8_000)))
 
     informative = 0
     pinned = 0
-    for b in b_values:
-        seen_coeff = None
-        seen_a = None
-        for a in a_values:
-            rest = [a, b, mul(a, b), mul(b, a)]
-            if algebra.unity is not None:
-                rest.append(algebra.unity)
-            basis = SpanBasis(f, algebra.dim)
-            for vec in rest:
-                basis.insert(vec)
-            if 0 < basis.rank < algebra.dim:
+    for (b,) in b_values:
+        seen = None  # (a, coefficient) of the first forced coefficient at this b
+        for (a,) in a_values:
+            rank, forced = _forced_coefficients(algebra, a, b, texts)
+            if 0 < rank < algebra.dim:
                 informative += 1
-            aa_res = basis.reduce(mul(a, a))
-            aa_lead = next((i for i, x in enumerate(aa_res) if not f.is_zero(x)), None)
-            if variant == "flex":
-                targets = [("(ab)a", mul(mul(a, b), a)), ("a(ba)", mul(a, mul(b, a)))]
-            else:
-                targets = [("(ba)a", mul(mul(b, a), a)), ("a(ab)", mul(a, mul(a, b)))]
-            for name, target in targets:
-                t_res = basis.reduce(target)
-                if aa_lead is None:
-                    # aa adds nothing, so the target itself must be absorbed
-                    if any(not f.is_zero(x) for x in t_res):
-                        return _fails(f"{name} outside Lin_1(a,b,aa,ab,ba)", a=a, b=b)
+            for text, (inside, g) in zip(texts, forced):
+                if not inside:
+                    return _fails(text.replace(" in ", " outside "), "ab", (a, b))
+                if g is None:
                     continue
-                g = f.div(t_res[aa_lead], aa_res[aa_lead])
-                if [f.mul(g, x) for x in aa_res] != t_res:
-                    return _fails(f"{name} outside Lin_1(a,b,aa,ab,ba)", a=a, b=b)
                 pinned += 1
-                if seen_coeff is None:
-                    seen_coeff, seen_a = g, a
-                elif g != seen_coeff:
-                    return _fails(f"aa-coefficient forced by {name} inconsistent at fixed b",
-                                  a1=seen_a, a2=a, b=b)
+                if seen is None:
+                    seen = (a, g)
+                elif g != seen[1]:
+                    return _fails(_clash(text), ("a1", "a2", "b"), (seen[0], a, b))
     if informative == 0 and pinned == 0:
         return Verdict("inconclusive",
                        note="the remaining monomials span everything on every sampled pair")
@@ -426,7 +406,7 @@ def check_sufficient_condition(algebra: Algebra, variant: str, seed: int = 0,
     return Verdict("holds-randomized", samples=informative + pinned, note=note)
 
 
-# -- aggregation -------------------------------------------------------------
+# -- aggregation ---------------------------------------------------------------
 
 
 @dataclass
@@ -486,90 +466,10 @@ def classify(algebra: Algebra, seed: int = 0,
 def replay_witness(algebra: Algebra, witness: Witness) -> bool:
     """Re-derive a failure standalone; True when the violation reproduces.
 
-    Equality witnesses re-evaluate both sides; membership witnesses rebuild
-    the span from scratch and re-test containment.
+    The witness's text is looked up in ``EQUATIONS`` and re-evaluated on its
+    elements, each membership on a span rebuilt from scratch.
     """
-    mul = algebra.multiply
-    add = algebra.add
-    elts = dict(witness.elements)
-    eq = witness.equation
-
-    equality_replays = {
-        "(ab)a = a(ba)": lambda a, b: mul(mul(a, b), a) != mul(a, mul(b, a)),
-        "a(ab) = (aa)b": lambda a, b: mul(a, mul(a, b)) != mul(mul(a, a), b),
-        "(ba)a = b(aa)": lambda a, b: mul(mul(b, a), a) != mul(b, mul(a, a)),
-        "(ab)c + (cb)a = a(bc) + c(ba)": lambda a, b, c: add(
-            mul(mul(a, b), c), mul(mul(c, b), a)) != add(
-            mul(a, mul(b, c)), mul(c, mul(b, a))),
-        "a(cb) + c(ab) = (ac)b + (ca)b": lambda a, b, c: add(
-            mul(a, mul(c, b)), mul(c, mul(a, b))) != add(
-            mul(mul(a, c), b), mul(mul(c, a), b)),
-        "(ba)c + (bc)a = b(ac) + b(ca)": lambda a, b, c: add(
-            mul(mul(b, a), c), mul(mul(b, c), a)) != add(
-            mul(b, mul(a, c)), mul(b, mul(c, a))),
-    }
-    if eq in equality_replays:
-        return equality_replays[eq](**elts)
-
-    membership_replays = {
-        "(xy)z in Lin_1(Q_l)": lambda x, y, z: (mul(mul(x, y), z), _q_left(algebra, x, y, z)),
-        "z(xy) in Lin_1(Q_r)": lambda x, y, z: (mul(z, mul(x, y)), _q_right(algebra, x, y, z)),
-        "(xy)z in Lin_1(P)": lambda x, y, z: (
-            mul(mul(x, y), z), _q_left(algebra, x, y, z) + _q_right(algebra, x, y, z)[:4]),
-        "z(xy) in Lin_1(P)": lambda x, y, z: (
-            mul(z, mul(x, y)), _q_left(algebra, x, y, z) + _q_right(algebra, x, y, z)[:4]),
-        "(ab)a in Lin_1(a,b,aa,ab,ba)": lambda a, b: (
-            mul(mul(a, b), a), _pair_span_list(algebra, a, b)),
-        "a(ba) in Lin_1(a,b,aa,ab,ba)": lambda a, b: (
-            mul(a, mul(b, a)), _pair_span_list(algebra, a, b)),
-        "(ba)a in Lin_1(a,b,aa,ab,ba)": lambda a, b: (
-            mul(mul(b, a), a), _pair_span_list(algebra, a, b)),
-        "a(ab) in Lin_1(a,b,aa,ab,ba)": lambda a, b: (
-            mul(a, mul(a, b)), _pair_span_list(algebra, a, b)),
-        "(ab)c + (cb)a in Lin_2'(a,b,c)": lambda a, b, c: (
-            add(mul(mul(a, b), c), mul(mul(c, b), a)), _short_span_list(algebra, a, b, c)),
-        "a(bc) + c(ba) in Lin_2'(a,b,c)": lambda a, b, c: (
-            add(mul(a, mul(b, c)), mul(c, mul(b, a))), _short_span_list(algebra, a, b, c)),
-        "(ab)c + (ac)b in Lin_2'(a,b,c)": lambda a, b, c: (
-            add(mul(mul(a, b), c), mul(mul(a, c), b)), _short_span_list(algebra, a, b, c)),
-        "a(bc) + b(ac) in Lin_2'(a,b,c)": lambda a, b, c: (
-            add(mul(a, mul(b, c)), mul(b, mul(a, c))), _short_span_list(algebra, a, b, c)),
-    }
-    if eq in membership_replays:
-        target, vectors = membership_replays[eq](**elts)
-        return not span_of(algebra, vectors).contains(target)
-
-    products = {
-        "(ab)a": lambda a, b: mul(mul(a, b), a),
-        "a(ba)": lambda a, b: mul(a, mul(b, a)),
-        "(ba)a": lambda a, b: mul(mul(b, a), a),
-        "a(ab)": lambda a, b: mul(a, mul(a, b)),
-    }
-    for name, product in products.items():
-        if eq == f"{name} outside Lin_1(a,b,aa,ab,ba)":
-            a, b = elts["a"], elts["b"]
-            return not span_of(algebra, _pair_span_list(algebra, a, b)).contains(
-                product(a, b))
-    if eq.startswith("aa-coefficient forced by"):
-        b = elts["b"]
-        f = algebra.field
-        variant_products = [products["(ab)a"], products["a(ba)"]] \
-            if "(ab)a" in eq or "a(ba)" in eq \
-            else [products["(ba)a"], products["a(ab)"]]
-        forced = []
-        for a in (elts["a1"], elts["a2"]):
-            rest = [a, b, mul(a, b), mul(b, a)]
-            if algebra.unity is not None:
-                rest.append(algebra.unity)
-            basis = SpanBasis(f, algebra.dim)
-            for vec in rest:
-                basis.insert(vec)
-            aa_res = basis.reduce(mul(a, a))
-            lead = next((i for i, x in enumerate(aa_res) if not f.is_zero(x)), None)
-            if lead is None:
-                continue
-            for product in variant_products:
-                t_res = basis.reduce(product(a, b))
-                forced.append(f.div(t_res[lead], aa_res[lead]))
-        return len(set(forced)) > 1
-    raise ValueError(f"no replay rule for equation {eq!r}")
+    equation = EQUATIONS.get(witness.equation)
+    if equation is None:
+        raise ValueError(f"no replay rule for equation {witness.equation!r}")
+    return equation(algebra, dict(witness.elements))

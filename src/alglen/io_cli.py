@@ -426,6 +426,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_search(args) -> int:
     algebra = _load(args.algebra)
+    for flag, value in (("--samples", args.samples), ("--set-size", args.set_size)):
+        if value is not None and value < 1:
+            raise ParseError(f"{flag} must be at least 1, got {value}")
     size = args.set_size or algebra.dim
     best = None
     for t in range(args.samples):

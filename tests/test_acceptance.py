@@ -92,7 +92,10 @@ def test_criterion_2_classification_matrix():
             assert v.kind == "holds-randomized" and v.samples == 64, name
         # the documented violating triple of matrix units, checked directly
         a, b, c = m4.basis_element(2), m4.basis_element(7), m4.basis_element(12)
-        span = identities.span_of(m4, identities._short_span_list(m4, a, b, c))
+        # the span the equation table builds for Lin_2'(a,b,c) at this triple
+        values = {"a": a, "b": b, "c": c}
+        identities.EQUATIONS["(ab)c + (cb)a in Lin_2'(a,b,c)"](m4, values)
+        span = values["Lin_2'(a,b,c)"]
         flex_sum = m4.add(m4.multiply(m4.multiply(a, b), c),
                           m4.multiply(m4.multiply(c, b), a))
         alt_sum = m4.add(m4.multiply(m4.multiply(a, b), c),

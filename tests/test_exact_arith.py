@@ -7,10 +7,12 @@ compare it with the per-scalar Field-method references in ``oracles`` on
 random algebras of dimension at most 4, and check that a vector's scalar
 types (all Fraction, or int where integral) never change a result.  The
 difference sequences of the span ladder are compared with the spans of all
-words, enumerated by brute force.
+words, enumerated by brute force, and the exhaustive identity verdicts with a
+sweep over every pair of elements.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ import oracles
 from alglen.algebra import make_algebra
 from alglen.examples import make_unital_hull
 from alglen.field import PrimeField, Rationals
+from alglen.identities import classify, replay_witness
 from alglen.spans import SpanBasis, _residue_ladder, diff_sequence
 
 Q = Rationals()
@@ -60,8 +63,8 @@ def small_integers(field):
 
 
 @st.composite
-def algebras(draw, field, constants=scalars):
-    dim = draw(st.integers(1, 4))
+def algebras(draw, field, constants=scalars, max_dim=4):
+    dim = draw(st.integers(1, max_dim))
     index = st.integers(1, dim)
     products = {}
     for i in range(1, dim + 1):
@@ -193,3 +196,25 @@ def test_ladder_matches_word_spans(case):
         unity = list(algebra.unity) if algebra.unity is not None else None
         got = _residue_ladder(algebra.product_table[0], p, unity, None, gens)
         assert got == (seq.length_of_set, seq.generating)
+
+
+@SETTINGS
+@given(st.sampled_from([(PrimeField(2), 3), (PrimeField(3), 2)]).flatmap(
+    lambda case: algebras(case[0], max_dim=case[1])))
+def test_exhaustive_verdicts_match_brute_force(algebra):
+    points = list(product(range(algebra.field.characteristic), repeat=algebra.dim))
+    table = {(a, b): oracles.field_multiply(algebra, a, b) for a in points for b in points}
+
+    def mul(a, b):
+        return table[a, b]
+
+    flexible = all(mul(mul(a, b), a) == mul(a, mul(b, a)) for a in points for b in points)
+    alternative = all(mul(a, mul(a, b)) == mul(mul(a, a), b)
+                      and mul(mul(b, a), a) == mul(b, mul(a, a))
+                      for a in points for b in points)
+    report = classify(algebra, samples=4)
+    assert report.verdict("flexible").kind == ("holds-exhaustive" if flexible else "fails")
+    assert report.verdict("alternative").kind == ("holds-exhaustive" if alternative else "fails")
+    for verdict in report.verdicts.values():
+        if verdict.kind == "fails":
+            assert replay_witness(algebra, verdict.witness), verdict.witness

@@ -1,9 +1,15 @@
+from pathlib import Path
+
+import pytest
+
 from alglen import examples, identities
-from alglen.identities import (check_alternative, check_descendingly_alternative,
+from alglen.identities import (EQUATIONS, IDENTITIES, Witness, check_alternative,
+                               check_descendingly_alternative,
                                check_descendingly_flexible, check_flexible,
                                check_left_sliding, check_mixing,
                                check_right_sliding, check_sufficient_condition,
                                classify, replay_witness)
+from alglen.io_cli import build_example
 
 
 def _witness_labels(algebra, verdict):
@@ -84,7 +90,10 @@ def test_matrix4_descending_failures():
     # the triple of consecutive one-step matrix units is also a violation
     a, b, c = m4.basis_element(2), m4.basis_element(7), m4.basis_element(12)
     lhs = m4.add(m4.multiply(m4.multiply(a, b), c), m4.multiply(m4.multiply(c, b), a))
-    span = identities.span_of(m4, identities._short_span_list(m4, a, b, c))
+    # the span the equation table builds for Lin_2'(a,b,c) at this triple
+    values = {"a": a, "b": b, "c": c}
+    identities.EQUATIONS["(ab)c + (cb)a in Lin_2'(a,b,c)"](m4, values)
+    span = values["Lin_2'(a,b,c)"]
     assert not span.contains(lhs)
 
 
@@ -136,3 +145,144 @@ def test_descending_checks_over_gf2(aflex_gf2, aalt_gf2):
     assert check_descendingly_alternative(aflex_gf2).kind == "fails"
     assert check_descendingly_alternative(aalt_gf2).holds
     assert check_descendingly_flexible(aalt_gf2).kind == "fails"
+
+
+def test_sample_counts_below_one_are_refused(aflex):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        check_mixing(aflex, samples=0)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        check_sufficient_condition(aflex, "flex", samples=-3)
+
+
+# Verdicts at seed 0 and samples 8, recorded before the identities became a
+# table: (kind, witness equation, witness elements) per class.
+HOLDS = ("holds-randomized", None, None)
+EXHAUSTIVE = ("holds-exhaustive", None, None)
+PAIR = "Lin_1(a,b,aa,ab,ba)"
+CHAIN3 = {
+    "flexible": ("fails", "(ab)a = a(ba)", {"a": "a", "b": "a"}),
+    "alternative": ("fails", "a(ab) = (aa)b", {"a": "a", "b": "a"}),
+    "left_sliding": ("fails", "(xy)z in Lin_1(Q_l)", {"x": "a", "y": "a", "z": "a"}),
+    "right_sliding": HOLDS,
+    "mixing": HOLDS,
+    "descendingly_flexible": ("fails", f"(ab)a in {PAIR}", {"a": "a", "b": "a"}),
+    "descendingly_alternative": ("fails", f"(ba)a in {PAIR}", {"a": "a", "b": "a"}),
+    "sufficient_condition_flex": ("fails", f"(ab)a outside {PAIR}", {"a": "a", "b": "a"}),
+    "sufficient_condition_alt": ("fails", f"(ba)a outside {PAIR}", {"a": "a", "b": "a"}),
+}
+
+
+def _aflex(suff_alt):
+    return {
+        "flexible": EXHAUSTIVE,
+        "alternative": ("fails", "a(ab) = (aa)b", {"a": "e1", "b": "e2"}),
+        "left_sliding": HOLDS,
+        "right_sliding": ("fails", "z(xy) in Lin_1(Q_r)", {"x": "e1", "y": "e1", "z": "e2"}),
+        "mixing": HOLDS,
+        "descendingly_flexible": HOLDS,
+        "descendingly_alternative": ("fails", f"a(ab) in {PAIR}", {"a": "e1", "b": "e2"}),
+        "sufficient_condition_flex": HOLDS,
+        "sufficient_condition_alt": suff_alt,
+    }
+
+
+def _aalt(suff_flex):
+    return {
+        "flexible": ("fails", "(ab)a = a(ba)", {"a": "f1", "b": "f2"}),
+        "alternative": ("fails", "(ba)a = b(aa)", {"a": "f1", "b": "f2"}),
+        "left_sliding": HOLDS,
+        "right_sliding": ("fails", "z(xy) in Lin_1(Q_r)", {"x": "f1", "y": "f1", "z": "f2"}),
+        "mixing": HOLDS,
+        "descendingly_flexible": ("fails", f"a(ba) in {PAIR}", {"a": "f1", "b": "f2"}),
+        "descendingly_alternative": HOLDS,
+        "sufficient_condition_flex": suff_flex,
+        "sufficient_condition_alt": HOLDS,
+    }
+
+
+def _nonmix7(flexible, alternative, suff_flex, suff_alt):
+    uvz = {"a": "u", "b": "v", "c": "z"}
+    return {
+        "flexible": ("fails", "(ab)a = a(ba)", flexible),
+        "alternative": ("fails", "a(ab) = (aa)b", alternative),
+        "left_sliding": ("fails", "(xy)z in Lin_1(Q_l)", {"x": "u", "y": "v", "z": "z"}),
+        "right_sliding": ("fails", "z(xy) in Lin_1(Q_r)", {"x": "v", "y": "u", "z": "z"}),
+        "mixing": ("fails", "(xy)z in Lin_1(P)", {"x": "u", "y": "v", "z": "z"}),
+        "descendingly_flexible": ("fails", "(ab)c + (cb)a in Lin_2'(a,b,c)", uvz),
+        "descendingly_alternative": ("fails", "(ab)c + (ac)b in Lin_2'(a,b,c)", uvz),
+        "sufficient_condition_flex": suff_flex,
+        "sufficient_condition_alt": suff_alt,
+    }
+
+
+GOLDEN = {
+    ("aflex", "rational"): _aflex(
+        ("fails", "aa-coefficient forced by a(ab) inconsistent at fixed b",
+         {"a1": "2*e1 + 2*e2 - e4 + 2*e5", "a2": "2*e1 + 2*e2 - e4 + 2*e5", "b": "e1"})),
+    ("aflex", "gf:2"): _aflex(("fails", f"a(ab) outside {PAIR}", {"a": "e1", "b": "e2"})),
+    ("aalt", "rational"): _aalt(
+        ("fails", "aa-coefficient forced by a(ba) inconsistent at fixed b",
+         {"a1": "2*f1 + 2*f2 - f4 + 2*f5", "a2": "2*f1 + 2*f2 - f4 + 2*f5", "b": "f1"})),
+    ("aalt", "gf:2"): _aalt(("fails", f"a(ba) outside {PAIR}", {"a": "f1", "b": "f2"})),
+    ("nonmix7", "rational"): _nonmix7(
+        {"a": "u + v - 2*z + 2*m2 + w1 + w2", "b": "-u + 2*v - 2*z - 2*m2 + w1 + w2"},
+        {"a": "-u + 2*v - 2*z - 2*m2 + w1 + w2", "b": "-2*u - 2*v - 2*z - m2"},
+        ("fails", f"a(ba) outside {PAIR}", {"a": "2*u - 2*z + 2*m1 - 2*w1", "b": "v"}),
+        ("fails", f"(ba)a outside {PAIR}",
+         {"a": "2*u - v + z + 2*m1 + m2 - w1 - w2", "b": "u"})),
+    ("nonmix7", "gf:2"): _nonmix7(
+        {"a": "u + v + z + m2 + w2", "b": "u + v"},
+        {"a": "u + v + m1", "b": "v + z + w2"},
+        ("fails", f"(ab)a outside {PAIR}", {"a": "u + z + m2 + w1", "b": "v"}),
+        ("fails", f"(ba)a outside {PAIR}", {"a": "v + z + w1 + w2", "b": "u"})),
+    ("chain3", "rational"): CHAIN3,
+    ("chain3", "gf:2"): CHAIN3,
+}
+
+
+def test_classify_golden():
+    for (name, field), expected in GOLDEN.items():
+        algebra = build_example(name, field)
+        report = classify(algebra, seed=0, samples=8)
+        got = {}
+        for cls in identities.CLASS_NAMES:
+            v = report.verdict(cls)
+            if v.witness is None:
+                got[cls] = (v.kind, None, None)
+            else:
+                got[cls] = (v.kind, v.witness.equation,
+                            {k: algebra.format_element(c) for k, c in v.witness.elements})
+        assert got == expected, (name, field)
+
+
+def test_replay_covers_the_table():
+    # every text a check can emit: the table's, and the sufficient
+    # conditions' four "outside" and four "aa-coefficient forced" texts
+    table_texts = {t for texts in IDENTITIES.values() for t in texts}
+    extra = set(EQUATIONS) - table_texts
+    assert len(table_texts) == 18 and len(extra) == 8
+    assert sum(" outside " in t for t in extra) == 4
+    assert sum(t.startswith("aa-coefficient forced by ") for t in extra) == 4
+    n7 = examples.make_nonmixing7()
+    zero = n7.zero()
+    names = ("a", "b", "c", "x", "y", "z", "a1", "a2")
+    for text in EQUATIONS:
+        assert not replay_witness(n7, Witness(text, tuple((n, zero) for n in names))), text
+    with pytest.raises(ValueError, match="no replay rule"):
+        replay_witness(n7, Witness("(ab)a = a(ab)", (("a", zero), ("b", zero))))
+    # texts no classify run above reaches, on basis tuples of nonmix7
+    u, v, z = (n7.basis_element(i) for i in (1, 2, 3))
+    assert replay_witness(n7, Witness("(ba)c + (bc)a = b(ac) + b(ca)",
+                                      (("a", u), ("b", z), ("c", v))))
+    assert replay_witness(n7, Witness("z(xy) in Lin_1(P)", (("x", v), ("y", u), ("z", z))))
+
+
+def test_identity_classes_documented():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Identity classes", 1)[1].split("\n## ", 1)[0]
+    for name, words in identities.SPANS.items():
+        assert f"| `{name}` | {' '.join(words)}" in section, name
+    for cls in identities.CLASS_NAMES:
+        assert f"`{cls}`" in section, cls
+    for text in EQUATIONS:
+        assert f"`{text}`" in section, text

@@ -230,7 +230,13 @@ def test_cli_usage_errors(tmp_path, capsys):
     for argv in (["length", good, "--set", "1,x"],
                  ["gen", "aflex", "--field", "gf:x"],
                  ["gen", "z2n:x"],
-                 ["gen", "cd:"]):
+                 ["gen", "cd:"],
+                 # sample counts and set sizes below 1
+                 ["classify", good, "--samples", "0"],
+                 ["classify", good, "--samples", "-3"],
+                 ["bounds", good, "--set", "1,2", "--samples", "0"],
+                 ["search", good, "--set-size", "-2"],
+                 ["search", good, "--samples", "0"]):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2, argv
