@@ -135,8 +135,13 @@ def audit(algebra, report, set_results, algebra_length=None,
     ``report`` is the ClassificationReport, ``set_results`` a list of
     (label, DiffSequence) pairs, ``algebra_length`` an optional exact l(A),
     ``canonical_shapes`` optional (label, m, block_sizes) triples of words
-    known to survive at the top level.  A failing entry falsifies a proved
-    statement, i.e. it signals an implementation bug, never new mathematics.
+    known to survive at the top level.  Each bound is applied when the class
+    verdicts it rests on hold.  A failing entry falsifies a proved statement,
+    and so signals an implementation bug rather than new mathematics, only
+    when those verdicts are ``holds-exhaustive``.  The descending, sliding
+    and mixing verdicts used here are ``holds-randomized``: a random sample
+    may miss the one tuple that fails, and then a FAIL can mean that the
+    algebra is not in the class and the bound does not apply.
     """
     entries = []
     d0 = 1 if algebra.unity is not None else 0

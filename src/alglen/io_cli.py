@@ -325,6 +325,10 @@ def _find_surviving_word(algebra, gens, seq, cap=4096):
 
 def _cmd_bounds(args) -> int:
     algebra = _load(args.algebra)
+    exact = None
+    if args.exact:  # first, so that a non-prime field is refused before any work
+        exact, _ = exact_algebra_length(algebra, budget=args.budget,
+                                        max_level=args.max_level)
     report = identities.classify(algebra, seed=args.seed, samples=args.samples)
     gens = resolve_set(algebra, args.set, args.set_file)
     seq = diff_sequence(algebra, gens, max_level=args.max_level)
@@ -337,10 +341,6 @@ def _cmd_bounds(args) -> int:
             if cw.shape in ("EOO", "OEE", "O11"):
                 sizes = tuple(len(cw.blocks[r]) for r in ("x", "y", "z"))
                 shapes.append(("S", word_length(w), sizes))
-    exact = None
-    if args.exact and isinstance(algebra.field, PrimeField):
-        exact, _ = exact_algebra_length(algebra, budget=args.budget,
-                                        max_level=args.max_level)
     audit_report = bounds_mod.audit(algebra, report, set_results,
                                     algebra_length=exact, canonical_shapes=shapes)
     lines = [f"bounds audit of {args.algebra}"]

@@ -11,6 +11,8 @@ SpanLadder works over any field and is the reference.  The exact-length
 sweep over GF(p) runs one ladder per subspace, so it uses a copy of the
 same ladder on plain residue lists (``_residue_ladder``) instead, with the
 GF(p) row operations of SpanBasis and the algebra's compiled product table.
+It runs no ladder on a subspace that a linear pre-test
+(``_generation_test``) shows cannot generate the algebra.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 from .algebra import Algebra, Element, table_product
 from .errors import DimensionMismatch, NotFiniteField, ResourceLimit
@@ -48,6 +51,22 @@ def _normalize_mod(rows, p: int, v, lead: int) -> list:
         c = row[lead]
         if c:
             rows[idx] = [(x - c * y) % p for x, y in zip(row, v)]
+    return v
+
+
+def _insert_mod(rows, pivots, p: int, v):
+    """Add the int vector v to fully reduced rows over GF(p).
+
+    Returns v's residue scaled to pivot 1, now a row, or None when v already
+    lies in their span.
+    """
+    v = _reduce_mod(rows, pivots, p, v)
+    lead = next((j for j, x in enumerate(v) if x), None)
+    if lead is None:
+        return None
+    v = _normalize_mod(rows, p, v, lead)
+    rows.append(v)
+    pivots.append(lead)
     return v
 
 
@@ -314,7 +333,8 @@ def diff_sequence(algebra: Algebra, gens, max_level: int | None = None) -> DiffS
         d.pop()
     length = max((k for k, dk in enumerate(d) if dk != 0), default=0)
     total = sum(d)
-    assert total == ladder.basis.rank and total <= algebra.dim
+    if not (total == ladder.basis.rank and total <= algebra.dim):
+        raise AssertionError
     _check_first_difference(algebra, ladder.gens, d)
     return DiffSequence(
         d=tuple(d),
@@ -335,7 +355,8 @@ def _check_first_difference(algebra, elements, d):
     for s in elements:
         probe.insert(s)
     d1 = d[1] if len(d) > 1 else 0
-    assert d1 == probe.rank - base, "first difference disagrees with rank of S"
+    if d1 != probe.rank - base:
+        raise AssertionError("first difference disagrees with rank of S")
 
 
 def length_of_set(algebra: Algebra, gens, max_level: int | None = None) -> int:
@@ -452,16 +473,11 @@ def _residue_ladder(table: list, p: int, unity, max_level, gens) -> tuple:
         """Insert each vector; the normalized residues that were new."""
         new = []
         for v in vectors:
-            v = residue(v)
-            lead = next((j for j, x in enumerate(v) if x), None)
-            if lead is None:
-                continue
-            v = _normalize_mod(rows, p, v, lead)
-            rows.append(v)
-            pivots.append(lead)
-            new.append(v)
-            if len(rows) == n:
-                break
+            v = _insert_mod(rows, pivots, p, v)
+            if v is not None:
+                new.append(v)
+                if len(rows) == n:
+                    break
         return new
 
     level_reps = [insert([unity] if unity is not None else [])]
@@ -500,6 +516,104 @@ def _residue_ladder(table: list, p: int, unity, max_level, gens) -> tuple:
     return length, len(rows) == n
 
 
+def _character(algebra: Algebra):
+    """Values chi(b_1), ..., chi(b_n) of the first character of A, or None.
+
+    A character of a unital A over GF(p) is a linear chi: A -> GF(p) with
+    chi(e) = 1 and chi(xy) = chi(x) chi(y); by bilinearity it is enough to
+    check chi(b_i b_j) = chi(b_i) chi(b_j).  With c the first nonzero
+    coordinate of e, the p^(n-1) functionals with chi(e) = 1 are tried with
+    their values off c counted lexicographically and chi(b_c) solved from
+    chi(e) = 1.
+    """
+    p, n, e = algebra.field.p, algebra.dim, algebra.unity
+    table = algebra.product_table[0]
+    c = next(i for i, x in enumerate(e) if x % p)
+    inv = pow(e[c], -1, p)
+    others = [j for j in range(n) if j != c]
+    pairs = [(i, j, dict(table[i]).get(j, ())) for i in range(n) for j in range(n)]
+    for values in product(range(p), repeat=n - 1):
+        chi = [0] * n
+        for j, x in zip(others, values):
+            chi[j] = x
+        chi[c] = (1 - sum(chi[j] * e[j] for j in others)) * inv % p
+        if all((sum(s * chi[k] for k, s in terms) - chi[i] * chi[j]) % p == 0
+               for i, j, terms in pairs):
+            return chi
+    return None
+
+
+def _augmentation_ideal(algebra: Algebra):
+    """Rows spanning the ideal M of the generation pre-test, or None.
+
+    M is A itself when A has no unity, and ker chi for the first character
+    chi (see _character) when it has one; a unital A without a character
+    has no M, and neither has one whose declared unity does not act as the
+    identity (the library does not check it).  The rows are b_j, resp.
+    b_j - chi(b_j) e, for every j.
+    """
+    n, e = algebra.dim, algebra.unity
+    if e is None:
+        return [[int(i == j) for i in range(n)] for j in range(n)]
+    if not algebra.verify_unity()[0]:
+        return None
+    chi = _character(algebra)
+    if chi is None:
+        return None
+    p = algebra.field.p
+    return [[(int(i == j) - chi[j] * x) % p for i, x in enumerate(e)] for j in range(n)]
+
+
+def _generation_test(algebra: Algebra):
+    """Predicate on subspace rows that rejects only non-generating subspaces.
+
+    With M from _augmentation_ideal, let K = M^2, plus <e> when A is unital.
+    The subalgebra generated by V (and e) lies in V + K: every v in V is
+    chi(v) e plus an element of M, and every product of two or more elements
+    of M lies in M^2.  So V generates A only if V + K = A, i.e. only if the
+    rows of V project onto A/K.  When M is nilpotent the converse holds too,
+    since then any subspace N with N + M^2 = M generates M.  K and the
+    projection of each basis vector onto A/K (its residue modulo K at the
+    columns that are no pivot of K) are computed once, and the image of
+    each row tuple once.  The predicate is None when A has no M, or when
+    K = A, so that it would reject nothing.
+    """
+    m_rows = _augmentation_ideal(algebra)
+    if m_rows is None:
+        return None
+    p, n, e = algebra.field.p, algebra.dim, algebra.unity
+    table = algebra.product_table[0]
+    k_rows, k_pivots = [], []
+    if e is not None:
+        _insert_mod(k_rows, k_pivots, p, list(e))
+    for u in m_rows:
+        for v in m_rows:
+            _insert_mod(k_rows, k_pivots, p, table_product(table, u, v))
+    codim = n - len(k_rows)
+    if codim == 0:
+        return None
+    free = [j for j in range(n) if j not in k_pivots]
+    images = [_reduce_mod(k_rows, k_pivots, p, [int(i == j) for i in range(n)])
+              for j in range(n)]
+    columns = [[image[j] for image in images] for j in free]
+    projections = {}  # row tuple -> its image in A/K; rows recur across subspaces
+
+    def can_generate(rows) -> bool:
+        if len(rows) < codim:
+            return False
+        span, pivots = [], []
+        for row in rows:
+            image = projections.get(row)
+            if image is None:
+                image = projections[row] = [sum(map(mul, row, column)) % p
+                                            for column in columns]
+            if _insert_mod(span, pivots, p, image) is not None and len(span) == codim:
+                return True
+        return False
+
+    return can_generate
+
+
 def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE_BUDGET,
                          max_level: int | None = None):
     """Maximum of l(S) over generating sets, with an achieving witness.
@@ -512,6 +626,15 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     witness is the RREF basis of the first subspace in enumeration order
     that attains the maximum.  ``max_level`` caps each ladder as in
     diff_sequence.
+
+    A linear pre-test (_generation_test) skips the ladder of a subspace V
+    when V + K != A, with K = A^2 for a non-unital A and K = <e> + M^2 for
+    a unital one, M the kernel of a character.  The subalgebra V generates
+    lies in V + K, so a skipped V never generates, and neither the maximum
+    nor the witness nor the budget count can change; only a ``max_level``
+    that a skipped ladder alone would exceed no longer raises.  The test is
+    exact when M (or A) is nilpotent; a unital A without a character is
+    swept in full.  The character search comes after the budget check.
     """
     field = algebra.field
     if not isinstance(field, PrimeField):
@@ -519,12 +642,17 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     n, unity = algebra.dim, algebra.unity
     run = partial(_residue_ladder, algebra.product_table[0], field.p,
                   list(unity) if unity is not None else None, max_level)
+    subspaces = _subspace_rows(field.p, n, unity, budget)
+    can_generate = _generation_test(algebra)
+    if can_generate is not None:
+        subspaces = filter(can_generate, subspaces)
     best = None
-    for rows in _subspace_rows(field.p, n, unity, budget):
+    for rows in subspaces:
         length, generating = run(rows)
         if generating and (best is None or length > best[0]):
             best = (length, rows)
-    assert best is not None  # the whole space always generates
+    if best is None:
+        raise AssertionError("the whole space always generates")
     length, rows = best
     basis = _rref_basis(field, n, rows, unity)
     witness = generator_set([algebra.element(r) for r in basis.row_tuples()])

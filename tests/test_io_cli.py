@@ -236,7 +236,9 @@ def test_cli_usage_errors(tmp_path, capsys):
                  ["classify", good, "--samples", "-3"],
                  ["bounds", good, "--set", "1,2", "--samples", "0"],
                  ["search", good, "--set-size", "-2"],
-                 ["search", good, "--samples", "0"]):
+                 ["search", good, "--samples", "0"],
+                 # an exact length needs a prime field, aflex here is over Q
+                 ["bounds", good, "--set", "1,2", "--exact"]):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2, argv

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from alglen import examples, spans
+from alglen.algebra import make_algebra
 from alglen.errors import NotFiniteField, ResourceLimit
 from alglen.field import PrimeField, Rationals
 from alglen.spans import (SpanBasis, count_subspaces, diff_sequence,
@@ -255,3 +258,214 @@ def test_witness_generates(z2n2):
     length, witness = exact_algebra_length(z2n2)
     seq = diff_sequence(z2n2, witness)
     assert seq.generating and seq.length_of_set == length
+
+
+# -- the generation pre-test of the exact-length sweep --------------------------
+
+
+def _sheared(algebra, order, shear):
+    """The same algebra in the basis b'_j = c_j + sum_(i<j) shear[i][j] c_i,
+    where c_j = b_(order[j] + 1)."""
+    p, n = algebra.field.p, algebra.dim
+    new_basis = [[int(i == order[j]) for i in range(n)] for j in range(n)]
+    for j in range(n):
+        for i in range(j):
+            new_basis[j] = [(x + shear[i][j] * y) % p
+                            for x, y in zip(new_basis[j], new_basis[i])]
+
+    def coordinates(x):
+        # back substitution: the change of basis is unitriangular up to order
+        y = [0] * n
+        for j in reversed(range(n)):
+            y[j] = (x[order[j]] - sum(new_basis[i][order[j]] * y[i]
+                                      for i in range(j + 1, n))) % p
+        return y
+
+    products = {}
+    for i, u in enumerate(new_basis, 1):
+        for j, v in enumerate(new_basis, 1):
+            y = coordinates(oracles.field_multiply(algebra, u, v))
+            products[(i, j)] = [(k, c) for k, c in enumerate(y, 1) if c]
+    unity = coordinates(algebra.unity) if algebra.unity is not None else None
+    return make_algebra(algebra.field, n, products, unity=unity)
+
+
+KINDS = [(kind, triangular) for kind in ("non-unital", "hull", "unital")
+         for triangular in (True, False)]
+
+
+@st.composite
+def prime_field_algebras(draw, field, max_dim, kind, triangular):
+    """Algebras over GF(p) of dimension at most max_dim, in a random basis.
+
+    ``kind`` is non-unital, a unital hull, or unital with products of
+    non-unity basis vectors that may have a component along the unity,
+    which can leave A without a character.  Strictly triangular products
+    (b_i b_j a combination of b_k with k > i, j) make A, resp. the
+    non-unity part, nilpotent; dense ones mostly do not.
+    """
+    p = field.p
+    dim = draw(st.integers(2 if kind == "hull" else 1, max_dim))
+    unit = draw(st.integers(1, dim)) if kind == "unital" else None
+    size = dim - 1 if kind == "hull" else dim
+    products = {}
+    for i in range(1, size + 1):
+        for j in range(1, size + 1):
+            if unit in (i, j):
+                products[(i, j)] = [(j if i == unit else i, 1)]
+                continue
+            low = max(i, j) + 1 if triangular else 1
+            targets = [k for k in range(low, size + 1) if k != unit or not triangular]
+            if targets:
+                products[(i, j)] = draw(st.lists(
+                    st.tuples(st.sampled_from(targets), st.integers(1, p - 1)),
+                    max_size=2, unique_by=lambda t: t[0]))
+    unity = None if unit is None else [int(k == unit) for k in range(1, dim + 1)]
+    algebra = make_algebra(field, size, products, unity=unity)
+    if kind == "hull":
+        algebra = examples.make_unital_hull(algebra)
+    order = draw(st.permutations(range(dim)))
+    shear = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim),
+                          min_size=dim, max_size=dim))
+    return _sheared(algebra, order, shear)
+
+
+def _is_nilpotent(algebra, rows):
+    """Whether all long enough words in elements of the span of rows vanish.
+
+    P_k, the span of the words of length exactly k, is P_i P_j summed over
+    i + j = k.  Once P_k = 0 for N < k <= 2N, every longer word has a zero
+    factor.  With d the rank of the span, N = 2^(d-1) is always enough when
+    the products are triangular in some basis; a nilpotent span that needs
+    more is reported as not nilpotent, which only skips the check it guards.
+    """
+    f = algebra.field
+    by_length = [None, oracles.rref_rows(f, rows, algebra.dim)]
+    for k in range(2, 2 ** len(by_length[1]) + 1):
+        by_length.append(oracles.rref_rows(
+            f, [oracles.field_multiply(algebra, u, v) for i in range(1, k)
+                for u in by_length[i] for v in by_length[k - i]],
+            algebra.dim))
+        if k % 2 == 0 and not any(by_length[k // 2 + 1:]):
+            return True
+    return not by_length[1]
+
+
+def _is_character(algebra, chi):
+    p = algebra.field.p
+
+    def value(x):
+        return sum(a * b for a, b in zip(chi, x)) % p
+
+    basis = [algebra.basis_element(i) for i in range(1, algebra.dim + 1)]
+    return value(algebra.unity) == 1 and all(
+        value(oracles.field_multiply(algebra, u, v)) == value(u) * value(v) % p
+        for u in basis for v in basis)
+
+
+@pytest.mark.parametrize("kind, triangular", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generation_pretest_matches_unpruned_sweep(kind, triangular, data):
+    field = data.draw(st.sampled_from([PrimeField(2), PrimeField(3)]))
+    algebra = data.draw(prime_field_algebras(field, 4, kind, triangular))
+    p, n = algebra.field.p, algebra.dim
+    unity = list(algebra.unity) if algebra.unity is not None else None
+    table = algebra.product_table[0]
+    m_rows = spans._augmentation_ideal(algebra)
+    if algebra.unity is not None:
+        # the search finds a character exactly when one exists
+        characters = [chi for chi in product(range(p), repeat=n) if _is_character(algebra, chi)]
+        chi = spans._character(algebra)
+        assert (chi is None) == (not characters)
+        if chi is not None:
+            # the first in the search order: values off c lexicographic
+            c = next(i for i, x in enumerate(algebra.unity) if x)
+            assert tuple(chi) == min(characters, key=lambda x: x[:c] + x[c + 1:])
+            kernel = oracles.rref_rows(algebra.field, m_rows, n)
+            assert len(kernel) == n - 1
+            assert all(sum(a * b for a, b in zip(chi, r)) % p == 0 for r in kernel)
+    can_generate = spans._generation_test(algebra)
+    exact = m_rows is not None and _is_nilpotent(algebra, m_rows)
+    best = None
+    for rows in spans._subspace_rows(p, n, algebra.unity, None):
+        length, generating = spans._residue_ladder(table, p, unity, None, rows)
+        if generating and (best is None or length > best[0]):
+            best = (length, rows)
+        passes = can_generate is None or can_generate(rows)
+        if not passes:
+            assert not diff_sequence(algebra, [algebra.element(r) for r in rows]).generating
+        if exact:
+            assert passes == generating, rows
+    length, witness = exact_algebra_length(algebra)
+    expected = spans._rref_basis(algebra.field, n, best[1], algebra.unity)
+    assert length == best[0]
+    assert witness.elements == tuple(algebra.element(r) for r in expected.row_tuples())
+
+
+def test_generation_pretest_on_examples(monkeypatch):
+    f2, f3 = PrimeField(2), PrimeField(3)
+    # 1,900 of the 2,664 subspaces pass, exactly these generate, and the
+    # sweep runs a ladder on these alone
+    aflex3 = examples.make_a_flex(f3)
+    can_generate = spans._generation_test(aflex3)
+    table = aflex3.product_table[0]
+    for rows in spans._subspace_rows(3, aflex3.dim, None, None):
+        assert can_generate(rows) == spans._residue_ladder(table, 3, None, None, rows)[1]
+    assert sum(map(can_generate, spans._subspace_rows(3, 5, None, None))) == 1900
+    ladders = []
+    ladder = spans._residue_ladder
+    monkeypatch.setattr(spans, "_residue_ladder", lambda *args: ladders.append(1) or ladder(*args))
+    assert exact_algebra_length(aflex3)[0] == 3 and len(ladders) == 1900
+    monkeypatch.undo()
+    # GF(3) x GF(3) in the basis b1 = -f1, b2 = f2 of its idempotents, so
+    # e = 2 b1 + b2: the first character in the search order is f1's, and
+    # M is its kernel, spanned by f2
+    split = make_algebra(f3, 2, {(1, 1): [(1, 2)], (2, 2): [(2, 1)]}, unity=(2, 1))
+    assert spans._character(split) == [2, 0]
+    assert oracles.rref_rows(f3, spans._augmentation_ideal(split), 2) == ((0, 1),)
+    # z2n:2 has the augmentation character; matrix:2 and spin:3 have none
+    assert spans._character(examples.make_group_algebra_z2n(2)) == [1, 1, 1, 1]
+    # a declared unity that is none: the pre-test's argument does not apply
+    wrong = make_algebra(f3, 2, {(1, 1): [(1, 2)], (2, 2): [(2, 1)]}, unity=(1, 0))
+    assert spans._augmentation_ideal(wrong) is None
+    for algebra in (examples.make_matrix_algebra(2, f2), examples.make_spin_factor(3, f2)):
+        assert spans._character(algebra) is None
+        assert spans._augmentation_ideal(algebra) is None
+        assert spans._generation_test(algebra) is None
+
+
+def _generates(algebra, gens):
+    """Whether gens (with the unity) generate A: the span closed under products."""
+    f = algebra.field
+    start = list(gens) + ([algebra.unity] if algebra.unity is not None else [])
+    rows = oracles.rref_rows(f, start, algebra.dim)
+    while True:
+        grown = oracles.rref_rows(
+            f, list(rows) + [oracles.field_multiply(algebra, u, v) for u in rows for v in rows],
+            algebra.dim)
+        if grown == rows:
+            return len(rows) == algebra.dim
+        rows = grown
+
+
+@pytest.mark.parametrize("kind, triangular", KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_exact_length_matches_word_brute_force(kind, triangular, data):
+    # l(A) as the maximum over every generating set of at most dim nonzero
+    # vectors of the first level whose words span A; no span ladder involved
+    field, max_dim = data.draw(st.sampled_from([(PrimeField(2), 3), (PrimeField(3), 2)]))
+    algebra = data.draw(prime_field_algebras(field, max_dim, kind, triangular))
+    p, n = algebra.field.p, algebra.dim
+    vectors = [v for v in product(range(p), repeat=n) if any(v)]
+    best = 0
+    for size in range(1, n + 1):
+        for gens in combinations(vectors, size):
+            if not _generates(algebra, gens):
+                continue
+            level = 0
+            while len(oracles.full_word_span(algebra, gens, level)[level]) < n:
+                level += 1
+            best = max(best, level)
+    assert exact_algebra_length(algebra)[0] == best
