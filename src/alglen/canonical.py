@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotRestrictedForm, WordTooShort
-from .spans import SpanBasis, span_ladder_up_to
+from .spans import SpanBasis, lin_span
 from .words import Word, evaluate, is_restricted, word_length
 
 ALT_SHAPE = "ALT2"
@@ -403,7 +403,7 @@ def verify_equivalence(algebra, gens, w: Word, cw: CanonicalWord,
     """
     m = word_length(w)
     if lower_span is None:
-        lower_span = span_ladder_up_to(algebra, gens, m - 1).lin_basis()
+        lower_span = lin_span(algebra, gens, m - 1)
     lhs = evaluate(algebra, gens, w)
     rhs = evaluate(algebra, gens, cw.tree())
     if cw.sign == -1:

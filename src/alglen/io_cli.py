@@ -28,8 +28,7 @@ from .examples import (make_a_alt, make_a_flex, make_cayley_dickson, make_chain3
                        make_group_algebra_z2n, make_matrix_algebra, make_nilpotent3,
                        make_nonmixing7, make_spin_factor, make_unital_hull)
 from .field import Field, PrimeField, Rationals
-from .spans import (DEFAULT_SUBSPACE_BUDGET, diff_sequence, exact_algebra_length,
-                    span_ladder_up_to)
+from .spans import DEFAULT_SUBSPACE_BUDGET, diff_sequence, exact_algebra_length, lin_span
 from .words import (enumerate_restricted, evaluate, format_word, generator_set,
                     parse_word, word_length)
 
@@ -312,7 +311,7 @@ def _find_surviving_word(algebra, gens, seq, cap=4096):
     m = seq.length_of_set
     if m < 3:
         return None
-    lower = span_ladder_up_to(algebra, gens, m - 1).lin_basis()
+    lower = lin_span(algebra, gens, m - 1)
     count = 0
     for w in enumerate_restricted(len(gens), m, cap=None):
         count += 1
@@ -459,9 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "structure-constant algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_set=False, with_budget=False):
+    def common(p, with_set=False, with_budget=False, with_samples=False):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=identities.DEFAULT_SAMPLES)
+        if with_samples:
+            p.add_argument("--samples", type=int, default=identities.DEFAULT_SAMPLES)
         p.add_argument("--json", action="store_true")
         p.add_argument("--max-level", type=int, default=None, dest="max_level")
         if with_set:
@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="run every identity-class check")
     p.add_argument("algebra")
-    common(p)
+    common(p, with_samples=True)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("diffseq", help="difference sequence of a generator set")
@@ -496,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--exact", action="store_true",
                    help="include the exact algebra length (prime fields)")
-    common(p, with_set=True, with_budget=True)
+    common(p, with_set=True, with_budget=True, with_samples=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("canonical", help="canonical two- or three-block form of a word")
@@ -525,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="randomized lower-bound search for l(A)")
     p.add_argument("algebra")
     p.add_argument("--set-size", type=int, default=None, dest="set_size")
-    common(p)
+    common(p, with_samples=True)
     p.set_defaults(func=_cmd_search)
 
     return parser

@@ -7,17 +7,18 @@ stops once the current span V satisfies V*V <= V (the closure criterion):
 then no longer word can leave it, so the sequence has ended for every
 algebra.
 
-SpanLadder works over any field and is the reference.  The exact-length
-sweep over GF(p) runs one ladder per subspace, so it uses a copy of the
-same ladder on plain residue lists (``_residue_ladder``) instead, with the
-GF(p) row operations of SpanBasis and the algebra's compiled product table.
-It runs no ladder on a subspace that a linear pre-test
+One ladder (``_ladder``) serves diff_sequence, lin_span and the exact-length
+sweep.  It works on integer rows over both fields, since spans do not
+depend on scaling: residues over GF(p) and primitive integer rows with
+fraction-free elimination over Q, multiplied through the algebra's
+compiled product table.  SpanBasis shares the same row operations
+(``_insert_mod``/``_reduce_mod`` and ``_insert_int``/``_reduce_int``).  The
+sweep runs no ladder on a subspace that a linear pre-test
 (``_generation_test``) shows cannot generate the algebra.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
@@ -78,15 +79,68 @@ def _primitive(v: list, lead: int) -> list:
     return v if g == 1 else [x // g for x in v]
 
 
+def _reduce_int(rows, pivots, v) -> tuple:
+    """(w, s): integers w and s > 0 with w / s the residue of the int vector v.
+
+    The rows are primitive and fully reduced over Q; elimination is
+    fraction-free (Bareiss): ``v <- (r_j/g) v - (v_j/g) r`` with
+    ``g = gcd(r_j, v_j)`` for the row r with pivot j.
+    """
+    s = 1
+    for row, j in zip(rows, pivots):
+        c = v[j]
+        if c:
+            r = row[j]
+            g = gcd(r, c)
+            if g != 1:
+                r //= g
+                c //= g
+            if r == 1:
+                v = [x - c * y for x, y in zip(v, row)]
+            else:
+                v = [r * x - c * y for x, y in zip(v, row)]
+                s *= r
+    return v, s
+
+
+def _insert_int(rows, pivots, v):
+    """Add the int vector v to primitive fully reduced rows over Q.
+
+    Returns v's residue as a primitive row (gcd 1, positive pivot), now a
+    row, or None when v already lies in their span.
+    """
+    v = _reduce_int(rows, pivots, v)[0]
+    lead = next((j for j, x in enumerate(v) if x), None)
+    if lead is None:
+        return None
+    v = _primitive(list(v), lead)
+    a = v[lead]
+    for idx, row in enumerate(rows):
+        c = row[lead]
+        if c:
+            g = gcd(a, c)
+            s, t = a // g, c // g
+            rows[idx] = _primitive([s * x - t * y for x, y in zip(row, v)], pivots[idx])
+    rows.append(v)
+    pivots.append(lead)
+    return v
+
+
+def _check_length(vec, dim: int) -> None:
+    if len(vec) != dim:
+        raise DimensionMismatch("vector length does not match basis dimension")
+
+
 class SpanBasis:
     """Reduced row-echelon basis of a subspace, grown by insertion.
 
-    Over GF(p) the stored rows are the RREF rows, as residue lists.  Over Q
-    they are primitive integer rows (gcd 1, positive pivot), each a positive
-    multiple of its RREF row, and elimination is fraction-free (Bareiss):
-    ``v <- (r_p/g) v - (v_p/g) r`` with ``g = gcd(r_p, v_p)``.  ``rows``,
-    ``reduce`` and the residue ``insert`` returns are exact scalars, and
-    ``contains`` builds none.
+    The rows are stored in insertion order, in the row forms of the span
+    ladder.  Over GF(p) they are the RREF rows, as residue lists
+    (``_insert_mod``).  Over Q they are primitive integer rows (gcd 1,
+    positive pivot), each a positive multiple of its RREF row, with
+    fraction-free elimination (``_insert_int``).  ``rows`` and ``pivots``
+    are in pivot order; ``rows``, ``reduce`` and the residue ``insert``
+    returns are exact scalars, and ``contains`` builds none.
     """
 
     def __init__(self, field: Field, dim: int):
@@ -94,40 +148,35 @@ class SpanBasis:
         self.dim = dim
         self.p = field.characteristic  # 0 over Q
         self._rows: list[list[int]] = []
-        self.pivots: list[int] = []
+        self._pivots: list[int] = []
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._pivots)
+
+    def _ordered(self) -> list:
+        """(pivot, stored row) pairs in pivot order, unique per subspace."""
+        return sorted(zip(self._pivots, self._rows))
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._pivots)
 
     @property
     def rows(self) -> list[list]:
         """The RREF rows as exact scalars, in pivot order."""
         if self.p:
-            return [list(r) for r in self._rows]
-        return [list(rational_row(r, r[j])) for r, j in zip(self._rows, self.pivots)]
+            return [list(r) for _, r in self._ordered()]
+        return [list(rational_row(r, r[j])) for j, r in self._ordered()]
 
     def _residue(self, vec) -> tuple:
         """(w, s): integers w and s > 0 with w / s the residue of vec."""
-        if len(vec) != self.dim:
-            raise DimensionMismatch("vector length does not match basis dimension")
+        _check_length(vec, self.dim)
         if self.p:
-            return _reduce_mod(self._rows, self.pivots, self.p, vec), 1
-        v, s = integer_row(vec)
-        for row, j in zip(self._rows, self.pivots):
-            c = v[j]
-            if c:
-                r = row[j]
-                g = gcd(r, c)
-                if g != 1:
-                    r //= g
-                    c //= g
-                if r == 1:
-                    v = [x - c * y for x, y in zip(v, row)]
-                else:
-                    v = [r * x - c * y for x, y in zip(v, row)]
-                    s *= r
-        return v, s
+            return _reduce_mod(self._rows, self._pivots, self.p, vec), 1
+        v, d = integer_row(vec)
+        w, s = _reduce_int(self._rows, self._pivots, v)
+        return w, s * d
 
     def reduce(self, vec) -> list:
         """Residue of vec modulo the current row space."""
@@ -138,43 +187,19 @@ class SpanBasis:
 
     def insert(self, vec):
         """Insert vec; returns (added, normalized residue or None)."""
-        v, _ = self._residue(vec)
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            return False, None
-        rows = self._rows
+        _check_length(vec, self.dim)
         if self.p:
-            v = _normalize_mod(rows, self.p, v, lead)
-            residue = tuple(v)
-        else:
-            v = _primitive(list(v), lead)
-            a = v[lead]
-            for idx, row in enumerate(rows):
-                c = row[lead]
-                if c:
-                    g = gcd(a, c)
-                    s, t = a // g, c // g
-                    rows[idx] = _primitive([s * x - t * y for x, y in zip(row, v)],
-                                           self.pivots[idx])
-            residue = rational_row(v, a)
-        pos = bisect.bisect_left(self.pivots, lead)
-        rows.insert(pos, v)
-        self.pivots.insert(pos, lead)
-        return True, residue
+            v = _insert_mod(self._rows, self._pivots, self.p, vec)
+            return (False, None) if v is None else (True, tuple(v))
+        v = _insert_int(self._rows, self._pivots, integer_row(vec)[0])
+        return (False, None) if v is None else (True, rational_row(v, next(filter(None, v))))
 
     def row_tuples(self) -> tuple:
         return tuple(tuple(r) for r in self.rows)
 
-    def copy(self) -> "SpanBasis":
-        c = SpanBasis(self.field, self.dim)
-        c._rows = [list(r) for r in self._rows]
-        c.pivots = list(self.pivots)
-        return c
-
     def __eq__(self, other):
-        # both row forms are unique per subspace
         return isinstance(other, SpanBasis) and self.field == other.field \
-            and self.dim == other.dim and self._rows == other._rows
+            and self.dim == other.dim and self._ordered() == other._ordered()
 
     def __repr__(self):
         return f"SpanBasis(rank={self.rank}, dim={self.dim})"
@@ -202,86 +227,6 @@ class DiffSequence:
         }
 
 
-class SpanLadder:
-    """Incremental Lin_k(S) computation with per-level new-part bases."""
-
-    def __init__(self, algebra: Algebra, gens):
-        self.algebra = algebra
-        self.field = algebra.field
-        elements = gens.elements if isinstance(gens, GeneratorSet) else tuple(gens)
-        self.gens = elements
-        self.basis = SpanBasis(self.field, algebra.dim)
-        self.level_reps: list[list] = []  # level_reps[k] spans Lin_k/Lin_{k-1}
-        self.d: list[int] = []
-        self._spanning: list = []  # append-only spanning set of the current span
-        self._pending: list = []  # (u, v) spanning pairs not yet verified closed
-        self._paired = 0  # prefix of _spanning already paired up
-        # level 0
-        d0 = 0
-        if algebra.unity is not None:
-            added, _ = self.basis.insert(algebra.unity)
-            if added:
-                self._spanning.append(tuple(algebra.unity))
-                d0 = 1
-        self.d.append(d0)
-        self.level_reps.append(list(self._spanning))
-
-    @property
-    def level(self) -> int:
-        return len(self.d) - 1
-
-    def _record(self, new_reps):
-        self.d.append(len(new_reps))
-        self.level_reps.append(new_reps)
-        self._spanning.extend(new_reps)
-
-    def step_general(self) -> int:
-        """Advance one level using all split products of new-part bases."""
-        m = self.level + 1
-        new_reps = []
-        if m == 1:
-            candidates = self.gens
-        else:
-            candidates = (
-                self.algebra.multiply(u, v)
-                for i in range(1, m)
-                for u in self.level_reps[i]
-                for v in self.level_reps[m - i]
-            )
-        for vec in candidates:
-            added, res = self.basis.insert(vec)
-            if added:
-                new_reps.append(res)
-        self._record(new_reps)
-        return len(new_reps)
-
-    def is_closed(self) -> bool:
-        """True when the span absorbs products of its own spanning set.
-
-        Only sound as a stabilization certificate once the generators are
-        inside the span, i.e. from level 1 on (or at level 0 when every
-        generator already reduces to zero).
-        """
-        if self.level == 0 and any(not self.basis.contains(s) for s in self.gens):
-            return False
-        n = len(self._spanning)
-        if n > self._paired:
-            for i in range(n):
-                for j in range(n):
-                    if i >= self._paired or j >= self._paired:
-                        self._pending.append((self._spanning[i], self._spanning[j]))
-            self._paired = n
-        still = []
-        for u, v in self._pending:
-            if not self.basis.contains(self.algebra.multiply(u, v)):
-                still.append((u, v))
-        self._pending = still
-        return not still
-
-    def lin_basis(self) -> SpanBasis:
-        return self.basis
-
-
 def solve_coordinates(field: Field, vectors, target):
     """Unique coefficients of target in the listed vectors, with a status.
 
@@ -305,40 +250,127 @@ def solve_coordinates(field: Field, vectors, target):
     return "ok", coeffs
 
 
-def span_ladder_up_to(algebra: Algebra, gens, k: int) -> SpanLadder:
-    """Ladder advanced to level k (or to stabilization, whichever is first)."""
-    ladder = SpanLadder(algebra, gens)
-    for _ in range(k):
-        if ladder.is_closed():
-            break
-        ladder.step_general()
-    return ladder
-
-
 def _level_cap(max_level: int | None, dim: int) -> int:
     return max_level if max_level is not None else max(DEFAULT_MAX_LEVEL, dim + 2)
 
 
-def diff_sequence(algebra: Algebra, gens, max_level: int | None = None) -> DiffSequence:
-    """Full difference sequence of one generator set, until the span is closed."""
-    ladder = SpanLadder(algebra, gens)
-    cap = _level_cap(max_level, algebra.dim)
-    while not ladder.is_closed():
-        if ladder.level >= cap:
-            raise ResourceLimit(f"general-mode run exceeded {cap} levels")
-        ladder.step_general()
+def _ladder(table: list, p: int, unity, max_level, gens) -> list:
+    """Span ladder of gens: level_reps[k] spans Lin_k(S) modulo Lin_(k-1)(S).
 
-    d = list(ladder.d)
+    Every vector is an integer row and ``table`` is the algebra's
+    ``product_table``.  ``p`` picks the row operations: residues over GF(p)
+    (``_insert_mod``), primitive integer rows over Q (``p = 0``,
+    ``_insert_int``).  Over Q the products ignore the table's common
+    denominator D, as the rows ignore their own, since a span does not
+    depend on the scaling of the vectors that span it.  Level 0 is the
+    unity (None when there is none), level 1 the gens, and level m the
+    products of the representatives of levels i and m - i.
+
+    The ladder stops once its span V is closed, V*V <= V, which counts only
+    once the gens lie in V: then no longer word can leave V.  It raises
+    ResourceLimit past the level cap.  Two shortcuts leave the result
+    unchanged: the ladder stops once the span is all of A (it is closed and
+    can gain nothing), and the closure check stops at the first pair whose
+    product leaves the span (the others stay pending).
+    """
+    n = len(table)
+    rows, pivots = [], []
+    mul = partial(table_product, table)
+    if p:
+        add = partial(_insert_mod, rows, pivots, p)
+        residue = partial(_reduce_mod, rows, pivots, p)
+    else:
+        add = partial(_insert_int, rows, pivots)
+
+        def residue(v):
+            return _reduce_int(rows, pivots, v)[0]
+
+    def insert(vectors):
+        """Insert each vector; the new rows."""
+        new = []
+        for v in vectors:
+            v = add(v)
+            if v is not None:
+                new.append(v)
+                if len(rows) == n:
+                    break
+        return new
+
+    level_reps = [insert([unity] if unity is not None else [])]
+    cap = _level_cap(max_level, n)
+    spanning = []
+    pending = []  # (u, v) spanning pairs not yet known to multiply into the span
+
+    def closed(level):
+        for u in level_reps[level]:
+            spanning.append(u)
+            pending.extend((u, v) for v in spanning)
+            pending.extend((v, u) for v in spanning[:-1])
+        if level == 0 and any(any(residue(s)) for s in gens):
+            return False
+        while pending:
+            if any(residue(mul(*pending[-1]))):
+                return False
+            pending.pop()
+        return True
+
+    while len(rows) < n:
+        level = len(level_reps) - 1
+        if closed(level):
+            break
+        if level >= cap:
+            raise ResourceLimit(f"general-mode run exceeded {cap} levels")
+        m = level + 1
+        if m == 1:
+            new = insert(gens)
+        else:
+            new = insert(mul(u, v) for i in range(1, m)
+                         for u in level_reps[i] for v in level_reps[m - i])
+        level_reps.append(new)
+    return level_reps
+
+
+def _elements(gens) -> tuple:
+    return gens.elements if isinstance(gens, GeneratorSet) else tuple(gens)
+
+
+def _set_ladder(algebra: Algebra, elements, max_level=None) -> list:
+    """_ladder of elements of the algebra, after a length check."""
+    for s in elements:
+        _check_length(s, algebra.dim)
+    p, unity = algebra.field.characteristic, algebra.unity
+    if not p:
+        elements = [integer_row(s)[0] for s in elements]
+        if unity is not None:
+            unity = integer_row(unity)[0]
+    return _ladder(algebra.product_table[0], p, unity, max_level, elements)
+
+
+def lin_span(algebra: Algebra, gens, k: int) -> SpanBasis:
+    """Lin_k(S): the span of the unity and of the words of length at most k."""
+    basis = SpanBasis(algebra.field, algebra.dim)
+    for reps in _set_ladder(algebra, _elements(gens))[:k + 1]:
+        for v in reps:
+            basis.insert(v)
+    return basis
+
+
+def diff_sequence(algebra: Algebra, gens, max_level: int | None = None) -> DiffSequence:
+    """Difference sequence d_k = dim Lin_k(S) - dim Lin_(k-1)(S) of a generator set.
+
+    The sizes of the levels of _ladder, which runs until the span is closed,
+    without trailing zeros; l(S) is the last level with d_k != 0.  d_1 is
+    checked against the rank of S by a separate SpanBasis.
+    """
+    elements = _elements(gens)
+    d = [len(reps) for reps in _set_ladder(algebra, elements, max_level)]
     while len(d) > 1 and d[-1] == 0:
         d.pop()
-    length = max((k for k, dk in enumerate(d) if dk != 0), default=0)
+    _check_first_difference(algebra, elements, d)
     total = sum(d)
-    if not (total == ladder.basis.rank and total <= algebra.dim):
-        raise AssertionError
-    _check_first_difference(algebra, ladder.gens, d)
     return DiffSequence(
         d=tuple(d),
-        length_of_set=length,
+        length_of_set=len(d) - 1,
         stabilized_by="closure-criterion",
         generating=(total == algebra.dim),
         total_rank=total,
@@ -450,70 +482,6 @@ def enumerate_subspaces(field: Field, n: int, must_contain: Element | None = Non
 
 
 # -- exact algebra length over prime fields ---------------------------------
-
-
-def _residue_ladder(table: list, p: int, unity, max_level, gens) -> tuple:
-    """(l(S), S generates A) of the span ladder of gens over GF(p).
-
-    The same steps, stopping rule and level cap as diff_sequence on
-    SpanLadder, on lists of residues with ``% p`` inlined; ``table`` is the
-    algebra's ``product_table``.  The basis rows are kept fully reduced in
-    insertion order, so a vector's pivot entries are its coefficients.  Two
-    shortcuts leave the result unchanged: the ladder stops once the span is
-    all of A (it is closed and can gain nothing), and the closure check
-    stops at the first pair whose product leaves the span (the others stay
-    pending).
-    """
-    n = len(table)
-    rows, pivots = [], []
-    mul = partial(table_product, table)
-    residue = partial(_reduce_mod, rows, pivots, p)
-
-    def insert(vectors):
-        """Insert each vector; the normalized residues that were new."""
-        new = []
-        for v in vectors:
-            v = _insert_mod(rows, pivots, p, v)
-            if v is not None:
-                new.append(v)
-                if len(rows) == n:
-                    break
-        return new
-
-    level_reps = [insert([unity] if unity is not None else [])]
-    cap = _level_cap(max_level, n)
-    spanning = []
-    pending = []  # (u, v) spanning pairs not yet known to multiply into the span
-
-    def closed(level):
-        for u in level_reps[level]:
-            spanning.append(u)
-            pending.extend((u, v) for v in spanning)
-            pending.extend((v, u) for v in spanning[:-1])
-        if level == 0 and any(any(residue(s)) for s in gens):
-            return False
-        while pending:
-            if any(residue(mul(*pending[-1]))):
-                return False
-            pending.pop()
-        return True
-
-    while len(rows) < n:
-        level = len(level_reps) - 1
-        if closed(level):
-            break
-        if level >= cap:
-            raise ResourceLimit(f"general-mode run exceeded {cap} levels")
-        m = level + 1
-        if m == 1:
-            new = insert(gens)
-        else:
-            new = insert(mul(u, v) for i in range(1, m)
-                         for u in level_reps[i] for v in level_reps[m - i])
-        level_reps.append(new)
-
-    length = max((k for k, reps in enumerate(level_reps) if reps), default=0)
-    return length, len(rows) == n
 
 
 def _character(algebra: Algebra):
@@ -640,7 +608,7 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     if not isinstance(field, PrimeField):
         raise NotFiniteField("exact length needs a prime field")
     n, unity = algebra.dim, algebra.unity
-    run = partial(_residue_ladder, algebra.product_table[0], field.p,
+    run = partial(_ladder, algebra.product_table[0], field.p,
                   list(unity) if unity is not None else None, max_level)
     subspaces = _subspace_rows(field.p, n, unity, budget)
     can_generate = _generation_test(algebra)
@@ -648,9 +616,11 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
         subspaces = filter(can_generate, subspaces)
     best = None
     for rows in subspaces:
-        length, generating = run(rows)
-        if generating and (best is None or length > best[0]):
-            best = (length, rows)
+        level_reps = run(rows)
+        if sum(map(len, level_reps)) == n:
+            length = max(k for k, reps in enumerate(level_reps) if reps)
+            if best is None or length > best[0]:
+                best = (length, rows)
     if best is None:
         raise AssertionError("the whole space always generates")
     length, rows = best

@@ -19,7 +19,7 @@ from alglen import bounds, examples, identities
 from alglen.canonical import canonical_alt_form, canonical_flex_form, verify_equivalence
 from alglen.field import PrimeField
 from alglen.io_cli import main
-from alglen.spans import diff_sequence, exact_algebra_length, span_ladder_up_to
+from alglen.spans import diff_sequence, exact_algebra_length, lin_span
 from alglen.words import enumerate_restricted
 
 
@@ -148,7 +148,7 @@ def test_criterion_4_oracle_equivalence(small_registry):
             for gens in _sweep_sets(algebra):
                 oracle = oracles.full_word_span(algebra, gens, 5)
                 for m in range(1, 6):
-                    engine = span_ladder_up_to(algebra, gens, m).lin_basis()
+                    engine = lin_span(algebra, gens, m)
                     assert engine.row_tuples() == oracle[m], (name, m)
                 if mixing:
                     restricted = oracles.restricted_word_span(algebra, gens, 5)
@@ -201,14 +201,14 @@ def test_criterion_6_canonical_soundness():
         aalt = examples.make_a_alt()
         gens = [aalt.basis_element(1), aalt.basis_element(2)]
         for m in range(2, 6):
-            lower = span_ladder_up_to(aalt, gens, m - 1).lin_basis()
+            lower = lin_span(aalt, gens, m - 1)
             for w in enumerate_restricted(2, m):
                 cw = canonical_alt_form(w)
                 assert verify_equivalence(aalt, gens, w, cw, lower), (m, w)
         aflex = examples.make_a_flex()
         gens = [aflex.basis_element(1), aflex.basis_element(2)]
         for m in (3, 4, 5):
-            lower = span_ladder_up_to(aflex, gens, m - 1).lin_basis()
+            lower = lin_span(aflex, gens, m - 1)
             for w in enumerate_restricted(2, m):
                 cw = canonical_flex_form(w)
                 assert verify_equivalence(aflex, gens, w, cw, lower), (m, w)

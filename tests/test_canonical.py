@@ -6,7 +6,7 @@ import oracles
 from alglen.canonical import (CanonicalWord, alt_subword_family, canonical_alt_form,
                               canonical_flex_form, verify_equivalence)
 from alglen.errors import NotRestrictedForm, WordTooShort
-from alglen.spans import span_ladder_up_to
+from alglen.spans import lin_span
 from alglen.words import enumerate_restricted, evaluate, word_letters
 
 
@@ -95,7 +95,7 @@ def test_formal_sign_oracle(variant, canon, lo):
 def test_alt_numeric_soundness(aalt):
     gens = [aalt.basis_element(1), aalt.basis_element(2)]
     for m in range(2, 6):
-        lower = span_ladder_up_to(aalt, gens, m - 1).lin_basis()
+        lower = lin_span(aalt, gens, m - 1)
         for w in enumerate_restricted(2, m):
             c = canonical_alt_form(w)
             assert verify_equivalence(aalt, gens, w, c, lower)
@@ -104,7 +104,7 @@ def test_alt_numeric_soundness(aalt):
 def test_flex_numeric_soundness(aflex):
     gens = [aflex.basis_element(1), aflex.basis_element(2)]
     for m in range(3, 6):
-        lower = span_ladder_up_to(aflex, gens, m - 1).lin_basis()
+        lower = lin_span(aflex, gens, m - 1)
         for w in enumerate_restricted(2, m):
             c = canonical_flex_form(w)
             assert verify_equivalence(aflex, gens, w, c, lower)
@@ -132,7 +132,7 @@ def test_repeated_letter_collapse(aalt, aflex, z2n3):
     ]
     for algebra, canon, gens, lengths in cases:
         for m in lengths:
-            lower = span_ladder_up_to(algebra, gens, m - 1).lin_basis()
+            lower = lin_span(algebra, gens, m - 1)
             for w in enumerate_restricted(len(gens), m):
                 c = canon(w)
                 collapse = any(len(cl) != len(set(cl)) for cl in c.partition)

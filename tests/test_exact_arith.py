@@ -6,9 +6,9 @@ hands out int or Fraction scalars; over GF(p) on residue lists.  These tests
 compare it with the per-scalar Field-method references in ``oracles`` on
 random algebras of dimension at most 4, and check that a vector's scalar
 types (all Fraction, or int where integral) never change a result.  The
-difference sequences of the span ladder are compared with the spans of all
-words, enumerated by brute force, and the exhaustive identity verdicts with a
-sweep over every pair of elements.
+difference sequences and the spans Lin_k(S) of the span ladder are compared
+with the spans of all words, enumerated by brute force, and the exhaustive
+identity verdicts with a sweep over every pair of elements.
 """
 
 from fractions import Fraction
@@ -21,7 +21,7 @@ from alglen.algebra import make_algebra
 from alglen.examples import make_unital_hull
 from alglen.field import PrimeField, Rationals
 from alglen.identities import classify, replay_witness
-from alglen.spans import SpanBasis, _residue_ladder, diff_sequence
+from alglen.spans import SpanBasis, diff_sequence, lin_span
 
 Q = Rationals()
 FIELDS = (Q, PrimeField(2), PrimeField(3))
@@ -178,7 +178,7 @@ def algebra_and_set(draw):
     algebra = draw(algebras(field, small_integers))
     if algebra.dim < 4 and draw(st.booleans()):
         algebra = make_unital_hull(algebra)
-    vec = st.tuples(*[small_integers(field)] * algebra.dim)
+    vec = st.tuples(*[scalars(field)] * algebra.dim)
     return algebra, draw(st.lists(vec, min_size=1, max_size=2))
 
 
@@ -187,15 +187,13 @@ def algebra_and_set(draw):
 def test_ladder_matches_word_spans(case):
     algebra, gens = case
     seq = diff_sequence(algebra, gens)
-    dims = oracles.full_span_dims(algebra, gens, len(seq.d) + 1)
+    words = oracles.full_word_span(algebra, gens, len(seq.d) + 1)
+    dims = [len(rows) for rows in words]
     diffs = tuple([dims[0]] + [b - a for a, b in zip(dims, dims[1:])])
     assert diffs == seq.d + (0, 0)
     assert seq.stabilized_by == "closure-criterion"
-    p = algebra.field.characteristic
-    if p:
-        unity = list(algebra.unity) if algebra.unity is not None else None
-        got = _residue_ladder(algebra.product_table[0], p, unity, None, gens)
-        assert got == (seq.length_of_set, seq.generating)
+    for k in range(seq.length_of_set + 1):
+        assert lin_span(algebra, gens, k).row_tuples() == words[k], k
 
 
 @SETTINGS

@@ -243,6 +243,13 @@ def test_cli_usage_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2, argv
         assert captured.err.startswith("error: ") and captured.out == "", argv
+    # --samples only where a randomized check reads it
+    for argv in (["length", good, "--set", "1,2", "--samples", "3"],
+                 ["infer-unity", good, "--samples", "0"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+        assert "unrecognized arguments: --samples" in capsys.readouterr().err, argv
 
 
 def test_cli_json_deterministic(tmp_path, capsys):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from alglen import examples, spans
 from alglen.algebra import make_algebra
-from alglen.errors import NotFiniteField, ResourceLimit
+from alglen.errors import DimensionMismatch, NotFiniteField, ResourceLimit
 from alglen.field import PrimeField, Rationals
 from alglen.spans import (SpanBasis, count_subspaces, diff_sequence,
                           enumerate_subspaces, exact_algebra_length,
-                          gaussian_binomial, length_of_set, span_ladder_up_to)
+                          gaussian_binomial, length_of_set, lin_span)
 
 Q = Rationals()
 
@@ -94,11 +94,18 @@ def test_ladder_matches_oracle(small_registry):
                  for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         for gens in sets[: 2 * n + 4]:
             oracle = oracles.full_word_span(algebra, gens, 4)
-            ladder = span_ladder_up_to(algebra, gens, 0)
-            for m in range(1, 5):
-                ladder = span_ladder_up_to(algebra, gens, m)
-                assert ladder.lin_basis().row_tuples() == oracle[min(m, len(oracle) - 1)], \
-                    (name, m)
+            for m in range(5):
+                assert lin_span(algebra, gens, m).row_tuples() == oracle[m], (name, m)
+
+
+def test_wrong_length_generator_is_refused(aflex, aflex_gf2):
+    # the ladder zips rows, so the length check must come before it
+    for algebra in (aflex, aflex_gf2):
+        for bad in ([(1, 0)], [algebra.basis_element(1), (1, 0, 0, 0, 0, 0)]):
+            with pytest.raises(DimensionMismatch):
+                diff_sequence(algebra, bad)
+            with pytest.raises(DimensionMismatch):
+                lin_span(algebra, bad, 1)
 
 
 def test_first_difference_matches_rank(aflex):
@@ -201,9 +208,17 @@ def test_exact_length_requires_prime_field(aflex):
         exact_algebra_length(aflex)
 
 
+def _sweep_reading(level_reps, n):
+    """(last nonempty level, the span is A): what the sweep reads off a ladder."""
+    return (max((k for k, reps in enumerate(level_reps) if reps), default=0),
+            sum(map(len, level_reps)) == n)
+
+
 def test_sweep_ladder_agrees_with_diff_sequence():
-    # the residue-list ladder of the exact-length sweep against SpanLadder,
-    # on every subspace the sweep visits
+    # the ladder of the exact-length sweep against the spans of all words,
+    # on every subspace the sweep lists, before its pre-test: dim Lin_k(S) at
+    # each level, and no growth at the level after the last unless the span
+    # is already A
     for field in (PrimeField(2), PrimeField(3)):
         for make in (examples.make_a_flex, examples.make_a_alt):
             for algebra in (make(field), examples.make_unital_hull(make(field))):
@@ -211,15 +226,16 @@ def test_sweep_ladder_agrees_with_diff_sequence():
                 table = algebra.product_table[0]
                 unity = list(algebra.unity) if algebra.unity is not None else None
                 for rows in spans._subspace_rows(p, n, algebra.unity, None):
+                    level_reps = spans._ladder(table, p, unity, None, rows)
+                    dims = list(accumulate(map(len, level_reps)))
+                    top = len(dims) - 1 if dims[-1] == n else len(dims)
                     gens = [algebra.element(r) for r in rows]
-                    seq = diff_sequence(algebra, gens)
-                    fast = spans._residue_ladder(table, p, unity, None, rows)
-                    assert fast == (seq.length_of_set, seq.generating), \
-                        (field, algebra.dim, rows)
+                    words = oracles.full_span_dims(algebra, gens, top)
+                    assert words == (dims + dims[-1:])[:top + 1], (field, n, rows)
 
 
 def _generic_exact_length(algebra):
-    # the sweep spelled out with the generic SpanLadder: diff_sequence on every
+    # the sweep spelled out without its pre-test: diff_sequence on every
     # enumerated subspace, keeping the first generating one of maximal length
     best = None
     for basis in enumerate_subspaces(algebra.field, algebra.dim,
@@ -389,7 +405,7 @@ def test_generation_pretest_matches_unpruned_sweep(kind, triangular, data):
     exact = m_rows is not None and _is_nilpotent(algebra, m_rows)
     best = None
     for rows in spans._subspace_rows(p, n, algebra.unity, None):
-        length, generating = spans._residue_ladder(table, p, unity, None, rows)
+        length, generating = _sweep_reading(spans._ladder(table, p, unity, None, rows), n)
         if generating and (best is None or length > best[0]):
             best = (length, rows)
         passes = can_generate is None or can_generate(rows)
@@ -411,11 +427,12 @@ def test_generation_pretest_on_examples(monkeypatch):
     can_generate = spans._generation_test(aflex3)
     table = aflex3.product_table[0]
     for rows in spans._subspace_rows(3, aflex3.dim, None, None):
-        assert can_generate(rows) == spans._residue_ladder(table, 3, None, None, rows)[1]
+        reps = spans._ladder(table, 3, None, None, rows)
+        assert can_generate(rows) == _sweep_reading(reps, aflex3.dim)[1]
     assert sum(map(can_generate, spans._subspace_rows(3, 5, None, None))) == 1900
     ladders = []
-    ladder = spans._residue_ladder
-    monkeypatch.setattr(spans, "_residue_ladder", lambda *args: ladders.append(1) or ladder(*args))
+    ladder = spans._ladder
+    monkeypatch.setattr(spans, "_ladder", lambda *args: ladders.append(1) or ladder(*args))
     assert exact_algebra_length(aflex3)[0] == 3 and len(ladders) == 1900
     monkeypatch.undo()
     # GF(3) x GF(3) in the basis b1 = -f1, b2 = f2 of its idempotents, so
