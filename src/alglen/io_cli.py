@@ -208,12 +208,18 @@ def _resolve_field(spec: str) -> Field:
     raise ParseError(f"bad field spec {spec!r}; use rational or gf:<p>")
 
 
-def build_example(name: str, field_spec: str = "rational") -> Algebra:
-    """Construct a named example; parametrized names use name:<param> syntax."""
-    field = _resolve_field(field_spec)
+def build_example(name: str, field_spec: str | None = None) -> Algebra:
+    """Construct a named example; parametrized names use name:<param> syntax.
+
+    Without a field spec, ``z2n:<n>`` is built over GF(2), the only field
+    it is defined over, and every other example over the rationals.
+    """
     base, _, param = name.partition(":")
     if base == "z2n":
+        if field_spec is not None and _resolve_field(field_spec) != PrimeField(2):
+            raise ParseError(f"{name} is defined over gf:2 only, not {field_spec}")
         return make_group_algebra_z2n(_parse_int(param or "2", f"{base} size"))
+    field = _resolve_field(field_spec or "rational")
     if base == "aflex":
         return make_a_flex(field)
     if base == "aalt":
@@ -518,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name",
                    help="z2n:<n>, aflex, aalt, spin:<n>, matrix:<n>, chain3, "
                         "nilpotent3, nonmix7, hull:<name>, cd:<level>:<g1,g2,..>")
-    p.add_argument("--field", default="rational", help="rational or gf:<p>")
+    p.add_argument("--field", default=None,
+                   help="rational or gf:<p>; default gf:2 for z2n:<n>, else rational")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_gen)
 

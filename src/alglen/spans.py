@@ -14,14 +14,15 @@ fraction-free elimination over Q, multiplied through the algebra's
 compiled product table.  SpanBasis shares the same row operations
 (``_insert_mod``/``_reduce_mod`` and ``_insert_int``/``_reduce_int``).  The
 sweep runs no ladder on a subspace that a linear pre-test
-(``_generation_test``) shows cannot generate the algebra.
+(``_generation_test``) shows cannot generate the algebra and, where that
+test is exact, none on a subspace larger than a minimal generating one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, product, takewhile
 from math import gcd
 from operator import mul
 
@@ -432,6 +433,24 @@ def enumerate_subspace_rows(p: int, n: int):
                 yield tuple(tuple(row) for row in rows)
 
 
+def _check_budget(p: int, m: int, budget) -> None:
+    """Refuse, before any work, to enumerate more than budget subspaces of GF(p)^m.
+
+    GF(p)^m has at least p^(m-1) >= 2^(m-1) lines alone, so once m - 1
+    reaches budget.bit_length() the budget is exceeded without a count (a
+    number of about m^2/4 * log2(p) bits, slow to compute and to print).
+    Only a small m is counted in full, and only a short count is printed.
+    """
+    if budget is None:
+        return
+    if m - 1 >= budget.bit_length():
+        raise ResourceLimit(f"at least {p}^{m - 1} subspaces exceed budget {budget}")
+    count = count_subspaces(m, p)
+    if count > budget:
+        shown = count if count.bit_length() <= 64 else "over 2^64"
+        raise ResourceLimit(f"{shown} subspaces exceed budget {budget}")
+
+
 def _subspace_rows(p: int, n: int, must_contain, budget):
     """Row tuples of the subspaces to visit, after a budget check.
 
@@ -447,8 +466,7 @@ def _subspace_rows(p: int, n: int, must_contain, budget):
     if must_contain is not None:
         c = next((i for i, x in enumerate(must_contain) if x % p), None)
     m = n if c is None else n - 1
-    if budget is not None and count_subspaces(m, p) > budget:
-        raise ResourceLimit(f"{count_subspaces(m, p)} subspaces exceed budget {budget}")
+    _check_budget(p, m, budget)
     rows_iter = enumerate_subspace_rows(p, m)
     if c is None:
         return rows_iter
@@ -532,19 +550,48 @@ def _augmentation_ideal(algebra: Algebra):
     return [[(int(i == j) - chi[j] * x) % p for i, x in enumerate(e)] for j in range(n)]
 
 
-def _generation_test(algebra: Algebra):
-    """Predicate on subspace rows that rejects only non-generating subspaces.
+def _nilpotent(table: list, p: int, m_rows) -> bool:
+    """Whether the ideal M spanned by m_rows is nilpotent, over GF(p).
 
+    The chain T_1 = M, T_(k+1) = M T_k + T_k M only shrinks, since M is an
+    ideal, and once its dimension stops falling it stays the same.  T_(k+1)
+    spans the results of k multiplications, each by one element of M, of
+    an element of M.  A word in at least 2^k elements of M has a leaf at
+    depth k or more, so it is such a result.  So M is nilpotent if and only
+    if the chain reaches 0, after at most dim M steps.
+    """
+    basis, pivots = [], []
+    for u in m_rows:
+        _insert_mod(basis, pivots, p, u)
+    chain = basis
+    while chain:
+        rows, pivots = [], []
+        for u in basis:
+            for t in chain:
+                _insert_mod(rows, pivots, p, table_product(table, u, t))
+                _insert_mod(rows, pivots, p, table_product(table, t, u))
+        if len(rows) == len(chain):
+            return False
+        chain = rows
+    return True
+
+
+def _generation_test(algebra: Algebra):
+    """(predicate, codim, exact): a linear test that V can generate A, or None.
+
+    The predicate on subspace rows rejects only non-generating subspaces.
     With M from _augmentation_ideal, let K = M^2, plus <e> when A is unital.
     The subalgebra generated by V (and e) lies in V + K: every v in V is
     chi(v) e plus an element of M, and every product of two or more elements
     of M lies in M^2.  So V generates A only if V + K = A, i.e. only if the
-    rows of V project onto A/K.  When M is nilpotent the converse holds too,
-    since then any subspace N with N + M^2 = M generates M.  K and the
-    projection of each basis vector onto A/K (its residue modulo K at the
-    columns that are no pivot of K) are computed once, and the image of
-    each row tuple once.  The predicate is None when A has no M, or when
-    K = A, so that it would reject nothing.
+    rows of V project onto A/K, of dimension ``codim``.  ``exact`` tells
+    whether M is nilpotent (see _nilpotent); then the converse holds too,
+    since any subspace N with N + M^2 = M generates M, and V generates A if
+    and only if its rows reach rank codim in A/K.  K and the projection of
+    each basis vector onto A/K (its residue modulo K at the columns that are
+    no pivot of K) are computed once, and the image of each row tuple once.
+    The result is None when A has no M, or when K = A, so that the
+    predicate would reject nothing.
     """
     m_rows = _augmentation_ideal(algebra)
     if m_rows is None:
@@ -579,7 +626,7 @@ def _generation_test(algebra: Algebra):
                 return True
         return False
 
-    return can_generate
+    return can_generate, codim, _nilpotent(table, p, m_rows)
 
 
 def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE_BUDGET,
@@ -598,11 +645,19 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     A linear pre-test (_generation_test) skips the ladder of a subspace V
     when V + K != A, with K = A^2 for a non-unital A and K = <e> + M^2 for
     a unital one, M the kernel of a character.  The subalgebra V generates
-    lies in V + K, so a skipped V never generates, and neither the maximum
-    nor the witness nor the budget count can change; only a ``max_level``
-    that a skipped ladder alone would exceed no longer raises.  The test is
-    exact when M (or A) is nilpotent; a unital A without a character is
-    swept in full.  The character search comes after the budget check.
+    lies in V + K, so a skipped V never generates.  The test is exact when
+    M (or A) is nilpotent: V generates if and only if its lifted rows reach
+    rank codim = dim A/K in A/K.  Then the sweep stops at the first row
+    tuple with more than codim rows.  Since Lin_k(U) <= Lin_k(V) for U <= V,
+    a generating V is never longer than a generating U inside it, and a
+    passing V with more than codim rows contains a passing U with exactly
+    codim of them, enumerated earlier (ranks ascend).  So the first
+    subspace that attains the maximum has codim rows, and neither the
+    maximum nor the witness changes.  When the test is not exact, or A has
+    no M (a unital A without a character), every passing subspace is
+    swept.  The budget check comes before the character search and still
+    counts every lifted subspace, swept or not; a ``max_level`` that only a
+    skipped ladder would exceed no longer raises.
     """
     field = algebra.field
     if not isinstance(field, PrimeField):
@@ -611,8 +666,11 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     run = partial(_ladder, algebra.product_table[0], field.p,
                   list(unity) if unity is not None else None, max_level)
     subspaces = _subspace_rows(field.p, n, unity, budget)
-    can_generate = _generation_test(algebra)
-    if can_generate is not None:
+    test = _generation_test(algebra)
+    if test is not None:
+        can_generate, codim, exact = test
+        if exact:
+            subspaces = takewhile(lambda rows: len(rows) <= codim, subspaces)
         subspaces = filter(can_generate, subspaces)
     best = None
     for rows in subspaces:

@@ -284,7 +284,7 @@ def _suite_invocations(tmp_path):
     files = {}
     for name, spec, field in (("aflex", "aflex", "rational"),
                               ("aalt", "aalt", "gf:2"),
-                              ("z2n2", "z2n:2", "rational")):
+                              ("z2n2", "z2n:2", "gf:2")):
         path = str(tmp_path / f"{name}.alg")
         assert main(["gen", spec, "--field", field, "-o", path]) == 0
         files[name] = path

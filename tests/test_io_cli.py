@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,22 @@ def test_cli_exact_length_budget(tmp_path, capsys):
     assert "16 subspaces exceed budget 15" in captured.err
 
 
+def test_cli_exact_length_budget_refuses_a_large_dimension_at_once(tmp_path, capsys):
+    # GF(2)^2000 has at least 2^1999 subspaces, far past the default budget:
+    # refused from the dimension alone, without counting or printing them.
+    # GF(2)^21 is still counted, but its count is too long to print
+    for dim, message in ((2000, "at least 2^1999"), (21, "over 2^64")):
+        path = tmp_path / f"big{dim}.alg"
+        path.write_text(f"field gf 2\ndim {dim}\nunital none\n")
+        start = time.perf_counter()
+        code = main(["exact-length", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message} subspaces exceed budget 2000000\n"
+        assert elapsed < 1.0
+
+
 def test_cli_max_level_caps_general_mode(tmp_path, capsys):
     # exact-length honours --max-level like length does: aalt over GF(2)
     # needs more than one level, so both exit 2 with the same message
@@ -230,6 +247,9 @@ def test_cli_usage_errors(tmp_path, capsys):
     for argv in (["length", good, "--set", "1,x"],
                  ["gen", "aflex", "--field", "gf:x"],
                  ["gen", "z2n:x"],
+                 # z2n:<n> is a group algebra over GF(2) only
+                 ["gen", "z2n:2", "--field", "rational"],
+                 ["gen", "z2n:2", "--field", "gf:3"],
                  ["gen", "cd:"],
                  # sample counts and set sizes below 1
                  ["classify", good, "--samples", "0"],

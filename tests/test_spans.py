@@ -401,7 +401,7 @@ def test_generation_pretest_matches_unpruned_sweep(kind, triangular, data):
             kernel = oracles.rref_rows(algebra.field, m_rows, n)
             assert len(kernel) == n - 1
             assert all(sum(a * b for a, b in zip(chi, r)) % p == 0 for r in kernel)
-    can_generate = spans._generation_test(algebra)
+    can_generate, _, exact_here = spans._generation_test(algebra) or (None, None, False)
     exact = m_rows is not None and _is_nilpotent(algebra, m_rows)
     best = None
     for rows in spans._subspace_rows(p, n, algebra.unity, None):
@@ -411,7 +411,7 @@ def test_generation_pretest_matches_unpruned_sweep(kind, triangular, data):
         passes = can_generate is None or can_generate(rows)
         if not passes:
             assert not diff_sequence(algebra, [algebra.element(r) for r in rows]).generating
-        if exact:
+        if exact or exact_here:
             assert passes == generating, rows
     length, witness = exact_algebra_length(algebra)
     expected = spans._rref_basis(algebra.field, n, best[1], algebra.unity)
@@ -421,19 +421,25 @@ def test_generation_pretest_matches_unpruned_sweep(kind, triangular, data):
 
 def test_generation_pretest_on_examples(monkeypatch):
     f2, f3 = PrimeField(2), PrimeField(3)
-    # 1,900 of the 2,664 subspaces pass, exactly these generate, and the
-    # sweep runs a ladder on these alone
+    # 1,900 of the 2,664 subspaces pass and exactly these generate.  A is
+    # nilpotent, so the test is exact, and the sweep runs a ladder only on
+    # the 729 passing subspaces with codim = dim A/A^2 = 2 rows, the minimal
+    # generating ones
     aflex3 = examples.make_a_flex(f3)
-    can_generate = spans._generation_test(aflex3)
+    can_generate, codim, exact = spans._generation_test(aflex3)
+    assert (codim, exact) == (2, True)
     table = aflex3.product_table[0]
     for rows in spans._subspace_rows(3, aflex3.dim, None, None):
         reps = spans._ladder(table, 3, None, None, rows)
         assert can_generate(rows) == _sweep_reading(reps, aflex3.dim)[1]
     assert sum(map(can_generate, spans._subspace_rows(3, 5, None, None))) == 1900
+    minimal = [rows for rows in spans._subspace_rows(3, 5, None, None)
+               if len(rows) == codim and can_generate(rows)]
+    assert len(minimal) == 729
     ladders = []
     ladder = spans._ladder
-    monkeypatch.setattr(spans, "_ladder", lambda *args: ladders.append(1) or ladder(*args))
-    assert exact_algebra_length(aflex3)[0] == 3 and len(ladders) == 1900
+    monkeypatch.setattr(spans, "_ladder", lambda *args: ladders.append(args[-1]) or ladder(*args))
+    assert exact_algebra_length(aflex3)[0] == 3 and ladders == minimal
     monkeypatch.undo()
     # GF(3) x GF(3) in the basis b1 = -f1, b2 = f2 of its idempotents, so
     # e = 2 b1 + b2: the first character in the search order is f1's, and
@@ -450,6 +456,40 @@ def test_generation_pretest_on_examples(monkeypatch):
         assert spans._character(algebra) is None
         assert spans._augmentation_ideal(algebra) is None
         assert spans._generation_test(algebra) is None
+
+
+@pytest.mark.parametrize("kind, triangular", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_nilpotency_verdict_matches_oracle(kind, triangular, data):
+    # the pre-test counts as exact, and the sweep is cut short, only on the
+    # library's verdict that M is nilpotent: it must agree with the oracle
+    # wherever the oracle finds M nilpotent, and the pre-test carries it
+    field = data.draw(st.sampled_from([PrimeField(2), PrimeField(3)]))
+    algebra = data.draw(prime_field_algebras(field, 4, kind, triangular))
+    m_rows = spans._augmentation_ideal(algebra)
+    if m_rows is None:
+        return
+    verdict = spans._nilpotent(algebra.product_table[0], field.p, m_rows)
+    if _is_nilpotent(algebra, m_rows):
+        assert verdict
+    test = spans._generation_test(algebra)
+    if test is not None:
+        assert test[2] == verdict
+
+
+def test_exact_length_of_non_nilpotent_plane():
+    # b2 b1 = b1 + b2 over GF(2), no unity: A^2 = <b1 + b2> is idempotent,
+    # so A is not nilpotent and the pre-test is not exact.  <b1> and <b2>
+    # pass it (V + A^2 = A) but square to 0, so only A itself generates; a
+    # sweep cut at codim = 1 row would find no generating subspace at all
+    plane = make_algebra(PrimeField(2), 2, {(2, 1): [(1, 1), (2, 1)]})
+    can_generate, codim, exact = spans._generation_test(plane)
+    assert (codim, exact) == (1, False)
+    assert can_generate(((1, 0),)) and can_generate(((0, 1),))
+    length, witness = exact_algebra_length(plane)
+    assert length == 1
+    assert witness.elements == (plane.basis_element(1), plane.basis_element(2))
 
 
 def _generates(algebra, gens):
