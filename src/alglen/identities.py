@@ -11,17 +11,30 @@ are necessary but not sufficient; their positive verdicts carry the
 Every identity is written once, in ``IDENTITIES``, as the text its failure
 witness carries; the checks, ``replay_witness`` and the README's list of
 classes all read that table.
+
+The checks run on integer rows, as the span ladder does: residues mod p
+over GF(p), and over Q each element's numerators without its denominator,
+multiplied through ``Algebra.product_table`` without the table's common
+denominator D.  That is exact because every text is homogeneous in each
+letter: all words of an equality, and all summands of a membership's left
+side, hold the same letters the same number of times, so they carry the
+same positive factor, and a span does not depend on how its vectors are
+scaled.  ``_Equation`` refuses a text that is not homogeneous.  A
+membership's span is grown lazily (``_LazySpan``): the left side is reduced
+first, and the span's words are made and inserted one at a time only until
+the residue is zero, so a span is complete only where a membership fails.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from itertools import chain, product
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, table_product
 from .errors import DomainError
+from .field import integer_row
 from .spans import SpanBasis
 
 DEFAULT_SAMPLES = 64
@@ -91,6 +104,95 @@ def _compile(word, steps):
         steps.append((word, left, right))
 
 
+def _compiled(word):
+    steps = []
+    _compile(word, steps)
+    return steps
+
+
+# the steps of every span word, run only when a span asks for the word
+_WORD_STEPS = {word: _compiled(word) for words in SPANS.values() for word in words}
+
+
+def _letters(word) -> str:
+    return "".join(sorted(filter(str.isalpha, word)))
+
+
+# -- integer rows --------------------------------------------------------------
+#
+# Over Q a word with m products evaluates to D^m times the exact word, times
+# d^k for each letter it holds k times, d that letter's dropped denominator;
+# the module docstring says why comparisons stay exact.
+
+
+def _row(algebra, element) -> tuple:
+    """(row, d): the element's integer row and the denominator it dropped."""
+    if algebra.field.characteristic:
+        return element, 1
+    return integer_row(element)
+
+
+def _row_product(algebra):
+    """The product of two integer rows: residues over GF(p), D times the product over Q."""
+    table, p = algebra.product_table[0], algebra.field.characteristic
+    if p:
+        return lambda u, v: [x % p for x in table_product(table, u, v)]
+    return partial(table_product, table)
+
+
+def _is_zero(v, p) -> bool:
+    return not any(x % p for x in v) if p else not any(v)
+
+
+def _total(rows):
+    return rows[0] if len(rows) == 1 else [sum(column) for column in zip(*rows)]
+
+
+def _run(steps, mul, memo):
+    """Make each product of steps that memo lacks; memo holds the letters' integer rows."""
+    for word, left, right in steps:
+        if word not in memo:
+            memo[word] = mul(memo[left], memo[right])
+
+
+def _value(mul, memo, word):
+    """A span word's integer row, made as _run makes it."""
+    _run(_WORD_STEPS[word], mul, memo)
+    return memo[word]
+
+
+class _LazySpan(SpanBasis):
+    """The span of pending integer rows, inserted only as far as a membership needs.
+
+    ``absorbs`` reduces the vector first, then inserts pending rows one at a
+    time, reducing its residue again by each row that enlarges the span,
+    and stops once the residue is zero (at the latest once the span is all
+    of A).  A row is made only when it is taken, so a word's products are
+    made only when the span asks for the word.  After a False answer every
+    pending row has been inserted, so the span is complete.
+    """
+
+    def __init__(self, algebra, pending):
+        super().__init__(algebra.field, algebra.dim)
+        self._pending = pending
+
+    def absorbs(self, v) -> bool:
+        w = self.residue(v)[0]
+        while any(w):
+            if not any(map(self.add, self._pending)):
+                return False
+            w = self.residue(w)[0]
+        return True
+
+
+def _span_rows(algebra, mul, memo, name):
+    """The unity's integer row, if there is a unity, then each word's of the named span."""
+    if algebra.unity is not None:
+        yield _row(algebra, algebra.unity)[0]
+    for word in SPANS[name]:
+        yield _value(mul, memo, word)
+
+
 class _Equation:
     """One table text, compiled once into the products it needs."""
 
@@ -98,29 +200,43 @@ class _Equation:
         lhs, _, rhs = text.partition(" = ")
         lhs, _, self.span = lhs.partition(" in ")
         self.lhs, self.rhs = lhs.split(" + "), rhs.split(" + ") if rhs else None
+        compared = self.lhs + (self.rhs or [])
+        if len({_letters(word) for word in compared}) > 1:
+            raise ValueError(f"{text!r} is not homogeneous in each letter")
         words = self.rhs or SPANS[self.span]
         self.letters = "".join(sorted(set(filter(str.isalpha, lhs + " ".join(words)))))
         self.steps = []
-        for word in self.lhs + words:
+        for word in compared:
             _compile(word, self.steps)
 
-    def evaluate(self, algebra, memo):
-        """The left side's value; memo holds the letters and gains every product."""
-        mul = algebra.multiply
-        for word, left, right in self.steps:
-            if word not in memo:
-                memo[word] = mul(memo[left], memo[right])
-        return reduce(algebra.add, map(memo.__getitem__, self.lhs))
+    def evaluate(self, mul, memo):
+        """The left side's integer row, made as _run makes it."""
+        _run(self.steps, mul, memo)
+        return _total([memo[w] for w in self.lhs])
+
+    def violated(self, algebra, mul, memo) -> bool:
+        """True when the letters' integer rows in memo violate the equation.
+
+        Each named span is built once per tuple, as a _LazySpan under its name.
+        """
+        lhs = self.evaluate(mul, memo)
+        if self.rhs:
+            rhs = _total([memo[w] for w in self.rhs])
+            return not _is_zero([x - y for x, y in zip(lhs, rhs)], algebra.field.characteristic)
+        basis = memo.get(self.span)
+        if basis is None:
+            basis = memo[self.span] = _LazySpan(algebra, _span_rows(algebra, mul, memo, self.span))
+        return not basis.absorbs(lhs)
 
     def __call__(self, algebra, memo) -> bool:
-        """True when the elements in memo violate the equation."""
-        lhs = self.evaluate(algebra, memo)
-        if self.rhs:
-            return lhs != reduce(algebra.add, map(memo.__getitem__, self.rhs))
-        basis = memo.get(self.span)  # each named span is built once per tuple
-        if basis is None:
-            basis = memo[self.span] = span_of(algebra, [memo[w] for w in SPANS[self.span]])
-        return not basis.contains(lhs)
+        """True when the elements in memo violate the equation.
+
+        memo maps each letter to an element; the letters are replaced by
+        their integer rows, and memo gains every product and the span.
+        """
+        for letter in self.letters:
+            memo[letter] = _row(algebra, memo[letter])[0]
+        return self.violated(algebra, _row_product(algebra), memo)
 
 
 def _coefficient_clash(texts, algebra, memo) -> bool:
@@ -216,12 +332,12 @@ def _char2_note(algebra: Algebra) -> str | None:
 
 
 def span_of(algebra: Algebra, vectors) -> SpanBasis:
-    """Span of the listed elements, plus the unity when the algebra has one."""
+    """Span of the listed elements or integer rows, plus the unity when the algebra has one."""
     basis = SpanBasis(algebra.field, algebra.dim)
     if algebra.unity is not None:
-        basis.insert(algebra.unity)
+        basis.add(algebra.unity)
     for v in vectors:
-        basis.insert(v)
+        basis.add(v)
     return basis
 
 
@@ -236,12 +352,13 @@ def _random_tuples(algebra, arity, n_random, seed, salt):
 
 def _first_failure(algebra, name, tuples) -> Verdict | None:
     """A failed verdict for the first tuple that breaks a text of its arity."""
+    mul = _row_product(algebra)
     for elements in tuples:
         texts = _BY_ARITY[name, len(elements)]
         letters = EQUATIONS[texts[0]].letters
-        memo = dict(zip(letters, elements))
+        memo = {letter: _row(algebra, x)[0] for letter, x in zip(letters, elements)}
         for text in texts:
-            if EQUATIONS[text](algebra, memo):
+            if EQUATIONS[text].violated(algebra, mul, memo):
                 return _fails(text, letters, elements)
     return None
 
@@ -343,18 +460,27 @@ def _forced_coefficients(algebra, a, b, texts):
     Returns that span's rank and, per pair-membership text, whether its
     product lies in Lin_1(a,b,aa,ab,ba) and the aa-coefficient it forces
     there; None when aa lies in the smaller span, so nothing is forced.
+    The products are integer rows: over Q a product is D^2 d_a^2 d_b times
+    the exact one and aa is D d_a^2 times it (see _row), so the coefficient
+    is the ratio of their residues divided by D d_b.
     """
-    f = algebra.field
+    f, p = algebra.field, algebra.field.characteristic
+    (a, _), (b, d_b) = _row(algebra, a), _row(algebra, b)
     memo = {"a": a, "b": b}
-    products = [EQUATIONS[text].evaluate(algebra, memo) for text in texts]
-    basis = span_of(algebra, [memo[w] for w in SPANS["Lin_1(a,b,aa,ab,ba)"] if w != "aa"])
-    aa_res = basis.reduce(memo["aa"])
-    lead = next((i for i, x in enumerate(aa_res) if not f.is_zero(x)), None)
-    residues = [basis.reduce(v) for v in products]
+    mul = _row_product(algebra)
+    products = [EQUATIONS[text].evaluate(mul, memo) for text in texts]
+    basis = span_of(algebra, [_value(mul, memo, w) for w in SPANS["Lin_1(a,b,aa,ab,ba)"]
+                              if w != "aa"])
+    aa_res, aa_s = basis.residue(_value(mul, memo, "aa"))
+    lead = next((i for i, x in enumerate(aa_res) if x), None)
+    residues = [basis.residue(v) for v in products]
     if lead is None:  # aa adds nothing, so each product itself must be absorbed
-        return basis.rank, [(all(map(f.is_zero, r)), None) for r in residues]
-    forced = [f.div(r[lead], aa_res[lead]) for r in residues]
-    return basis.rank, [([f.mul(g, x) for x in aa_res] == r, g) for r, g in zip(residues, forced)]
+        return basis.rank, [(not any(r), None) for r, _ in residues]
+    scale = algebra.product_table[1] * d_b
+    return basis.rank, [
+        (_is_zero([x * aa_res[lead] - y * r[lead] for x, y in zip(r, aa_res)], p),
+         f.div(r[lead] * aa_s, s * aa_res[lead] * scale))
+        for r, s in residues]
 
 
 def check_sufficient_condition(algebra: Algebra, variant: str, seed: int = 0,

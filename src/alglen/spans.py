@@ -141,7 +141,9 @@ class SpanBasis:
     positive pivot), each a positive multiple of its RREF row, with
     fraction-free elimination (``_insert_int``).  ``rows`` and ``pivots``
     are in pivot order; ``rows``, ``reduce`` and the residue ``insert``
-    returns are exact scalars, and ``contains`` builds none.
+    returns are exact scalars, while ``residue``, ``contains`` and ``add``
+    build none.  Any vector may be given as an integer row, since a
+    rational vector with integer entries is one.
     """
 
     def __init__(self, field: Field, dim: int):
@@ -170,7 +172,7 @@ class SpanBasis:
             return [list(r) for _, r in self._ordered()]
         return [list(rational_row(r, r[j])) for j, r in self._ordered()]
 
-    def _residue(self, vec) -> tuple:
+    def residue(self, vec) -> tuple:
         """(w, s): integers w and s > 0 with w / s the residue of vec."""
         _check_length(vec, self.dim)
         if self.p:
@@ -181,10 +183,17 @@ class SpanBasis:
 
     def reduce(self, vec) -> list:
         """Residue of vec modulo the current row space."""
-        return list(rational_row(*self._residue(vec)))
+        return list(rational_row(*self.residue(vec)))
 
     def contains(self, vec) -> bool:
-        return not any(self._residue(vec)[0])
+        return not any(self.residue(vec)[0])
+
+    def add(self, vec) -> bool:
+        """Insert vec without building its residue; whether the span grew."""
+        _check_length(vec, self.dim)
+        if self.p:
+            return _insert_mod(self._rows, self._pivots, self.p, vec) is not None
+        return _insert_int(self._rows, self._pivots, integer_row(vec)[0]) is not None
 
     def insert(self, vec):
         """Insert vec; returns (added, normalized residue or None)."""
@@ -320,7 +329,7 @@ def _ladder(table: list, p: int, unity, max_level, gens) -> list:
         if closed(level):
             break
         if level >= cap:
-            raise ResourceLimit(f"general-mode run exceeded {cap} levels")
+            raise ResourceLimit(f"span ladder exceeded {cap} levels")
         m = level + 1
         if m == 1:
             new = insert(gens)
@@ -529,18 +538,22 @@ def _character(algebra: Algebra):
     return None
 
 
-def _augmentation_ideal(algebra: Algebra):
+def _augmentation_ideal(algebra: Algebra, budget: int | None = None):
     """Rows spanning the ideal M of the generation pre-test, or None.
 
     M is A itself when A has no unity, and ker chi for the first character
     chi (see _character) when it has one; a unital A without a character
     has no M, and neither has one whose declared unity does not act as the
-    identity (the library does not check it).  The rows are b_j, resp.
-    b_j - chi(b_j) e, for every j.
+    identity (the library does not check it).  Nor has a unital A when the
+    p^(n-1) functionals the character search tries exceed ``budget``: the
+    search is skipped, and the sweep runs without the pre-test.  The rows
+    are b_j, resp. b_j - chi(b_j) e, for every j.
     """
     n, e = algebra.dim, algebra.unity
     if e is None:
         return [[int(i == j) for i in range(n)] for j in range(n)]
+    if budget is not None and algebra.field.p ** (n - 1) > budget:
+        return None
     if not algebra.verify_unity()[0]:
         return None
     chi = _character(algebra)
@@ -576,7 +589,7 @@ def _nilpotent(table: list, p: int, m_rows) -> bool:
     return True
 
 
-def _generation_test(algebra: Algebra):
+def _generation_test(algebra: Algebra, budget: int | None = None):
     """(predicate, codim, exact): a linear test that V can generate A, or None.
 
     The predicate on subspace rows rejects only non-generating subspaces.
@@ -590,10 +603,11 @@ def _generation_test(algebra: Algebra):
     and only if its rows reach rank codim in A/K.  K and the projection of
     each basis vector onto A/K (its residue modulo K at the columns that are
     no pivot of K) are computed once, and the image of each row tuple once.
-    The result is None when A has no M, or when K = A, so that the
-    predicate would reject nothing.
+    The result is None when A has no M (``budget`` as in
+    _augmentation_ideal), or when K = A, so that the predicate would reject
+    nothing.
     """
-    m_rows = _augmentation_ideal(algebra)
+    m_rows = _augmentation_ideal(algebra, budget)
     if m_rows is None:
         return None
     p, n, e = algebra.field.p, algebra.dim, algebra.unity
@@ -655,9 +669,11 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     subspace that attains the maximum has codim rows, and neither the
     maximum nor the witness changes.  When the test is not exact, or A has
     no M (a unital A without a character), every passing subspace is
-    swept.  The budget check comes before the character search and still
-    counts every lifted subspace, swept or not; a ``max_level`` that only a
-    skipped ladder would exceed no longer raises.
+    swept, and so is every one when the character search alone would try
+    more than ``budget`` functionals.  The budget check comes before the
+    character search and still counts every lifted subspace, swept or not;
+    a ``max_level`` that only a skipped ladder would exceed no longer
+    raises.
     """
     field = algebra.field
     if not isinstance(field, PrimeField):
@@ -666,7 +682,7 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     run = partial(_ladder, algebra.product_table[0], field.p,
                   list(unity) if unity is not None else None, max_level)
     subspaces = _subspace_rows(field.p, n, unity, budget)
-    test = _generation_test(algebra)
+    test = _generation_test(algebra, budget)
     if test is not None:
         can_generate, codim, exact = test
         if exact:

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the span engine's code paths: spans
 are computed from full word enumeration with a local Gaussian elimination,
 and canonical-form signs are validated in the free multilinear setting
-with a parity union-find over single-exchange rewrites.
+with a parity union-find over single-exchange rewrites.  The identity
+oracles avoid the identity checks' paths: they evaluate every word on exact
+scalars with ``Algebra.multiply`` and test a membership in a full
+SpanBasis of every span word, not on integer rows in a lazily grown span.
 """
 
 from itertools import permutations
@@ -187,3 +190,94 @@ def multilinear_word_relations(m, variant):
         for other in _rewrites(tree, variant):
             uf.union(tree, other, 1)
     return uf
+
+
+# -- identity texts by exact evaluation of every word ---------------------------
+
+
+def _word_tree(word, letters):
+    """The words.Word of a table word such as ``(ab)c``, letters numbered by position."""
+    factors = []
+    pos = 0
+    while pos < len(word):
+        if word[pos] == "(":
+            depth, end = 0, pos
+            for end in range(pos, len(word)):
+                depth += (word[end] == "(") - (word[end] == ")")
+                if depth == 0:
+                    break
+            factors.append(_word_tree(word[pos + 1:end], letters))
+            pos = end + 1
+        else:
+            factors.append(letters.index(word[pos]) + 1)
+            pos += 1
+    assert len(factors) <= 2, word
+    return factors[0] if len(factors) == 1 else tuple(factors)
+
+
+def _word_value(algebra, values, word):
+    letters = sorted(values)
+    return evaluate(algebra, [values[x] for x in letters], _word_tree(word, letters))
+
+
+def _total(algebra, values, side):
+    acc = algebra.zero()
+    for word in side.split(" + "):
+        acc = algebra.add(acc, _word_value(algebra, values, word))
+    return acc
+
+
+def _full_span(algebra, values, words):
+    """SpanBasis of the unity and the listed words, every word evaluated."""
+    from alglen.spans import SpanBasis
+
+    basis = SpanBasis(algebra.field, algebra.dim)
+    if algebra.unity is not None:
+        basis.insert(algebra.unity)
+    for word in words:
+        basis.insert(_word_value(algebra, values, word))
+    return basis
+
+
+def identity_violated(algebra, text, values):
+    """Whether the elements named in values break an ``=`` or ``in`` table text.
+
+    Every word is evaluated with words.evaluate (Algebra.multiply on exact
+    scalars), and a membership is tested in the span of every span word
+    plus the unity.
+    """
+    from alglen.identities import SPANS
+
+    lhs, _, rhs = text.partition(" = ")
+    if rhs:
+        return _total(algebra, values, lhs) != _total(algebra, values, rhs)
+    lhs, _, span = lhs.replace(" outside ", " in ").partition(" in ")
+    return not _full_span(algebra, values, SPANS[span]).contains(_total(algebra, values, lhs))
+
+
+def forced_coefficients(algebra, a, b, texts):
+    """Rank of the span of a, b, ab, ba and the unity, and per sandwich text
+    whether its left side lies in that span plus aa, with the aa-coefficient
+    it forces (None when aa lies in the span already)."""
+    f = algebra.field
+    values = {"a": a, "b": b}
+    basis = _full_span(algebra, values, ("a", "b", "ab", "ba"))
+    aa = basis.reduce(_word_value(algebra, values, "aa"))
+    lead = next((i for i, x in enumerate(aa) if not f.is_zero(x)), None)
+    out = []
+    for text in texts:
+        r = basis.reduce(_total(algebra, values, text.split(" in ")[0]))
+        if lead is None:
+            out.append((all(map(f.is_zero, r)), None))
+        else:
+            g = f.div(r[lead], aa[lead])
+            out.append(([f.mul(g, x) for x in aa] == r, g))
+    return basis.rank, out
+
+
+def coefficient_clash(algebra, texts, values):
+    """Whether a1 and a2 force different aa-coefficients at b (see forced_coefficients)."""
+    forced = {g for a in (values["a1"], values["a2"])
+              for _, g in forced_coefficients(algebra, a, values["b"], texts)[1]
+              if g is not None}
+    return len(forced) > 1

@@ -1,8 +1,13 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from alglen import examples, identities
+from alglen.algebra import make_algebra
+from alglen.field import PrimeField, Rationals
 from alglen.identities import (EQUATIONS, IDENTITIES, Witness, check_alternative,
                                check_descendingly_alternative,
                                check_descendingly_flexible, check_flexible,
@@ -237,6 +242,21 @@ GOLDEN = {
         ("fails", f"(ba)a outside {PAIR}", {"a": "v + z + w1 + w2", "b": "u"})),
     ("chain3", "rational"): CHAIN3,
     ("chain3", "gf:2"): CHAIN3,
+    # recorded before the checks moved to integer rows: structure constants
+    # with common denominator 2 over Q, and two examples over GF(3)
+    ("cd:2:1/2,3", "rational"): {
+        cls: EXHAUSTIVE if cls in ("flexible", "alternative") else HOLDS
+        for cls in identities.CLASS_NAMES},
+    ("aflex", "gf:3"): _aflex(
+        ("fails", "aa-coefficient forced by a(ab) inconsistent at fixed b",
+         {"a1": "2*e1 + e2 + 2*e4 + 2*e5", "a2": "2*e1 + e2 + 2*e4 + 2*e5", "b": "e1"})),
+    ("nonmix7", "gf:3"): _nonmix7(
+        {"a": "2*u + z + m1 + 2*m2", "b": "u + 2*v + z + m1 + 2*m2 + 2*w1"},
+        {"a": "2*u + v + 2*z + m1 + 2*m2 + 2*w1 + 2*w2", "b": "2*u + z + m1"},
+        ("fails", f"a(ba) outside {PAIR}",
+         {"a": "2*u + 2*v + 2*z + m1 + 2*w1 + 2*w2", "b": "v"}),
+        ("fails", f"a(ab) outside {PAIR}",
+         {"a": "2*u + 2*v + 2*z + m1 + 2*w1 + 2*w2", "b": "u"})),
 }
 
 
@@ -275,6 +295,96 @@ def test_replay_covers_the_table():
     assert replay_witness(n7, Witness("(ba)c + (bc)a = b(ac) + b(ca)",
                                       (("a", u), ("b", z), ("c", v))))
     assert replay_witness(n7, Witness("z(xy) in Lin_1(P)", (("x", v), ("y", u), ("z", z))))
+
+
+def test_equation_table_refuses_a_non_homogeneous_text():
+    # the checks drop denominators, which is exact only when every compared
+    # word holds the same letters the same number of times
+    for text in ("(ab)a = a", "(ab)a + b in Lin_1(a,b,aa,ab,ba)", "(ab)c = (ab)a"):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            identities._Equation(text)
+
+
+def _scalars(field):
+    if field.characteristic:
+        return st.integers(0, field.characteristic - 1)
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def identity_cases(draw):
+    """An algebra of dim <= 4, possibly unital, and a value for every letter.
+
+    Over Q the structure constants and the letters are fractions, so the
+    common denominator D of the constants is often above 1.  Half the
+    letters' coordinates are 0, and a letter is often drawn from a pool of
+    at most three vectors, so that letters coincide and memberships fail
+    now and then.
+    """
+    field = draw(st.sampled_from((Rationals(), PrimeField(2), PrimeField(3))))
+    dim = draw(st.integers(1, 4))
+    scalar = _scalars(field)
+    index = st.integers(1, dim)
+    products = {(i, j): draw(st.lists(st.tuples(index, scalar), max_size=2,
+                                      unique_by=lambda t: t[0]))
+                for i in range(1, dim + 1) for j in range(1, dim + 1)}
+    algebra = make_algebra(field, dim, products)
+    if dim < 4 and draw(st.booleans()):
+        algebra = examples.make_unital_hull(algebra)
+    letter = st.tuples(*[st.one_of(st.just(field.zero()), scalar)] * algebra.dim)
+    pool = st.sampled_from(draw(st.lists(letter, min_size=1, max_size=3)))
+    return algebra, {name: draw(st.one_of(pool, letter))
+                     for name in ("a", "b", "c", "x", "y", "z", "a1", "a2")}
+
+
+@settings(max_examples=120, deadline=None)
+@given(identity_cases())
+def test_equations_match_the_exact_oracle(case):
+    algebra, values = case
+    for text, equation in EQUATIONS.items():
+        if text.startswith("aa-coefficient forced by "):
+            texts = next(t for t in identities._SANDWICHES.values()
+                         if text == identities._clash(t[0]) or text == identities._clash(t[1]))
+            expected = oracles.coefficient_clash(algebra, texts, values)
+        else:
+            expected = oracles.identity_violated(algebra, text, values)
+        assert equation(algebra, dict(values)) == expected, text
+    # the texts of a class share one memo per tuple, and so its lazy spans
+    for texts in IDENTITIES.values():
+        memo = dict(values)
+        for text in texts:
+            assert EQUATIONS[text](algebra, memo) \
+                == oracles.identity_violated(algebra, text, values), text
+    for texts in identities._SANDWICHES.values():
+        for a in (values["a"], values["a1"]):
+            assert identities._forced_coefficients(algebra, a, values["b"], texts) \
+                == oracles.forced_coefficients(algebra, a, values["b"], texts)
+
+
+def test_forced_coefficients_match_the_exact_oracle():
+    # algebras where aa is often forced, with fractional letters over Q;
+    # aalt with its structure constants halved has D = 2
+    aalt = build_example("aalt")
+    halved = make_algebra(aalt.field, aalt.dim, {ij: [(k, Fraction(c) / 2) for k, c in terms]
+                                                 for ij, terms in aalt.sc.items()})
+    assert halved.product_table[1] == 2
+    for algebra in (build_example("aflex"), aalt, build_example("aflex", "gf:3"),
+                    build_example("hull:aalt"), halved):
+        f = algebra.field
+        scale = f.parse("2/3") if not f.characteristic else 2
+        pinned = 0
+        for t in range(8):
+            a, b = (identities.random_element(algebra, 5, 2 * t + i) for i in range(2))
+            values = {"a": algebra.scale(scale, a), "b": b, "a1": a, "a2": a}
+            values["b"] = algebra.scale(scale, b) if t % 2 else b
+            for texts in identities._SANDWICHES.values():
+                got = identities._forced_coefficients(algebra, values["a"], values["b"], texts)
+                assert got == oracles.forced_coefficients(algebra, values["a"], values["b"], texts)
+                pinned += sum(g is not None for _, g in got[1])
+                clash = identities._clash(texts[0])
+                assert EQUATIONS[clash](algebra, dict(values)) \
+                    == oracles.coefficient_clash(algebra, texts, values), clash
+        assert pinned
 
 
 def test_identity_classes_documented():

@@ -175,6 +175,20 @@ def test_cli_exact_length_budget_refuses_a_large_dimension_at_once(tmp_path, cap
         assert elapsed < 1.0
 
 
+def test_cli_exact_length_skips_a_character_search_past_the_budget(tmp_path, capsys):
+    # unital of dim 3 over GF(10007), b1 = e and b2 b3 = e: the sweep visits
+    # only 10,010 subspaces, but a character search would try 10007^2
+    # functionals, more than the budget, so the sweep runs without it
+    path = tmp_path / "gf10007.alg"
+    path.write_text("field gf 10007\ndim 3\nunital 1\n"
+                    + "".join(f"mul {i} {j} {k} 1\n" for i, j, k in
+                              ((1, 1, 1), (1, 2, 2), (2, 1, 2), (1, 3, 3), (3, 1, 3), (2, 3, 1))))
+    start = time.perf_counter()
+    code, out = _run(capsys, "exact-length", str(path))
+    assert code == 0 and "l(A) = 1" in out
+    assert time.perf_counter() - start < 10.0
+
+
 def test_cli_max_level_caps_general_mode(tmp_path, capsys):
     # exact-length honours --max-level like length does: aalt over GF(2)
     # needs more than one level, so both exit 2 with the same message
@@ -185,7 +199,7 @@ def test_cli_max_level_caps_general_mode(tmp_path, capsys):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2, argv
-        assert "general-mode run exceeded 1 levels" in captured.err, argv
+        assert "span ladder exceeded 1 levels" in captured.err, argv
     code, out = _run(capsys, "exact-length", path, "--max-level", "3")
     assert code == 0 and "l(A) = 3" in out
 

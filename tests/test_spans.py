@@ -447,6 +447,11 @@ def test_generation_pretest_on_examples(monkeypatch):
     split = make_algebra(f3, 2, {(1, 1): [(1, 2)], (2, 2): [(2, 1)]}, unity=(2, 1))
     assert spans._character(split) == [2, 0]
     assert oracles.rref_rows(f3, spans._augmentation_ideal(split), 2) == ((0, 1),)
+    # a budget below the 3^1 functionals of the search skips it; one that
+    # covers them does not
+    assert spans._augmentation_ideal(split, budget=2) is None
+    assert spans._generation_test(split, budget=2) is None
+    assert spans._augmentation_ideal(split, budget=3) == spans._augmentation_ideal(split)
     # z2n:2 has the augmentation character; matrix:2 and spin:3 have none
     assert spans._character(examples.make_group_algebra_z2n(2)) == [1, 1, 1, 1]
     # a declared unity that is none: the pre-test's argument does not apply
