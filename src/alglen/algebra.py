@@ -98,6 +98,11 @@ class Algebra:
             table[i - 1].append((j - 1, tuple((k - 1, int(c * d)) for k, c in terms)))
         return table, d
 
+    @cached_property
+    def sample_draws(self) -> dict:
+        """``identities.random_element``'s draws by (seed, index), kept as long as the algebra."""
+        return {}
+
     def multiply(self, a: Element, b: Element) -> Element:
         """Bilinear product of two coordinate vectors.
 

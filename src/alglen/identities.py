@@ -23,6 +23,15 @@ scaled.  ``_Equation`` refuses a text that is not homogeneous.  A
 membership's span is grown lazily (``_LazySpan``): the left side is reduced
 first, and the span's words are made and inserted one at a time only until
 the residue is zero, so a span is complete only where a membership fails.
+
+Two memos keep the checks from redoing work, each with its own scope.  A
+sample element is drawn once per algebra: ``random_element`` keeps its
+draws in ``Algebra.sample_draws``, which lives as long as the parsed
+algebra (one CLI job), because the checks' salts overlap.  A product of two
+rows is made once per check: ``_row_product`` gives one ``_first_failure``
+call a product function that memoizes on the pair of row tuples.  The
+per-tuple memo of words and spans is cleared when the tuple is done, since
+a span's pending rows refer back to it.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from itertools import chain, product
 from .algebra import Algebra, Element, table_product
 from .errors import DomainError
 from .field import integer_row
-from .spans import SpanBasis
+from .spans import SpanBasis, _insert_int, _insert_mod, _reduce_int, _reduce_mod
 
 DEFAULT_SAMPLES = 64
 CHAR2_SAMPLE_FACTOR = 4
@@ -126,18 +135,30 @@ def _letters(word) -> str:
 
 
 def _row(algebra, element) -> tuple:
-    """(row, d): the element's integer row and the denominator it dropped."""
+    """(row, d): the element's integer row as a tuple and the denominator it dropped."""
     if algebra.field.characteristic:
-        return element, 1
-    return integer_row(element)
+        return tuple(element), 1
+    row, d = integer_row(element)
+    return tuple(row), d
 
 
 def _row_product(algebra):
-    """The product of two integer rows: residues over GF(p), D times the product over Q."""
+    """The product of two integer row tuples: residues over GF(p), D times the product over Q.
+
+    The product function multiplies each distinct pair of rows once, for as
+    long as it lives, and returns tuples.
+    """
     table, p = algebra.product_table[0], algebra.field.characteristic
-    if p:
-        return lambda u, v: [x % p for x in table_product(table, u, v)]
-    return partial(table_product, table)
+    products = {}
+
+    def mul(u, v):
+        w = products.get((u, v))
+        if w is None:
+            w = table_product(table, u, v)
+            w = products[u, v] = tuple(x % p for x in w) if p else tuple(w)
+        return w
+
+    return mul
 
 
 def _is_zero(v, p) -> bool:
@@ -175,13 +196,26 @@ class _LazySpan(SpanBasis):
     def __init__(self, algebra, pending):
         super().__init__(algebra.field, algebra.dim)
         self._pending = pending
+        # the rows are integer rows already, so the row operations are called
+        # directly, without SpanBasis's conversions and length checks
+        rows, pivots, p = self._rows, self._pivots, self.p
+        if p:
+            self._reduce = partial(_reduce_mod, rows, pivots, p)
+            self._insert = partial(_insert_mod, rows, pivots, p)
+        else:
+            self._reduce = lambda v: _reduce_int(rows, pivots, v)[0]
+            self._insert = partial(_insert_int, rows, pivots)
 
     def absorbs(self, v) -> bool:
-        w = self.residue(v)[0]
+        reduce, insert = self._reduce, self._insert
+        w = reduce(v)
         while any(w):
-            if not any(map(self.add, self._pending)):
+            for row in self._pending:
+                if insert(row) is not None:
+                    break
+            else:
                 return False
-            w = self.residue(w)[0]
+            w = reduce(w)
         return True
 
 
@@ -307,12 +341,22 @@ def _fails(equation, names, elements) -> Verdict:
 
 
 def random_element(algebra: Algebra, seed: int, index: int) -> Element:
-    """Deterministic dense element derived from (seed, index)."""
-    rng = random.Random(seed * 1_000_003 + index)
-    f = algebra.field
-    if f.characteristic == 0:
-        return tuple(f.from_int(rng.randint(-2, 2)) for _ in range(algebra.dim))
-    return tuple(rng.randrange(f.characteristic) for _ in range(algebra.dim))
+    """Deterministic dense element derived from (seed, index), drawn once per algebra.
+
+    The checks' salts overlap, so one ``classify`` asks for many elements
+    more than once; each is kept in ``algebra.sample_draws``.
+    """
+    draws = algebra.sample_draws
+    element = draws.get((seed, index))
+    if element is None:
+        rng = random.Random(seed * 1_000_003 + index)
+        f = algebra.field
+        if f.characteristic == 0:
+            element = tuple(f.from_int(rng.randint(-2, 2)) for _ in range(algebra.dim))
+        else:
+            element = tuple(rng.randrange(f.characteristic) for _ in range(algebra.dim))
+        draws[seed, index] = element
+    return element
 
 
 def sample_count(algebra: Algebra, samples: int) -> int:
@@ -357,9 +401,14 @@ def _first_failure(algebra, name, tuples) -> Verdict | None:
         texts = _BY_ARITY[name, len(elements)]
         letters = EQUATIONS[texts[0]].letters
         memo = {letter: _row(algebra, x)[0] for letter, x in zip(letters, elements)}
-        for text in texts:
-            if EQUATIONS[text].violated(algebra, mul, memo):
-                return _fails(text, letters, elements)
+        try:
+            for text in texts:
+                if EQUATIONS[text].violated(algebra, mul, memo):
+                    return _fails(text, letters, elements)
+        finally:
+            # a span's pending rows hold the memo that holds the span: clear
+            # the memo so that the span dies with the tuple, not at a GC pass
+            memo.clear()
     return None
 
 

@@ -67,19 +67,25 @@ def parse_algebra(text: str) -> Algebra:
             else:
                 raise ParseError(f"bad field directive {line!r}", lineno)
         elif head == "dim":
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            if dim is not None:
+                raise ParseError("duplicate dim directive", lineno)
+            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                 raise ParseError(f"bad dim directive {line!r}", lineno)
             dim = int(parts[1])
         elif head == "unital":
+            if unity_decl is not None:
+                raise ParseError("duplicate unital directive", lineno)
             if parts[1:] == ["none"]:
                 unity_decl = ("none", lineno)
-            elif len(parts) == 2 and parts[1].isdigit():
+            elif len(parts) == 2 and parts[1].isdecimal():
                 unity_decl = ("index", int(parts[1]), lineno)
             elif len(parts) >= 3 and parts[1] == "vec":
                 unity_decl = ("vec", parts[2:], lineno)
             else:
                 raise ParseError(f"bad unital directive {line!r}", lineno)
         elif head == "labels":
+            if labels is not None:
+                raise ParseError("duplicate labels directive", lineno)
             labels = parts[1:]
         elif head == "mul":
             if field is None or dim is None:

@@ -1,4 +1,8 @@
+import gc
+import random
+import weakref
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -385,6 +389,74 @@ def test_forced_coefficients_match_the_exact_oracle():
                 assert EQUATIONS[clash](algebra, dict(values)) \
                     == oracles.coefficient_clash(algebra, texts, values), clash
         assert pinned
+
+
+def test_random_element_draws_once_per_algebra(monkeypatch):
+    # the same elements as a fresh generator seeded from (seed, index)
+    for algebra in (build_example("aflex"), build_example("aflex", "gf:3"),
+                    build_example("cd:2:-1,-1", "gf:5")):
+        p = algebra.field.characteristic
+        for seed, index in ((0, 0), (3, 17), (5, 8_001)):
+            rng = random.Random(seed * 1_000_003 + index)
+            expected = tuple(rng.randrange(p) if p else rng.randint(-2, 2)
+                             for _ in range(algebra.dim))
+            assert identities.random_element(algebra, seed, index) == expected
+    # one classify seeds one generator per distinct (seed, index), although
+    # the checks' salts overlap; a freshly built algebra draws again
+    seeds = []
+
+    class Counting(random.Random):
+        def __init__(self, x=None):
+            seeds.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(random, "Random", Counting)
+    cd3 = build_example("cd:3:-1,-1,-1")
+    classify(cd3, seed=2)
+    drawn = len(seeds)
+    assert drawn == len(set(seeds)) == len(cd3.sample_draws) > 0
+    classify(cd3, seed=2)
+    assert len(seeds) == drawn
+    classify(build_example("cd:3:-1,-1,-1"), seed=2)
+    assert len(seeds) == 2 * drawn and sorted(seeds[drawn:]) == sorted(seeds[:drawn])
+
+
+def test_no_span_outlives_its_tuple(monkeypatch):
+    # a span's pending rows hold the tuple's memo, which holds the span; the
+    # sweep must break that cycle itself, without waiting for a GC pass
+    spans = []
+
+    class Tracked(identities._LazySpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spans.append(weakref.ref(self))
+
+    monkeypatch.setattr(identities, "_LazySpan", Tracked)
+    cd3 = build_example("cd:3:-1,-1,-1")
+    triples = list(identities._random_tuples(cd3, 3, 64, 0, 12))
+    gc.disable()
+    try:
+        assert identities._first_failure(cd3, "mixing", triples) is None
+        alive = sum(ref() is not None for ref in spans)
+    finally:
+        gc.enable()
+    assert len(spans) == 64 and alive == 0
+
+
+def test_one_product_per_row_pair(monkeypatch):
+    # one check multiplies each distinct pair of integer rows once
+    calls = []
+    table_product = identities.table_product
+
+    def counting(table, u, v):
+        calls.append((tuple(u), tuple(v)))
+        return table_product(table, u, v)
+
+    monkeypatch.setattr(identities, "table_product", counting)
+    m3 = examples.make_matrix_algebra(3)
+    tuples = chain(identities._basis_tuples(m3, 2), identities._basis_tuples(m3, 3))
+    assert identities._first_failure(m3, "alternative", tuples) is None
+    assert len(calls) == len(set(calls)) == 99
 
 
 def test_identity_classes_documented():

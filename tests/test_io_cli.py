@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alglen import examples, identities
 from alglen.algebra import find_unity, make_algebra
@@ -284,6 +287,83 @@ def test_cli_usage_errors(tmp_path, capsys):
             main(argv)
         assert exit_info.value.code == 2, argv
         assert "unrecognized arguments: --samples" in capsys.readouterr().err, argv
+
+
+# A valid file: a 2-dim algebra with unity b1 (b2 b2 = -b1), one line per key.
+VALID_LINES = {"field": "field gf 3", "dim": "dim 2", "unital": "unital 1", "labels": "labels e i",
+               "mul": "mul 1 1 1 1\nmul 1 2 2 1\nmul 2 1 2 1\nmul 2 2 1 -1"}
+# tokens with no decimal digit: never an int, a modulus or a scalar
+JUNK = st.text(alphabet="xyz\u00b2\u00bd./-", min_size=1, max_size=4)
+
+
+@st.composite
+def malformed_files(draw):
+    """The valid file with one line malformed, dropped or repeated."""
+    lines = dict(VALID_LINES)
+    lines["field"] = draw(st.sampled_from(["field gf 3", "field rational"]))
+    key = draw(st.sampled_from(["field", "dim", "unital", "labels", "mul", "drop", "extra"]))
+    if key == "field":
+        lines[key] = draw(st.sampled_from(
+            ["field", "field gf", "field gf 4", "field gf 1", "field gf 0", "field gf -3",
+             "field real", "field gf 3 5", "field rational 2", "field gf 3\nfield gf 3"])
+            | JUNK.map("field gf {}".format))
+    elif key == "dim":
+        # dim 1 is well formed, but the mul lines index b2
+        lines[key] = draw(st.sampled_from(["dim", "dim 0", "dim -1", "dim 1", "dim 2 2"])
+                          | JUNK.map("dim {}".format))
+    elif key == "unital":
+        lines[key] = draw(st.sampled_from(
+            ["unital", "unital 0", "unital 2", "unital 3", "unital vec 1",
+             "unital vec 1 0 0", "unital vec 0 1", "unital vec 1/0 0"])
+            | JUNK.map("unital {}".format) | JUNK.map("unital vec 1 {}".format))
+    elif key == "labels":
+        lines[key] = draw(st.sampled_from(["labels", "labels e", "labels e i j"]))
+    elif key == "mul":
+        terms = draw(st.permutations(["1", "2", "2", "1"]))
+        at = draw(st.integers(0, 3))  # an index i, j or k, or the scalar
+        bad = st.sampled_from(["0", "3", "-1"] if at < 3 else ["1/0", "0/0", "1/x"])
+        terms[at] = draw(bad | JUNK)
+        arity = draw(st.sampled_from([terms, terms[:3], terms + ["1"]]))
+        lines[key] += "\nmul " + " ".join(arity)
+    elif key == "drop":
+        del lines[draw(st.sampled_from(["field", "dim", "unital"]))]
+    else:
+        lines[key] = draw(st.sampled_from(["frobnicate 1", "mul 1 1 1 1", "dim 2", "unital 1",
+                                           "labels e i"]))
+    return "\n".join(lines.values()) + "\n"
+
+
+def assert_exits_2(argv):
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 2, argv
+    assert err.getvalue().startswith("error: ") and out.getvalue() == "", argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    assert main(["gen", "aflex", "-o", str(path / "aflex.alg")]) == 0
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_files(), st.sampled_from(["classify", "exact-length", "length"]))
+def test_malformed_algebra_files_exit_2(fuzz_dir, text, command):
+    path = fuzz_dir / "bad.alg"
+    path.write_text(text, encoding="utf-8")
+    assert_exits_2([command, str(path)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 5).map(str), max_size=2), st.integers(0, 2),
+       st.integers(-3, 0) | st.integers(6, 10**6) | JUNK,
+       st.sampled_from(["length", "diffseq"]))
+def test_malformed_set_specs_exit_2(fuzz_dir, good, at, bad, command):
+    # aflex has dim 5: an index outside 1..5 or a junk token anywhere in the list
+    indices = good[:at] + [str(bad)] + good[at:]
+    assert_exits_2([command, str(fuzz_dir / "aflex.alg"), "--set=" + ",".join(indices)])
 
 
 def test_cli_json_deterministic(tmp_path, capsys):
