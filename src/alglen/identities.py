@@ -24,14 +24,31 @@ membership's span is grown lazily (``_LazySpan``): the left side is reduced
 first, and the span's words are made and inserted one at a time only until
 the residue is zero, so a span is complete only where a membership fails.
 
-Two memos keep the checks from redoing work, each with its own scope.  A
+One walk (``_walk``) decides any set of classes; ``classify`` runs it on
+all nine and each ``check_*`` on its own class.  It visits the basis
+pairs, then the basis triples, once for every class still open, and the
+(b, a) grid once for both sufficient conditions.  Each class keeps the
+order of its own tuple stream (see "the walk" below) and stops at its own
+first failure, so its verdict and witness are those of its stream walked
+alone.  Two shortcuts are exact: a mixing text is skipped at a tuple where
+the sliding text with the same left side held, since Lin_1(P) holds the
+words of Lin_1(Q_l) and Lin_1(Q_r); and the random pairs of flexible and
+alternative are tried only once a basis triple fails, since basis pairs
+plus linearized basis triples prove an equality.  Each class's random
+tuples are its own and go through ``_first_failure``.
+
+Three memos keep the checks from redoing work, each with its own scope.  A
 sample element is drawn once per algebra: ``random_element`` keeps its
 draws in ``Algebra.sample_draws``, which lives as long as the parsed
-algebra (one CLI job), because the checks' salts overlap.  A product of two
-rows is made once per check: ``_row_product`` gives one ``_first_failure``
-call a product function that memoizes on the pair of row tuples.  The
-per-tuple memo of words and spans is cleared when the tuple is done, since
-a span's pending rows refer back to it.
+algebra (one CLI job), because the classes' salts overlap.  A product of
+two rows is made once per walk: ``_row_product`` gives a product function
+that memoizes on the pair of row tuples, and one serves the whole basis
+walk and the (b, a) grid of one ``_walk`` call; each ``_first_failure``
+call over a class's random tuples has its own.  The per-tuple memo binds
+the letters a, b, c and x, y, z to the tuple's rows and holds its words
+and spans, so a product or span that several classes name is made once
+per tuple; it is cleared when the tuple is done, since a span's pending
+rows refer back to it.
 """
 
 from __future__ import annotations
@@ -287,7 +304,8 @@ def _clash(text):
 # Every text a failure witness can carry, keyed as it is carried.  The
 # sufficient conditions represent the sandwich products of the descending
 # classes' pair memberships; ``outside`` is their failed ``in``.
-EQUATIONS = {text: _Equation(text) for texts in IDENTITIES.values() for text in texts}
+_TABLE_TEXTS = [text for texts in IDENTITIES.values() for text in texts]
+EQUATIONS = {text: _Equation(text) for text in _TABLE_TEXTS}
 # a class's texts by the number of elements they quantify over
 _BY_ARITY = {(name, k): [t for t in texts if len(EQUATIONS[t].letters) == k]
              for name, texts in IDENTITIES.items() for k in (2, 3)}
@@ -297,6 +315,18 @@ EQUATIONS.update({t.replace(" in ", " outside "): EQUATIONS[t]
                   for texts in _SANDWICHES.values() for t in texts})
 EQUATIONS.update({_clash(t): partial(_coefficient_clash, texts)
                   for texts in _SANDWICHES.values() for t in texts})
+
+
+def _narrower(e, f) -> bool:
+    """True when e puts f's left side in a span of fewer of f's words, so e implies f."""
+    return bool(e.span and f.span) and e.lhs == f.lhs and set(SPANS[e.span]) < set(SPANS[f.span])
+
+
+# a text is skipped at a tuple where the text it maps to held: a mixing text
+# where the sliding text with its left side held, since Lin_1(P) holds the
+# words of Lin_1(Q_l) and of Lin_1(Q_r)
+_IMPLIED_BY = {text: other for text in _TABLE_TEXTS for other in _TABLE_TEXTS
+               if _narrower(EQUATIONS[other], EQUATIONS[text])}
 
 
 @dataclass(frozen=True)
@@ -394,116 +424,49 @@ def _random_tuples(algebra, arity, n_random, seed, salt):
         yield tuple(random_element(algebra, seed, arity * t + i + salt) for i in range(arity))
 
 
-def _first_failure(algebra, name, tuples) -> Verdict | None:
-    """A failed verdict for the first tuple that breaks a text of its arity."""
-    mul = _row_product(algebra)
+def _first_failures(algebra, names, tuples, mul) -> dict:
+    """Each named class's failed verdict for the first tuple that breaks a text of its arity.
+
+    A tuple is visited once for the classes still open, in the order of
+    names, on one memo that binds a, b, c and x, y, z to its rows, so a
+    product or span that several classes' texts name is made once per
+    tuple.  A text is skipped where the text ``_IMPLIED_BY`` maps it to held.
+    """
+    failures = {}
     for elements in tuples:
-        texts = _BY_ARITY[name, len(elements)]
-        letters = EQUATIONS[texts[0]].letters
-        memo = {letter: _row(algebra, x)[0] for letter, x in zip(letters, elements)}
+        todo = [name for name in names if name not in failures]
+        if not todo:
+            break
+        rows = [_row(algebra, x)[0] for x in elements]
+        memo, held = {}, set()
         try:
-            for text in texts:
-                if EQUATIONS[text].violated(algebra, mul, memo):
-                    return _fails(text, letters, elements)
+            for name in todo:
+                texts = _BY_ARITY[name, len(elements)]
+                letters = EQUATIONS[texts[0]].letters if texts else ""
+                memo.update(zip(letters, rows))
+                for text in texts:
+                    if _IMPLIED_BY.get(text) in held:
+                        continue
+                    if EQUATIONS[text].violated(algebra, mul, memo):
+                        failures[name] = _fails(text, letters, elements)
+                        break
+                    held.add(text)
         finally:
             # a span's pending rows hold the memo that holds the span: clear
             # the memo so that the span dies with the tuple, not at a GC pass
             memo.clear()
-    return None
+    return failures
 
 
-# -- equality identities -------------------------------------------------------
-
-
-def _check_equalities(algebra, name, seed, samples, salt):
-    n = sample_count(algebra, samples)
-    tuples = chain(_basis_tuples(algebra, 2), _random_tuples(algebra, 2, n, seed, salt),
-                   _basis_tuples(algebra, 3))
-    return _first_failure(algebra, name, tuples) or Verdict("holds-exhaustive", samples=n)
-
-
-def check_flexible(algebra: Algebra, seed: int = 0,
-                   samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """Flexibility: (ab)a and a(ba) agree for all a, b.
-
-    Quadratic in a, so the basis-pair sweep together with the linearized
-    basis-triple sweep is complete over any field; the verdict is
-    holds-exhaustive when nothing fails.
-    """
-    return _check_equalities(algebra, "flexible", seed, samples, salt=0)
-
-
-def check_alternative(algebra: Algebra, seed: int = 0,
-                      samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """Alternativity: a(ab) equals (aa)b and (ba)a equals b(aa); complete like check_flexible."""
-    return _check_equalities(algebra, "alternative", seed, samples, salt=1)
-
-
-# -- sliding and mixing --------------------------------------------------------
-
-
-def _check_memberships(algebra, name, seed, samples, salt):
-    """Sweep basis triples plus random triples through the class's memberships."""
-    n = sample_count(algebra, samples)
-    tuples = chain(_basis_tuples(algebra, 3), _random_tuples(algebra, 3, n, seed, salt))
-    return (_first_failure(algebra, name, tuples)
-            or Verdict("holds-randomized", samples=n, note=_char2_note(algebra)))
-
-
-def check_left_sliding(algebra: Algebra, seed: int = 0,
-                       samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """(xy)z lies in the span of the 13 bounded monomials with 2-fold second factor."""
-    return _check_memberships(algebra, "left_sliding", seed, samples, salt=10)
-
-
-def check_right_sliding(algebra: Algebra, seed: int = 0,
-                        samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """z(xy) lies in the span of the 13 bounded monomials with 2-fold first factor."""
-    return _check_memberships(algebra, "right_sliding", seed, samples, salt=11)
-
-
-def check_mixing(algebra: Algebra, seed: int = 0,
-                 samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """Both (xy)z and z(xy) lie in the span of the combined monomial pool."""
-    return _check_memberships(algebra, "mixing", seed, samples, salt=12)
-
-
-# -- descending flexibility / alternativity -----------------------------------
-
-
-def _check_descending(algebra, name, seed, samples, pair_salt, triple_salt):
-    # exhaustive basis sweeps first so witnesses are deterministic basis
-    # tuples whenever one exists, then the seeded dense samples
-    n = sample_count(algebra, samples)
-    tuples = chain(_basis_tuples(algebra, 2), _basis_tuples(algebra, 3),
-                   _random_tuples(algebra, 2, n, seed, pair_salt),
-                   _random_tuples(algebra, 3, n, seed, triple_salt))
-    failure = _first_failure(algebra, name, tuples)
-    if failure:
-        return failure
-    if algebra.field.characteristic != 2:
-        note = "pair memberships are implied by the symmetrized ones away from characteristic 2"
-    else:
-        note = _char2_note(algebra)
-    return Verdict("holds-randomized", samples=n, note=note)
-
-
-def check_descendingly_flexible(algebra: Algebra, seed: int = 0,
-                                samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """(ab)a, a(ba) drop into Lin_1(a,b,aa,ab,ba); symmetrized triple sums drop degree."""
-    return _check_descending(algebra, "descendingly_flexible", seed, samples, 20, 21)
-
-
-def check_descendingly_alternative(algebra: Algebra, seed: int = 0,
-                                   samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """(ba)a, a(ab) drop into Lin_1(a,b,aa,ab,ba); symmetrized triple sums drop degree."""
-    return _check_descending(algebra, "descendingly_alternative", seed, samples, 22, 23)
+def _first_failure(algebra, name, tuples) -> Verdict | None:
+    """A failed verdict for the first tuple that breaks a text of its arity."""
+    return _first_failures(algebra, [name], tuples, _row_product(algebra)).get(name)
 
 
 # -- sufficient condition ------------------------------------------------------
 
 
-def _forced_coefficients(algebra, a, b, texts):
+def _forced_coefficients(algebra, a, b, texts, mul=None):
     """Reduce aa and each sandwich product modulo Lin_1(a,b,ab,ba) plus the unity.
 
     Returns that span's rank and, per pair-membership text, whether its
@@ -511,12 +474,13 @@ def _forced_coefficients(algebra, a, b, texts):
     there; None when aa lies in the smaller span, so nothing is forced.
     The products are integer rows: over Q a product is D^2 d_a^2 d_b times
     the exact one and aa is D d_a^2 times it (see _row), so the coefficient
-    is the ratio of their residues divided by D d_b.
+    is the ratio of their residues divided by D d_b.  mul is the product
+    function to use, a new one when None.
     """
     f, p = algebra.field, algebra.field.characteristic
     (a, _), (b, d_b) = _row(algebra, a), _row(algebra, b)
     memo = {"a": a, "b": b}
-    mul = _row_product(algebra)
+    mul = mul or _row_product(algebra)
     products = [EQUATIONS[text].evaluate(mul, memo) for text in texts]
     basis = span_of(algebra, [_value(mul, memo, w) for w in SPANS["Lin_1(a,b,aa,ab,ba)"]
                               if w != "aa"])
@@ -530,6 +494,188 @@ def _forced_coefficients(algebra, a, b, texts):
         (_is_zero([x * aa_res[lead] - y * r[lead] for x, y in zip(r, aa_res)], p),
          f.div(r[lead] * aa_s, s * aa_res[lead] * scale))
         for r, s in residues]
+
+
+# -- the walk ------------------------------------------------------------------
+#
+# Each class visits its tuples in one fixed order, its stream, and stops at
+# its first failure, which is its witness:
+#   flexible, alternative: basis pairs, random pairs, basis triples
+#   left_sliding, right_sliding, mixing: basis triples, random triples
+#   descendingly_*: basis pairs, basis triples, random pairs, random triples
+#   sufficient_condition_*: the (b, a) grid of basis and random elements
+# Each class draws its own random tuples, with its own salts.
+
+# per sweep class, the salts of its random pairs and of its random triples
+_SALTS = {
+    "flexible": (0, None),
+    "alternative": (1, None),
+    "left_sliding": (None, 10),
+    "right_sliding": (None, 11),
+    "mixing": (None, 12),
+    "descendingly_flexible": (20, 21),
+    "descendingly_alternative": (22, 23),
+}
+# the equalities, which basis pairs plus linearized basis triples prove
+_EXHAUSTIVE = ("flexible", "alternative")
+
+
+def _random_stream(algebra, name, n, seed):
+    """A sweep class's random tuples: its pairs, then its triples."""
+    return chain.from_iterable(_random_tuples(algebra, arity, n, seed, salt)
+                               for arity, salt in zip((2, 3), _SALTS[name]) if salt is not None)
+
+
+def _holds(algebra, name, n) -> Verdict:
+    if name in _EXHAUSTIVE:
+        return Verdict("holds-exhaustive", samples=n)
+    if name.startswith("descendingly_") and algebra.field.characteristic != 2:
+        note = "pair memberships are implied by the symmetrized ones away from characteristic 2"
+    else:
+        note = _char2_note(algebra)
+    return Verdict("holds-randomized", samples=n, note=note)
+
+
+def _grid_walk(algebra, variants, seed, n, mul) -> dict:
+    """The named sufficient conditions' verdicts from one walk of the (b, a) grid.
+
+    Each pair's sandwich products are reduced in one _forced_coefficients
+    call over the texts of the variants still open.
+    """
+    n_b = max(1, int(n**0.5))
+    n_a = max(1, (n + n_b - 1) // n_b)
+    # one-element tuples: every basis element, then the seeded random ones
+    b_values = chain(_basis_tuples(algebra, 1), _random_tuples(algebra, 1, n_b, seed, 7_000))
+    a_values = list(chain(_basis_tuples(algebra, 1),
+                          _random_tuples(algebra, 1, n_a, seed, 8_000)))
+
+    failures = {}
+    informative = 0
+    pinned = dict.fromkeys(variants, 0)
+    for (b,) in b_values:
+        if len(failures) == len(variants):
+            break
+        seen = {}  # per variant, (a, coefficient) of its first forced coefficient at this b
+        for (a,) in a_values:
+            todo = [v for v in variants if v not in failures]
+            if not todo:
+                break
+            texts = [text for v in todo for text in _SANDWICHES[v]]
+            rank, forced = _forced_coefficients(algebra, a, b, texts, mul)
+            if 0 < rank < algebra.dim:
+                informative += 1
+            forced = dict(zip(texts, forced))
+            for v in todo:
+                for text in _SANDWICHES[v]:
+                    inside, g = forced[text]
+                    if not inside:
+                        failures[v] = _fails(text.replace(" in ", " outside "), "ab", (a, b))
+                        break
+                    if g is None:
+                        continue
+                    pinned[v] += 1
+                    if v not in seen:
+                        seen[v] = (a, g)
+                    elif g != seen[v][1]:
+                        failures[v] = _fails(_clash(text), ("a1", "a2", "b"), (seen[v][0], a, b))
+                        break
+
+    verdicts = {}
+    for v in variants:
+        if v in failures:
+            verdict = failures[v]
+        elif informative == 0 and pinned[v] == 0:
+            verdict = Verdict("inconclusive",
+                              note="the remaining monomials span everything on every sampled pair")
+        else:
+            note = (None if pinned[v]
+                    else "aa-coefficient never forced; any choice represents the products")
+            verdict = Verdict("holds-randomized", samples=informative + pinned[v], note=note)
+        verdicts[f"sufficient_condition_{v}"] = verdict
+    return verdicts
+
+
+def _walk(algebra, names, seed, samples) -> dict:
+    """The named classes' verdicts, each tuple stream they share walked once for all of them.
+
+    The basis pairs, then the basis triples, are visited once for every
+    sweep class still open (_first_failures), and the (b, a) grid once for
+    both sufficient conditions (_grid_walk), with one product function.  A
+    class's random tuples stay its own and go through _first_failure where
+    its stream has them, so each verdict and witness is that of the class's
+    stream walked alone.
+    """
+    n = sample_count(algebra, samples)
+    mul = _row_product(algebra)
+    swept = [name for name in _SALTS if name in names]
+    failures = _first_failures(algebra, swept,
+                               chain(_basis_tuples(algebra, 2), _basis_tuples(algebra, 3)), mul)
+    verdicts = {}
+    for name in swept:
+        failure = failures.get(name)
+        if name in _EXHAUSTIVE:
+            # a random pair can fail only where a basis triple fails, and the
+            # stream visits the random pairs before the basis triples
+            if failure is not None and len(failure.witness.elements) == 3:
+                failure = _first_failure(algebra, name, _random_stream(algebra, name, n, seed)) \
+                    or failure
+        elif failure is None:
+            failure = _first_failure(algebra, name, _random_stream(algebra, name, n, seed))
+        verdicts[name] = failure or _holds(algebra, name, n)
+    variants = [v for v in _SANDWICHES if f"sufficient_condition_{v}" in names]
+    if variants:
+        verdicts.update(_grid_walk(algebra, variants, seed, n, mul))
+    return verdicts
+
+
+# -- the checks, one class each ------------------------------------------------
+
+
+def check_flexible(algebra: Algebra, seed: int = 0,
+                   samples: int = DEFAULT_SAMPLES) -> Verdict:
+    """Flexibility: (ab)a and a(ba) agree for all a, b.
+
+    Quadratic in a, so the basis-pair sweep together with the linearized
+    basis-triple sweep is complete over any field; the verdict is
+    holds-exhaustive when nothing fails.
+    """
+    return _walk(algebra, {"flexible"}, seed, samples)["flexible"]
+
+
+def check_alternative(algebra: Algebra, seed: int = 0,
+                      samples: int = DEFAULT_SAMPLES) -> Verdict:
+    """Alternativity: a(ab) equals (aa)b and (ba)a equals b(aa); complete like check_flexible."""
+    return _walk(algebra, {"alternative"}, seed, samples)["alternative"]
+
+
+def check_left_sliding(algebra: Algebra, seed: int = 0,
+                       samples: int = DEFAULT_SAMPLES) -> Verdict:
+    """(xy)z lies in the span of the 13 bounded monomials with 2-fold second factor."""
+    return _walk(algebra, {"left_sliding"}, seed, samples)["left_sliding"]
+
+
+def check_right_sliding(algebra: Algebra, seed: int = 0,
+                        samples: int = DEFAULT_SAMPLES) -> Verdict:
+    """z(xy) lies in the span of the 13 bounded monomials with 2-fold first factor."""
+    return _walk(algebra, {"right_sliding"}, seed, samples)["right_sliding"]
+
+
+def check_mixing(algebra: Algebra, seed: int = 0,
+                 samples: int = DEFAULT_SAMPLES) -> Verdict:
+    """Both (xy)z and z(xy) lie in the span of the combined monomial pool."""
+    return _walk(algebra, {"mixing"}, seed, samples)["mixing"]
+
+
+def check_descendingly_flexible(algebra: Algebra, seed: int = 0,
+                                samples: int = DEFAULT_SAMPLES) -> Verdict:
+    """(ab)a, a(ba) drop into Lin_1(a,b,aa,ab,ba); symmetrized triple sums drop degree."""
+    return _walk(algebra, {"descendingly_flexible"}, seed, samples)["descendingly_flexible"]
+
+
+def check_descendingly_alternative(algebra: Algebra, seed: int = 0,
+                                   samples: int = DEFAULT_SAMPLES) -> Verdict:
+    """(ba)a, a(ab) drop into Lin_1(a,b,aa,ab,ba); symmetrized triple sums drop degree."""
+    return _walk(algebra, {"descendingly_alternative"}, seed, samples)["descendingly_alternative"]
 
 
 def check_sufficient_condition(algebra: Algebra, variant: str, seed: int = 0,
@@ -546,39 +692,8 @@ def check_sufficient_condition(algebra: Algebra, variant: str, seed: int = 0,
     """
     if variant not in _SANDWICHES:
         raise ValueError("variant must be 'flex' or 'alt'")
-    texts = _SANDWICHES[variant]
-    n = sample_count(algebra, samples)
-    n_b = max(1, int(n**0.5))
-    n_a = max(1, (n + n_b - 1) // n_b)
-
-    # one-element tuples: every basis element, then the seeded random ones
-    b_values = chain(_basis_tuples(algebra, 1), _random_tuples(algebra, 1, n_b, seed, 7_000))
-    a_values = list(chain(_basis_tuples(algebra, 1),
-                          _random_tuples(algebra, 1, n_a, seed, 8_000)))
-
-    informative = 0
-    pinned = 0
-    for (b,) in b_values:
-        seen = None  # (a, coefficient) of the first forced coefficient at this b
-        for (a,) in a_values:
-            rank, forced = _forced_coefficients(algebra, a, b, texts)
-            if 0 < rank < algebra.dim:
-                informative += 1
-            for text, (inside, g) in zip(texts, forced):
-                if not inside:
-                    return _fails(text.replace(" in ", " outside "), "ab", (a, b))
-                if g is None:
-                    continue
-                pinned += 1
-                if seen is None:
-                    seen = (a, g)
-                elif g != seen[1]:
-                    return _fails(_clash(text), ("a1", "a2", "b"), (seen[0], a, b))
-    if informative == 0 and pinned == 0:
-        return Verdict("inconclusive",
-                       note="the remaining monomials span everything on every sampled pair")
-    note = None if pinned else "aa-coefficient never forced; any choice represents the products"
-    return Verdict("holds-randomized", samples=informative + pinned, note=note)
+    name = f"sufficient_condition_{variant}"
+    return _walk(algebra, {name}, seed, samples)[name]
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -610,17 +725,8 @@ class ClassificationReport:
 def classify(algebra: Algebra, seed: int = 0,
              samples: int = DEFAULT_SAMPLES) -> ClassificationReport:
     """Run every class check and audit the implications between them."""
-    verdicts = {
-        "flexible": check_flexible(algebra, seed, samples),
-        "alternative": check_alternative(algebra, seed, samples),
-        "left_sliding": check_left_sliding(algebra, seed, samples),
-        "right_sliding": check_right_sliding(algebra, seed, samples),
-        "mixing": check_mixing(algebra, seed, samples),
-        "descendingly_flexible": check_descendingly_flexible(algebra, seed, samples),
-        "descendingly_alternative": check_descendingly_alternative(algebra, seed, samples),
-        "sufficient_condition_flex": check_sufficient_condition(algebra, "flex", seed, samples),
-        "sufficient_condition_alt": check_sufficient_condition(algebra, "alt", seed, samples),
-    }
+    found = _walk(algebra, set(CLASS_NAMES), seed, samples)
+    verdicts = {name: found[name] for name in CLASS_NAMES}
     warnings = []
     for name in ("descendingly_flexible", "descendingly_alternative"):
         if verdicts[name].holds and verdicts["mixing"].kind == "fails":

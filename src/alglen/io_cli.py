@@ -196,6 +196,8 @@ def resolve_set(algebra: Algebra, set_spec: str | None, set_file: str | None):
     else:
         indices = [_parse_int(tok, "basis index") for tok in set_spec.split(",")
                    if tok.strip()]
+        if not indices:
+            raise ParseError(f"set spec {set_spec!r} names no basis index")
         gens = generator_set([algebra.basis_element(i) for i in indices],
                              labels=[algebra.label(i) for i in indices])
     if gens.has_duplicates:
@@ -336,12 +338,13 @@ def _find_surviving_word(algebra, gens, seq, cap=4096):
 
 def _cmd_bounds(args) -> int:
     algebra = _load(args.algebra)
+    # the set and the field are checked first, so that bad input is refused before any work
+    gens = resolve_set(algebra, args.set, args.set_file)
     exact = None
-    if args.exact:  # first, so that a non-prime field is refused before any work
+    if args.exact:
         exact, _ = exact_algebra_length(algebra, budget=args.budget,
                                         max_level=args.max_level)
     report = identities.classify(algebra, seed=args.seed, samples=args.samples)
-    gens = resolve_set(algebra, args.set, args.set_file)
     seq = diff_sequence(algebra, gens, max_level=args.max_level)
     set_results = [("S", seq)]
     shapes = []

@@ -18,6 +18,8 @@ from .errors import IndexOutOfRange, ParseError, ResourceLimit
 Word = object  # int leaf or (Word, Word) pair
 
 DEFAULT_WORD_CAP = 2_000_000
+# parse_word refuses deeper brackets, well inside Python's recursion limit
+MAX_WORD_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,11 @@ def format_word(w: Word) -> str:
 def parse_word(text: str) -> Word:
     """Parse parenthesized 1-based letter indices, e.g. ``((1 2) 3)``."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    depth = 0
+    for tok in tokens:
+        depth += (tok == "(") - (tok == ")")
+        if depth > MAX_WORD_DEPTH:
+            raise ParseError(f"word nested deeper than {MAX_WORD_DEPTH} brackets")
     pos = 0
 
     def need(tok):
@@ -179,7 +186,7 @@ def parse_word(text: str) -> Word:
             right = rec()
             need(")")
             return (left, right)
-        if tok.isdigit() and int(tok) >= 1:
+        if tok.isdecimal() and int(tok) >= 1:
             pos += 1
             return int(tok)
         raise ParseError(f"bad token {tok!r} in word {text!r}")

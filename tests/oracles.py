@@ -7,6 +7,9 @@ with a parity union-find over single-exchange rewrites.  The identity
 oracles avoid the identity checks' paths: they evaluate every word on exact
 scalars with ``Algebra.multiply`` and test a membership in a full
 SpanBasis of every span word, not on integer rows in a lazily grown span.
+The reference walk follows each class's tuple stream alone, with those
+oracles; it shares only the sample draws (``random_element``) with the
+checks.
 """
 
 from itertools import permutations
@@ -281,3 +284,92 @@ def coefficient_clash(algebra, texts, values):
               for _, g in forced_coefficients(algebra, a, values["b"], texts)[1]
               if g is not None}
     return len(forced) > 1
+
+
+# -- each class's stream walked alone ------------------------------------------
+
+# the order in which each sweep class visits its tuples: ("basis", arity)
+# or ("random", arity, salt), the salt offsetting the sample indices
+STREAMS = {
+    "flexible": (("basis", 2), ("random", 2, 0), ("basis", 3)),
+    "alternative": (("basis", 2), ("random", 2, 1), ("basis", 3)),
+    "left_sliding": (("basis", 3), ("random", 3, 10)),
+    "right_sliding": (("basis", 3), ("random", 3, 11)),
+    "mixing": (("basis", 3), ("random", 3, 12)),
+    "descendingly_flexible": (("basis", 2), ("basis", 3), ("random", 2, 20), ("random", 3, 21)),
+    "descendingly_alternative": (("basis", 2), ("basis", 3), ("random", 2, 22), ("random", 3, 23)),
+}
+
+
+def _text_letters(text):
+    return sorted(set(filter(str.isalpha, text.split(" in ")[0])))
+
+
+def _stream_tuples(algebra, part, n, seed):
+    from itertools import product
+
+    from alglen.identities import random_element
+
+    if part[0] == "basis":
+        basis = [algebra.basis_element(i) for i in range(1, algebra.dim + 1)]
+        return product(basis, repeat=part[1])
+    _, arity, salt = part
+    return (tuple(random_element(algebra, seed, arity * t + i + salt) for i in range(arity))
+            for t in range(n))
+
+
+def reference_verdict(algebra, name, seed, samples):
+    """(kind, witness text, witness elements) of one class, its stream walked alone.
+
+    A sweep class's texts of a tuple's arity are tested one by one with
+    identity_violated; a sufficient condition walks its (b, a) grid with
+    forced_coefficients.
+    """
+    from alglen.identities import IDENTITIES, sample_count
+
+    n = sample_count(algebra, samples)
+    if name.startswith("sufficient_condition_"):
+        pair_class = {"flex": "descendingly_flexible", "alt": "descendingly_alternative"}
+        texts = [t for t in IDENTITIES[pair_class[name.rsplit("_", 1)[1]]]
+                 if len(_text_letters(t)) == 2]
+        return _reference_sufficient(algebra, texts, seed, n)
+    for part in STREAMS[name]:
+        texts = [t for t in IDENTITIES[name] if len(_text_letters(t)) == part[1]]
+        for elements in _stream_tuples(algebra, part, n, seed):
+            values = dict(zip(_text_letters(texts[0]), elements))
+            for text in texts:
+                if identity_violated(algebra, text, values):
+                    return "fails", text, values
+    exhaustive = name in ("flexible", "alternative")
+    return ("holds-exhaustive" if exhaustive else "holds-randomized"), None, None
+
+
+def _reference_sufficient(algebra, texts, seed, n):
+    from alglen.identities import random_element
+
+    n_b = max(1, int(n**0.5))
+    n_a = max(1, (n + n_b - 1) // n_b)
+    basis = [algebra.basis_element(i) for i in range(1, algebra.dim + 1)]
+    b_values = basis + [random_element(algebra, seed, 7_000 + t) for t in range(n_b)]
+    a_values = basis + [random_element(algebra, seed, 8_000 + t) for t in range(n_a)]
+    informative = pinned = 0
+    for b in b_values:
+        seen = None
+        for a in a_values:
+            rank, forced = forced_coefficients(algebra, a, b, texts)
+            informative += 0 < rank < algebra.dim
+            for text, (inside, g) in zip(texts, forced):
+                lhs = text.split(" in ")[0]
+                if not inside:
+                    return "fails", text.replace(" in ", " outside "), {"a": a, "b": b}
+                if g is None:
+                    continue
+                pinned += 1
+                if seen is None:
+                    seen = (a, g)
+                elif g != seen[1]:
+                    return ("fails", f"aa-coefficient forced by {lhs} inconsistent at fixed b",
+                            {"a1": seen[0], "a2": a, "b": b})
+    if not informative and not pinned:
+        return "inconclusive", None, None
+    return "holds-randomized", None, None

@@ -1,12 +1,14 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from alglen import examples, identities
@@ -316,14 +318,11 @@ def _scalars(field):
 
 
 @st.composite
-def identity_cases(draw):
-    """An algebra of dim <= 4, possibly unital, and a value for every letter.
+def small_algebras(draw):
+    """An algebra of dim <= 4 over Q, GF(2) or GF(3), possibly unital.
 
-    Over Q the structure constants and the letters are fractions, so the
-    common denominator D of the constants is often above 1.  Half the
-    letters' coordinates are 0, and a letter is often drawn from a pool of
-    at most three vectors, so that letters coincide and memberships fail
-    now and then.
+    Over Q the structure constants are fractions, so the common denominator
+    D of the constants is often above 1.
     """
     field = draw(st.sampled_from((Rationals(), PrimeField(2), PrimeField(3))))
     dim = draw(st.integers(1, 4))
@@ -335,6 +334,20 @@ def identity_cases(draw):
     algebra = make_algebra(field, dim, products)
     if dim < 4 and draw(st.booleans()):
         algebra = examples.make_unital_hull(algebra)
+    return algebra
+
+
+@st.composite
+def identity_cases(draw):
+    """An algebra from small_algebras and a value for every letter.
+
+    Over Q the letters are fractions.  Half the letters' coordinates are 0,
+    and a letter is often drawn from a pool of at most three vectors, so
+    that letters coincide and memberships fail now and then.
+    """
+    algebra = draw(small_algebras())
+    field = algebra.field
+    scalar = _scalars(field)
     letter = st.tuples(*[st.one_of(st.just(field.zero()), scalar)] * algebra.dim)
     pool = st.sampled_from(draw(st.lists(letter, min_size=1, max_size=3)))
     return algebra, {name: draw(st.one_of(pool, letter))
@@ -468,3 +481,77 @@ def test_identity_classes_documented():
         assert f"`{cls}`" in section, cls
     for text in EQUATIONS:
         assert f"`{text}`" in section, text
+
+
+CHECKS = {
+    "flexible": check_flexible,
+    "alternative": check_alternative,
+    "left_sliding": check_left_sliding,
+    "right_sliding": check_right_sliding,
+    "mixing": check_mixing,
+    "descendingly_flexible": check_descendingly_flexible,
+    "descendingly_alternative": check_descendingly_alternative,
+    "sufficient_condition_flex": partial(check_sufficient_condition, variant="flex"),
+    "sufficient_condition_alt": partial(check_sufficient_condition, variant="alt"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_algebras(), st.integers(0, 3), st.integers(1, 4))
+# nonmix7's equalities hold on basis pairs but fail on a basis triple and,
+# earlier in their streams, on a random pair
+@example(build_example("nonmix7"), 0, 2)
+@example(build_example("nonmix7", "gf:2"), 1, 1)
+def test_walk_equals_the_per_class_streams(algebra, seed, samples):
+    # classify walks the shared tuples once for all classes; each class must
+    # still get the verdict and witness of its own stream walked alone
+    report = classify(algebra, seed=seed, samples=samples)
+    for name in identities.CLASS_NAMES:
+        verdict = report.verdict(name)
+        assert verdict == CHECKS[name](algebra, seed=seed, samples=samples), name
+        witness = verdict.witness and (verdict.witness.equation, dict(verdict.witness.elements))
+        kind, text, values = oracles.reference_verdict(algebra, name, seed, samples)
+        assert (verdict.kind, witness) == (kind, text and (text, values)), name
+
+
+def _is_basis_row(row) -> bool:
+    return sum(map(bool, row)) <= 1
+
+
+def test_classify_walks_the_basis_tuples_once(monkeypatch):
+    # on the octonions every product of basis rows is a signed basis row, and
+    # both sliding texts hold at every basis triple
+    products = Counter()
+    table_product = identities.table_product
+
+    def counting(table, u, v):
+        if _is_basis_row(u) and _is_basis_row(v):
+            products[tuple(u), tuple(v)] += 1
+        return table_product(table, u, v)
+
+    built = Counter()
+    span_rows = identities._span_rows
+
+    def recording(algebra, mul, memo, name):
+        letters = sorted(set(filter(str.isalpha, "".join(identities.SPANS[name]))))
+        rows = tuple(memo[letter] for letter in letters)
+        built[name, rows, all(map(_is_basis_row, rows))] += 1
+        return span_rows(algebra, mul, memo, name)
+
+    monkeypatch.setattr(identities, "table_product", counting)
+    monkeypatch.setattr(identities, "_span_rows", recording)
+    cd3 = build_example("cd:3:-1,-1,-1")
+    report = classify(cd3)
+    assert all(v.holds for v in report.verdicts.values())
+    # each distinct pair of basis-walk rows is multiplied once for all classes
+    assert products and max(products.values()) == 1
+    # each span is built at most once per basis tuple, shared by the classes
+    # that name it, and Lin_1(P) never at a basis triple
+    at_basis = {key: count for key, count in built.items() if key[2]}
+    assert at_basis and max(at_basis.values()) == 1
+    assert not any(name == "Lin_1(P)" for name, _, _ in at_basis)
+    assert {name for name, _, _ in at_basis} \
+        == {"Lin_1(Q_l)", "Lin_1(Q_r)", "Lin_1(a,b,aa,ab,ba)", "Lin_2'(a,b,c)"}
+    # mixing's own random triples still build Lin_1(P)
+    assert sum(count for (name, _, basis), count in built.items()
+               if name == "Lin_1(P)" and not basis) == 64

@@ -3,6 +3,7 @@ import io
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,16 +215,17 @@ def test_cli_bounds_exact_checks_mixing_once(tmp_path, capsys, monkeypatch):
     argv = ("bounds", path, "--set", "1,2", "--exact", "--json")
     code, plain = _run(capsys, *argv)
     assert code == 0
+    # every check runs through the one walk, which is told the classes to decide
     calls = []
-    original = identities.check_mixing
+    original = identities._walk
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(algebra, names, *args, **kwargs):
+        calls.append(names)
+        return original(algebra, names, *args, **kwargs)
 
-    monkeypatch.setattr(identities, "check_mixing", counted)
+    monkeypatch.setattr(identities, "_walk", counted)
     code, out = _run(capsys, *argv)
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and sum("mixing" in names for names in calls) == 1
     assert out == plain
     payload = json.loads(out)
     assert payload["exact_length"] == 3 and payload["audit"]["all_passed"]
@@ -364,6 +366,68 @@ def test_malformed_set_specs_exit_2(fuzz_dir, good, at, bad, command):
     # aflex has dim 5: an index outside 1..5 or a junk token anywhere in the list
     indices = good[:at] + [str(bad)] + good[at:]
     assert_exits_2([command, str(fuzz_dir / "aflex.alg"), "--set=" + ",".join(indices)])
+
+
+@pytest.mark.parametrize("spec", ["", ",", " ", " , ,"])
+@pytest.mark.parametrize("command", ["length", "diffseq", "bounds"])
+def test_empty_set_specs_exit_2(fuzz_dir, spec, command):
+    # a spec that names no basis index is refused, not read as the empty set
+    assert_exits_2([command, str(fuzz_dir / "aflex.alg"), "--set=" + spec])
+
+
+def test_bounds_refuses_a_bad_set_before_classify(fuzz_dir, monkeypatch):
+    def classify(*args, **kwargs):
+        raise AssertionError("classify ran before --set was checked")
+
+    monkeypatch.setattr(identities, "classify", classify)
+    for spec in ("99", "1,x", ""):
+        assert_exits_2(["bounds", str(fuzz_dir / "aflex.alg"), "--set", spec])
+
+
+def _nested(depth, inner="1"):
+    for _ in range(depth):
+        inner = f"(2 {inner})"
+    return inner
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(alphabet="() 120\u00b2\u00b9x-", max_size=24)
+       | st.integers(200, 1_200).map(_nested)
+       | st.integers(200, 1_200).map(lambda d: _nested(d, "x"))
+       | st.integers(200, 1_200).map("(".__mul__),
+       st.sampled_from(["alt", "flex"]))
+def test_canonical_words_never_traceback(word, variant):
+    # any --word either gets a canonical form (exit 0) or exits 2 with error:
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = main(["canonical", "--class", variant, "--word=" + word, "--json"])
+    if code == 0:
+        assert json.loads(out.getvalue())["variant"] == variant
+    else:
+        assert code == 2 and err.getvalue().startswith("error: ") and out.getvalue() == ""
+
+
+def test_canonical_refuses_non_ascii_digits_and_deep_words():
+    for word in ("(1 \u00b2)", _nested(1_000), _nested(1_000, "x")):
+        assert_exits_2(["canonical", "--class", "flex", "--word", word])
+
+
+GOLDEN_JSON = Path(__file__).parent / "golden" / "cli_json.json"
+
+
+def test_classify_json_matches_the_golden_outputs(tmp_path, monkeypatch):
+    # --json of the seven classify-q jobs, classify(matrix:4) over Q and
+    # classify(cd:4:-1,-1,-1,-1) over GF(3) at seed 0, as recorded before the
+    # class checks shared one walk of the basis tuples
+    monkeypatch.chdir(tmp_path)
+    for job in json.loads(GOLDEN_JSON.read_text(encoding="utf-8")):
+        path = job["argv"][1]
+        if not Path(path).exists():
+            assert main(["gen", job["example"], "--field", job["field"], "-o", path]) == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(job["argv"])
+        assert (code, out.getvalue()) == (job["exit"], job["stdout"]), job["argv"]
 
 
 def test_cli_json_deterministic(tmp_path, capsys):

@@ -2,8 +2,8 @@ import pytest
 
 from alglen.errors import ParseError, ResourceLimit
 from alglen.words import (catalan, count_full, enumerate_full, enumerate_restricted,
-                          evaluate, format_word, generator_set, is_restricted,
-                          parse_word, word_length, word_letters)
+                          MAX_WORD_DEPTH, evaluate, format_word, generator_set,
+                          is_restricted, parse_word, word_length, word_letters)
 
 
 def test_catalan():
@@ -68,6 +68,24 @@ def test_parse_format_roundtrip():
         parse_word("(0 1)")
     with pytest.raises(ParseError):
         parse_word("(1 2) 3")
+
+
+def _nested(depth, inner="1"):
+    for _ in range(depth):
+        inner = f"(1 {inner})"
+    return inner
+
+
+def test_parse_word_refuses_non_ascii_digits_and_deep_nesting():
+    # '²' is a digit to str.isdigit but not to int()
+    for text in ("(1 \u00b2)", "\u00b2", "(\u00b9 2)"):
+        with pytest.raises(ParseError, match="bad token"):
+            parse_word(text)
+    assert word_length(parse_word(_nested(MAX_WORD_DEPTH))) == MAX_WORD_DEPTH + 1
+    # valid or not, a deeper word is refused before any recursion
+    for text in (_nested(MAX_WORD_DEPTH + 1), _nested(1_000), _nested(1_000, "x"), "(" * 5_000):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_word(text)
 
 
 def test_word_letters():
