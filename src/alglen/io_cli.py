@@ -473,12 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "structure-constant algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_set=False, with_budget=False, with_samples=False):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, with_set=False, with_budget=False, with_samples=False, with_seed=False,
+               with_level=False):
+        if with_seed:
+            p.add_argument("--seed", type=int, default=0)
         if with_samples:
             p.add_argument("--samples", type=int, default=identities.DEFAULT_SAMPLES)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--max-level", type=int, default=None, dest="max_level")
+        if with_level:
+            p.add_argument("--max-level", type=int, default=None, dest="max_level")
         if with_set:
             p.add_argument("--set", default=None,
                            help="'basis', or comma-separated 1-based basis indices")
@@ -489,29 +492,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="run every identity-class check")
     p.add_argument("algebra")
-    common(p, with_samples=True)
+    common(p, with_seed=True, with_samples=True)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("diffseq", help="difference sequence of a generator set")
     p.add_argument("algebra")
-    common(p, with_set=True)
+    common(p, with_set=True, with_level=True)
     p.set_defaults(func=_cmd_diffseq)
 
     p = sub.add_parser("length", help="length of a generator set")
     p.add_argument("algebra")
-    common(p, with_set=True)
+    common(p, with_set=True, with_level=True)
     p.set_defaults(func=_cmd_length)
 
     p = sub.add_parser("exact-length", help="exact algebra length over a prime field")
     p.add_argument("algebra")
-    common(p, with_budget=True)
+    # nothing reads --seed here; it stays while perfbench/workloads.py passes it to every job
+    common(p, with_budget=True, with_seed=True, with_level=True)
     p.set_defaults(func=_cmd_exact_length)
 
     p = sub.add_parser("bounds", help="audit computed lengths against the bound formulas")
     p.add_argument("algebra")
     p.add_argument("--exact", action="store_true",
                    help="include the exact algebra length (prime fields)")
-    common(p, with_set=True, with_budget=True, with_samples=True)
+    common(p, with_set=True, with_budget=True, with_samples=True, with_seed=True,
+           with_level=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("canonical", help="canonical two- or three-block form of a word")
@@ -541,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="randomized lower-bound search for l(A)")
     p.add_argument("algebra")
     p.add_argument("--set-size", type=int, default=None, dest="set_size")
-    common(p, with_samples=True)
+    common(p, with_samples=True, with_seed=True, with_level=True)
     p.set_defaults(func=_cmd_search)
 
     return parser
@@ -551,6 +556,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # caps are checked before any work; 0 is a valid cap
+        for flag, value in (("--max-level", getattr(args, "max_level", None)),
+                            ("--budget", getattr(args, "budget", None))):
+            if value is not None and value < 0:
+                raise ParseError(f"{flag} must be at least 0, got {value}")
         return args.func(args)
     except (AlgLenError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -12,10 +12,14 @@ sweep.  It works on integer rows over both fields, since spans do not
 depend on scaling: residues over GF(p) and primitive integer rows with
 fraction-free elimination over Q, multiplied through the algebra's
 compiled product table.  SpanBasis shares the same row operations
-(``_insert_mod``/``_reduce_mod`` and ``_insert_int``/``_reduce_int``).  The
-sweep runs no ladder on a subspace that a linear pre-test
-(``_generation_test``) shows cannot generate the algebra and, where that
-test is exact, none on a subspace larger than a minimal generating one.
+(``_insert_mod``/``_reduce_mod`` and ``_insert_int``/``_reduce_int``).  They
+keep echelon rows, each reduced only against the rows inserted before it,
+which is all that a residue needs; SpanBasis builds the reduced
+row-echelon form only where it is read.  The sweep runs no ladder on a
+subspace that a linear pre-test (``_generation_test``) shows cannot
+generate the algebra.  Where that test is exact, it runs none on a
+subspace larger than a minimal generating one, and the ladders it runs
+skip the closure check, since every subspace they start from generates.
 """
 
 from __future__ import annotations
@@ -36,7 +40,11 @@ DEFAULT_SUBSPACE_BUDGET = 2_000_000
 
 
 def _reduce_mod(rows, pivots, p: int, v) -> list:
-    """Residue of the int vector v modulo fully reduced rows over GF(p)."""
+    """Residue of the int vector v modulo echelon rows over GF(p).
+
+    Each row is zero at the pivots of the rows before it, so one pass in
+    insertion order leaves v zero at every pivot.
+    """
     for row, j in zip(rows, pivots):
         c = v[j] % p
         if c:
@@ -44,29 +52,21 @@ def _reduce_mod(rows, pivots, p: int, v) -> list:
     return [x % p for x in v]
 
 
-def _normalize_mod(rows, p: int, v, lead: int) -> list:
-    """v scaled to pivot 1 at lead; column lead is cleared from rows in place."""
-    if v[lead] != 1:
-        s = pow(v[lead], -1, p)
-        v = [x * s % p for x in v]
-    for idx, row in enumerate(rows):
-        c = row[lead]
-        if c:
-            rows[idx] = [(x - c * y) % p for x, y in zip(row, v)]
-    return v
-
-
 def _insert_mod(rows, pivots, p: int, v):
-    """Add the int vector v to fully reduced rows over GF(p).
+    """Add the int vector v to echelon rows over GF(p).
 
-    Returns v's residue scaled to pivot 1, now a row, or None when v already
-    lies in their span.
+    Returns v's residue scaled to pivot 1, now the last row, or None when v
+    already lies in their span.  The older rows are left as they are: each
+    row is reduced only against the rows before it, which is all that
+    _reduce_mod needs.
     """
     v = _reduce_mod(rows, pivots, p, v)
     lead = next((j for j, x in enumerate(v) if x), None)
     if lead is None:
         return None
-    v = _normalize_mod(rows, p, v, lead)
+    if v[lead] != 1:
+        s = pow(v[lead], -1, p)
+        v = [x * s % p for x in v]
     rows.append(v)
     pivots.append(lead)
     return v
@@ -83,9 +83,10 @@ def _primitive(v: list, lead: int) -> list:
 def _reduce_int(rows, pivots, v) -> tuple:
     """(w, s): integers w and s > 0 with w / s the residue of the int vector v.
 
-    The rows are primitive and fully reduced over Q; elimination is
-    fraction-free (Bareiss): ``v <- (r_j/g) v - (v_j/g) r`` with
-    ``g = gcd(r_j, v_j)`` for the row r with pivot j.
+    The rows are primitive echelon rows over Q, each zero at the pivots of
+    the rows before it; elimination is fraction-free (Bareiss):
+    ``v <- (r_j/g) v - (v_j/g) r`` with ``g = gcd(r_j, v_j)`` for the row r
+    with pivot j.
     """
     s = 1
     for row, j in zip(rows, pivots):
@@ -105,23 +106,17 @@ def _reduce_int(rows, pivots, v) -> tuple:
 
 
 def _insert_int(rows, pivots, v):
-    """Add the int vector v to primitive fully reduced rows over Q.
+    """Add the int vector v to primitive echelon rows over Q.
 
-    Returns v's residue as a primitive row (gcd 1, positive pivot), now a
-    row, or None when v already lies in their span.
+    Returns v's residue as a primitive row (gcd 1, positive pivot), now the
+    last row, or None when v already lies in their span.  As in
+    _insert_mod, the older rows are left as they are.
     """
     v = _reduce_int(rows, pivots, v)[0]
     lead = next((j for j, x in enumerate(v) if x), None)
     if lead is None:
         return None
     v = _primitive(list(v), lead)
-    a = v[lead]
-    for idx, row in enumerate(rows):
-        c = row[lead]
-        if c:
-            g = gcd(a, c)
-            s, t = a // g, c // g
-            rows[idx] = _primitive([s * x - t * y for x, y in zip(row, v)], pivots[idx])
     rows.append(v)
     pivots.append(lead)
     return v
@@ -133,17 +128,21 @@ def _check_length(vec, dim: int) -> None:
 
 
 class SpanBasis:
-    """Reduced row-echelon basis of a subspace, grown by insertion.
+    """Basis of a subspace, grown by insertion; reduced row-echelon where read.
 
     The rows are stored in insertion order, in the row forms of the span
-    ladder.  Over GF(p) they are the RREF rows, as residue lists
-    (``_insert_mod``).  Over Q they are primitive integer rows (gcd 1,
-    positive pivot), each a positive multiple of its RREF row, with
-    fraction-free elimination (``_insert_int``).  ``rows`` and ``pivots``
-    are in pivot order; ``rows``, ``reduce`` and the residue ``insert``
-    returns are exact scalars, while ``residue``, ``contains`` and ``add``
-    build none.  Any vector may be given as an integer row, since a
-    rational vector with integer entries is one.
+    ladder, each reduced only against the rows inserted before it: residues
+    scaled to pivot 1 over GF(p) (``_insert_mod``), primitive integer rows
+    (gcd 1, positive pivot) with fraction-free elimination over Q
+    (``_insert_int``).  That is enough for ``residue``, ``contains``,
+    ``add`` and ``insert``, since the residue of a vector is the unique
+    vector of its coset that is zero at every pivot.  The reduced
+    row-echelon form is built only where it is read (``_ordered``, behind
+    ``rows``, ``row_tuples`` and ``==``).  ``rows`` and ``pivots`` are in
+    pivot order; ``rows``, ``reduce`` and the residue ``insert`` returns are
+    exact scalars, while ``residue``, ``contains`` and ``add`` build none.
+    Any vector may be given as an integer row, since a rational vector with
+    integer entries is one.
     """
 
     def __init__(self, field: Field, dim: int):
@@ -158,8 +157,22 @@ class SpanBasis:
         return len(self._pivots)
 
     def _ordered(self) -> list:
-        """(pivot, stored row) pairs in pivot order, unique per subspace."""
-        return sorted(zip(self._pivots, self._rows))
+        """(pivot, RREF row) pairs in pivot order, unique per subspace.
+
+        The rows inserted after a row are zero at its pivot, so reducing it
+        against them clears every other pivot and keeps its own.  Over Q the
+        row is the primitive positive multiple of the RREF row.
+        """
+        rows, pivots, p = self._rows, self._pivots, self.p
+        ordered = []
+        for i, j in enumerate(pivots):
+            later = rows[i + 1:], pivots[i + 1:]
+            if p:
+                row = _reduce_mod(*later, p, rows[i])
+            else:
+                row = _primitive(_reduce_int(*later, rows[i])[0], j)
+            ordered.append((j, row))
+        return sorted(ordered)
 
     @property
     def pivots(self) -> list[int]:
@@ -264,7 +277,7 @@ def _level_cap(max_level: int | None, dim: int) -> int:
     return max_level if max_level is not None else max(DEFAULT_MAX_LEVEL, dim + 2)
 
 
-def _ladder(table: list, p: int, unity, max_level, gens) -> list:
+def _ladder(table: list, p: int, unity, max_level, gens, *, closure=True) -> list:
     """Span ladder of gens: level_reps[k] spans Lin_k(S) modulo Lin_(k-1)(S).
 
     Every vector is an integer row and ``table`` is the algebra's
@@ -282,6 +295,12 @@ def _ladder(table: list, p: int, unity, max_level, gens) -> list:
     unchanged: the ladder stops once the span is all of A (it is closed and
     can gain nothing), and the closure check stops at the first pair whose
     product leaves the span (the others stay pending).
+
+    With ``closure=False`` the ladder runs no closure check and stops only
+    at full rank.  That is for gens known to generate A: their span is
+    closed only once it is A, so the levels are the same.  Gens that do not
+    generate A then run into the level cap and raise ResourceLimit; they
+    never give a wrong ladder.
     """
     n = len(table)
     rows, pivots = [], []
@@ -326,7 +345,7 @@ def _ladder(table: list, p: int, unity, max_level, gens) -> list:
 
     while len(rows) < n:
         level = len(level_reps) - 1
-        if closed(level):
+        if closure and closed(level):
             break
         if level >= cap:
             raise ResourceLimit(f"span ladder exceeded {cap} levels")
@@ -667,7 +686,11 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     passing V with more than codim rows contains a passing U with exactly
     codim of them, enumerated earlier (ranks ascend).  So the first
     subspace that attains the maximum has codim rows, and neither the
-    maximum nor the witness changes.  When the test is not exact, or A has
+    maximum nor the witness changes.  Every subspace swept then generates,
+    so its ladder runs without closure checks (``closure=False``), which
+    could only fail before full rank; should the test wrongly pass a
+    subspace, its ladder raises ResourceLimit at the level cap instead of
+    giving a wrong length.  When the test is not exact, or A has
     no M (a unital A without a character), every passing subspace is
     swept, and so is every one when the character search alone would try
     more than ``budget`` functionals.  The budget check comes before the
@@ -679,15 +702,16 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     if not isinstance(field, PrimeField):
         raise NotFiniteField("exact length needs a prime field")
     n, unity = algebra.dim, algebra.unity
-    run = partial(_ladder, algebra.product_table[0], field.p,
-                  list(unity) if unity is not None else None, max_level)
     subspaces = _subspace_rows(field.p, n, unity, budget)
     test = _generation_test(algebra, budget)
+    exact = False
     if test is not None:
         can_generate, codim, exact = test
         if exact:
             subspaces = takewhile(lambda rows: len(rows) <= codim, subspaces)
         subspaces = filter(can_generate, subspaces)
+    run = partial(_ladder, algebra.product_table[0], field.p,
+                  list(unity) if unity is not None else None, max_level, closure=not exact)
     best = None
     for rows in subspaces:
         level_reps = run(rows)

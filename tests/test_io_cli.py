@@ -282,13 +282,39 @@ def test_cli_usage_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2, argv
         assert captured.err.startswith("error: ") and captured.out == "", argv
-    # --samples only where a randomized check reads it
-    for argv in (["length", good, "--set", "1,2", "--samples", "3"],
-                 ["infer-unity", good, "--samples", "0"]):
+    # negative caps are refused before any work, on every subcommand that
+    # reads them (exact-length and search would fail later on this Q algebra)
+    for flag, argv in (("--max-level", ["diffseq", good, "--set", "1,2"]),
+                       ("--max-level", ["length", good, "--set", "1,2"]),
+                       ("--max-level", ["exact-length", good]),
+                       ("--max-level", ["bounds", good, "--set", "1,2"]),
+                       ("--max-level", ["search", good]),
+                       ("--budget", ["exact-length", good]),
+                       ("--budget", ["bounds", good, "--set", "1,2", "--exact"])):
+        code = main(argv + [flag, "-1"])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err == f"error: {flag} must be at least 0, got -1\n", argv
+        assert captured.out == "", argv
+    # a cap of 0 is valid: the unity alone has length 0
+    z2n2 = str(tmp_path / "z2n2.alg")
+    _run(capsys, "gen", "z2n:2", "-o", z2n2)
+    assert _run(capsys, "length", z2n2, "--set", "1", "--max-level", "0") == (0, "l(S) = 0\n")
+    # --samples, --seed and --max-level only where they are read
+    unread = [(["length", good, "--set", "1,2"], "--samples", "3"),
+              (["infer-unity", good], "--samples", "0"),
+              (["classify", good], "--max-level", "-7"),
+              (["canonical", "--class", "flex", "--word", "(1 2)"], "--max-level", "1"),
+              (["infer-unity", good], "--max-level", "1")]
+    unread += [(argv, "--seed", "1")
+               for argv in (["diffseq", good, "--set", "1,2"], ["length", good, "--set", "1,2"],
+                            ["canonical", "--class", "flex", "--word", "(1 2)"],
+                            ["infer-unity", good])]
+    for argv, flag, value in unread:
         with pytest.raises(SystemExit) as exit_info:
-            main(argv)
+            main(argv + [flag, value])
         assert exit_info.value.code == 2, argv
-        assert "unrecognized arguments: --samples" in capsys.readouterr().err, argv
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, argv
 
 
 # A valid file: a 2-dim algebra with unity b1 (b2 b2 = -b1), one line per key.
@@ -424,6 +450,27 @@ def test_classify_json_matches_the_golden_outputs(tmp_path, monkeypatch):
         path = job["argv"][1]
         if not Path(path).exists():
             assert main(["gen", job["example"], "--field", job["field"], "-o", path]) == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(job["argv"])
+        assert (code, out.getvalue()) == (job["exit"], job["stdout"]), job["argv"]
+
+
+GOLDEN_EXACT_JSON = Path(__file__).parent / "golden" / "exact_length_json.json"
+
+
+def test_exact_length_json_matches_the_golden_outputs(tmp_path, monkeypatch):
+    # --json of exact-length on the six exact-gf jobs, z2n:2, z2n:3, nonmix7,
+    # hull:nonmix7 and chain3 over GF(2), nilpotent3 over GF(3), where the
+    # pre-test is exact, and on matrix:2 over GF(2) and spin:2 over GF(3),
+    # where it is not; recorded before the sweep's ladders dropped their
+    # closure checks and the echelon rows their back-substitution
+    monkeypatch.chdir(tmp_path)
+    jobs = json.loads(GOLDEN_EXACT_JSON.read_text(encoding="utf-8"))
+    assert len(jobs) == 14
+    for job in jobs:
+        path = job["argv"][1]
+        assert main(["gen", job["example"], "--field", job["field"], "-o", path]) == 0
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(job["argv"])

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, product, takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +27,80 @@ def test_rref_insert_examples():
     b.insert([Fraction(0), Fraction(1), Fraction(0)])
     assert b.row_tuples() == ((Fraction(1), Fraction(0), Fraction(0)),
                               (Fraction(0), Fraction(1), Fraction(0)))
+
+
+ECHELON_FIELDS = [Q, PrimeField(2), PrimeField(3), PrimeField(5)]
+
+
+@st.composite
+def vector_lists(draw):
+    """(field, dim, vectors): some drawn vectors, then linear combinations of them."""
+    field = draw(st.sampled_from(ECHELON_FIELDS))
+    dim = draw(st.integers(1, 5))
+    if field.characteristic:
+        scalar = st.integers(0, field.characteristic - 1)
+    else:
+        scalar = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    vec = st.lists(scalar, min_size=dim, max_size=dim)
+    free = draw(st.lists(vec, min_size=1, max_size=4))
+    dependent = [
+        [sum((field.mul(c, u[i]) for c, u in zip(coeffs, free)), field.zero())
+         for i in range(dim)]
+        for coeffs in draw(st.lists(st.lists(scalar, min_size=len(free), max_size=len(free)),
+                                    max_size=3))]
+    if field.characteristic:
+        dependent = [[x % field.characteristic for x in v] for v in dependent]
+    return field, dim, free + dependent
+
+
+def _as_rational(field, residue):
+    w, s = residue
+    return [Fraction(x, s) for x in w] if not field.characteristic else list(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_echelon_rows_match_the_rref_oracle(data):
+    # rows are reduced only against the rows inserted before them, and the
+    # reduced row-echelon form is built on read: in any insertion order,
+    # after every insertion, the read form, the pivots, the residues and
+    # equality must be those of a fully reduced basis
+    field, dim, vectors = data.draw(vector_lists())
+    probes = data.draw(st.lists(st.sampled_from(vectors), max_size=2)) + [
+        [(i * 7 + 3) % 5 - 2 for i in range(dim)], [1] * dim]
+    bases = []
+    for order in (data.draw(st.permutations(vectors)), data.draw(st.permutations(vectors))):
+        basis = SpanBasis(field, dim)
+        for k, v in enumerate(order):
+            before = oracles.rref_rows(field, order[:k], dim)
+            residue = oracles.field_residue(field, before, v)
+            lead = next((i for i, x in enumerate(residue) if not field.is_zero(x)), None)
+            expected = (False, None) if lead is None else \
+                (True, tuple(field.mul(field.inv(residue[lead]), x) for x in residue))
+            assert basis.insert(list(v)) == expected
+            rref = oracles.rref_rows(field, order[:k + 1], dim)
+            assert basis.row_tuples() == rref
+            assert basis.rows == [list(r) for r in rref]
+            assert basis.pivots == [next(i for i, x in enumerate(r) if not field.is_zero(x))
+                                    for r in rref]
+            assert basis.rank == len(rref)
+            for probe in probes:
+                expected = oracles.field_residue(field, rref, probe)
+                if field.characteristic:
+                    expected = [x % field.characteristic for x in expected]
+                assert _as_rational(field, basis.residue(probe)) == expected
+                assert basis.contains(probe) == (not any(expected))
+        bases.append(basis)
+    rref = oracles.rref_rows(field, vectors, dim)
+    again = SpanBasis(field, dim)
+    for row in rref:
+        again.insert(list(row))
+    assert bases[0] == bases[1] == again
+    # one vector fewer spans less when it was not dependent on the others
+    smaller = SpanBasis(field, dim)
+    for v in vectors[1:]:
+        smaller.insert(list(v))
+    assert (smaller == again) == (smaller.rank == again.rank)
 
 
 def test_diff_sequence_frozen_values(z2n2, aflex):
@@ -419,6 +493,34 @@ def test_generation_pretest_matches_unpruned_sweep(kind, triangular, data):
     assert witness.elements == tuple(algebra.element(r) for r in expected.row_tuples())
 
 
+@pytest.mark.parametrize("kind, triangular", KINDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sweep_ladder_without_closure_checks(kind, triangular, data):
+    # where the pre-test is exact the sweep's ladders skip the closure check:
+    # on every minimal generating subspace they must give the same levels,
+    # and on a subspace that does not generate they must hit the level cap
+    field = data.draw(st.sampled_from([PrimeField(2), PrimeField(3)]))
+    algebra = data.draw(prime_field_algebras(field, 4, kind, triangular))
+    test = spans._generation_test(algebra)
+    if test is None or not test[2]:
+        return
+    can_generate, codim, _ = test
+    p, n = field.p, algebra.dim
+    unity = list(algebra.unity) if algebra.unity is not None else None
+    table = algebra.product_table[0]
+    for rows in takewhile(lambda rows: len(rows) <= codim,
+                          spans._subspace_rows(p, n, algebra.unity, None)):
+        checked = spans._ladder(table, p, unity, None, rows)
+        if can_generate(rows):
+            assert len(rows) == codim and _sweep_reading(checked, n)[1]
+            assert spans._ladder(table, p, unity, None, rows, closure=False) == checked
+        else:
+            assert not _sweep_reading(checked, n)[1]
+            with pytest.raises(ResourceLimit, match="exceeded 5 levels"):
+                spans._ladder(table, p, unity, 5, rows, closure=False)
+
+
 def test_generation_pretest_on_examples(monkeypatch):
     f2, f3 = PrimeField(2), PrimeField(3)
     # 1,900 of the 2,664 subspaces pass and exactly these generate.  A is
@@ -438,7 +540,8 @@ def test_generation_pretest_on_examples(monkeypatch):
     assert len(minimal) == 729
     ladders = []
     ladder = spans._ladder
-    monkeypatch.setattr(spans, "_ladder", lambda *args: ladders.append(args[-1]) or ladder(*args))
+    monkeypatch.setattr(spans, "_ladder", lambda *args, **kwargs:
+                        ladders.append(args[-1]) or ladder(*args, **kwargs))
     assert exact_algebra_length(aflex3)[0] == 3 and ladders == minimal
     monkeypatch.undo()
     # GF(3) x GF(3) in the basis b1 = -f1, b2 = f2 of its idempotents, so
