@@ -20,9 +20,14 @@ letter: all words of an equality, and all summands of a membership's left
 side, hold the same letters the same number of times, so they carry the
 same positive factor, and a span does not depend on how its vectors are
 scaled.  ``_Equation`` refuses a text that is not homogeneous.  A
-membership's span is grown lazily (``_LazySpan``): the left side is reduced
-first, and the span's words are made and inserted one at a time only until
-the residue is zero, so a span is complete only where a membership fails.
+membership's span is built only where its answer is read: a left side that
+is zero holds at once, since 0 lies in every span.  Otherwise the span is
+grown lazily (``_LazySpan``): the left side is reduced first, and the
+span's words are made and inserted one at a time only until the residue is
+zero, so a span is complete only where a membership fails.  The lazy spans,
+and the span of ``_forced_coefficients``, keep bare echelon rows and call
+the row operations of ``spans`` directly, since their rows are integer rows
+already.
 
 One walk (``_walk``) decides any set of classes; ``classify`` runs it on
 all nine and each ``check_*`` on its own class.  It visits the basis
@@ -182,8 +187,12 @@ def _is_zero(v, p) -> bool:
     return not any(x % p for x in v) if p else not any(v)
 
 
-def _total(rows):
-    return rows[0] if len(rows) == 1 else [sum(column) for column in zip(*rows)]
+def _total(memo, words):
+    """The sum of the words' integer rows in memo; a side of a text has one word or two."""
+    if len(words) == 1:
+        return memo[words[0]]
+    u, v = words
+    return [x + y for x, y in zip(memo[u], memo[v])]
 
 
 def _run(steps, mul, memo):
@@ -211,29 +220,25 @@ class _LazySpan(SpanBasis):
     """
 
     def __init__(self, algebra, pending):
-        super().__init__(algebra.field, algebra.dim)
+        # SpanBasis's state, set directly: the rows are integer rows already,
+        # so absorbs calls the row operations without its conversions and
+        # length checks
+        self.field, self.dim, self.p = algebra.field, algebra.dim, algebra.field.characteristic
+        self._rows, self._pivots = [], []
         self._pending = pending
-        # the rows are integer rows already, so the row operations are called
-        # directly, without SpanBasis's conversions and length checks
-        rows, pivots, p = self._rows, self._pivots, self.p
-        if p:
-            self._reduce = partial(_reduce_mod, rows, pivots, p)
-            self._insert = partial(_insert_mod, rows, pivots, p)
-        else:
-            self._reduce = lambda v: _reduce_int(rows, pivots, v)[0]
-            self._insert = partial(_insert_int, rows, pivots)
 
     def absorbs(self, v) -> bool:
-        reduce, insert = self._reduce, self._insert
-        w = reduce(v)
-        while any(w):
+        rows, pivots, p = self._rows, self._pivots, self.p
+        while True:
+            v = _reduce_mod(rows, pivots, p, v) if p else _reduce_int(rows, pivots, v)[0]
+            if not any(v):
+                return True
             for row in self._pending:
-                if insert(row) is not None:
+                if (_insert_mod(rows, pivots, p, row) if p
+                        else _insert_int(rows, pivots, row)) is not None:
                     break
             else:
                 return False
-            w = reduce(w)
-        return True
 
 
 def _span_rows(algebra, mul, memo, name):
@@ -263,17 +268,21 @@ class _Equation:
     def evaluate(self, mul, memo):
         """The left side's integer row, made as _run makes it."""
         _run(self.steps, mul, memo)
-        return _total([memo[w] for w in self.lhs])
+        return _total(memo, self.lhs)
 
     def violated(self, algebra, mul, memo) -> bool:
         """True when the letters' integer rows in memo violate the equation.
 
-        Each named span is built once per tuple, as a _LazySpan under its name.
+        Each named span is built once per tuple, as a _LazySpan under its
+        name, and only when a left side that is not zero asks for it: 0 lies
+        in every span.
         """
-        lhs = self.evaluate(mul, memo)
+        lhs, p = self.evaluate(mul, memo), algebra.field.characteristic
         if self.rhs:
-            rhs = _total([memo[w] for w in self.rhs])
-            return not _is_zero([x - y for x, y in zip(lhs, rhs)], algebra.field.characteristic)
+            rhs = _total(memo, self.rhs)
+            return not _is_zero([x - y for x, y in zip(lhs, rhs)], p)
+        if _is_zero(lhs, p):
+            return False
         basis = memo.get(self.span)
         if basis is None:
             basis = memo[self.span] = _LazySpan(algebra, _span_rows(algebra, mul, memo, self.span))
@@ -482,15 +491,27 @@ def _forced_coefficients(algebra, a, b, texts, mul=None):
     memo = {"a": a, "b": b}
     mul = mul or _row_product(algebra)
     products = [EQUATIONS[text].evaluate(mul, memo) for text in texts]
-    basis = span_of(algebra, [_value(mul, memo, w) for w in SPANS["Lin_1(a,b,aa,ab,ba)"]
-                              if w != "aa"])
-    aa_res, aa_s = basis.residue(_value(mul, memo, "aa"))
+    # the span's echelon rows, kept bare as _LazySpan keeps them
+    rows, pivots = [], []
+    spanning = [_value(mul, memo, w) for w in SPANS["Lin_1(a,b,aa,ab,ba)"] if w != "aa"]
+    if algebra.unity is not None:
+        spanning.insert(0, _row(algebra, algebra.unity)[0])
+    for v in spanning:
+        if p:
+            _insert_mod(rows, pivots, p, v)
+        else:
+            _insert_int(rows, pivots, v)
+
+    def residue(v):
+        return (_reduce_mod(rows, pivots, p, v), 1) if p else _reduce_int(rows, pivots, v)
+
+    aa_res, aa_s = residue(_value(mul, memo, "aa"))
     lead = next((i for i, x in enumerate(aa_res) if x), None)
-    residues = [basis.residue(v) for v in products]
+    residues = [residue(v) for v in products]
     if lead is None:  # aa adds nothing, so each product itself must be absorbed
-        return basis.rank, [(not any(r), None) for r, _ in residues]
+        return len(pivots), [(not any(r), None) for r, _ in residues]
     scale = algebra.product_table[1] * d_b
-    return basis.rank, [
+    return len(pivots), [
         (_is_zero([x * aa_res[lead] - y * r[lead] for x, y in zip(r, aa_res)], p),
          f.div(r[lead] * aa_s, s * aa_res[lead] * scale))
         for r, s in residues]

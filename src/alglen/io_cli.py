@@ -16,6 +16,7 @@ covers algebras whose identity is not a basis vector (matrix algebras).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -552,9 +553,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: building it costs more than a small job."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # caps are checked before any work; 0 is a valid cap
         for flag, value in (("--max-level", getattr(args, "max_level", None)),

@@ -456,6 +456,54 @@ def test_no_span_outlives_its_tuple(monkeypatch):
     assert len(spans) == 64 and alive == 0
 
 
+def _tracking_spans(monkeypatch) -> list:
+    """Every _LazySpan built from now on, in order."""
+    spans = []
+
+    class Tracked(identities._LazySpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spans.append(self)
+
+    monkeypatch.setattr(identities, "_LazySpan", Tracked)
+    return spans
+
+
+@pytest.mark.parametrize("field", ["rational", "gf:2", "gf:3"])
+def test_zero_left_side_builds_no_span(monkeypatch, field):
+    # 0 lies in every span, so a membership whose left side is zero holds
+    # without its span; over GF(p) that includes rows that are 0 mod p only
+    spans = _tracking_spans(monkeypatch)
+    m3 = build_example("matrix:3", field)
+    p = m3.field.characteristic
+    mul = identities._row_product(m3)
+    memberships = [EQUATIONS[t] for t in identities._TABLE_TEXTS if EQUATIONS[t].span]
+    zero = multiple_of_p = 0
+    for elements in chain(identities._basis_tuples(m3, 2), identities._basis_tuples(m3, 3)):
+        for equation in memberships:
+            if len(equation.letters) != len(elements):
+                continue
+            values = dict(zip(equation.letters, elements))
+            if oracles._total(m3, values, " + ".join(equation.lhs)) != m3.zero():
+                continue
+            memo = {x: identities._row(m3, v)[0] for x, v in values.items()}
+            multiple_of_p += any(equation.evaluate(mul, dict(memo)))
+            built = len(spans)
+            assert not equation.violated(m3, mul, memo)
+            assert len(spans) == built and equation.span not in memo
+            zero += 1
+    assert zero > 0 and spans == []
+    # over GF(2), (ab)c + (cb)a is 2(ab)a at c = a
+    assert (multiple_of_p > 0) == (p == 2)
+
+
+def test_classify_builds_spans_only_where_read(monkeypatch):
+    # 1,864 spans before zero left sides were held without one
+    spans = _tracking_spans(monkeypatch)
+    classify(examples.make_matrix_algebra(3))
+    assert len(spans) == 421
+
+
 def test_one_product_per_row_pair(monkeypatch):
     # one check multiplies each distinct pair of integer rows once
     calls = []

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alglen import examples, identities
+from alglen import examples, identities, io_cli
 from alglen.algebra import find_unity, make_algebra
 from alglen.errors import ParseError
 from alglen.field import PrimeField
@@ -93,6 +93,39 @@ def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, a usage error's exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # one parser serves every main call of a process; a usage error between
+    # two runs of a subcommand must leave it as a fresh parser would be, with
+    # the second run's defaults (--seed 0) not taken from the first
+    path = str(tmp_path / "aflex.alg")
+    _run(capsys, "gen", "aflex", "--field", "gf:3", "-o", path)
+    argvs = (["classify", path, "--seed", "1", "--samples", "2", "--json"],
+             ["classify", path, "--samples", "two"],
+             ["classify", path, "--samples", "3", "--json"])
+    fresh = []
+    for argv in argvs:
+        io_cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert [code for code, *_ in fresh] == [0, 2, 0]
+    assert "invalid int value: 'two'" in fresh[1][2]
+
+    built = []
+    build_parser = io_cli.build_parser
+    monkeypatch.setattr(io_cli, "build_parser", lambda: built.append(1) or build_parser())
+    io_cli._parser.cache_clear()
+    assert [_outcome(capsys, argv) for argv in argvs] == fresh
+    assert len(built) == 1
 
 
 def test_cli_gen_length_roundtrip(tmp_path, capsys):
