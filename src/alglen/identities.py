@@ -26,8 +26,10 @@ grown lazily (``_LazySpan``): the left side is reduced first, and the
 span's words are made and inserted one at a time only until the residue is
 zero, so a span is complete only where a membership fails.  The lazy spans,
 and the span of ``_forced_coefficients``, keep bare echelon rows and call
-the row operations of ``spans`` directly, since their rows are integer rows
-already.
+the echelon routine of ``spans`` (``_reduce`` and ``_insert``) directly,
+since their rows are integer rows already; that routine keeps residues
+with pivot 1 over GF(p) and primitive integer rows over Q, so no check
+here picks row operations by field.
 
 One walk (``_walk``) decides any set of classes; ``classify`` runs it on
 all nine and each ``check_*`` on its own class.  It visits the basis
@@ -66,7 +68,7 @@ from itertools import chain, product
 from .algebra import Algebra, Element, table_product
 from .errors import DomainError
 from .field import integer_row
-from .spans import SpanBasis, _insert_int, _insert_mod, _reduce_int, _reduce_mod
+from .spans import SpanBasis, _insert, _reduce
 
 DEFAULT_SAMPLES = 64
 CHAR2_SAMPLE_FACTOR = 4
@@ -158,8 +160,6 @@ def _letters(word) -> str:
 
 def _row(algebra, element) -> tuple:
     """(row, d): the element's integer row as a tuple and the denominator it dropped."""
-    if algebra.field.characteristic:
-        return tuple(element), 1
     row, d = integer_row(element)
     return tuple(row), d
 
@@ -220,22 +220,19 @@ class _LazySpan(SpanBasis):
     """
 
     def __init__(self, algebra, pending):
-        # SpanBasis's state, set directly: the rows are integer rows already,
-        # so absorbs calls the row operations without its conversions and
-        # length checks
-        self.field, self.dim, self.p = algebra.field, algebra.dim, algebra.field.characteristic
-        self._rows, self._pivots = [], []
+        super().__init__(algebra.field, algebra.dim)
         self._pending = pending
 
     def absorbs(self, v) -> bool:
+        # the rows are integer rows already, so the row routine is called
+        # without SpanBasis's conversions and length checks
         rows, pivots, p = self._rows, self._pivots, self.p
         while True:
-            v = _reduce_mod(rows, pivots, p, v) if p else _reduce_int(rows, pivots, v)[0]
+            v = _reduce(rows, pivots, p, v)[0]
             if not any(v):
                 return True
             for row in self._pending:
-                if (_insert_mod(rows, pivots, p, row) if p
-                        else _insert_int(rows, pivots, row)) is not None:
+                if _insert(rows, pivots, p, row) is not None:
                     break
             else:
                 return False
@@ -414,16 +411,6 @@ def _char2_note(algebra: Algebra) -> str | None:
     return None
 
 
-def span_of(algebra: Algebra, vectors) -> SpanBasis:
-    """Span of the listed elements or integer rows, plus the unity when the algebra has one."""
-    basis = SpanBasis(algebra.field, algebra.dim)
-    if algebra.unity is not None:
-        basis.add(algebra.unity)
-    for v in vectors:
-        basis.add(v)
-    return basis
-
-
 def _basis_tuples(algebra, arity):
     return product([algebra.basis_element(i) for i in range(1, algebra.dim + 1)], repeat=arity)
 
@@ -497,17 +484,10 @@ def _forced_coefficients(algebra, a, b, texts, mul=None):
     if algebra.unity is not None:
         spanning.insert(0, _row(algebra, algebra.unity)[0])
     for v in spanning:
-        if p:
-            _insert_mod(rows, pivots, p, v)
-        else:
-            _insert_int(rows, pivots, v)
-
-    def residue(v):
-        return (_reduce_mod(rows, pivots, p, v), 1) if p else _reduce_int(rows, pivots, v)
-
-    aa_res, aa_s = residue(_value(mul, memo, "aa"))
+        _insert(rows, pivots, p, v)
+    aa_res, aa_s = _reduce(rows, pivots, p, _value(mul, memo, "aa"))
     lead = next((i for i, x in enumerate(aa_res) if x), None)
-    residues = [residue(v) for v in products]
+    residues = [_reduce(rows, pivots, p, v) for v in products]
     if lead is None:  # aa adds nothing, so each product itself must be absorbed
         return len(pivots), [(not any(r), None) for r, _ in residues]
     scale = algebra.product_table[1] * d_b

@@ -441,9 +441,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_search(args) -> int:
     algebra = _load(args.algebra)
-    for flag, value in (("--samples", args.samples), ("--set-size", args.set_size)):
-        if value is not None and value < 1:
-            raise ParseError(f"{flag} must be at least 1, got {value}")
     size = args.set_size or algebra.dim
     best = None
     for t in range(args.samples):
@@ -562,11 +559,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # caps are checked before any work; 0 is a valid cap
-        for flag, value in (("--max-level", getattr(args, "max_level", None)),
-                            ("--budget", getattr(args, "budget", None))):
-            if value is not None and value < 0:
-                raise ParseError(f"{flag} must be at least 0, got {value}")
+        # caps and counts are checked before any work; 0 is a valid cap
+        for flag, dest, least in (("--max-level", "max_level", 0), ("--budget", "budget", 0),
+                                  ("--samples", "samples", 1), ("--set-size", "set_size", 1)):
+            value = getattr(args, dest, None)
+            if value is not None and value < least:
+                raise ParseError(f"{flag} must be at least {least}, got {value}")
         return args.func(args)
     except (AlgLenError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

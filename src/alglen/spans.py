@@ -9,17 +9,20 @@ algebra.
 
 One ladder (``_ladder``) serves diff_sequence, lin_span and the exact-length
 sweep.  It works on integer rows over both fields, since spans do not
-depend on scaling: residues over GF(p) and primitive integer rows with
-fraction-free elimination over Q, multiplied through the algebra's
-compiled product table.  SpanBasis shares the same row operations
-(``_insert_mod``/``_reduce_mod`` and ``_insert_int``/``_reduce_int``).  They
-keep echelon rows, each reduced only against the rows inserted before it,
-which is all that a residue needs; SpanBasis builds the reduced
-row-echelon form only where it is read.  The sweep runs no ladder on a
-subspace that a linear pre-test (``_generation_test``) shows cannot
-generate the algebra.  Where that test is exact, it runs none on a
-subspace larger than a minimal generating one, and the ladders it runs
-skip the closure check, since every subspace they start from generates.
+depend on scaling, multiplied through the algebra's compiled product
+table.  One echelon routine, ``_reduce`` and ``_insert``, does the row
+arithmetic of both fields and branches on the characteristic p (0 over
+Q) once per call: residues with pivot 1 over GF(p), primitive integer
+rows with fraction-free elimination over Q.  The ladder, SpanBasis, the
+generation pre-test and the identity checks all call it; none of them
+picks row operations by field.  It keeps echelon rows, each reduced only
+against the rows inserted before it, which is all that a residue needs;
+SpanBasis builds the reduced row-echelon form only where it is read.  The
+sweep runs no ladder on a subspace that a linear pre-test
+(``_generation_test``) shows cannot generate the algebra.  Where that
+test is exact, it runs none on a subspace larger than a minimal
+generating one, and the ladders it runs skip the closure check, since
+every subspace they start from generates.
 """
 
 from __future__ import annotations
@@ -39,39 +42,6 @@ DEFAULT_MAX_LEVEL = 64
 DEFAULT_SUBSPACE_BUDGET = 2_000_000
 
 
-def _reduce_mod(rows, pivots, p: int, v) -> list:
-    """Residue of the int vector v modulo echelon rows over GF(p).
-
-    Each row is zero at the pivots of the rows before it, so one pass in
-    insertion order leaves v zero at every pivot.
-    """
-    for row, j in zip(rows, pivots):
-        c = v[j] % p
-        if c:
-            v = [x - c * y for x, y in zip(v, row)]
-    return [x % p for x in v]
-
-
-def _insert_mod(rows, pivots, p: int, v):
-    """Add the int vector v to echelon rows over GF(p).
-
-    Returns v's residue scaled to pivot 1, now the last row, or None when v
-    already lies in their span.  The older rows are left as they are: each
-    row is reduced only against the rows before it, which is all that
-    _reduce_mod needs.
-    """
-    v = _reduce_mod(rows, pivots, p, v)
-    lead = next((j for j, x in enumerate(v) if x), None)
-    if lead is None:
-        return None
-    if v[lead] != 1:
-        s = pow(v[lead], -1, p)
-        v = [x * s % p for x in v]
-    rows.append(v)
-    pivots.append(lead)
-    return v
-
-
 def _primitive(v: list, lead: int) -> list:
     """v divided by the gcd of its entries, signed so that v[lead] > 0."""
     g = gcd(*v)
@@ -80,14 +50,22 @@ def _primitive(v: list, lead: int) -> list:
     return v if g == 1 else [x // g for x in v]
 
 
-def _reduce_int(rows, pivots, v) -> tuple:
+def _reduce(rows, pivots, p: int, v) -> tuple:
     """(w, s): integers w and s > 0 with w / s the residue of the int vector v.
 
-    The rows are primitive echelon rows over Q, each zero at the pivots of
-    the rows before it; elimination is fraction-free (Bareiss):
-    ``v <- (r_j/g) v - (v_j/g) r`` with ``g = gcd(r_j, v_j)`` for the row r
-    with pivot j.
+    The rows are echelon rows, each zero at the pivots of the rows before
+    it, so one pass in insertion order leaves v zero at every pivot.  Over
+    GF(p) they are residues with pivot 1, w holds residues and s = 1.  Over
+    Q (``p = 0``) they are primitive rows and elimination is fraction-free
+    (Bareiss): ``v <- (r_j/g) v - (v_j/g) r`` with ``g = gcd(r_j, v_j)``
+    for the row r with pivot j.
     """
+    if p:
+        for row, j in zip(rows, pivots):
+            c = v[j] % p
+            if c:
+                v = [x - c * y for x, y in zip(v, row)]
+        return [x % p for x in v], 1
     s = 1
     for row, j in zip(rows, pivots):
         c = v[j]
@@ -105,18 +83,26 @@ def _reduce_int(rows, pivots, v) -> tuple:
     return v, s
 
 
-def _insert_int(rows, pivots, v):
-    """Add the int vector v to primitive echelon rows over Q.
+def _insert(rows, pivots, p: int, v):
+    """Add the int vector v to echelon rows over GF(p), or over Q when p = 0.
 
-    Returns v's residue as a primitive row (gcd 1, positive pivot), now the
-    last row, or None when v already lies in their span.  As in
-    _insert_mod, the older rows are left as they are.
+    Returns v's residue, now the last row, or None when v already lies in
+    their span: scaled to pivot 1 over GF(p), a primitive row (gcd 1,
+    positive pivot) over Q.  The older rows are left as they are: each row
+    is reduced only against the rows before it, which is all that _reduce
+    needs.
     """
-    v = _reduce_int(rows, pivots, v)[0]
-    lead = next((j for j, x in enumerate(v) if x), None)
-    if lead is None:
+    v = _reduce(rows, pivots, p, v)[0]
+    for lead, x in enumerate(v):  # a loop, not a generator: this runs once per insertion
+        if x:
+            break
+    else:
         return None
-    v = _primitive(list(v), lead)
+    if not p:
+        v = _primitive(list(v), lead)
+    elif v[lead] != 1:
+        s = pow(v[lead], -1, p)
+        v = [x * s % p for x in v]
     rows.append(v)
     pivots.append(lead)
     return v
@@ -131,18 +117,17 @@ class SpanBasis:
     """Basis of a subspace, grown by insertion; reduced row-echelon where read.
 
     The rows are stored in insertion order, in the row forms of the span
-    ladder, each reduced only against the rows inserted before it: residues
-    scaled to pivot 1 over GF(p) (``_insert_mod``), primitive integer rows
-    (gcd 1, positive pivot) with fraction-free elimination over Q
-    (``_insert_int``).  That is enough for ``residue``, ``contains``,
-    ``add`` and ``insert``, since the residue of a vector is the unique
-    vector of its coset that is zero at every pivot.  The reduced
-    row-echelon form is built only where it is read (``_ordered``, behind
-    ``rows``, ``row_tuples`` and ``==``).  ``rows`` and ``pivots`` are in
-    pivot order; ``rows``, ``reduce`` and the residue ``insert`` returns are
-    exact scalars, while ``residue``, ``contains`` and ``add`` build none.
-    Any vector may be given as an integer row, since a rational vector with
-    integer entries is one.
+    ladder (``_insert``), each reduced only against the rows inserted
+    before it: residues scaled to pivot 1 over GF(p), primitive integer rows
+    (gcd 1, positive pivot) with fraction-free elimination over Q.  That is
+    enough for ``residue``, ``contains``, ``add`` and ``insert``, since the
+    residue of a vector is the unique vector of its coset that is zero at
+    every pivot.  The reduced row-echelon form is built only where it is
+    read (``_ordered``, behind ``rows``, ``row_tuples`` and ``==``).
+    ``rows`` and ``pivots`` are in pivot order; ``rows``, ``reduce`` and the
+    residue ``insert`` returns are exact scalars, while ``residue``,
+    ``contains`` and ``add`` build none.  Any vector may be given as an
+    integer row, since a rational vector with integer entries is one.
     """
 
     def __init__(self, field: Field, dim: int):
@@ -161,17 +146,14 @@ class SpanBasis:
 
         The rows inserted after a row are zero at its pivot, so reducing it
         against them clears every other pivot and keeps its own.  Over Q the
-        row is the primitive positive multiple of the RREF row.
+        row is the primitive positive multiple of the RREF row; over GF(p) a
+        row with pivot 1 is already primitive.
         """
         rows, pivots, p = self._rows, self._pivots, self.p
         ordered = []
         for i, j in enumerate(pivots):
-            later = rows[i + 1:], pivots[i + 1:]
-            if p:
-                row = _reduce_mod(*later, p, rows[i])
-            else:
-                row = _primitive(_reduce_int(*later, rows[i])[0], j)
-            ordered.append((j, row))
+            row = _reduce(rows[i + 1:], pivots[i + 1:], p, rows[i])[0]
+            ordered.append((j, _primitive(row, j)))
         return sorted(ordered)
 
     @property
@@ -181,17 +163,13 @@ class SpanBasis:
     @property
     def rows(self) -> list[list]:
         """The RREF rows as exact scalars, in pivot order."""
-        if self.p:
-            return [list(r) for _, r in self._ordered()]
         return [list(rational_row(r, r[j])) for j, r in self._ordered()]
 
     def residue(self, vec) -> tuple:
         """(w, s): integers w and s > 0 with w / s the residue of vec."""
         _check_length(vec, self.dim)
-        if self.p:
-            return _reduce_mod(self._rows, self._pivots, self.p, vec), 1
         v, d = integer_row(vec)
-        w, s = _reduce_int(self._rows, self._pivots, v)
+        w, s = _reduce(self._rows, self._pivots, self.p, v)
         return w, s * d
 
     def reduce(self, vec) -> list:
@@ -204,17 +182,12 @@ class SpanBasis:
     def add(self, vec) -> bool:
         """Insert vec without building its residue; whether the span grew."""
         _check_length(vec, self.dim)
-        if self.p:
-            return _insert_mod(self._rows, self._pivots, self.p, vec) is not None
-        return _insert_int(self._rows, self._pivots, integer_row(vec)[0]) is not None
+        return _insert(self._rows, self._pivots, self.p, integer_row(vec)[0]) is not None
 
     def insert(self, vec):
         """Insert vec; returns (added, normalized residue or None)."""
         _check_length(vec, self.dim)
-        if self.p:
-            v = _insert_mod(self._rows, self._pivots, self.p, vec)
-            return (False, None) if v is None else (True, tuple(v))
-        v = _insert_int(self._rows, self._pivots, integer_row(vec)[0])
+        v = _insert(self._rows, self._pivots, self.p, integer_row(vec)[0])
         return (False, None) if v is None else (True, rational_row(v, next(filter(None, v))))
 
     def row_tuples(self) -> tuple:
@@ -261,7 +234,7 @@ def solve_coordinates(field: Field, vectors, target):
     dim = len(target)
     basis = SpanBasis(field, t + 1)
     for i in range(dim):
-        basis.insert([vec[i] for vec in vectors] + [target[i]])
+        basis.add([vec[i] for vec in vectors] + [target[i]])
     pivots = set(basis.pivots)
     if len(pivots & set(range(t))) != t:
         return "dependent", None
@@ -281,9 +254,9 @@ def _ladder(table: list, p: int, unity, max_level, gens, *, closure=True) -> lis
     """Span ladder of gens: level_reps[k] spans Lin_k(S) modulo Lin_(k-1)(S).
 
     Every vector is an integer row and ``table`` is the algebra's
-    ``product_table``.  ``p`` picks the row operations: residues over GF(p)
-    (``_insert_mod``), primitive integer rows over Q (``p = 0``,
-    ``_insert_int``).  Over Q the products ignore the table's common
+    ``product_table``.  ``p`` is passed on to ``_insert`` and ``_reduce``,
+    which keep residues with pivot 1 over GF(p) and primitive integer rows
+    over Q (``p = 0``).  Over Q the products ignore the table's common
     denominator D, as the rows ignore their own, since a span does not
     depend on the scaling of the vectors that span it.  Level 0 is the
     unity (None when there is none), level 1 the gens, and level m the
@@ -305,14 +278,10 @@ def _ladder(table: list, p: int, unity, max_level, gens, *, closure=True) -> lis
     n = len(table)
     rows, pivots = [], []
     mul = partial(table_product, table)
-    if p:
-        add = partial(_insert_mod, rows, pivots, p)
-        residue = partial(_reduce_mod, rows, pivots, p)
-    else:
-        add = partial(_insert_int, rows, pivots)
+    add = partial(_insert, rows, pivots, p)
 
-        def residue(v):
-            return _reduce_int(rows, pivots, v)[0]
+    def residue(v):
+        return _reduce(rows, pivots, p, v)[0]
 
     def insert(vectors):
         """Insert each vector; the new rows."""
@@ -367,12 +336,11 @@ def _set_ladder(algebra: Algebra, elements, max_level=None) -> list:
     """_ladder of elements of the algebra, after a length check."""
     for s in elements:
         _check_length(s, algebra.dim)
-    p, unity = algebra.field.characteristic, algebra.unity
-    if not p:
-        elements = [integer_row(s)[0] for s in elements]
-        if unity is not None:
-            unity = integer_row(unity)[0]
-    return _ladder(algebra.product_table[0], p, unity, max_level, elements)
+    unity = algebra.unity
+    if unity is not None:
+        unity = integer_row(unity)[0]
+    return _ladder(algebra.product_table[0], algebra.field.characteristic, unity, max_level,
+                   [integer_row(s)[0] for s in elements])
 
 
 def lin_span(algebra: Algebra, gens, k: int) -> SpanBasis:
@@ -380,7 +348,7 @@ def lin_span(algebra: Algebra, gens, k: int) -> SpanBasis:
     basis = SpanBasis(algebra.field, algebra.dim)
     for reps in _set_ladder(algebra, _elements(gens))[:k + 1]:
         for v in reps:
-            basis.insert(v)
+            basis.add(v)
     return basis
 
 
@@ -411,10 +379,10 @@ def _check_first_difference(algebra, elements, d):
     # d_1 must equal rank(S) resp. rank(S + {e}) - 1; recomputed independently
     probe = SpanBasis(algebra.field, algebra.dim)
     if algebra.unity is not None:
-        probe.insert(algebra.unity)
+        probe.add(algebra.unity)
     base = probe.rank
     for s in elements:
-        probe.insert(s)
+        probe.add(s)
     d1 = d[1] if len(d) > 1 else 0
     if d1 != probe.rank - base:
         raise AssertionError("first difference disagrees with rank of S")
@@ -505,9 +473,9 @@ def _rref_basis(field: Field, n: int, rows, extra=None) -> SpanBasis:
     """Reduced row-echelon basis of the span of rows, plus extra if given."""
     basis = SpanBasis(field, n)
     for row in rows:
-        basis.insert(list(row))
+        basis.add(row)
     if extra is not None:
-        basis.insert(list(extra))
+        basis.add(extra)
     return basis
 
 
@@ -594,14 +562,14 @@ def _nilpotent(table: list, p: int, m_rows) -> bool:
     """
     basis, pivots = [], []
     for u in m_rows:
-        _insert_mod(basis, pivots, p, u)
+        _insert(basis, pivots, p, u)
     chain = basis
     while chain:
         rows, pivots = [], []
         for u in basis:
             for t in chain:
-                _insert_mod(rows, pivots, p, table_product(table, u, t))
-                _insert_mod(rows, pivots, p, table_product(table, t, u))
+                _insert(rows, pivots, p, table_product(table, u, t))
+                _insert(rows, pivots, p, table_product(table, t, u))
         if len(rows) == len(chain):
             return False
         chain = rows
@@ -633,15 +601,15 @@ def _generation_test(algebra: Algebra, budget: int | None = None):
     table = algebra.product_table[0]
     k_rows, k_pivots = [], []
     if e is not None:
-        _insert_mod(k_rows, k_pivots, p, list(e))
+        _insert(k_rows, k_pivots, p, e)
     for u in m_rows:
         for v in m_rows:
-            _insert_mod(k_rows, k_pivots, p, table_product(table, u, v))
+            _insert(k_rows, k_pivots, p, table_product(table, u, v))
     codim = n - len(k_rows)
     if codim == 0:
         return None
     free = [j for j in range(n) if j not in k_pivots]
-    images = [_reduce_mod(k_rows, k_pivots, p, [int(i == j) for i in range(n)])
+    images = [_reduce(k_rows, k_pivots, p, [int(i == j) for i in range(n)])[0]
               for j in range(n)]
     columns = [[image[j] for image in images] for j in free]
     projections = {}  # row tuple -> its image in A/K; rows recur across subspaces
@@ -655,7 +623,7 @@ def _generation_test(algebra: Algebra, budget: int | None = None):
             if image is None:
                 image = projections[row] = [sum(map(mul, row, column)) % p
                                             for column in columns]
-            if _insert_mod(span, pivots, p, image) is not None and len(span) == codim:
+            if _insert(span, pivots, p, image) is not None and len(span) == codim:
                 return True
         return False
 

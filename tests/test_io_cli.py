@@ -333,6 +333,12 @@ def test_cli_usage_errors(tmp_path, capsys):
     z2n2 = str(tmp_path / "z2n2.alg")
     _run(capsys, "gen", "z2n:2", "-o", z2n2)
     assert _run(capsys, "length", z2n2, "--set", "1", "--max-level", "0") == (0, "l(S) = 0\n")
+    # a sample count below 1 is refused before any work too, here before the
+    # exact sweep that would run into its budget
+    code = main(["bounds", z2n2, "--set", "1", "--exact", "--budget", "15", "--samples", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: --samples must be at least 1, got 0\n"
     # --samples, --seed and --max-level only where they are read
     unread = [(["length", good, "--set", "1,2"], "--samples", "3"),
               (["infer-unity", good], "--samples", "0"),

@@ -96,6 +96,14 @@ def test_echelon_rows_match_the_rref_oracle(data):
     for row in rref:
         again.insert(list(row))
     assert bases[0] == bases[1] == again
+    # add builds no residue but the same rows; over Q an integer multiple
+    # of a vector spans the same line
+    added = SpanBasis(field, dim)
+    for k, v in enumerate(vectors):
+        rank = added.rank
+        scale = 1 if field.characteristic else k + 2
+        assert added.add([x * scale for x in v]) == (added.rank > rank)
+    assert added == again
     # one vector fewer spans less when it was not dependent on the others
     smaller = SpanBasis(field, dim)
     for v in vectors[1:]:
