@@ -123,10 +123,6 @@ class Algebra:
 
     # -- unity ------------------------------------------------------------
 
-    @property
-    def is_unital(self) -> bool:
-        return self.unity is not None
-
     def verify_unity(self):
         """Check the declared unity against every basis vector.
 

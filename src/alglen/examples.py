@@ -179,10 +179,8 @@ def _cd_tables(level: int, gammas, f: Field):
         c, d = y[:h], y[h:]
         conj_d = conj_vec(level - 1, d)
         conj_c = conj_vec(level - 1, c)
-        left = vec_add(level - 1, mul_vec(level - 1, a, c),
-                       vec_scale(level - 1, g, mul_vec(level - 1, conj_d, b)))
-        right = vec_add(level - 1, mul_vec(level - 1, d, a),
-                        mul_vec(level - 1, b, conj_c))
+        left = vec_add(mul_vec(level - 1, a, c), vec_scale(g, mul_vec(level - 1, conj_d, b)))
+        right = vec_add(mul_vec(level - 1, d, a), mul_vec(level - 1, b, conj_c))
         return left + right
 
     def conj_vec(level, x):
@@ -192,10 +190,10 @@ def _cd_tables(level: int, gammas, f: Field):
         a = conj_vec(level - 1, x[:h])
         return a + [f.neg(c) for c in x[h:]]
 
-    def vec_add(level, x, y):
+    def vec_add(x, y):
         return [f.add(u, v) for u, v in zip(x, y)]
 
-    def vec_scale(level, c, x):
+    def vec_scale(c, x):
         return [f.mul(c, v) for v in x]
 
     def basis_vec(i):

@@ -9,10 +9,11 @@ reduced ``Fraction`` with positive denominator.  The two types agree on
 one a computation produced.  A :class:`Field` object supplies the
 operations, so no floating point ever enters any computation.
 
-The hot loops (``Algebra.multiply``, ``SpanBasis``) do not call the field
-per scalar: over Q they work on integer numerators over one common
-denominator (:func:`integer_row`) and build exact scalars only for their
-output (:func:`rational_row`).
+The hot loops (the span ladder ``spans._ladder`` and the identity walk
+``identities._walk``) do not call the field per scalar: they work on
+integer rows, over Q an element's numerators over one common denominator
+(:func:`integer_row`), and exact scalars are built only for their output
+(:func:`rational_row`).
 """
 
 from __future__ import annotations
@@ -54,19 +55,33 @@ def rational_row(numerators, d: int) -> tuple:
     return tuple(x // d if x % d == 0 else Fraction(x, d) for x in numerators)
 
 
+# Miller-Rabin with these bases decides every n < 2^64 exactly
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 2**64
+
+
 def is_prime(n: int) -> bool:
-    """Trial division up to sqrt(n)."""
+    """Deterministic Miller-Rabin, exact for 0 <= n < 2^64; larger n raise ValueError."""
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"no exact primality test for {n} >= 2^64")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -93,7 +108,7 @@ class Field:
             raise FieldMismatch(f"cannot mix {self} and {other}")
 
     # subclass API: zero, one, from_int, add, sub, mul, neg, inv, div,
-    # is_zero, parse-helper _parse_parts, format
+    # is_zero, format
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -166,6 +181,8 @@ class PrimeField(Field):
     kind = "prime-field"
 
     def __init__(self, p: int):
+        if p >= _PRIME_LIMIT:
+            raise ParseError(f"modulus {p} is not below 2^64")
         if not is_prime(p):
             raise ParseError(f"modulus {p} is not prime")
         self.p = p

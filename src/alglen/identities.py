@@ -31,15 +31,15 @@ since their rows are integer rows already; that routine keeps residues
 with pivot 1 over GF(p) and primitive integer rows over Q, so no check
 here picks row operations by field.
 
-One walk (``_walk``) decides any set of classes; ``classify`` runs it on
-all nine and each ``check_*`` on its own class.  It visits the basis
-pairs, then the basis triples, once for every class still open, and the
-(b, a) grid once for both sufficient conditions.  Each class keeps the
-order of its own tuple stream (see "the walk" below) and stops at its own
-first failure, so its verdict and witness are those of its stream walked
-alone.  Two shortcuts are exact: a mixing text is skipped at a tuple where
-the sliding text with the same left side held, since Lin_1(P) holds the
-words of Lin_1(Q_l) and Lin_1(Q_r); and the random pairs of flexible and
+One walk (``_walk``) decides all nine classes, and ``classify``, the one
+public entry, runs it.  It visits the basis pairs, then the basis
+triples, once for every class still open, and the (b, a) grid once for
+both sufficient conditions.  Each class keeps the order of its own tuple
+stream (see "the walk" below) and stops at its own first failure, so its
+verdict and witness are those of its stream walked alone.  Two shortcuts
+are exact: a mixing text is skipped at a tuple where the sliding text
+with the same left side held, since Lin_1(P) holds the words of
+Lin_1(Q_l) and Lin_1(Q_r); and the random pairs of flexible and
 alternative are tried only once a basis triple fails, since basis pairs
 plus linearized basis triples prove an equality.  Each class's random
 tuples are its own and go through ``_first_failure``.
@@ -158,7 +158,7 @@ def _letters(word) -> str:
 # the module docstring says why comparisons stay exact.
 
 
-def _row(algebra, element) -> tuple:
+def _row(element) -> tuple:
     """(row, d): the element's integer row as a tuple and the denominator it dropped."""
     row, d = integer_row(element)
     return tuple(row), d
@@ -241,7 +241,7 @@ class _LazySpan(SpanBasis):
 def _span_rows(algebra, mul, memo, name):
     """The unity's integer row, if there is a unity, then each word's of the named span."""
     if algebra.unity is not None:
-        yield _row(algebra, algebra.unity)[0]
+        yield _row(algebra.unity)[0]
     for word in SPANS[name]:
         yield _value(mul, memo, word)
 
@@ -292,7 +292,7 @@ class _Equation:
         their integer rows, and memo gains every product and the span.
         """
         for letter in self.letters:
-            memo[letter] = _row(algebra, memo[letter])[0]
+            memo[letter] = _row(memo[letter])[0]
         return self.violated(algebra, _row_product(algebra), memo)
 
 
@@ -433,7 +433,7 @@ def _first_failures(algebra, names, tuples, mul) -> dict:
         todo = [name for name in names if name not in failures]
         if not todo:
             break
-        rows = [_row(algebra, x)[0] for x in elements]
+        rows = [_row(x)[0] for x in elements]
         memo, held = {}, set()
         try:
             for name in todo:
@@ -474,7 +474,7 @@ def _forced_coefficients(algebra, a, b, texts, mul=None):
     function to use, a new one when None.
     """
     f, p = algebra.field, algebra.field.characteristic
-    (a, _), (b, d_b) = _row(algebra, a), _row(algebra, b)
+    (a, _), (b, d_b) = _row(a), _row(b)
     memo = {"a": a, "b": b}
     mul = mul or _row_product(algebra)
     products = [EQUATIONS[text].evaluate(mul, memo) for text in texts]
@@ -482,7 +482,7 @@ def _forced_coefficients(algebra, a, b, texts, mul=None):
     rows, pivots = [], []
     spanning = [_value(mul, memo, w) for w in SPANS["Lin_1(a,b,aa,ab,ba)"] if w != "aa"]
     if algebra.unity is not None:
-        spanning.insert(0, _row(algebra, algebra.unity)[0])
+        spanning.insert(0, _row(algebra.unity)[0])
     for v in spanning:
         _insert(rows, pivots, p, v)
     aa_res, aa_s = _reduce(rows, pivots, p, _value(mul, memo, "aa"))
@@ -537,11 +537,18 @@ def _holds(algebra, name, n) -> Verdict:
     return Verdict("holds-randomized", samples=n, note=note)
 
 
-def _grid_walk(algebra, variants, seed, n, mul) -> dict:
-    """The named sufficient conditions' verdicts from one walk of the (b, a) grid.
+def _grid_walk(algebra, seed, n, mul) -> dict:
+    """Both sufficient conditions' verdicts from one walk of the (b, a) grid.
 
-    Each pair's sandwich products are reduced in one _forced_coefficients
-    call over the texts of the variants still open.
+    A condition holds when some aa-coefficient depending on b alone
+    represents its sandwich products: at each pair (a, b) both products
+    must lie in the span of (a, b, aa, ab, ba[, e]), and where aa sticks
+    out of the span of the remaining monomials the aa-coefficient is
+    forced and must stay constant while a varies with b fixed.  If no pair
+    even had room for a failure (the remaining monomials span everything,
+    as in dimension 1) the verdict is inconclusive.  Each pair's sandwich
+    products are reduced in one _forced_coefficients call over the texts
+    of the conditions still open.
     """
     n_b = max(1, int(n**0.5))
     n_a = max(1, (n + n_b - 1) // n_b)
@@ -552,13 +559,13 @@ def _grid_walk(algebra, variants, seed, n, mul) -> dict:
 
     failures = {}
     informative = 0
-    pinned = dict.fromkeys(variants, 0)
+    pinned = dict.fromkeys(_SANDWICHES, 0)
     for (b,) in b_values:
-        if len(failures) == len(variants):
+        if len(failures) == len(_SANDWICHES):
             break
         seen = {}  # per variant, (a, coefficient) of its first forced coefficient at this b
         for (a,) in a_values:
-            todo = [v for v in variants if v not in failures]
+            todo = [v for v in _SANDWICHES if v not in failures]
             if not todo:
                 break
             texts = [text for v in todo for text in _SANDWICHES[v]]
@@ -582,7 +589,7 @@ def _grid_walk(algebra, variants, seed, n, mul) -> dict:
                         break
 
     verdicts = {}
-    for v in variants:
+    for v in _SANDWICHES:
         if v in failures:
             verdict = failures[v]
         elif informative == 0 and pinned[v] == 0:
@@ -596,8 +603,8 @@ def _grid_walk(algebra, variants, seed, n, mul) -> dict:
     return verdicts
 
 
-def _walk(algebra, names, seed, samples) -> dict:
-    """The named classes' verdicts, each tuple stream they share walked once for all of them.
+def _walk(algebra, seed, samples) -> dict:
+    """Every class's verdict, each tuple stream the classes share walked once for all of them.
 
     The basis pairs, then the basis triples, are visited once for every
     sweep class still open (_first_failures), and the (b, a) grid once for
@@ -608,11 +615,10 @@ def _walk(algebra, names, seed, samples) -> dict:
     """
     n = sample_count(algebra, samples)
     mul = _row_product(algebra)
-    swept = [name for name in _SALTS if name in names]
-    failures = _first_failures(algebra, swept,
+    failures = _first_failures(algebra, _SALTS,
                                chain(_basis_tuples(algebra, 2), _basis_tuples(algebra, 3)), mul)
     verdicts = {}
-    for name in swept:
+    for name in _SALTS:
         failure = failures.get(name)
         if name in _EXHAUSTIVE:
             # a random pair can fail only where a basis triple fails, and the
@@ -623,78 +629,8 @@ def _walk(algebra, names, seed, samples) -> dict:
         elif failure is None:
             failure = _first_failure(algebra, name, _random_stream(algebra, name, n, seed))
         verdicts[name] = failure or _holds(algebra, name, n)
-    variants = [v for v in _SANDWICHES if f"sufficient_condition_{v}" in names]
-    if variants:
-        verdicts.update(_grid_walk(algebra, variants, seed, n, mul))
+    verdicts.update(_grid_walk(algebra, seed, n, mul))
     return verdicts
-
-
-# -- the checks, one class each ------------------------------------------------
-
-
-def check_flexible(algebra: Algebra, seed: int = 0,
-                   samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """Flexibility: (ab)a and a(ba) agree for all a, b.
-
-    Quadratic in a, so the basis-pair sweep together with the linearized
-    basis-triple sweep is complete over any field; the verdict is
-    holds-exhaustive when nothing fails.
-    """
-    return _walk(algebra, {"flexible"}, seed, samples)["flexible"]
-
-
-def check_alternative(algebra: Algebra, seed: int = 0,
-                      samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """Alternativity: a(ab) equals (aa)b and (ba)a equals b(aa); complete like check_flexible."""
-    return _walk(algebra, {"alternative"}, seed, samples)["alternative"]
-
-
-def check_left_sliding(algebra: Algebra, seed: int = 0,
-                       samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """(xy)z lies in the span of the 13 bounded monomials with 2-fold second factor."""
-    return _walk(algebra, {"left_sliding"}, seed, samples)["left_sliding"]
-
-
-def check_right_sliding(algebra: Algebra, seed: int = 0,
-                        samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """z(xy) lies in the span of the 13 bounded monomials with 2-fold first factor."""
-    return _walk(algebra, {"right_sliding"}, seed, samples)["right_sliding"]
-
-
-def check_mixing(algebra: Algebra, seed: int = 0,
-                 samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """Both (xy)z and z(xy) lie in the span of the combined monomial pool."""
-    return _walk(algebra, {"mixing"}, seed, samples)["mixing"]
-
-
-def check_descendingly_flexible(algebra: Algebra, seed: int = 0,
-                                samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """(ab)a, a(ba) drop into Lin_1(a,b,aa,ab,ba); symmetrized triple sums drop degree."""
-    return _walk(algebra, {"descendingly_flexible"}, seed, samples)["descendingly_flexible"]
-
-
-def check_descendingly_alternative(algebra: Algebra, seed: int = 0,
-                                   samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """(ba)a, a(ab) drop into Lin_1(a,b,aa,ab,ba); symmetrized triple sums drop degree."""
-    return _walk(algebra, {"descendingly_alternative"}, seed, samples)["descendingly_alternative"]
-
-
-def check_sufficient_condition(algebra: Algebra, variant: str, seed: int = 0,
-                               samples: int = DEFAULT_SAMPLES) -> Verdict:
-    """Some aa-coefficient depending on b alone represents the sandwich products.
-
-    For each sampled pair (a, b), both products of the variant must lie in
-    the span of (a, b, aa, ab, ba[, e]).  When aa sticks out of the span of
-    the remaining monomials the aa-coefficient of the representation is
-    forced, and it must stay constant while a varies with b fixed.  Pairs
-    where aa is absorbed leave the coefficient unconstrained; if no sampled
-    pair even had room for the membership to fail (the remaining monomials
-    already span everything, as in dimension 1) the verdict is inconclusive.
-    """
-    if variant not in _SANDWICHES:
-        raise ValueError("variant must be 'flex' or 'alt'")
-    name = f"sufficient_condition_{variant}"
-    return _walk(algebra, {name}, seed, samples)[name]
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -726,7 +662,7 @@ class ClassificationReport:
 def classify(algebra: Algebra, seed: int = 0,
              samples: int = DEFAULT_SAMPLES) -> ClassificationReport:
     """Run every class check and audit the implications between them."""
-    found = _walk(algebra, set(CLASS_NAMES), seed, samples)
+    found = _walk(algebra, seed, samples)
     verdicts = {name: found[name] for name in CLASS_NAMES}
     warnings = []
     for name in ("descendingly_flexible", "descendingly_alternative"):

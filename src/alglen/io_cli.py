@@ -190,6 +190,8 @@ def resolve_set(algebra: Algebra, set_spec: str | None, set_file: str | None):
                     continue
                 coords = [algebra.field.parse(tok) for tok in line.split()]
                 elements.append(algebra.element(coords))
+        if not elements:
+            raise ParseError(f"set file {set_file!r} names no element")
         gens = generator_set(elements)
     elif set_spec is None or set_spec == "basis":
         gens = generator_set([algebra.basis_element(i)

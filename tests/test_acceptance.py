@@ -55,7 +55,7 @@ def test_criterion_1_group_algebra_lengths(tmp_path, capsys):
             assert payload["length_of_set"] == n
         for n in (2, 3):
             algebra = examples.make_group_algebra_z2n(n)
-            assert identities.check_mixing(algebra, seed=0).holds
+            assert identities.classify(algebra, seed=0).verdict("mixing").holds
             length, witness = exact_algebra_length(algebra)
             assert length == n, n
             assert diff_sequence(algebra, witness).length_of_set == n
@@ -144,7 +144,7 @@ def _sweep_sets(algebra):
 def test_criterion_4_oracle_equivalence(small_registry):
     with criterion(4, "span engine matches the brute-force oracles"):
         for name, algebra in small_registry.items():
-            mixing = identities.check_mixing(algebra, seed=0).holds
+            mixing = identities.classify(algebra, seed=0).verdict("mixing").holds
             for gens in _sweep_sets(algebra):
                 oracle = oracles.full_word_span(algebra, gens, 5)
                 for m in range(1, 6):
@@ -159,7 +159,7 @@ def test_criterion_4_oracle_equivalence(small_registry):
 def test_criterion_5_stabilization(small_registry):
     with criterion(5, "stabilization after the first zero difference"):
         for name, algebra in small_registry.items():
-            if not identities.check_mixing(algebra, seed=0).holds:
+            if not identities.classify(algebra, seed=0).verdict("mixing").holds:
                 continue
             for gens in _sweep_sets(algebra):
                 seq = diff_sequence(algebra, gens)
@@ -176,7 +176,7 @@ def test_criterion_5_stabilization(small_registry):
         assert seq.stabilized_by == "closure-criterion"
         assert all(d > 0 for d in seq.d[1:])
         n7 = examples.make_nonmixing7()
-        assert identities.check_mixing(n7, seed=0).kind == "fails"
+        assert identities.classify(n7, seed=0).verdict("mixing").kind == "fails"
         seq = diff_sequence(n7, [n7.basis_element(i) for i in (1, 2, 3)])
         assert seq.stabilized_by == "closure-criterion"
 
@@ -190,7 +190,7 @@ def test_criterion_5_stabilization(small_registry):
            "decisions ledger)")
 def test_criterion_5_negative_control_as_stated():
     c3 = examples.make_chain3()
-    verdict = identities.check_mixing(c3, seed=0)
+    verdict = identities.classify(c3, seed=0).verdict("mixing")
     print("ACCEPTANCE 5-negative-control [chain3 reported non-mixing]: FAIL "
           f"(verdict is {verdict.kind})")
     assert verdict.kind == "fails"
@@ -276,8 +276,9 @@ def test_criterion_9_spin_factor_identity():
             for product in (spin.multiply(ab, a), spin.multiply(a, ba),
                             spin.multiply(ba, a), spin.multiply(a, ab)):
                 assert product == expected
+        report = identities.classify(spin, seed=0)
         for variant in ("flex", "alt"):
-            assert identities.check_sufficient_condition(spin, variant, seed=0).holds
+            assert report.verdict(f"sufficient_condition_{variant}").holds
 
 
 def _suite_invocations(tmp_path):

@@ -76,8 +76,9 @@ def test_cayley_dickson_levels():
     assert quat.verify_unity() == (True, None)
     # the level-2 doubling with negative parameters is associative, hence
     # alternative and flexible
-    assert identities.check_alternative(quat, samples=16).holds
-    assert identities.check_flexible(quat, samples=16).holds
+    report = identities.classify(quat, samples=16)
+    assert report.verdict("alternative").holds
+    assert report.verdict("flexible").holds
     i, j = quat.basis_element(2), quat.basis_element(3)
     assert quat.multiply(i, i) == quat.scale(quat.field.from_int(-1),
                                              quat.basis_element(1))

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,25 @@ def test_prime_check():
     assert not is_prime(1) and not is_prime(4) and not is_prime(91)
     with pytest.raises(ParseError):
         PrimeField(6)
+    # the Mersenne prime 2^61 - 1 and the largest prime below 2^64
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+    start = time.perf_counter()
+    assert PrimeField(2**64 - 59).characteristic == 2**64 - 59
+    assert time.perf_counter() - start < 0.05
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the primes up to 31
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    # every n below 10^5 against a sieve of Eratosthenes
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+    # no exact test is claimed from 2^64 on, so such a modulus is refused
+    with pytest.raises(ValueError):
+        is_prime(2**64)
+    with pytest.raises(ParseError, match="not below 2"):
+        PrimeField(10**30 + 57)
 
 
 def test_field_equality_and_mismatch():

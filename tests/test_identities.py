@@ -3,7 +3,6 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -14,12 +13,7 @@ import oracles
 from alglen import examples, identities
 from alglen.algebra import make_algebra
 from alglen.field import PrimeField, Rationals
-from alglen.identities import (EQUATIONS, IDENTITIES, Witness, check_alternative,
-                               check_descendingly_alternative,
-                               check_descendingly_flexible, check_flexible,
-                               check_left_sliding, check_mixing,
-                               check_right_sliding, check_sufficient_condition,
-                               classify, replay_witness)
+from alglen.identities import EQUATIONS, IDENTITIES, Witness, classify, replay_witness
 from alglen.io_cli import build_example
 
 
@@ -28,18 +22,18 @@ def _witness_labels(algebra, verdict):
 
 
 def test_flexible_alternative_on_associative():
-    m3 = examples.make_matrix_algebra(3)
-    assert check_flexible(m3).kind == "holds-exhaustive"
-    assert check_alternative(m3).kind == "holds-exhaustive"
+    report = classify(examples.make_matrix_algebra(3))
+    assert report.verdict("flexible").kind == "holds-exhaustive"
+    assert report.verdict("alternative").kind == "holds-exhaustive"
 
 
 def test_spin_factor_class(aflex):
-    spin = examples.make_spin_factor(3)
-    assert check_flexible(spin).kind == "holds-exhaustive"
-    assert check_descendingly_flexible(spin).holds
-    assert check_descendingly_alternative(spin).holds
-    assert check_sufficient_condition(spin, "flex").holds
-    assert check_sufficient_condition(spin, "alt").holds
+    report = classify(examples.make_spin_factor(3))
+    assert report.verdict("flexible").kind == "holds-exhaustive"
+    assert report.verdict("descendingly_flexible").holds
+    assert report.verdict("descendingly_alternative").holds
+    assert report.verdict("sufficient_condition_flex").holds
+    assert report.verdict("sufficient_condition_alt").holds
 
 
 def test_classification_matrix_aflex(aflex):
@@ -76,26 +70,28 @@ def test_group_algebra_class(z2n2):
 
 def test_chain3_sliding():
     c3 = examples.make_chain3()
-    left = check_left_sliding(c3)
+    report = classify(c3)
+    left = report.verdict("left_sliding")
     assert left.kind == "fails"
     assert _witness_labels(c3, left) == {"x": "a", "y": "a", "z": "a"}
     # the combined monomial pool contains (xz)y = (aa)a, so mixing and
     # right sliding genuinely hold on this algebra
-    assert check_right_sliding(c3).holds
-    assert check_mixing(c3).holds
+    assert report.verdict("right_sliding").holds
+    assert report.verdict("mixing").holds
 
 
 def test_nonmixing_negative_control():
-    n7 = examples.make_nonmixing7()
-    assert check_mixing(n7).kind == "fails"
-    assert check_left_sliding(n7).kind == "fails"
-    assert check_right_sliding(n7).kind == "fails"
+    report = classify(examples.make_nonmixing7())
+    assert report.verdict("mixing").kind == "fails"
+    assert report.verdict("left_sliding").kind == "fails"
+    assert report.verdict("right_sliding").kind == "fails"
 
 
 def test_matrix4_descending_failures():
     m4 = examples.make_matrix_algebra(4)
-    df = check_descendingly_flexible(m4, samples=4)
-    da = check_descendingly_alternative(m4, samples=4)
+    report = classify(m4, samples=4)
+    df = report.verdict("descendingly_flexible")
+    da = report.verdict("descendingly_alternative")
     assert df.kind == "fails" and da.kind == "fails"
     assert _witness_labels(m4, df) == {"a": "E12", "b": "E23", "c": "E31"}
     # the triple of consecutive one-step matrix units is also a violation
@@ -131,38 +127,40 @@ def test_implication_audit_consistency(small_registry):
 
 def test_unital_hull_inherits_class(aflex, aalt):
     hull = examples.make_unital_hull(aflex)
-    assert check_descendingly_flexible(hull, samples=16).holds
+    assert classify(hull, samples=16).verdict("descendingly_flexible").holds
     hull = examples.make_unital_hull(aalt)
-    assert check_descendingly_alternative(hull, samples=16).holds
+    assert classify(hull, samples=16).verdict("descendingly_alternative").holds
 
 
 def test_nilpotent_index3():
-    nil = examples.make_nilpotent3()
-    assert check_descendingly_flexible(nil, samples=16).holds
-    assert check_descendingly_alternative(nil, samples=16).holds
+    report = classify(examples.make_nilpotent3(), samples=16)
+    assert report.verdict("descendingly_flexible").holds
+    assert report.verdict("descendingly_alternative").holds
 
 
 def test_sufficient_condition_edge_cases(aflex):
     one_dim = examples.make_cayley_dickson(0, [])
     # dimension 1: the remaining monomials always span everything
-    assert check_sufficient_condition(one_dim, "flex").kind == "inconclusive"
-    bad = check_sufficient_condition(aflex, "alt")
+    assert classify(one_dim).verdict("sufficient_condition_flex").kind == "inconclusive"
+    bad = classify(aflex).verdict("sufficient_condition_alt")
     assert bad.kind == "fails"
 
 
 def test_descending_checks_over_gf2(aflex_gf2, aalt_gf2):
     # over characteristic 2 the pair memberships are checked independently
-    assert check_descendingly_flexible(aflex_gf2).holds
-    assert check_descendingly_alternative(aflex_gf2).kind == "fails"
-    assert check_descendingly_alternative(aalt_gf2).holds
-    assert check_descendingly_flexible(aalt_gf2).kind == "fails"
+    report = classify(aflex_gf2)
+    assert report.verdict("descendingly_flexible").holds
+    assert report.verdict("descendingly_alternative").kind == "fails"
+    report = classify(aalt_gf2)
+    assert report.verdict("descendingly_alternative").holds
+    assert report.verdict("descendingly_flexible").kind == "fails"
 
 
 def test_sample_counts_below_one_are_refused(aflex):
     with pytest.raises(ValueError, match="samples must be at least 1"):
-        check_mixing(aflex, samples=0)
+        classify(aflex, samples=0)
     with pytest.raises(ValueError, match="samples must be at least 1"):
-        check_sufficient_condition(aflex, "flex", samples=-3)
+        classify(aflex, samples=-3)
 
 
 # Verdicts at seed 0 and samples 8, recorded before the identities became a
@@ -486,7 +484,7 @@ def test_zero_left_side_builds_no_span(monkeypatch, field):
             values = dict(zip(equation.letters, elements))
             if oracles._total(m3, values, " + ".join(equation.lhs)) != m3.zero():
                 continue
-            memo = {x: identities._row(m3, v)[0] for x, v in values.items()}
+            memo = {x: identities._row(v)[0] for x, v in values.items()}
             multiple_of_p += any(equation.evaluate(mul, dict(memo)))
             built = len(spans)
             assert not equation.violated(m3, mul, memo)
@@ -531,19 +529,6 @@ def test_identity_classes_documented():
         assert f"`{text}`" in section, text
 
 
-CHECKS = {
-    "flexible": check_flexible,
-    "alternative": check_alternative,
-    "left_sliding": check_left_sliding,
-    "right_sliding": check_right_sliding,
-    "mixing": check_mixing,
-    "descendingly_flexible": check_descendingly_flexible,
-    "descendingly_alternative": check_descendingly_alternative,
-    "sufficient_condition_flex": partial(check_sufficient_condition, variant="flex"),
-    "sufficient_condition_alt": partial(check_sufficient_condition, variant="alt"),
-}
-
-
 @settings(max_examples=40, deadline=None)
 @given(small_algebras(), st.integers(0, 3), st.integers(1, 4))
 # nonmix7's equalities hold on basis pairs but fail on a basis triple and,
@@ -552,11 +537,11 @@ CHECKS = {
 @example(build_example("nonmix7", "gf:2"), 1, 1)
 def test_walk_equals_the_per_class_streams(algebra, seed, samples):
     # classify walks the shared tuples once for all classes; each class must
-    # still get the verdict and witness of its own stream walked alone
+    # still get the verdict and witness of its own stream walked alone, as
+    # the oracle walks it
     report = classify(algebra, seed=seed, samples=samples)
     for name in identities.CLASS_NAMES:
         verdict = report.verdict(name)
-        assert verdict == CHECKS[name](algebra, seed=seed, samples=samples), name
         witness = verdict.witness and (verdict.witness.equation, dict(verdict.witness.elements))
         kind, text, values = oracles.reference_verdict(algebra, name, seed, samples)
         assert (verdict.kind, witness) == (kind, text and (text, values)), name

@@ -167,14 +167,13 @@ def test_cli_exact_length_and_bounds(tmp_path, capsys, monkeypatch):
     _run(capsys, "gen", "aalt", "--field", "gf:2", "-o", path)
     # the sweep rests on the closure criterion alone, never on an identity check
     calls = []
-    for name in ("check_mixing", "check_left_sliding", "check_right_sliding"):
-        original = getattr(identities, name)
+    original = identities._walk
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(identities, name, counted)
+    monkeypatch.setattr(identities, "_walk", counted)
     code, out = _run(capsys, "exact-length", path)
     assert code == 0 and "l(A) = 3" in out
     assert calls == []
@@ -248,17 +247,17 @@ def test_cli_bounds_exact_checks_mixing_once(tmp_path, capsys, monkeypatch):
     argv = ("bounds", path, "--set", "1,2", "--exact", "--json")
     code, plain = _run(capsys, *argv)
     assert code == 0
-    # every check runs through the one walk, which is told the classes to decide
+    # every check runs through the one walk, which decides every class at once
     calls = []
     original = identities._walk
 
-    def counted(algebra, names, *args, **kwargs):
-        calls.append(names)
-        return original(algebra, names, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(identities, "_walk", counted)
     code, out = _run(capsys, *argv)
-    assert code == 0 and sum("mixing" in names for names in calls) == 1
+    assert code == 0 and len(calls) == 1
     assert out == plain
     payload = json.loads(out)
     assert payload["exact_length"] == 3 and payload["audit"]["all_passed"]
@@ -288,11 +287,16 @@ def test_cli_usage_errors(tmp_path, capsys):
     code = main(["length", str(tmp_path / "missing.alg")])
     assert code == 2
     capsys.readouterr()
+    # a composite modulus, and one of 31 digits, which is refused at once
+    # since primality is decided exactly only below 2^64
     bad = tmp_path / "bad.alg"
-    bad.write_text("field gf 4\ndim 1\nunital none\n")
-    code = main(["length", str(bad)])
-    assert code == 2
-    capsys.readouterr()
+    for modulus in ("4", "1000000000000000000000000000057"):
+        bad.write_text(f"field gf {modulus}\ndim 1\nunital none\n")
+        start = time.perf_counter()
+        code = main(["length", str(bad)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
     # malformed integers in arguments: a message, not a traceback
     good = str(tmp_path / "aflex.alg")
     _run(capsys, "gen", "aflex", "-o", good)
@@ -433,11 +437,21 @@ def test_malformed_set_specs_exit_2(fuzz_dir, good, at, bad, command):
     assert_exits_2([command, str(fuzz_dir / "aflex.alg"), "--set=" + ",".join(indices)])
 
 
-@pytest.mark.parametrize("spec", ["", ",", " ", " , ,"])
+EMPTY_SET_FILES = {"empty.set": "", "comments.set": "# no element\n\n   # here either\n"}
+
+
+@pytest.mark.parametrize("spec", ["", ",", " ", " , ,", *EMPTY_SET_FILES])
 @pytest.mark.parametrize("command", ["length", "diffseq", "bounds"])
 def test_empty_set_specs_exit_2(fuzz_dir, spec, command):
-    # a spec that names no basis index is refused, not read as the empty set
-    assert_exits_2([command, str(fuzz_dir / "aflex.alg"), "--set=" + spec])
+    # a spec that names no basis index, or a --set-file that names no
+    # element, is refused, not read as the empty set
+    if spec in EMPTY_SET_FILES:
+        path = fuzz_dir / spec
+        path.write_text(EMPTY_SET_FILES[spec], encoding="utf-8")
+        option = f"--set-file={path}"
+    else:
+        option = "--set=" + spec
+    assert_exits_2([command, str(fuzz_dir / "aflex.alg"), option])
 
 
 def test_bounds_refuses_a_bad_set_before_classify(fuzz_dir, monkeypatch):
