@@ -60,16 +60,6 @@ def flex_max_length_strong(dim_minus_d0: int) -> int:
     return n
 
 
-def alt_max_length_strong(dim_minus_d0: int) -> int:
-    """Largest n >= 1 consistent with the alternative-type dimension bound."""
-    if dim_minus_d0 < 1:
-        raise DomainError("defined for dim - d_0 >= 1")
-    n = 1
-    while alt_min_dim(n + 1) <= dim_minus_d0:
-        n += 1
-    return n
-
-
 def quick_set_bounds(d1: int, kind: str) -> int:
     """Per-set cap from the first difference: 2*d1 or 3*d1 - 1 (0 when d1 = 0)."""
     if d1 < 0:
@@ -81,13 +71,6 @@ def quick_set_bounds(d1: int, kind: str) -> int:
     if kind == "flex":
         return 3 * d1 - 1
     raise ValueError("kind must be 'alt' or 'flex'")
-
-
-def alt_word_dim_bound(n: int, k: int) -> int:
-    """Span dimension forced by a surviving two-block word with blocks k, n-k."""
-    if not 1 <= k <= n - 1:
-        raise DomainError("need 1 <= k <= n-1")
-    return max(k, n - k) + 2**n - 2**k - 2 ** (n - k) + 1
 
 
 def flex_one_letter_dim_bound(n: int) -> int:

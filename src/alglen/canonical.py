@@ -17,14 +17,12 @@ that, numerically, in a concrete algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import NotRestrictedForm, WordTooShort
 from .spans import SpanBasis, lin_span
 from .words import Word, evaluate, is_restricted, word_length
 
 ALT_SHAPE = "ALT2"
-FLEX_SHAPES = ("EOO", "OEE", "O11", "OO", "OE")
 
 
 @dataclass(frozen=True)
@@ -169,26 +167,6 @@ def canonical_alt_form(w: Word) -> CanonicalWord:
         blocks={"x": tuple(x), "y": tuple(y)},
         partition=partition,
     )
-
-
-def alt_subword_family(k: int, m: int):
-    """Count and stream of nonempty index-set pairs (I, J) of a two-block word.
-
-    I runs over nonempty subsets of {1..k}, J over nonempty subsets of
-    {1..m-k}; the count is (2^k - 1)(2^{m-k} - 1).
-    """
-    if not 1 <= k <= m - 1:
-        raise ValueError("need 1 <= k <= m-1")
-    count = (2**k - 1) * (2 ** (m - k) - 1)
-
-    def stream():
-        for li in range(1, k + 1):
-            for i_set in combinations(range(1, k + 1), li):
-                for lj in range(1, m - k + 1):
-                    for j_set in combinations(range(1, m - k + 1), lj):
-                        yield i_set, j_set
-
-    return count, stream()
 
 
 # -- three-block form (flexible type) -----------------------------------------

@@ -1,9 +1,9 @@
-"""Constructors for the concrete algebras used throughout the test corpus.
+"""Constructors for the named example algebras of ``alglen gen``.
 
 All constructors return immutable Algebra objects with human-readable
-labels.  The Cayley-Dickson doubling and its conjugation twists are
-generic plumbing for experiments; nothing in the acceptance suite depends
-on them.
+labels.  ``io_cli.build_example`` owns the table of names.  The
+Cayley-Dickson doubling is generic plumbing for experiments; nothing in
+the acceptance suite depends on it.
 """
 
 from __future__ import annotations
@@ -231,59 +231,3 @@ def make_cayley_dickson(level: int, gammas, field: Field | None = None) -> Algeb
     unity = [f.one()] + [f.zero()] * (dim - 1)
     labels = [f"u{i}" for i in range(dim)]
     return make_algebra(f, dim, products, unity=unity, labels=labels)
-
-
-def twist_conjugation(algebra: Algebra, side: str, level: int, gammas,
-                      field: Field | None = None) -> Algebra:
-    """Replace x*y of a doubling algebra by conj(x)y, x conj(y), or both.
-
-    The twisted products generally lose the unity, so none is declared.
-    """
-    if side not in ("left", "right", "both"):
-        raise DomainError("side must be left, right, or both")
-    f = field or algebra.field
-    gammas = [g if not isinstance(g, int) else f.from_int(g) for g in gammas]
-    _, conj_signs = _cd_tables(level, gammas, f)
-    dim = algebra.dim
-
-    def twisted(i, j):
-        ci = conj_signs[i - 1]
-        cj = conj_signs[j - 1]
-        terms = algebra.sc.get((i, j), ())
-        factor = f.one()
-        if side in ("left", "both"):
-            factor = f.mul(factor, ci)
-        if side in ("right", "both"):
-            factor = f.mul(factor, cj)
-        return [(k, f.mul(factor, c)) for k, c in terms]
-
-    products = {}
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            terms = twisted(i, j)
-            if terms:
-                products[(i, j)] = terms
-    return make_algebra(f, dim, products, labels=algebra.labels)
-
-
-def registry(include_heavy: bool = False) -> dict:
-    """Named example algebras for sweeps and the gen subcommand."""
-    algs = {
-        "z2n1": make_group_algebra_z2n(1),
-        "z2n2": make_group_algebra_z2n(2),
-        "aflex": make_a_flex(),
-        "aalt": make_a_alt(),
-        "chain3": make_chain3(),
-        "nilpotent3": make_nilpotent3(),
-        "nonmix7": make_nonmixing7(),
-        "spin1": make_spin_factor(1),
-        "spin2": make_spin_factor(2),
-        "spin3": make_spin_factor(3),
-        "matrix2": make_matrix_algebra(2),
-        "hull-aflex": make_unital_hull(make_a_flex()),
-        "hull-aalt": make_unital_hull(make_a_alt()),
-    }
-    if include_heavy:
-        algs["z2n3"] = make_group_algebra_z2n(3)
-        algs["matrix4"] = make_matrix_algebra(4)
-    return algs

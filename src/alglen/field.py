@@ -23,8 +23,6 @@ from math import gcd
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
 
-Scalar = object  # int or Fraction over Q, int residue over GF(p)
-
 
 def integer_row(vec) -> tuple:
     """(numerators, d) with vec == [x / d for x in numerators]; d > 0 is the lcm.
@@ -225,28 +223,3 @@ class PrimeField(Field):
 
     def format(self, a) -> str:
         return str(a % self.p)
-
-
-_ARITH_UNARY = {"neg", "inv"}
-
-
-def scalar_arith(field: Field, op: str, a, b=None):
-    """Apply one of add/sub/mul/div/neg/inv in the given field."""
-    if op in _ARITH_UNARY:
-        if b is not None:
-            raise ValueError(f"{op} takes one operand")
-        return getattr(field, op)(a)
-    if b is None:
-        raise ValueError(f"{op} takes two operands")
-    return getattr(field, op)(a, b)
-
-
-def field_from_spec(kind: str, modulus: int | None = None) -> Field:
-    """Build a field from its textual description."""
-    if kind == "rationals":
-        return Rationals()
-    if kind == "prime-field":
-        if modulus is None:
-            raise ParseError("prime field needs a modulus")
-        return PrimeField(modulus)
-    raise ParseError(f"unknown field kind {kind!r}")

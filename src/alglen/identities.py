@@ -42,7 +42,10 @@ with the same left side held, since Lin_1(P) holds the words of
 Lin_1(Q_l) and Lin_1(Q_r); and the random pairs of flexible and
 alternative are tried only once a basis triple fails, since basis pairs
 plus linearized basis triples prove an equality.  Each class's random
-tuples are its own and go through ``_first_failure``.
+tuples are its own and go through ``_first_failure``.  A sufficient
+condition that the grid finds holding while the descending class it
+implies fails is checked once more, on the pairs of the line of that
+class's witness (``_line_walk``), where its failure must show.
 
 Three memos keep the checks from redoing work, each with its own scope.  A
 sample element is drawn once per algebra: ``random_element`` keeps its
@@ -61,6 +64,7 @@ rows refer back to it.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
@@ -315,8 +319,9 @@ EQUATIONS = {text: _Equation(text) for text in _TABLE_TEXTS}
 # a class's texts by the number of elements they quantify over
 _BY_ARITY = {(name, k): [t for t in texts if len(EQUATIONS[t].letters) == k]
              for name, texts in IDENTITIES.items() for k in (2, 3)}
-_SANDWICHES = {"flex": _BY_ARITY["descendingly_flexible", 2],
-               "alt": _BY_ARITY["descendingly_alternative", 2]}
+# each sufficient condition's variant, and the descending class it implies
+_DESCENDING = {"flex": "descendingly_flexible", "alt": "descendingly_alternative"}
+_SANDWICHES = {v: _BY_ARITY[name, 2] for v, name in _DESCENDING.items()}
 EQUATIONS.update({t.replace(" in ", " outside "): EQUATIONS[t]
                   for texts in _SANDWICHES.values() for t in texts})
 EQUATIONS.update({_clash(t): partial(_coefficient_clash, texts)
@@ -504,7 +509,9 @@ def _forced_coefficients(algebra, a, b, texts, mul=None):
 #   flexible, alternative: basis pairs, random pairs, basis triples
 #   left_sliding, right_sliding, mixing: basis triples, random triples
 #   descendingly_*: basis pairs, basis triples, random pairs, random triples
-#   sufficient_condition_*: the (b, a) grid of basis and random elements
+#   sufficient_condition_*: the (b, a) grid of basis and random elements,
+#     then, only if it held while its descending class failed, the pairs on
+#     the line of that class's witness
 # Each class draws its own random tuples, with its own salts.
 
 # per sweep class, the salts of its random pairs and of its random triples
@@ -537,56 +544,69 @@ def _holds(algebra, name, n) -> Verdict:
     return Verdict("holds-randomized", samples=n, note=note)
 
 
+def _walk_pairs(algebra, a_values, b, variants, failures, mul) -> tuple:
+    """Check the pairs (a, b), for a in a_values, for each variant not in failures.
+
+    Each pair's sandwich products must lie in the span of (a, b, aa, ab,
+    ba[, e]), and where aa sticks out of the span of the remaining
+    monomials the aa-coefficient is forced and must stay constant while a
+    varies with b fixed.  A variant's first failure goes into failures.
+    Returns the number of pairs that had room for a failure and, per
+    variant, the number of forced coefficients.  Each pair's products are
+    reduced in one _forced_coefficients call over the open variants' texts.
+    """
+    informative, pinned = 0, Counter()
+    seen = {}  # per variant, (a, coefficient) of its first forced coefficient at this b
+    for a in a_values:
+        todo = [v for v in variants if v not in failures]
+        if not todo:
+            break
+        texts = [text for v in todo for text in _SANDWICHES[v]]
+        rank, forced = _forced_coefficients(algebra, a, b, texts, mul)
+        if 0 < rank < algebra.dim:
+            informative += 1
+        forced = dict(zip(texts, forced))
+        for v in todo:
+            for text in _SANDWICHES[v]:
+                inside, g = forced[text]
+                if not inside:
+                    failures[v] = _fails(text.replace(" in ", " outside "), "ab", (a, b))
+                    break
+                if g is None:
+                    continue
+                pinned[v] += 1
+                if v not in seen:
+                    seen[v] = (a, g)
+                elif g != seen[v][1]:
+                    failures[v] = _fails(_clash(text), ("a1", "a2", "b"), (seen[v][0], a, b))
+                    break
+    return informative, pinned
+
+
 def _grid_walk(algebra, seed, n, mul) -> dict:
     """Both sufficient conditions' verdicts from one walk of the (b, a) grid.
 
     A condition holds when some aa-coefficient depending on b alone
-    represents its sandwich products: at each pair (a, b) both products
-    must lie in the span of (a, b, aa, ab, ba[, e]), and where aa sticks
-    out of the span of the remaining monomials the aa-coefficient is
-    forced and must stay constant while a varies with b fixed.  If no pair
-    even had room for a failure (the remaining monomials span everything,
-    as in dimension 1) the verdict is inconclusive.  Each pair's sandwich
-    products are reduced in one _forced_coefficients call over the texts
-    of the conditions still open.
+    represents its sandwich products; each row of the grid, one b with
+    every a, is checked by _walk_pairs.  If no pair even had room for a
+    failure (the remaining monomials span everything, as in dimension 1)
+    the verdict is inconclusive.
     """
     n_b = max(1, int(n**0.5))
     n_a = max(1, (n + n_b - 1) // n_b)
     # one-element tuples: every basis element, then the seeded random ones
     b_values = chain(_basis_tuples(algebra, 1), _random_tuples(algebra, 1, n_b, seed, 7_000))
-    a_values = list(chain(_basis_tuples(algebra, 1),
-                          _random_tuples(algebra, 1, n_a, seed, 8_000)))
+    a_values = [a for (a,) in chain(_basis_tuples(algebra, 1),
+                                    _random_tuples(algebra, 1, n_a, seed, 8_000))]
 
     failures = {}
-    informative = 0
-    pinned = dict.fromkeys(_SANDWICHES, 0)
+    informative, pinned = 0, Counter()
     for (b,) in b_values:
         if len(failures) == len(_SANDWICHES):
             break
-        seen = {}  # per variant, (a, coefficient) of its first forced coefficient at this b
-        for (a,) in a_values:
-            todo = [v for v in _SANDWICHES if v not in failures]
-            if not todo:
-                break
-            texts = [text for v in todo for text in _SANDWICHES[v]]
-            rank, forced = _forced_coefficients(algebra, a, b, texts, mul)
-            if 0 < rank < algebra.dim:
-                informative += 1
-            forced = dict(zip(texts, forced))
-            for v in todo:
-                for text in _SANDWICHES[v]:
-                    inside, g = forced[text]
-                    if not inside:
-                        failures[v] = _fails(text.replace(" in ", " outside "), "ab", (a, b))
-                        break
-                    if g is None:
-                        continue
-                    pinned[v] += 1
-                    if v not in seen:
-                        seen[v] = (a, g)
-                    elif g != seen[v][1]:
-                        failures[v] = _fails(_clash(text), ("a1", "a2", "b"), (seen[v][0], a, b))
-                        break
+        row_informative, row_pinned = _walk_pairs(algebra, a_values, b, _SANDWICHES, failures, mul)
+        informative += row_informative
+        pinned.update(row_pinned)
 
     verdicts = {}
     for v in _SANDWICHES:
@@ -603,6 +623,36 @@ def _grid_walk(algebra, seed, n, mul) -> dict:
     return verdicts
 
 
+def _fixed_letter(text) -> str:
+    """The letter a three-letter descending text holds fixed: at one place in both its words."""
+    u, w = EQUATIONS[text].lhs
+    return next(x for x, y in zip(u, w) if x == y and x.isalpha())
+
+
+def _line_walk(algebra, variant, witness, mul) -> Verdict | None:
+    """The sufficient condition's failure on the line of its descending class's witness.
+
+    Each three-letter descending text is the linearization of a sandwich
+    text at (a, b) = (x, f), with f the letter it holds fixed and x, y the
+    other two.  Had the condition held, with one aa-coefficient, at the
+    pairs (x, f), (y, f) and (x + y, f), the text would hold at the triple;
+    and a two-letter descending text is a sandwich text itself.  So the
+    condition fails at one of those pairs where the witness is a triple,
+    and at the witness's pair where it is a pair; _walk_pairs checks them
+    as it checks a row of the grid.  None when no failure shows there.
+    """
+    values = dict(witness.elements)
+    if len(values) == 2:
+        a_values, b = [values["a"]], values["b"]
+    else:
+        f = _fixed_letter(witness.equation)
+        x, y = (values[letter] for letter in "abc" if letter != f)
+        a_values, b = [x, y, algebra.add(x, y)], values[f]
+    failures = {}
+    _walk_pairs(algebra, a_values, b, (variant,), failures, mul)
+    return failures.get(variant)
+
+
 def _walk(algebra, seed, samples) -> dict:
     """Every class's verdict, each tuple stream the classes share walked once for all of them.
 
@@ -611,7 +661,8 @@ def _walk(algebra, seed, samples) -> dict:
     both sufficient conditions (_grid_walk), with one product function.  A
     class's random tuples stay its own and go through _first_failure where
     its stream has them, so each verdict and witness is that of the class's
-    stream walked alone.
+    stream walked alone.  Last, a sufficient condition that holds while
+    its descending class fails walks that class's witness line (_line_walk).
     """
     n = sample_count(algebra, samples)
     mul = _row_product(algebra)
@@ -630,6 +681,13 @@ def _walk(algebra, seed, samples) -> dict:
             failure = _first_failure(algebra, name, _random_stream(algebra, name, n, seed))
         verdicts[name] = failure or _holds(algebra, name, n)
     verdicts.update(_grid_walk(algebra, seed, n, mul))
+    # a sufficient condition implies its descending class; where the grid
+    # missed the failure that the class's witness implies, find it on the
+    # witness's line
+    for v, name in _DESCENDING.items():
+        suff = f"sufficient_condition_{v}"
+        if verdicts[suff].holds and verdicts[name].kind == "fails":
+            verdicts[suff] = _line_walk(algebra, v, verdicts[name].witness, mul) or verdicts[suff]
     return verdicts
 
 
@@ -668,8 +726,8 @@ def classify(algebra: Algebra, seed: int = 0,
     for name in ("descendingly_flexible", "descendingly_alternative"):
         if verdicts[name].holds and verdicts["mixing"].kind == "fails":
             warnings.append(f"{name} holds but mixing fails; implication violated")
-    for name, suff in (("descendingly_flexible", "sufficient_condition_flex"),
-                       ("descendingly_alternative", "sufficient_condition_alt")):
+    for v, name in _DESCENDING.items():
+        suff = f"sufficient_condition_{v}"
         if verdicts[suff].holds and verdicts[name].kind == "fails":
             warnings.append(f"{suff} holds but {name} fails; implication violated")
     return ClassificationReport(

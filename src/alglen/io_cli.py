@@ -8,9 +8,10 @@ The file grammar is line oriented with ``#`` comments:
     labels <l1> ... <ln>            (optional)
     mul <i> <j> <k> <scalar>        (b_i * b_j gains <scalar> * b_k)
 
-Omitted products are zero; duplicate (i, j, k) lines are an error; the
-declared unity is verified against every basis vector.  ``unital vec``
-covers algebras whose identity is not a basis vector (matrix algebras).
+Omitted products are zero; duplicate (i, j, k) lines and repeated labels
+are errors; the declared unity is verified against every basis vector.
+``unital vec`` covers algebras whose identity is not a basis vector
+(matrix algebras).
 """
 
 from __future__ import annotations
@@ -88,6 +89,11 @@ def parse_algebra(text: str) -> Algebra:
             if labels is not None:
                 raise ParseError("duplicate labels directive", lineno)
             labels = parts[1:]
+            seen = set()
+            for label in labels:
+                if label in seen:
+                    raise ParseError(f"duplicate label {label!r}", lineno)
+                seen.add(label)
         elif head == "mul":
             if field is None or dim is None:
                 raise ParseError("mul before field/dim", lineno)

@@ -33,7 +33,7 @@ from itertools import combinations, product, takewhile
 from math import gcd
 from operator import mul
 
-from .algebra import Algebra, Element, table_product
+from .algebra import Algebra, table_product
 from .errors import DimensionMismatch, NotFiniteField, ResourceLimit
 from .field import Field, PrimeField, integer_row, rational_row
 from .words import GeneratorSet, generator_set
@@ -477,22 +477,6 @@ def _rref_basis(field: Field, n: int, rows, extra=None) -> SpanBasis:
     if extra is not None:
         basis.add(extra)
     return basis
-
-
-def enumerate_subspaces(field: Field, n: int, must_contain: Element | None = None,
-                        budget: int | None = DEFAULT_SUBSPACE_BUDGET):
-    """Every subspace of GF(p)^n exactly once, as SpanBasis objects.
-
-    With ``must_contain`` only the subspaces containing that vector, each
-    exactly once (every subspace when it is zero).  The budget counts the
-    subspaces actually enumerated.
-    """
-    if not isinstance(field, PrimeField):
-        raise NotFiniteField("subspace enumeration needs a prime field")
-    if must_contain is not None and len(must_contain) != n:
-        raise DimensionMismatch("must_contain has wrong length")
-    for rows in _subspace_rows(field.p, n, must_contain, budget):
-        yield _rref_basis(field, n, rows, must_contain)
 
 
 # -- exact algebra length over prime fields ---------------------------------

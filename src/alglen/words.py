@@ -2,15 +2,15 @@
 
 A word is either a 1-based letter index (a leaf) or a pair
 ``(left, right)`` of words; distinct bracketings are distinct words.
-Two enumeration regimes are provided: the full one (every bracket shape
-times every letter assignment) and the restricted one (words grown one
-left- or right-multiplication by a single letter at a time).
+Words are enumerated in one regime, the restricted one: words grown one
+left- or right-multiplication by a single letter at a time.  The full
+regime (every bracket shape times every letter assignment) serves only
+as a test oracle and lives with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .errors import IndexOutOfRange, ParseError, ResourceLimit
@@ -67,52 +67,6 @@ def evaluate(algebra, gens, w: Word):
         return algebra.multiply(rec(t[0]), rec(t[1]))
 
     return rec(w)
-
-
-@lru_cache(maxsize=None)
-def catalan(n: int) -> int:
-    if n == 0:
-        return 1
-    return catalan(n - 1) * 2 * (2 * n - 1) // (n + 1)
-
-
-def _shapes(m: int):
-    """All bracket shapes with m leaves; leaves are None placeholders.
-
-    Ordered by the size of the left factor, recursively, which fixes the
-    enumeration order of everything built on top.
-    """
-    if m == 1:
-        yield None
-        return
-    for i in range(1, m):
-        for left in _shapes(i):
-            for right in _shapes(m - i):
-                yield (left, right)
-
-
-def _fill(shape, letters, pos=0):
-    if shape is None:
-        return letters[pos], pos + 1
-    left, pos = _fill(shape[0], letters, pos)
-    right, pos = _fill(shape[1], letters, pos)
-    return (left, right), pos
-
-
-def count_full(s_size: int, m: int) -> int:
-    return catalan(m - 1) * s_size**m
-
-
-def enumerate_full(s_size: int, m: int, cap: int | None = DEFAULT_WORD_CAP):
-    """Every word of length exactly m: Catalan(m-1) shapes x s_size^m letters."""
-    if m < 1:
-        raise ValueError("word length must be >= 1")
-    if cap is not None and count_full(s_size, m) > cap:
-        raise ResourceLimit(f"{count_full(s_size, m)} words of length {m} exceed cap {cap}")
-    for shape in _shapes(m):
-        for letters in product(range(1, s_size + 1), repeat=m):
-            word, _ = _fill(shape, letters, 0)
-            yield word
 
 
 def enumerate_restricted(s_size: int, m: int, cap: int | None = DEFAULT_WORD_CAP):

@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile("reproducible", derandomize=True, deadline=None)
 settings.load_profile("reproducible")
 
+import oracles
 from alglen import examples
 from alglen.field import PrimeField
 
@@ -47,4 +48,4 @@ def z2n3():
 @pytest.fixture(scope="session")
 def small_registry():
     """Example algebras of dimension at most 6, for sweep-style tests."""
-    return {name: alg for name, alg in examples.registry().items() if alg.dim <= 6}
+    return {name: alg for name, alg in oracles.example_algebras().items() if alg.dim <= 6}

@@ -10,11 +10,26 @@ SpanBasis of every span word, not on integer rows in a lazily grown span.
 The reference walk follows each class's tuple stream alone, with those
 oracles; it shares only the sample draws (``random_element``) with the
 checks.
+
+The last sections hold what the tests read and the package does not: the
+example algebras the sweeps run on, by their ``alglen gen`` names, and
+functions moved out of the package unchanged (the full word enumeration,
+the subspace enumeration over the engine's row tuples, the conjugation
+twists of the Cayley-Dickson doubling, the two-block subword family and
+two alternative-type bound formulas).
 """
 
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations, product
 
-from alglen.words import enumerate_full, evaluate
+from alglen.algebra import Algebra, Element, make_algebra
+from alglen.bounds import alt_min_dim
+from alglen.errors import DimensionMismatch, DomainError, NotFiniteField, ResourceLimit
+from alglen.examples import _cd_tables
+from alglen.field import Field, PrimeField
+from alglen.io_cli import build_example
+from alglen.spans import DEFAULT_SUBSPACE_BUDGET, _rref_basis, _subspace_rows
+from alglen.words import DEFAULT_WORD_CAP, evaluate
 
 
 # -- per-scalar Field-method references ---------------------------------------
@@ -306,8 +321,6 @@ def _text_letters(text):
 
 
 def _stream_tuples(algebra, part, n, seed):
-    from itertools import product
-
     from alglen.identities import random_element
 
     if part[0] == "basis":
@@ -323,16 +336,22 @@ def reference_verdict(algebra, name, seed, samples):
 
     A sweep class's texts of a tuple's arity are tested one by one with
     identity_violated; a sufficient condition walks its (b, a) grid with
-    forced_coefficients.
+    forced_coefficients and, where it holds while the descending class it
+    implies fails, the pairs on the line of that class's witness.
     """
     from alglen.identities import IDENTITIES, sample_count
 
     n = sample_count(algebra, samples)
     if name.startswith("sufficient_condition_"):
-        pair_class = {"flex": "descendingly_flexible", "alt": "descendingly_alternative"}
-        texts = [t for t in IDENTITIES[pair_class[name.rsplit("_", 1)[1]]]
-                 if len(_text_letters(t)) == 2]
-        return _reference_sufficient(algebra, texts, seed, n)
+        pair_class = {"flex": "descendingly_flexible",
+                      "alt": "descendingly_alternative"}[name.rsplit("_", 1)[1]]
+        texts = [t for t in IDENTITIES[pair_class] if len(_text_letters(t)) == 2]
+        verdict = _reference_sufficient(algebra, texts, seed, n)
+        if verdict[0].startswith("holds"):
+            kind, text, values = reference_verdict(algebra, pair_class, seed, samples)
+            if kind == "fails":
+                return _reference_line(algebra, texts, text, values) or verdict
+        return verdict
     for part in STREAMS[name]:
         texts = [t for t in IDENTITIES[name] if len(_text_letters(t)) == part[1]]
         for elements in _stream_tuples(algebra, part, n, seed):
@@ -342,6 +361,30 @@ def reference_verdict(algebra, name, seed, samples):
                     return "fails", text, values
     exhaustive = name in ("flexible", "alternative")
     return ("holds-exhaustive" if exhaustive else "holds-randomized"), None, None
+
+
+def _reference_row(algebra, texts, a_values, b):
+    """(failure or None, informative pairs, forced coefficients) of the pairs (a, b)."""
+    informative = pinned = 0
+    seen = None
+    for a in a_values:
+        rank, forced = forced_coefficients(algebra, a, b, texts)
+        informative += 0 < rank < algebra.dim
+        for text, (inside, g) in zip(texts, forced):
+            lhs = text.split(" in ")[0]
+            if not inside:
+                failure = "fails", text.replace(" in ", " outside "), {"a": a, "b": b}
+                return failure, informative, pinned
+            if g is None:
+                continue
+            pinned += 1
+            if seen is None:
+                seen = (a, g)
+            elif g != seen[1]:
+                failure = ("fails", f"aa-coefficient forced by {lhs} inconsistent at fixed b",
+                           {"a1": seen[0], "a2": a, "b": b})
+                return failure, informative, pinned
+    return None, informative, pinned
 
 
 def _reference_sufficient(algebra, texts, seed, n):
@@ -354,22 +397,198 @@ def _reference_sufficient(algebra, texts, seed, n):
     a_values = basis + [random_element(algebra, seed, 8_000 + t) for t in range(n_a)]
     informative = pinned = 0
     for b in b_values:
-        seen = None
-        for a in a_values:
-            rank, forced = forced_coefficients(algebra, a, b, texts)
-            informative += 0 < rank < algebra.dim
-            for text, (inside, g) in zip(texts, forced):
-                lhs = text.split(" in ")[0]
-                if not inside:
-                    return "fails", text.replace(" in ", " outside "), {"a": a, "b": b}
-                if g is None:
-                    continue
-                pinned += 1
-                if seen is None:
-                    seen = (a, g)
-                elif g != seen[1]:
-                    return ("fails", f"aa-coefficient forced by {lhs} inconsistent at fixed b",
-                            {"a1": seen[0], "a2": a, "b": b})
+        failure, row_informative, row_pinned = _reference_row(algebra, texts, a_values, b)
+        if failure:
+            return failure
+        informative += row_informative
+        pinned += row_pinned
     if not informative and not pinned:
         return "inconclusive", None, None
     return "holds-randomized", None, None
+
+
+# the letter each three-letter descending text holds fixed: the text is the
+# linearization of a sandwich text at (a, b) = (x, f) in the other letters x, y
+FIXED_LETTER = {"(ab)c + (cb)a": "b", "a(bc) + c(ba)": "b",
+                "(ab)c + (ac)b": "a", "a(bc) + b(ac)": "c"}
+
+
+def _reference_line(algebra, texts, text, values):
+    """The failure at (x, f), (y, f) or (x + y, f) of a triple witness, or at a pair witness."""
+    if len(values) == 2:
+        a_values, b = [values["a"]], values["b"]
+    else:
+        f = FIXED_LETTER[text.split(" in ")[0]]
+        x, y = (values[letter] for letter in "abc" if letter != f)
+        a_values, b = [x, y, algebra.add(x, y)], values[f]
+    return _reference_row(algebra, texts, a_values, b)[0]
+
+
+# -- the example algebras the tests sweep --------------------------------------
+
+# keyed as the test ids name them, each built as ``alglen gen <name>`` builds it
+EXAMPLES = {
+    "z2n1": "z2n:1",
+    "z2n2": "z2n:2",
+    "aflex": "aflex",
+    "aalt": "aalt",
+    "chain3": "chain3",
+    "nilpotent3": "nilpotent3",
+    "nonmix7": "nonmix7",
+    "spin1": "spin:1",
+    "spin2": "spin:2",
+    "spin3": "spin:3",
+    "matrix2": "matrix:2",
+    "hull-aflex": "hull:aflex",
+    "hull-aalt": "hull:aalt",
+    "z2n3": "z2n:3",
+    "matrix4": "matrix:4",
+}
+
+
+def example_algebras() -> dict:
+    return {key: build_example(name) for key, name in EXAMPLES.items()}
+
+
+# -- full word enumeration -----------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def catalan(n: int) -> int:
+    if n == 0:
+        return 1
+    return catalan(n - 1) * 2 * (2 * n - 1) // (n + 1)
+
+
+def _shapes(m: int):
+    """All bracket shapes with m leaves; leaves are None placeholders.
+
+    Ordered by the size of the left factor, recursively, which fixes the
+    enumeration order of everything built on top.
+    """
+    if m == 1:
+        yield None
+        return
+    for i in range(1, m):
+        for left in _shapes(i):
+            for right in _shapes(m - i):
+                yield (left, right)
+
+
+def _fill(shape, letters, pos=0):
+    if shape is None:
+        return letters[pos], pos + 1
+    left, pos = _fill(shape[0], letters, pos)
+    right, pos = _fill(shape[1], letters, pos)
+    return (left, right), pos
+
+
+def count_full(s_size: int, m: int) -> int:
+    return catalan(m - 1) * s_size**m
+
+
+def enumerate_full(s_size: int, m: int, cap: int | None = DEFAULT_WORD_CAP):
+    """Every word of length exactly m: Catalan(m-1) shapes x s_size^m letters."""
+    if m < 1:
+        raise ValueError("word length must be >= 1")
+    if cap is not None and count_full(s_size, m) > cap:
+        raise ResourceLimit(f"{count_full(s_size, m)} words of length {m} exceed cap {cap}")
+    for shape in _shapes(m):
+        for letters in product(range(1, s_size + 1), repeat=m):
+            word, _ = _fill(shape, letters, 0)
+            yield word
+
+
+# -- subspace enumeration over prime fields ------------------------------------
+
+
+def enumerate_subspaces(field: Field, n: int, must_contain: Element | None = None,
+                        budget: int | None = DEFAULT_SUBSPACE_BUDGET):
+    """Every subspace of GF(p)^n exactly once, as SpanBasis objects.
+
+    With ``must_contain`` only the subspaces containing that vector, each
+    exactly once (every subspace when it is zero).  The budget counts the
+    subspaces actually enumerated.
+    """
+    if not isinstance(field, PrimeField):
+        raise NotFiniteField("subspace enumeration needs a prime field")
+    if must_contain is not None and len(must_contain) != n:
+        raise DimensionMismatch("must_contain has wrong length")
+    for rows in _subspace_rows(field.p, n, must_contain, budget):
+        yield _rref_basis(field, n, rows, must_contain)
+
+
+# -- conjugation twists of the Cayley-Dickson doubling -------------------------
+
+
+def twist_conjugation(algebra: Algebra, side: str, level: int, gammas,
+                      field: Field | None = None) -> Algebra:
+    """Replace x*y of a doubling algebra by conj(x)y, x conj(y), or both.
+
+    The twisted products generally lose the unity, so none is declared.
+    """
+    if side not in ("left", "right", "both"):
+        raise DomainError("side must be left, right, or both")
+    f = field or algebra.field
+    gammas = [g if not isinstance(g, int) else f.from_int(g) for g in gammas]
+    _, conj_signs = _cd_tables(level, gammas, f)
+    dim = algebra.dim
+
+    def twisted(i, j):
+        ci = conj_signs[i - 1]
+        cj = conj_signs[j - 1]
+        terms = algebra.sc.get((i, j), ())
+        factor = f.one()
+        if side in ("left", "both"):
+            factor = f.mul(factor, ci)
+        if side in ("right", "both"):
+            factor = f.mul(factor, cj)
+        return [(k, f.mul(factor, c)) for k, c in terms]
+
+    products = {}
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            terms = twisted(i, j)
+            if terms:
+                products[(i, j)] = terms
+    return make_algebra(f, dim, products, labels=algebra.labels)
+
+
+# -- two-block subword family and alternative-type bounds ----------------------
+
+
+def alt_subword_family(k: int, m: int):
+    """Count and stream of nonempty index-set pairs (I, J) of a two-block word.
+
+    I runs over nonempty subsets of {1..k}, J over nonempty subsets of
+    {1..m-k}; the count is (2^k - 1)(2^{m-k} - 1).
+    """
+    if not 1 <= k <= m - 1:
+        raise ValueError("need 1 <= k <= m-1")
+    count = (2**k - 1) * (2 ** (m - k) - 1)
+
+    def stream():
+        for li in range(1, k + 1):
+            for i_set in combinations(range(1, k + 1), li):
+                for lj in range(1, m - k + 1):
+                    for j_set in combinations(range(1, m - k + 1), lj):
+                        yield i_set, j_set
+
+    return count, stream()
+
+
+def alt_max_length_strong(dim_minus_d0: int) -> int:
+    """Largest n >= 1 consistent with the alternative-type dimension bound."""
+    if dim_minus_d0 < 1:
+        raise DomainError("defined for dim - d_0 >= 1")
+    n = 1
+    while alt_min_dim(n + 1) <= dim_minus_d0:
+        n += 1
+    return n
+
+
+def alt_word_dim_bound(n: int, k: int) -> int:
+    """Span dimension forced by a surviving two-block word with blocks k, n-k."""
+    if not 1 <= k <= n - 1:
+        raise DomainError("need 1 <= k <= n-1")
+    return max(k, n - k) + 2**n - 2**k - 2 ** (n - k) + 1

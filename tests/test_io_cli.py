@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from alglen import examples, identities, io_cli
 from alglen.algebra import find_unity, make_algebra
 from alglen.errors import ParseError
@@ -30,9 +31,9 @@ def test_parse_minimal():
     assert algebra.multiply(a, a) == a
 
 
-@pytest.mark.parametrize("name", sorted(examples.registry(include_heavy=True)))
+@pytest.mark.parametrize("name", sorted(oracles.EXAMPLES))
 def test_roundtrip_examples(name):
-    algebra = examples.registry(include_heavy=True)[name]
+    algebra = build_example(oracles.EXAMPLES[name])
     again = parse_algebra(print_algebra(algebra))
     assert again.field == algebra.field
     assert again.dim == algebra.dim
@@ -54,6 +55,9 @@ def test_parse_errors():
         parse_algebra("field rational\ndim 1\nunital none\nfrobnicate 1\n")
     with pytest.raises(ParseError):
         parse_algebra("field rational\ndim 1\nmul 1 1 1 1\n")  # no unital line
+    # a repeated label would print two basis elements alike
+    with pytest.raises(ParseError, match="line 4: duplicate label 'x'"):
+        parse_algebra("field rational\ndim 2\nunital none\nlabels x x\n")
     # declared unity must actually act as the identity
     bad = "field rational\ndim 2\nunital 1\nmul 1 1 1 1\n"
     with pytest.raises(ParseError):

@@ -1,0 +1,46 @@
+"""Every module-level name in ``src/alglen`` is named in ``src/alglen``
+somewhere other than at its definition.
+
+A function, class or constant that only tests read belongs beside the tests
+(``oracles``), not in the package.  A name counts as named wherever it
+occurs as a word of a package file, in code or in text; the names that
+``alglen.__all__`` exports are the package's API and need no other mention.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import alglen
+
+SRC = Path(alglen.__file__).resolve().parent
+
+
+def _defined(tree):
+    """The module-level names a module defines, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def unnamed_definitions() -> list:
+    """``module:name`` of each module-level name named only where it is defined."""
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    definitions = [(module, name) for module, text in texts.items()
+                   for name in _defined(ast.parse(text))
+                   if not (name.startswith("__") and name.endswith("__"))]
+    words = Counter(word for text in texts.values() for word in re.findall(r"\w+", text))
+    defined = Counter(name for _, name in definitions)
+    return [f"{module}:{name}" for module, name in definitions
+            if words[name] <= defined[name] and name not in alglen.__all__]
+
+
+def test_every_module_level_name_is_named_beyond_its_definition():
+    assert unnamed_definitions() == []

@@ -9,9 +9,9 @@ from alglen import examples, spans
 from alglen.algebra import make_algebra
 from alglen.errors import DimensionMismatch, NotFiniteField, ResourceLimit
 from alglen.field import PrimeField, Rationals
-from alglen.spans import (SpanBasis, count_subspaces, diff_sequence,
-                          enumerate_subspaces, exact_algebra_length,
+from alglen.spans import (SpanBasis, count_subspaces, diff_sequence, exact_algebra_length,
                           gaussian_binomial, length_of_set, lin_span)
+from oracles import enumerate_subspaces
 
 Q = Rationals()
 
