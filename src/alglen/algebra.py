@@ -17,6 +17,11 @@ from .field import Field, integer_row, rational_row
 
 Element = tuple  # tuple of n scalars
 
+# random tuples per identity class (``identities.classify`` and the CLI's
+# ``--samples``); kept here, beside ``Algebra.sample_draws``, because every
+# command loads this module and only some load ``identities``
+DEFAULT_SAMPLES = 64
+
 
 @dataclass(frozen=True)
 class Algebra:
@@ -46,8 +51,15 @@ class Algebra:
                     raise ValueError(f"zero structure constant stored at ({i},{j},{k})")
         if self.unity is not None and len(self.unity) != self.dim:
             raise DimensionMismatch("unity has wrong length")
-        if self.labels is not None and len(self.labels) != self.dim:
-            raise DimensionMismatch("labels list has wrong length")
+        if self.labels is not None:
+            if len(self.labels) != self.dim:
+                raise DimensionMismatch("labels list has wrong length")
+            seen = set()
+            for label in self.labels:
+                if label in seen:
+                    # two basis elements would print alike
+                    raise ValueError(f"repeated label {label!r}")
+                seen.add(label)
 
     # -- elements ---------------------------------------------------------
 

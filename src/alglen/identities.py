@@ -69,12 +69,11 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
 
-from .algebra import Algebra, Element, table_product
+from .algebra import DEFAULT_SAMPLES, Algebra, Element, table_product
 from .errors import DomainError
 from .field import integer_row
 from .spans import SpanBasis, _insert, _reduce
 
-DEFAULT_SAMPLES = 64
 CHAR2_SAMPLE_FACTOR = 4
 
 CLASS_NAMES = (

@@ -12,6 +12,10 @@ Omitted products are zero; duplicate (i, j, k) lines and repeated labels
 are errors; the declared unity is verified against every basis vector.
 ``unital vec`` covers algebras whose identity is not a basis vector
 (matrix algebras).
+
+Each command imports its engine (``identities``, ``bounds``, ``canonical``,
+``examples``) when it runs, so a fresh process loads only the engine its
+command runs.
 """
 
 from __future__ import annotations
@@ -21,14 +25,8 @@ import functools
 import json
 import sys
 
-from . import bounds as bounds_mod
-from . import identities
-from .algebra import Algebra, make_algebra
-from .canonical import canonical_alt_form, canonical_flex_form, verify_equivalence
+from .algebra import DEFAULT_SAMPLES, Algebra, find_unity, make_algebra
 from .errors import AlgLenError, ParseError
-from .examples import (make_a_alt, make_a_flex, make_cayley_dickson, make_chain3,
-                       make_group_algebra_z2n, make_matrix_algebra, make_nilpotent3,
-                       make_nonmixing7, make_spin_factor, make_unital_hull)
 from .field import Field, PrimeField, Rationals
 from .spans import DEFAULT_SUBSPACE_BUDGET, diff_sequence, exact_algebra_length, lin_span
 from .words import (enumerate_restricted, evaluate, format_word, generator_set,
@@ -159,10 +157,11 @@ def print_algebra(algebra: Algebra) -> str:
     if algebra.unity is None:
         lines.append("unital none")
     else:
-        ones = [i for i in range(algebra.dim)
-                if algebra.unity == algebra.basis_element(i + 1)]
-        if ones:
-            lines.append(f"unital {ones[0] + 1}")
+        # the unity is b_i when its only coordinate other than zero is a one at i
+        z, one = f.zero(), f.one()
+        nonzero = [i for i, c in enumerate(algebra.unity) if c != z]
+        if len(nonzero) == 1 and algebra.unity[nonzero[0]] == one:
+            lines.append(f"unital {nonzero[0] + 1}")
         else:
             lines.append("unital vec " + " ".join(f.format(c) for c in algebra.unity))
     if algebra.labels is not None:
@@ -231,6 +230,10 @@ def build_example(name: str, field_spec: str | None = None) -> Algebra:
     Without a field spec, ``z2n:<n>`` is built over GF(2), the only field
     it is defined over, and every other example over the rationals.
     """
+    from .examples import (make_a_alt, make_a_flex, make_cayley_dickson, make_chain3,
+                           make_group_algebra_z2n, make_matrix_algebra, make_nilpotent3,
+                           make_nonmixing7, make_spin_factor, make_unital_hull)
+
     base, _, param = name.partition(":")
     if base == "z2n":
         if field_spec is not None and _resolve_field(field_spec) != PrimeField(2):
@@ -277,6 +280,8 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
 
 
 def _cmd_classify(args) -> int:
+    from . import identities
+
     algebra = _load(args.algebra)
     report = identities.classify(algebra, seed=args.seed, samples=args.samples)
     lines = [f"classification of {args.algebra} (seed {args.seed})"]
@@ -346,6 +351,9 @@ def _find_surviving_word(algebra, gens, seq, cap=4096):
 
 
 def _cmd_bounds(args) -> int:
+    from . import identities
+    from .bounds import audit
+
     algebra = _load(args.algebra)
     # the set and the field are checked first, so that bad input is refused before any work
     gens = resolve_set(algebra, args.set, args.set_file)
@@ -360,12 +368,14 @@ def _cmd_bounds(args) -> int:
     if report.verdict("descendingly_flexible").holds:
         w = _find_surviving_word(algebra, gens, seq)
         if w is not None:
+            from .canonical import canonical_flex_form
+
             cw = canonical_flex_form(w)
             if cw.shape in ("EOO", "OEE", "O11"):
                 sizes = tuple(len(cw.blocks[r]) for r in ("x", "y", "z"))
                 shapes.append(("S", word_length(w), sizes))
-    audit_report = bounds_mod.audit(algebra, report, set_results,
-                                    algebra_length=exact, canonical_shapes=shapes)
+    audit_report = audit(algebra, report, set_results,
+                         algebra_length=exact, canonical_shapes=shapes)
     lines = [f"bounds audit of {args.algebra}"]
     for e in audit_report.entries:
         status = "pass" if e.passed else "FAIL"
@@ -380,6 +390,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
+    from .canonical import canonical_alt_form, canonical_flex_form, verify_equivalence
+
     w = parse_word(args.word)
     cw = canonical_alt_form(w) if args.variant == "alt" else canonical_flex_form(w)
     payload = {"word": args.word, "variant": args.variant,
@@ -406,8 +418,6 @@ def _cmd_canonical(args) -> int:
 
 def _cmd_infer_unity(args) -> int:
     algebra = _load(args.algebra)
-    from .algebra import find_unity
-
     candidate = find_unity(algebra)
     declared = algebra.unity
     payload = {
@@ -448,6 +458,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import identities
+
     algebra = _load(args.algebra)
     size = args.set_size or algebra.dim
     best = None
@@ -484,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_seed:
             p.add_argument("--seed", type=int, default=0)
         if with_samples:
-            p.add_argument("--samples", type=int, default=identities.DEFAULT_SAMPLES)
+            p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
         p.add_argument("--json", action="store_true")
         if with_level:
             p.add_argument("--max-level", type=int, default=None, dest="max_level")

@@ -73,6 +73,14 @@ def test_construction_errors():
     assert make_algebra(f, 2, {(1, 1): [(2, f.zero())]}).sc == {}
 
 
+def test_repeated_labels_are_refused():
+    # a library caller gets the error that parse_algebra gives a file
+    f = Rationals()
+    with pytest.raises(ValueError, match="repeated label 'x'"):
+        make_algebra(f, 2, {}, labels=["x", "x"])
+    assert make_algebra(f, 2, {}, labels=["x", "y"]).format_element((-2, 1)) == "-2*x + y"
+
+
 def test_matrix_units():
     m2 = examples.make_matrix_algebra(2)
     e12, e21 = m2.basis_element(2), m2.basis_element(3)

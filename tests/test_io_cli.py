@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from alglen import examples, identities, io_cli
-from alglen.algebra import find_unity, make_algebra
+from alglen.algebra import Algebra, find_unity, make_algebra
 from alglen.errors import ParseError
-from alglen.field import PrimeField
+from alglen.field import PrimeField, Rationals
 from alglen.io_cli import build_example, main, parse_algebra, print_algebra, resolve_set
 from alglen.spans import solve_coordinates
 
@@ -41,6 +44,24 @@ def test_roundtrip_examples(name):
     assert again.unity == algebra.unity
     assert again.labels == algebra.labels
     assert print_algebra(again) == print_algebra(algebra)
+
+
+def test_print_algebra_reads_the_unity_without_building_basis_vectors(monkeypatch):
+    # one pass over the unity's coordinates, not one basis vector per index
+    spin = build_example("spin:300")
+    matrix = build_example("matrix:2")
+    f = Rationals()
+    scaled = make_algebra(f, 2, {}, unity=(0, 2))
+    second = make_algebra(f, 2, {}, unity=(0, 1))
+    built = []
+    basis_element = Algebra.basis_element
+    monkeypatch.setattr(Algebra, "basis_element",
+                        lambda self, i: built.append(i) or basis_element(self, i))
+    assert "\nunital 1\n" in print_algebra(spin)
+    assert "\nunital vec 1 0 0 1\n" in print_algebra(matrix)
+    assert "\nunital vec 0 2\n" in print_algebra(scaled)
+    assert "\nunital 2\n" in print_algebra(second)
+    assert built == []
 
 
 def test_parse_errors():
@@ -619,3 +640,42 @@ def test_duplicate_set_warning(z2n2, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "duplicate" in captured.err
+
+
+# A fresh interpreter runs one command and lists the alglen modules it loaded.
+LOADED_CHILD = """\
+import contextlib, io, json, sys
+from alglen import io_cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = io_cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("alglen."))]))
+"""
+
+ENGINES = {"identities", "bounds", "canonical", "examples"}
+
+# command: (its argv, FILE standing for an algebra file; modules it must load; must not)
+LOADS = {
+    "exact-length": (["exact-length", "FILE"], {"spans"}, ENGINES),
+    "diffseq": (["diffseq", "FILE", "--set", "1,2"], {"spans"}, ENGINES),
+    "length": (["length", "FILE", "--set", "1,2"], {"spans"}, ENGINES),
+    "infer-unity": (["infer-unity", "FILE"], {"spans"}, ENGINES),
+    "classify": (["classify", "FILE"], {"identities"}, {"canonical", "examples"}),
+    "gen": (["gen", "aflex"], {"examples"}, {"identities", "bounds", "canonical"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADS))
+def test_each_command_loads_only_the_engines_it_runs(tmp_path, capsys, command):
+    argv, loaded, unloaded = LOADS[command]
+    path = str(tmp_path / "aflex2.alg")
+    _run(capsys, "gen", "aflex", "--field", "gf:2", "-o", path)
+    argv = [path if arg == "FILE" else arg for arg in argv]
+    src = str(Path(io_cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", LOADED_CHILD, json.dumps(argv)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    code, modules = json.loads(proc.stdout)
+    names = {m.removeprefix("alglen.") for m in modules}
+    assert code == 0
+    assert loaded <= names
+    assert not names & unloaded
