@@ -3,20 +3,16 @@ finite-dimensional non-associative algebras given by structure constants."""
 
 from .algebra import Algebra, make_algebra
 from .field import PrimeField, Rationals
-from .spans import DiffSequence, SpanBasis, diff_sequence, exact_algebra_length, length_of_set
-from .words import GeneratorSet, generator_set
+from .spans import DiffSequence, SpanBasis, diff_sequence, exact_algebra_length
 
 __all__ = [
     "Algebra",
     "DiffSequence",
-    "GeneratorSet",
     "PrimeField",
     "Rationals",
     "SpanBasis",
     "diff_sequence",
     "exact_algebra_length",
-    "generator_set",
-    "length_of_set",
     "make_algebra",
 ]
 

@@ -63,9 +63,6 @@ class Algebra:
 
     # -- elements ---------------------------------------------------------
 
-    def zero(self) -> Element:
-        return (self.field.zero(),) * self.dim
-
     def basis_element(self, i: int) -> Element:
         if not 1 <= i <= self.dim:
             raise IndexOutOfRange(f"basis index {i}")
@@ -90,10 +87,6 @@ class Algebra:
     def scale(self, c, a: Element) -> Element:
         f = self.field
         return tuple(f.mul(c, x) for x in a)
-
-    def is_zero_element(self, a: Element) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for x in a)
 
     @cached_property
     def product_table(self) -> tuple:
@@ -183,41 +176,6 @@ def table_product(table: list, u, v) -> list:
                     for k, s in terms:
                         acc[k] += c * s
     return acc
-
-
-def find_unity(algebra: Algebra) -> Element | None:
-    """Solve for a two-sided identity element, or None if there is none.
-
-    Diagnostic only: the result is never attached to the algebra, since a
-    declared unity changes the zero-length word count and with it the
-    meaning of every length statement.
-    """
-    from .spans import solve_coordinates  # local import to avoid a cycle
-
-    f = algebra.field
-    n = algebra.dim
-    # unknowns x_j with sum_j x_j (b_j b_i) = b_i = sum_j x_j (b_i b_j):
-    # stack both constraint families into one long linear system
-    columns = []
-    for j in range(1, n + 1):
-        bj = algebra.basis_element(j)
-        col = []
-        for i in range(1, n + 1):
-            col.extend(algebra.multiply(bj, algebra.basis_element(i)))
-        for i in range(1, n + 1):
-            col.extend(algebra.multiply(algebra.basis_element(i), bj))
-        columns.append(col)
-    target = []
-    for _ in range(2):
-        for i in range(1, n + 1):
-            target.extend(algebra.basis_element(i))
-    status, coeffs = solve_coordinates(f, columns, target)
-    if status == "ok":
-        return tuple(coeffs)
-    # dependent columns mean a nonzero kernel; adding a kernel vector to any
-    # solution would yield a second identity element, which cannot exist, so
-    # both remaining statuses imply there is no identity
-    return None
 
 
 def make_algebra(field: Field, dim: int, products: dict, unity=None, labels=None) -> Algebra:

@@ -59,9 +59,6 @@ class CanonicalWord:
             return (_block_tree(u, "left"), _block_tree(v, "right"))
         return (_block_tree(v, "right"), _block_tree(u, "right"))
 
-    def largest_class(self) -> int:
-        return max(len(c) for c in self.partition)
-
     def as_dict(self):
         return {
             "variant": self.variant,

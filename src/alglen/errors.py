@@ -9,10 +9,6 @@ class DivisionByZero(AlgLenError, ZeroDivisionError):
     """Division by, or inversion of, the zero scalar."""
 
 
-class FieldMismatch(AlgLenError):
-    """Operands belong to different fields."""
-
-
 class ParseError(AlgLenError, ValueError):
     """Malformed scalar, word, or algebra-file text."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import DivisionByZero, FieldMismatch, ParseError
+from .errors import DivisionByZero, ParseError
 
 
 def integer_row(vec) -> tuple:
@@ -100,10 +100,6 @@ class Field:
 
     def __hash__(self):
         return hash((self.kind, self.characteristic))
-
-    def check_same(self, other: "Field") -> None:
-        if self != other:
-            raise FieldMismatch(f"cannot mix {self} and {other}")
 
     # subclass API: zero, one, from_int, add, sub, mul, neg, inv, div,
     # is_zero, format

@@ -25,12 +25,12 @@ import functools
 import json
 import sys
 
-from .algebra import DEFAULT_SAMPLES, Algebra, find_unity, make_algebra
+from .algebra import DEFAULT_SAMPLES, Algebra, make_algebra
 from .errors import AlgLenError, ParseError
 from .field import Field, PrimeField, Rationals
-from .spans import DEFAULT_SUBSPACE_BUDGET, diff_sequence, exact_algebra_length, lin_span
-from .words import (enumerate_restricted, evaluate, format_word, generator_set,
-                    parse_word, word_length)
+from .spans import (DEFAULT_SUBSPACE_BUDGET, diff_sequence, exact_algebra_length, find_unity,
+                    lin_span)
+from .words import enumerate_restricted, evaluate, format_word, parse_word, word_length
 
 
 # -- algebra file format -------------------------------------------------------
@@ -43,6 +43,12 @@ def parse_algebra(text: str) -> Algebra:
     labels = None
     muls = {}
     mul_lines = {}
+
+    def scalar(text, lineno):
+        try:
+            return field.parse(text)
+        except AlgLenError as exc:
+            raise ParseError(str(exc), lineno) from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -86,7 +92,7 @@ def parse_algebra(text: str) -> Algebra:
         elif head == "labels":
             if labels is not None:
                 raise ParseError("duplicate labels directive", lineno)
-            labels = parts[1:]
+            labels, labels_line = parts[1:], lineno
             seen = set()
             for label in labels:
                 if label in seen:
@@ -108,11 +114,7 @@ def parse_algebra(text: str) -> Algebra:
                     f"duplicate product entry ({i},{j},{k}); first at line {mul_lines[(i, j, k)]}",
                     lineno)
             mul_lines[(i, j, k)] = lineno
-            try:
-                c = field.parse(parts[4])
-            except AlgLenError as exc:
-                raise ParseError(str(exc), lineno) from None
-            muls.setdefault((i, j), []).append((k, c))
+            muls.setdefault((i, j), []).append((k, scalar(parts[4], lineno)))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
 
@@ -133,10 +135,10 @@ def parse_algebra(text: str) -> Algebra:
         coords = unity_decl[1]
         if len(coords) != dim:
             raise ParseError("unity vector has wrong length", unity_decl[2])
-        unity = tuple(field.parse(c) for c in coords)
+        unity = tuple(scalar(c, unity_decl[2]) for c in coords)
 
     if labels is not None and len(labels) != dim:
-        raise ParseError("labels list has wrong length")
+        raise ParseError("labels list has wrong length", labels_line)
 
     algebra = make_algebra(field, dim, muls, unity=unity, labels=labels)
     ok, bad = algebra.verify_unity()
@@ -185,7 +187,8 @@ def _parse_int(text: str, what: str) -> int:
         raise ParseError(f"bad {what} {text!r}") from None
 
 
-def resolve_set(algebra: Algebra, set_spec: str | None, set_file: str | None):
+def resolve_set(algebra: Algebra, set_spec: str | None, set_file: str | None) -> tuple:
+    """The generator set of ``--set`` or ``--set-file`` as a tuple of elements."""
     if set_file is not None:
         elements = []
         with open(set_file, encoding="utf-8") as fh:
@@ -197,18 +200,16 @@ def resolve_set(algebra: Algebra, set_spec: str | None, set_file: str | None):
                 elements.append(algebra.element(coords))
         if not elements:
             raise ParseError(f"set file {set_file!r} names no element")
-        gens = generator_set(elements)
+        gens = tuple(elements)
     elif set_spec is None or set_spec == "basis":
-        gens = generator_set([algebra.basis_element(i)
-                              for i in range(1, algebra.dim + 1)])
+        gens = tuple(algebra.basis_element(i) for i in range(1, algebra.dim + 1))
     else:
         indices = [_parse_int(tok, "basis index") for tok in set_spec.split(",")
                    if tok.strip()]
         if not indices:
             raise ParseError(f"set spec {set_spec!r} names no basis index")
-        gens = generator_set([algebra.basis_element(i) for i in indices],
-                             labels=[algebra.label(i) for i in indices])
-    if gens.has_duplicates:
+        gens = tuple(algebra.basis_element(i) for i in indices)
+    if len(set(gens)) < len(gens):
         sys.stderr.write("warning: generator set contains duplicate elements\n")
     return gens
 
@@ -328,7 +329,7 @@ def _cmd_exact_length(args) -> int:
     algebra = _load(args.algebra)
     length, witness = exact_algebra_length(algebra, budget=args.budget,
                                            max_level=args.max_level)
-    shown = [algebra.format_element(e) for e in witness.elements]
+    shown = [algebra.format_element(e) for e in witness]
     _emit({"algebra": args.algebra, "length": length, "witness": shown},
           args.json, [f"l(A) = {length}", f"witness basis: {shown}"])
     return 0
@@ -464,14 +465,13 @@ def _cmd_search(args) -> int:
     size = args.set_size or algebra.dim
     best = None
     for t in range(args.samples):
-        elements = [identities.random_element(algebra, args.seed, 100_000 + t * size + i)
-                    for i in range(size)]
-        gens = generator_set(elements)
+        gens = tuple(identities.random_element(algebra, args.seed, 100_000 + t * size + i)
+                     for i in range(size))
         seq = diff_sequence(algebra, gens, max_level=args.max_level)
         if not seq.generating:
             continue
         if best is None or seq.length_of_set > best[0]:
-            best = (seq.length_of_set, t, [algebra.format_element(e) for e in elements])
+            best = (seq.length_of_set, t, [algebra.format_element(e) for e in gens])
     if best is None:
         _emit({"algebra": args.algebra, "found": False}, args.json,
               ["no generating set found; raise --samples or --set-size"])

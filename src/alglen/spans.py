@@ -23,6 +23,10 @@ sweep runs no ladder on a subspace that a linear pre-test
 test is exact, it runs none on a subspace larger than a minimal
 generating one, and the ladders it runs skip the closure check, since
 every subspace they start from generates.
+
+A generator set S is any sequence of elements of the algebra, and the
+exact-length witness is a tuple of them.  find_unity solves for an
+identity element with a SpanBasis.
 """
 
 from __future__ import annotations
@@ -33,10 +37,9 @@ from itertools import combinations, product, takewhile
 from math import gcd
 from operator import mul
 
-from .algebra import Algebra, table_product
+from .algebra import Algebra, Element, table_product
 from .errors import DimensionMismatch, NotFiniteField, ResourceLimit
 from .field import Field, PrimeField, integer_row, rational_row
-from .words import GeneratorSet, generator_set
 
 DEFAULT_MAX_LEVEL = 64
 DEFAULT_SUBSPACE_BUDGET = 2_000_000
@@ -120,14 +123,14 @@ class SpanBasis:
     ladder (``_insert``), each reduced only against the rows inserted
     before it: residues scaled to pivot 1 over GF(p), primitive integer rows
     (gcd 1, positive pivot) with fraction-free elimination over Q.  That is
-    enough for ``residue``, ``contains``, ``add`` and ``insert``, since the
-    residue of a vector is the unique vector of its coset that is zero at
-    every pivot.  The reduced row-echelon form is built only where it is
-    read (``_ordered``, behind ``rows``, ``row_tuples`` and ``==``).
-    ``rows`` and ``pivots`` are in pivot order; ``rows``, ``reduce`` and the
-    residue ``insert`` returns are exact scalars, while ``residue``,
-    ``contains`` and ``add`` build none.  Any vector may be given as an
-    integer row, since a rational vector with integer entries is one.
+    enough for ``add``, ``residue`` and ``contains``, since the residue of
+    a vector is the unique vector of its coset that is zero at every pivot.
+    The reduced row-echelon form is built only where it is read
+    (``_ordered``, behind ``rows`` and ``row_tuples``).  ``rows`` and
+    ``pivots`` are in pivot order; ``rows`` are exact scalars, while
+    ``add``, ``residue`` and ``contains`` build none.  Any vector may be
+    given as an integer row, since a rational vector with integer entries
+    is one.
     """
 
     def __init__(self, field: Field, dim: int):
@@ -172,10 +175,6 @@ class SpanBasis:
         w, s = _reduce(self._rows, self._pivots, self.p, v)
         return w, s * d
 
-    def reduce(self, vec) -> list:
-        """Residue of vec modulo the current row space."""
-        return list(rational_row(*self.residue(vec)))
-
     def contains(self, vec) -> bool:
         return not any(self.residue(vec)[0])
 
@@ -184,21 +183,36 @@ class SpanBasis:
         _check_length(vec, self.dim)
         return _insert(self._rows, self._pivots, self.p, integer_row(vec)[0]) is not None
 
-    def insert(self, vec):
-        """Insert vec; returns (added, normalized residue or None)."""
-        _check_length(vec, self.dim)
-        v = _insert(self._rows, self._pivots, self.p, integer_row(vec)[0])
-        return (False, None) if v is None else (True, rational_row(v, next(filter(None, v))))
-
     def row_tuples(self) -> tuple:
         return tuple(tuple(r) for r in self.rows)
 
-    def __eq__(self, other):
-        return isinstance(other, SpanBasis) and self.field == other.field \
-            and self.dim == other.dim and self._ordered() == other._ordered()
-
     def __repr__(self):
         return f"SpanBasis(rank={self.rank}, dim={self.dim})"
+
+
+def find_unity(algebra: Algebra) -> Element | None:
+    """Solve for a two-sided identity element, or None if there is none.
+
+    Diagnostic only: the result is never attached to the algebra, since a
+    declared unity changes the zero-length word count and with it the
+    meaning of every length statement.
+    """
+    n = algebra.dim
+    basis = [algebra.basis_element(i) for i in range(1, n + 1)]
+    # unknowns x_j with sum_j x_j (b_j b_i) = b_i = sum_j x_j (b_i b_j): one
+    # equation per coordinate of each side, as a row (coefficients | b_i)
+    system = SpanBasis(algebra.field, n + 1)
+    for bi in basis:
+        for products in ([algebra.multiply(bj, bi) for bj in basis],
+                         [algebra.multiply(bi, bj) for bj in basis]):
+            for k in range(n):
+                system.add([v[k] for v in products] + [bi[k]])
+    # a pivot in the last column makes the system inconsistent; a column
+    # without one leaves a nonzero kernel, and adding a kernel vector to a
+    # solution would give a second identity element, which cannot exist
+    if system.pivots != list(range(n)):
+        return None
+    return tuple(row[n] for row in system.rows)
 
 
 @dataclass
@@ -221,29 +235,6 @@ class DiffSequence:
             "total_rank": self.total_rank,
             "dim": self.dim,
         }
-
-
-def solve_coordinates(field: Field, vectors, target):
-    """Unique coefficients of target in the listed vectors, with a status.
-
-    Returns ("ok", coeffs) when the vectors are independent and the target
-    lies in their span, ("dependent", None) when the list is dependent, and
-    ("outside", None) otherwise.
-    """
-    t = len(vectors)
-    dim = len(target)
-    basis = SpanBasis(field, t + 1)
-    for i in range(dim):
-        basis.add([vec[i] for vec in vectors] + [target[i]])
-    pivots = set(basis.pivots)
-    if len(pivots & set(range(t))) != t:
-        return "dependent", None
-    if t in pivots:
-        return "outside", None
-    coeffs = [field.zero()] * t
-    for row, p in zip(basis.rows, basis.pivots):
-        coeffs[p] = row[t]
-    return "ok", coeffs
 
 
 def _level_cap(max_level: int | None, dim: int) -> int:
@@ -328,10 +319,6 @@ def _ladder(table: list, p: int, unity, max_level, gens, *, closure=True) -> lis
     return level_reps
 
 
-def _elements(gens) -> tuple:
-    return gens.elements if isinstance(gens, GeneratorSet) else tuple(gens)
-
-
 def _set_ladder(algebra: Algebra, elements, max_level=None) -> list:
     """_ladder of elements of the algebra, after a length check."""
     for s in elements:
@@ -344,9 +331,12 @@ def _set_ladder(algebra: Algebra, elements, max_level=None) -> list:
 
 
 def lin_span(algebra: Algebra, gens, k: int) -> SpanBasis:
-    """Lin_k(S): the span of the unity and of the words of length at most k."""
+    """Lin_k(S): the span of the unity and of the words of length at most k.
+
+    ``gens`` is S, any sequence of elements of the algebra.
+    """
     basis = SpanBasis(algebra.field, algebra.dim)
-    for reps in _set_ladder(algebra, _elements(gens))[:k + 1]:
+    for reps in _set_ladder(algebra, gens)[:k + 1]:
         for v in reps:
             basis.add(v)
     return basis
@@ -355,15 +345,15 @@ def lin_span(algebra: Algebra, gens, k: int) -> SpanBasis:
 def diff_sequence(algebra: Algebra, gens, max_level: int | None = None) -> DiffSequence:
     """Difference sequence d_k = dim Lin_k(S) - dim Lin_(k-1)(S) of a generator set.
 
-    The sizes of the levels of _ladder, which runs until the span is closed,
-    without trailing zeros; l(S) is the last level with d_k != 0.  d_1 is
-    checked against the rank of S by a separate SpanBasis.
+    ``gens`` is S, any sequence of elements of the algebra.  The sizes of
+    the levels of _ladder, which runs until the span is closed, without
+    trailing zeros; l(S) is the last level with d_k != 0.  d_1 is checked
+    against the rank of S by a separate SpanBasis.
     """
-    elements = _elements(gens)
-    d = [len(reps) for reps in _set_ladder(algebra, elements, max_level)]
+    d = [len(reps) for reps in _set_ladder(algebra, gens, max_level)]
     while len(d) > 1 and d[-1] == 0:
         d.pop()
-    _check_first_difference(algebra, elements, d)
+    _check_first_difference(algebra, gens, d)
     total = sum(d)
     return DiffSequence(
         d=tuple(d),
@@ -386,10 +376,6 @@ def _check_first_difference(algebra, elements, d):
     d1 = d[1] if len(d) > 1 else 0
     if d1 != probe.rank - base:
         raise AssertionError("first difference disagrees with rank of S")
-
-
-def length_of_set(algebra: Algebra, gens, max_level: int | None = None) -> int:
-    return diff_sequence(algebra, gens, max_level=max_level).length_of_set
 
 
 # -- subspace enumeration over prime fields --------------------------------
@@ -624,8 +610,8 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     For a unital algebra only the subspaces containing the unity are
     enumerated (see _subspace_rows), and the budget counts those.  The
     witness is the RREF basis of the first subspace in enumeration order
-    that attains the maximum.  ``max_level`` caps each ladder as in
-    diff_sequence.
+    that attains the maximum, as a tuple of elements.  ``max_level`` caps
+    each ladder as in diff_sequence.
 
     A linear pre-test (_generation_test) skips the ladder of a subspace V
     when V + K != A, with K = A^2 for a non-unital A and K = <e> + M^2 for
@@ -675,5 +661,4 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
         raise AssertionError("the whole space always generates")
     length, rows = best
     basis = _rref_basis(field, n, rows, unity)
-    witness = generator_set([algebra.element(r) for r in basis.row_tuples()])
-    return length, witness
+    return length, tuple(algebra.element(r) for r in basis.row_tuples())

@@ -10,7 +10,6 @@ as a test oracle and lives with the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import IndexOutOfRange, ParseError, ResourceLimit
@@ -20,25 +19,6 @@ Word = object  # int leaf or (Word, Word) pair
 DEFAULT_WORD_CAP = 2_000_000
 # parse_word refuses deeper brackets, well inside Python's recursion limit
 MAX_WORD_DEPTH = 256
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """An ordered list of algebra elements used as letters."""
-
-    elements: tuple
-    labels: tuple | None = None
-
-    def __len__(self):
-        return len(self.elements)
-
-    @property
-    def has_duplicates(self) -> bool:
-        return len(set(self.elements)) < len(self.elements)
-
-
-def generator_set(elements, labels=None) -> GeneratorSet:
-    return GeneratorSet(tuple(elements), tuple(labels) if labels else None)
 
 
 def word_length(w: Word) -> int:
@@ -55,15 +35,17 @@ def word_letters(w: Word) -> list:
 
 
 def evaluate(algebra, gens, w: Word):
-    """Product of the generator elements respecting the bracketing of w."""
-    elements = gens.elements if isinstance(gens, GeneratorSet) else tuple(gens)
-    n = len(elements)
+    """Product of the generator elements respecting the bracketing of w.
+
+    ``gens`` is a sequence of elements; letter i names ``gens[i - 1]``.
+    """
+    n = len(gens)
 
     def rec(t):
         if isinstance(t, int):
             if not 1 <= t <= n:
                 raise IndexOutOfRange(f"letter {t} with {n} generators")
-            return elements[t - 1]
+            return gens[t - 1]
         return algebra.multiply(rec(t[0]), rec(t[1]))
 
     return rec(w)

@@ -1,12 +1,14 @@
 """Independent oracles the engine is checked against.
 
 Everything here deliberately avoids the span engine's code paths: spans
-are computed from full word enumeration with a local Gaussian elimination,
-and canonical-form signs are validated in the free multilinear setting
-with a parity union-find over single-exchange rewrites.  The identity
-oracles avoid the identity checks' paths: they evaluate every word on exact
-scalars with ``Algebra.multiply`` and test a membership in a full
-SpanBasis of every span word, not on integer rows in a lazily grown span.
+are computed from full word enumeration with a local Gaussian elimination
+on exact scalars (``rref_rows``, ``field_residue``), and canonical-form
+signs are validated in the free multilinear setting with a parity
+union-find over single-exchange rewrites.  The identity oracles avoid the
+identity checks' paths and the engine's echelon routine: they evaluate
+every word on exact scalars with ``Algebra.multiply`` and test a
+membership by the same local elimination over every span word, not on
+integer rows in a lazily grown span.
 The reference walk follows each class's tuple stream alone, with those
 oracles; it shares only the sample draws (``random_element``) with the
 checks.
@@ -239,22 +241,17 @@ def _word_value(algebra, values, word):
 
 
 def _total(algebra, values, side):
-    acc = algebra.zero()
+    acc = (algebra.field.zero(),) * algebra.dim
     for word in side.split(" + "):
         acc = algebra.add(acc, _word_value(algebra, values, word))
     return acc
 
 
 def _full_span(algebra, values, words):
-    """SpanBasis of the unity and the listed words, every word evaluated."""
-    from alglen.spans import SpanBasis
-
-    basis = SpanBasis(algebra.field, algebra.dim)
-    if algebra.unity is not None:
-        basis.insert(algebra.unity)
-    for word in words:
-        basis.insert(_word_value(algebra, values, word))
-    return basis
+    """RREF rows (rref_rows) of the unity and the listed words, every word evaluated."""
+    vectors = [algebra.unity] if algebra.unity is not None else []
+    vectors += [_word_value(algebra, values, word) for word in words]
+    return rref_rows(algebra.field, vectors, algebra.dim)
 
 
 def identity_violated(algebra, text, values):
@@ -270,7 +267,9 @@ def identity_violated(algebra, text, values):
     if rhs:
         return _total(algebra, values, lhs) != _total(algebra, values, rhs)
     lhs, _, span = lhs.replace(" outside ", " in ").partition(" in ")
-    return not _full_span(algebra, values, SPANS[span]).contains(_total(algebra, values, lhs))
+    rows = _full_span(algebra, values, SPANS[span])
+    f = algebra.field
+    return not all(map(f.is_zero, field_residue(f, rows, _total(algebra, values, lhs))))
 
 
 def forced_coefficients(algebra, a, b, texts):
@@ -279,18 +278,18 @@ def forced_coefficients(algebra, a, b, texts):
     it forces (None when aa lies in the span already)."""
     f = algebra.field
     values = {"a": a, "b": b}
-    basis = _full_span(algebra, values, ("a", "b", "ab", "ba"))
-    aa = basis.reduce(_word_value(algebra, values, "aa"))
+    rows = _full_span(algebra, values, ("a", "b", "ab", "ba"))
+    aa = field_residue(f, rows, _word_value(algebra, values, "aa"))
     lead = next((i for i, x in enumerate(aa) if not f.is_zero(x)), None)
     out = []
     for text in texts:
-        r = basis.reduce(_total(algebra, values, text.split(" in ")[0]))
+        r = field_residue(f, rows, _total(algebra, values, text.split(" in ")[0]))
         if lead is None:
             out.append((all(map(f.is_zero, r)), None))
         else:
             g = f.div(r[lead], aa[lead])
             out.append(([f.mul(g, x) for x in aa] == r, g))
-    return basis.rank, out
+    return len(rows), out
 
 
 def coefficient_clash(algebra, texts, values):

@@ -36,14 +36,14 @@ def test_spin_factor_products():
     spin = examples.make_spin_factor(2)
     v1, v2 = spin.basis_element(2), spin.basis_element(3)
     assert spin.multiply(v1, v1) == spin.basis_element(1)
-    assert spin.is_zero_element(spin.multiply(v1, v2))
+    assert not any(spin.multiply(v1, v2))
 
 
 def test_matrix_algebra_m4_units():
     m4 = examples.make_matrix_algebra(4)
     e12, e23 = m4.basis_element(2), m4.basis_element(7)
     assert m4.multiply(e12, e23) == m4.basis_element(3)  # E12 E23 = E13
-    assert m4.is_zero_element(m4.multiply(e23, e12))
+    assert not any(m4.multiply(e23, e12))
     with pytest.raises(ResourceLimit):
         examples.make_matrix_algebra(7)
 
@@ -54,7 +54,7 @@ def test_chain3_products():
     aa = c3.multiply(a, a)
     assert aa == c3.basis_element(2)
     assert c3.multiply(aa, a) == c3.basis_element(3)
-    assert c3.is_zero_element(c3.multiply(a, aa))
+    assert not any(c3.multiply(a, aa))
 
 
 def test_unital_hull_structure(aflex):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from alglen.errors import DivisionByZero, FieldMismatch, ParseError
+from alglen.errors import DivisionByZero, ParseError
 from alglen.field import PrimeField, Rationals, is_prime
 from alglen.io_cli import _resolve_field
 
@@ -60,8 +60,7 @@ def test_prime_check():
 def test_field_equality_and_mismatch():
     assert PrimeField(5) == PrimeField(5)
     assert PrimeField(5) != PrimeField(7) != Q
-    with pytest.raises(FieldMismatch):
-        Q.check_same(F5)
+    assert Q != F5 and hash(F5) == hash(PrimeField(5))
     assert _resolve_field("rational") == Q
     assert _resolve_field("gf:5") == F5
 

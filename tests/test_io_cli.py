@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from alglen import examples, identities, io_cli
-from alglen.algebra import Algebra, find_unity, make_algebra
+from alglen.algebra import Algebra, make_algebra
 from alglen.errors import ParseError
 from alglen.field import PrimeField, Rationals
 from alglen.io_cli import build_example, main, parse_algebra, print_algebra, resolve_set
-from alglen.spans import solve_coordinates
+from alglen.spans import find_unity
 
 MINIMAL = """\
 field gf 2
@@ -83,6 +84,13 @@ def test_parse_errors():
     bad = "field rational\ndim 2\nunital 1\nmul 1 1 1 1\n"
     with pytest.raises(ParseError):
         parse_algebra(bad)
+    # a bad unity scalar or labels length names its line, as a bad mul scalar does
+    for text, line in (("field rational\ndim 2\nunital vec 1/0 0\n", 3),
+                       ("field gf 3\ndim 2\nunital vec 1/3 0\n", 3),
+                       ("field rational\ndim 2\nunital vec 1 x\n", 3),
+                       ("field rational\ndim 2\nunital none\nlabels x\n", 4)):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse_algebra(text)
 
 
 def test_unity_vector_form():
@@ -96,11 +104,11 @@ def test_resolve_set(z2n2, tmp_path):
     gens = resolve_set(z2n2, "basis", None)
     assert len(gens) == 4
     gens = resolve_set(z2n2, "2,3", None)
-    assert gens.elements == (z2n2.basis_element(2), z2n2.basis_element(3))
+    assert gens == (z2n2.basis_element(2), z2n2.basis_element(3))
     path = tmp_path / "set.txt"
     path.write_text("1 0 0 0\n0 1 1 0  # a sum\n")
     gens = resolve_set(z2n2, None, str(path))
-    assert len(gens) == 2 and gens.elements[1] == (0, 1, 1, 0)
+    assert gens == ((1, 0, 0, 0), (0, 1, 1, 0))
 
 
 def test_build_example_names():
@@ -582,11 +590,31 @@ def test_infer_unity_diagnostic(tmp_path, capsys):
     assert code == 0 and "identity element exists: e" in out
 
 
+def _identity_elements(algebra):
+    """Every two-sided identity of an algebra over GF(p), by trying all p^n vectors."""
+    basis = [algebra.basis_element(i) for i in range(1, algebra.dim + 1)]
+    return [e for e in product(range(algebra.field.p), repeat=algebra.dim)
+            if all(algebra.multiply(e, b) == b == algebra.multiply(b, e) for b in basis)]
+
+
 def test_find_unity_solver(z2n2, aflex):
     assert find_unity(z2n2) == z2n2.unity
     assert find_unity(aflex) is None
     m2 = examples.make_matrix_algebra(2)
     assert find_unity(m2) == m2.unity
+    # every small example over GF(2) and GF(3): its printed file is reread
+    # with the field line replaced, since z2n:<n> is built over GF(2) only
+    for name in sorted(oracles.EXAMPLES):
+        text = print_algebra(build_example(oracles.EXAMPLES[name]))
+        for p in (2, 3):
+            algebra = parse_algebra(f"field gf {p}\n" + text.split("\n", 1)[1])
+            if algebra.dim > 5:
+                continue
+            found = _identity_elements(algebra)
+            assert len(found) <= 1
+            assert find_unity(algebra) == (found[0] if found else None), (name, p)
+            if algebra.unity is not None:
+                assert find_unity(algebra) == algebra.unity, (name, p)
 
 
 def _rescaled(algebra, lambdas):
@@ -618,12 +646,6 @@ def test_fractional_unity_golden(tmp_path, capsys):
     assert algebra.sc[(2, 3)] == ((4, Fraction(1, 3)),)
     assert algebra.sc[(3, 6)] == ((5, -half),)
     assert find_unity(algebra) == (half, 0, 0, 0, 0, 0)
-    f, e = algebra.field, algebra.basis_element
-    assert solve_coordinates(f, [e(1), e(4), e(6)],
-                             [Fraction(1, 3), 0, 0, Fraction(-5, 2), 0, 7]) \
-        == ("ok", [Fraction(1, 3), Fraction(-5, 2), 7])
-    assert solve_coordinates(f, [[1, 2, half], [0, 1, 3], [Fraction(2, 3), 0, 1],
-                                 [1, 3, Fraction(7, 2)]], [1, 2, 3]) == ("dependent", None)
     text = print_algebra(algebra)
     assert "unital vec 1/2 0 0 0 0 0" in text and "mul 2 3 4 1/3" in text
     path = tmp_path / "rescaled.alg"

@@ -1,10 +1,13 @@
 """Every module-level name in ``src/alglen`` is named in ``src/alglen``
-somewhere other than at its definition.
+somewhere other than at its definition, and every class member is read.
 
 A function, class or constant that only tests read belongs beside the tests
 (``oracles``), not in the package.  A name counts as named wherever it
 occurs as a word of a package file, in code or in text; the names that
 ``alglen.__all__`` exports are the package's API and need no other mention.
+A method, property or class-level field of a package class counts as read
+wherever ``.name`` occurs in a package file, for any object: a member that
+shares its name with one of another type (``list.insert``) passes.
 """
 
 import ast
@@ -44,3 +47,34 @@ def unnamed_definitions() -> list:
 
 def test_every_module_level_name_is_named_beyond_its_definition():
     assert unnamed_definitions() == []
+
+
+def _members(tree):
+    """(class, member) for each method, property and class-level field, dunders aside."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield node.name, name
+
+
+def unread_members() -> list:
+    """``module:Class.member`` of each class member that no package file reads as ``.member``."""
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    read = {word for text in texts.values() for word in re.findall(r"\.(\w+)", text)}
+    return [f"{module}:{cls}.{name}" for module, text in texts.items()
+            for cls, name in _members(ast.parse(text)) if name not in read]
+
+
+def test_every_class_member_is_read_in_the_package():
+    assert unread_members() == []

@@ -10,7 +10,7 @@ from alglen.algebra import make_algebra
 from alglen.errors import DimensionMismatch, NotFiniteField, ResourceLimit
 from alglen.field import PrimeField, Rationals
 from alglen.spans import (SpanBasis, count_subspaces, diff_sequence, exact_algebra_length,
-                          gaussian_binomial, length_of_set, lin_span)
+                          gaussian_binomial, lin_span)
 from oracles import enumerate_subspaces
 
 Q = Rationals()
@@ -18,13 +18,13 @@ Q = Rationals()
 
 def test_rref_insert_examples():
     b = SpanBasis(Q, 3)
-    added, _ = b.insert([Fraction(1), Fraction(0), Fraction(0)])
-    assert added and b.rank == 1
-    added, _ = b.insert([Fraction(2), Fraction(0), Fraction(0)])
-    assert not added and b.rank == 1
+    assert b.add([Fraction(1), Fraction(0), Fraction(0)]) and b.rank == 1
+    assert b.residue([Fraction(2), Fraction(0), Fraction(0)]) == ([0, 0, 0], 1)
+    assert not b.add([Fraction(2), Fraction(0), Fraction(0)]) and b.rank == 1
     b = SpanBasis(Q, 3)
-    b.insert([Fraction(1), Fraction(1), Fraction(0)])
-    b.insert([Fraction(0), Fraction(1), Fraction(0)])
+    b.add([Fraction(1), Fraction(1), Fraction(0)])
+    assert b.residue([Fraction(0), Fraction(1), Fraction(0)]) == ([0, 1, 0], 1)
+    b.add([Fraction(0), Fraction(1), Fraction(0)])
     assert b.row_tuples() == ((Fraction(1), Fraction(0), Fraction(0)),
                               (Fraction(0), Fraction(1), Fraction(0)))
 
@@ -63,8 +63,8 @@ def _as_rational(field, residue):
 def test_echelon_rows_match_the_rref_oracle(data):
     # rows are reduced only against the rows inserted before them, and the
     # reduced row-echelon form is built on read: in any insertion order,
-    # after every insertion, the read form, the pivots, the residues and
-    # equality must be those of a fully reduced basis
+    # after every insertion, the read form, the pivots and the residues
+    # must be those of a fully reduced basis
     field, dim, vectors = data.draw(vector_lists())
     probes = data.draw(st.lists(st.sampled_from(vectors), max_size=2)) + [
         [(i * 7 + 3) % 5 - 2 for i in range(dim)], [1] * dim]
@@ -74,10 +74,10 @@ def test_echelon_rows_match_the_rref_oracle(data):
         for k, v in enumerate(order):
             before = oracles.rref_rows(field, order[:k], dim)
             residue = oracles.field_residue(field, before, v)
-            lead = next((i for i, x in enumerate(residue) if not field.is_zero(x)), None)
-            expected = (False, None) if lead is None else \
-                (True, tuple(field.mul(field.inv(residue[lead]), x) for x in residue))
-            assert basis.insert(list(v)) == expected
+            if field.characteristic:
+                residue = [x % field.characteristic for x in residue]
+            assert _as_rational(field, basis.residue(list(v))) == residue
+            assert basis.add(list(v)) == any(residue)
             rref = oracles.rref_rows(field, order[:k + 1], dim)
             assert basis.row_tuples() == rref
             assert basis.rows == [list(r) for r in rref]
@@ -94,8 +94,8 @@ def test_echelon_rows_match_the_rref_oracle(data):
     rref = oracles.rref_rows(field, vectors, dim)
     again = SpanBasis(field, dim)
     for row in rref:
-        again.insert(list(row))
-    assert bases[0] == bases[1] == again
+        again.add(list(row))
+    assert bases[0].row_tuples() == bases[1].row_tuples() == again.row_tuples() == rref
     # add builds no residue but the same rows; over Q an integer multiple
     # of a vector spans the same line
     added = SpanBasis(field, dim)
@@ -103,12 +103,12 @@ def test_echelon_rows_match_the_rref_oracle(data):
         rank = added.rank
         scale = 1 if field.characteristic else k + 2
         assert added.add([x * scale for x in v]) == (added.rank > rank)
-    assert added == again
+    assert added.row_tuples() == again.row_tuples()
     # one vector fewer spans less when it was not dependent on the others
     smaller = SpanBasis(field, dim)
     for v in vectors[1:]:
-        smaller.insert(list(v))
-    assert (smaller == again) == (smaller.rank == again.rank)
+        smaller.add(list(v))
+    assert (smaller.row_tuples() == again.row_tuples()) == (smaller.rank == again.rank)
 
 
 def test_diff_sequence_frozen_values(z2n2, aflex):
@@ -141,14 +141,14 @@ def test_unity_only_set(z2n2):
 
 def test_chain3_lengths():
     c3 = examples.make_chain3()
-    assert length_of_set(c3, [c3.basis_element(1)]) == 3
     seq = diff_sequence(c3, [c3.basis_element(1)])
+    assert seq.length_of_set == 3
     assert seq.d == (0, 1, 1, 1) and seq.generating
 
 
 def test_whole_basis_has_length_one(aalt):
     gens = [aalt.basis_element(i) for i in range(1, 6)]
-    assert length_of_set(aalt, gens) == 1
+    assert diff_sequence(aalt, gens).length_of_set == 1
 
 
 def test_mixing_mode_matches_general(z2n2, aflex, aalt):
@@ -237,7 +237,7 @@ def test_lifted_subspaces_equal_filtered_enumeration(p, max_n):
             for rows in everything:
                 basis = SpanBasis(field, n)
                 for row in rows:
-                    basis.insert(list(row))
+                    basis.add(list(row))
                 if basis.contains(v):
                     expected.add(rows)
             assert set(lifted) == expected, (n, v)
@@ -333,7 +333,7 @@ def test_kernel_agrees_with_generic(aflex_gf2):
     fast = exact_algebra_length(aflex_gf2)
     slow = _generic_exact_length(aflex_gf2)
     assert fast[0] == slow[0] == 3
-    assert tuple(fast[1].elements) == slow[1]
+    assert fast[1] == slow[1]
 
 
 def test_kernel_gf3_agrees_with_generic():
@@ -342,14 +342,14 @@ def test_kernel_gf3_agrees_with_generic():
     fast = exact_algebra_length(alg)
     slow = _generic_exact_length(alg)
     assert fast[0] == slow[0]
-    assert tuple(fast[1].elements) == slow[1]
+    assert fast[1] == slow[1]
 
 
 def test_exact_length_thread_determinism(aalt_gf2):
     first = exact_algebra_length(aalt_gf2)
     again = exact_algebra_length(aalt_gf2)
     assert first[0] == again[0]
-    assert first[1].elements == again[1].elements
+    assert first[1] == again[1]
 
 
 def test_witness_generates(z2n2):
@@ -498,7 +498,7 @@ def test_generation_pretest_matches_unpruned_sweep(kind, triangular, data):
     length, witness = exact_algebra_length(algebra)
     expected = spans._rref_basis(algebra.field, n, best[1], algebra.unity)
     assert length == best[0]
-    assert witness.elements == tuple(algebra.element(r) for r in expected.row_tuples())
+    assert witness == tuple(algebra.element(r) for r in expected.row_tuples())
 
 
 @pytest.mark.parametrize("kind, triangular", KINDS)
@@ -605,7 +605,7 @@ def test_exact_length_of_non_nilpotent_plane():
     assert can_generate(((1, 0),)) and can_generate(((0, 1),))
     length, witness = exact_algebra_length(plane)
     assert length == 1
-    assert witness.elements == (plane.basis_element(1), plane.basis_element(2))
+    assert witness == (plane.basis_element(1), plane.basis_element(2))
 
 
 def _generates(algebra, gens):

@@ -1,8 +1,9 @@
 import pytest
 
 from alglen.errors import ParseError, ResourceLimit
+from alglen.io_cli import resolve_set
 from alglen.words import (enumerate_restricted, MAX_WORD_DEPTH, evaluate, format_word,
-                          generator_set, is_restricted, parse_word, word_length, word_letters)
+                          is_restricted, parse_word, word_length, word_letters)
 from oracles import catalan, count_full, enumerate_full
 
 
@@ -50,11 +51,11 @@ def test_resource_limits():
 
 
 def test_evaluate(aflex, z2n2):
-    gens = generator_set([aflex.basis_element(1), aflex.basis_element(2)])
+    gens = (aflex.basis_element(1), aflex.basis_element(2))
     # e1 (e1 e2) = e1 e3 = e4
     assert evaluate(aflex, gens, (1, (1, 2))) == aflex.basis_element(4)
     assert evaluate(aflex, gens, 1) == aflex.basis_element(1)
-    letters = generator_set([z2n2.basis_element(2), z2n2.basis_element(3)])
+    letters = [z2n2.basis_element(2), z2n2.basis_element(3)]
     # (e_f1 e_f2) e_f1 = e_f2
     assert evaluate(z2n2, letters, ((1, 2), 1)) == z2n2.basis_element(3)
 
@@ -92,8 +93,11 @@ def test_word_letters():
     assert word_letters(((1, 2), (3, 1))) == [1, 2, 3, 1]
 
 
-def test_duplicate_flag(aflex):
-    g = generator_set([aflex.basis_element(1), aflex.basis_element(1)])
-    assert g.has_duplicates
-    g = generator_set([aflex.basis_element(1), aflex.basis_element(2)])
-    assert not g.has_duplicates
+def test_duplicate_flag(aflex, capsys):
+    # a generator set is a tuple of elements; resolve_set warns on a repeat
+    g = resolve_set(aflex, "1,1", None)
+    assert g == (aflex.basis_element(1),) * 2 and len(set(g)) < len(g)
+    assert "duplicate" in capsys.readouterr().err
+    g = resolve_set(aflex, "1,2", None)
+    assert len(set(g)) == len(g)
+    assert capsys.readouterr().err == ""
