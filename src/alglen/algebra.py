@@ -95,7 +95,9 @@ class Algebra:
         ``table[i]`` lists ``(j, ((k, c), ...))`` for each nonzero product
         b_(i+1) b_(j+1), with 0-based indices.  Over Q each ``c`` is the
         numerator of the structure constant over the common denominator D;
-        over GF(p) it is the residue and D = 1.
+        over GF(p) it is the residue and D = 1.  Every product is made by
+        :attr:`product_kernel`, the table compiled to code; only the
+        character search of the exact-length pre-test reads the table itself.
         """
         d = lcm(*(c.denominator for terms in self.sc.values() for _, c in terms))
         table = [[] for _ in range(self.dim)]
@@ -108,23 +110,37 @@ class Algebra:
         """``identities.random_element``'s draws by (seed, index), kept as long as the algebra."""
         return {}
 
+    @cached_property
+    def product_kernel(self):
+        """The product of two integer rows by :attr:`product_table`, compiled at first use.
+
+        ``product_kernel(u, v)`` takes two sequences of n ints and returns
+        the list of the n unreduced integer sums, without the table's common
+        denominator D (see :func:`_compile_product`).
+        """
+        return _compile_product(self.product_table[0])
+
+    def __getstate__(self):
+        # pickle cannot name the generated kernel; an unpickled copy compiles its own
+        return {k: v for k, v in self.__dict__.items() if k != "product_kernel"}
+
     def multiply(self, a: Element, b: Element) -> Element:
         """Bilinear product of two coordinate vectors.
 
-        Exact integer arithmetic on :attr:`product_table`: over Q both
+        Exact integer arithmetic through :attr:`product_kernel`: over Q both
         operands become integer numerators over a common denominator, and
         the output is divided once by the three denominators; over GF(p)
         each output coordinate is reduced mod p once.
         """
         if len(a) != self.dim or len(b) != self.dim:
             raise DimensionMismatch("element length does not match algebra dimension")
-        table, d = self.product_table
+        product = self.product_kernel
         p = self.field.characteristic
         if p:
-            return tuple(x % p for x in table_product(table, a, b))
+            return tuple(x % p for x in product(a, b))
         a, da = integer_row(a)
         b, db = integer_row(b)
-        return rational_row(table_product(table, a, b), da * db * d)
+        return rational_row(product(a, b), da * db * self.product_table[1])
 
     # -- unity ------------------------------------------------------------
 
@@ -164,18 +180,49 @@ class Algebra:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def table_product(table: list, u, v) -> list:
-    """Unreduced integer product of two integer vectors by a compiled table."""
-    acc = [0] * len(table)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, terms in table[i]:
-                vj = v[j]
-                if vj:
-                    c = ui * vj
-                    for k, s in terms:
-                        acc[k] += c * s
-    return acc
+# terms per statement of a compiled product: CPython's compiler recurses once
+# per operator of a sum and fails on a few thousand
+_TERMS_PER_STATEMENT = 256
+
+
+def _compile_product(table: list):
+    """The product of two integer rows by a compiled ``product_table``, as generated code.
+
+    The function unpacks ``u`` and ``v`` into locals and has one ``if u_i:``
+    block for each left index i with a nonzero product, holding one
+    ``a_k += u_i * (s * v_j + ...)`` statement per output coordinate k; it
+    returns the list of the n sums.  It is the same exact integer sum as
+    multiplying out term by term, so its results are those of the
+    interpreted loop over the table, in a fraction of the time.  The source
+    is built in one pass over the table's terms, and only ``int`` indices
+    and coefficients enter it, never text that a file supplied.
+    """
+    n = len(table)
+    lines = [
+        "def product(u, v):",
+        f"    {', '.join(f'u{i}' for i in range(n))}, = u",
+        f"    {', '.join(f'v{j}' for j in range(n))}, = v",
+        f"    {' = '.join(f'a{k}' for k in range(n))} = 0",
+    ]
+    for i, row in enumerate(table):
+        sums = {}  # output coordinate k -> the terms s * v_j of u_i's block
+        for j, terms in row:
+            for k, s in terms:
+                if not (type(j) is type(k) is type(s) is int):
+                    raise TypeError(f"product table entry {(j, k, s)!r} is not three ints")
+                sums.setdefault(k, []).append(
+                    f"v{j}" if s == 1 else f"-v{j}" if s == -1 else f"{s}*v{j}")
+        if sums:
+            lines.append(f"    if u{i}:")
+            for k in sorted(sums):
+                terms = sums[k]
+                for start in range(0, len(terms), _TERMS_PER_STATEMENT):
+                    expr = " + ".join(terms[start:start + _TERMS_PER_STATEMENT])
+                    lines.append(f"        a{k} += u{i} * ({expr.replace('+ -', '- ')})")
+    lines.append(f"    return [{', '.join(f'a{k}' for k in range(n))}]")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<alglen product kernel, dim {n}>", "exec"), namespace)
+    return namespace["product"]
 
 
 def make_algebra(field: Field, dim: int, products: dict, unity=None, labels=None) -> Algebra:

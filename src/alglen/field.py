@@ -12,8 +12,10 @@ operations, so no floating point ever enters any computation.
 The hot loops (the span ladder ``spans._ladder`` and the identity walk
 ``identities._walk``) do not call the field per scalar: they work on
 integer rows, over Q an element's numerators over one common denominator
-(:func:`integer_row`), and exact scalars are built only for their output
-(:func:`rational_row`).
+(:func:`integer_row`), multiply them with plain ``int`` arithmetic in the
+code that each algebra compiles from its structure constants
+(``Algebra.product_kernel``), and build exact scalars only for their
+output (:func:`rational_row`).
 """
 
 from __future__ import annotations

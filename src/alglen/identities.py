@@ -14,7 +14,7 @@ classes all read that table.
 
 The checks run on integer rows, as the span ladder does: residues mod p
 over GF(p), and over Q each element's numerators without its denominator,
-multiplied through ``Algebra.product_table`` without the table's common
+multiplied through ``Algebra.product_kernel`` without the table's common
 denominator D.  That is exact because every text is homogeneous in each
 letter: all words of an equality, and all summands of a membership's left
 side, hold the same letters the same number of times, so they carry the
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
 
-from .algebra import DEFAULT_SAMPLES, Algebra, Element, table_product
+from .algebra import DEFAULT_SAMPLES, Algebra, Element
 from .errors import DomainError
 from .field import integer_row
 from .spans import SpanBasis, _insert, _reduce
@@ -173,13 +173,13 @@ def _row_product(algebra):
     The product function multiplies each distinct pair of rows once, for as
     long as it lives, and returns tuples.
     """
-    table, p = algebra.product_table[0], algebra.field.characteristic
+    product, p = algebra.product_kernel, algebra.field.characteristic
     products = {}
 
     def mul(u, v):
         w = products.get((u, v))
         if w is None:
-            w = table_product(table, u, v)
+            w = product(u, v)
             w = products[u, v] = tuple(x % p for x in w) if p else tuple(w)
         return w
 

@@ -188,16 +188,22 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def resolve_set(algebra: Algebra, set_spec: str | None, set_file: str | None) -> tuple:
-    """The generator set of ``--set`` or ``--set-file`` as a tuple of elements."""
+    """The generator set of ``--set`` or ``--set-file`` as a tuple of elements.
+
+    A bad line of a set file raises ParseError naming the file and the line.
+    """
     if set_file is not None:
         elements = []
         with open(set_file, encoding="utf-8") as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                coords = [algebra.field.parse(tok) for tok in line.split()]
-                elements.append(algebra.element(coords))
+                try:
+                    coords = [algebra.field.parse(tok) for tok in line.split()]
+                    elements.append(algebra.element(coords))
+                except AlgLenError as exc:
+                    raise ParseError(f"{exc} in set file {set_file!r}", lineno) from None
         if not elements:
             raise ParseError(f"set file {set_file!r} names no element")
         gens = tuple(elements)

@@ -10,7 +10,7 @@ algebra.
 One ladder (``_ladder``) serves diff_sequence, lin_span and the exact-length
 sweep.  It works on integer rows over both fields, since spans do not
 depend on scaling, multiplied through the algebra's compiled product
-table.  One echelon routine, ``_reduce`` and ``_insert``, does the row
+kernel.  One echelon routine, ``_reduce`` and ``_insert``, does the row
 arithmetic of both fields and branches on the characteristic p (0 over
 Q) once per call: residues with pivot 1 over GF(p), primitive integer
 rows with fraction-free elimination over Q.  The ladder, SpanBasis, the
@@ -37,7 +37,7 @@ from itertools import combinations, product, takewhile
 from math import gcd
 from operator import mul
 
-from .algebra import Algebra, Element, table_product
+from .algebra import Algebra, Element
 from .errors import DimensionMismatch, NotFiniteField, ResourceLimit
 from .field import Field, PrimeField, integer_row, rational_row
 
@@ -241,17 +241,17 @@ def _level_cap(max_level: int | None, dim: int) -> int:
     return max_level if max_level is not None else max(DEFAULT_MAX_LEVEL, dim + 2)
 
 
-def _ladder(table: list, p: int, unity, max_level, gens, *, closure=True) -> list:
+def _ladder(mul, n: int, p: int, unity, max_level, gens, *, closure=True) -> list:
     """Span ladder of gens: level_reps[k] spans Lin_k(S) modulo Lin_(k-1)(S).
 
-    Every vector is an integer row and ``table`` is the algebra's
-    ``product_table``.  ``p`` is passed on to ``_insert`` and ``_reduce``,
-    which keep residues with pivot 1 over GF(p) and primitive integer rows
-    over Q (``p = 0``).  Over Q the products ignore the table's common
-    denominator D, as the rows ignore their own, since a span does not
-    depend on the scaling of the vectors that span it.  Level 0 is the
-    unity (None when there is none), level 1 the gens, and level m the
-    products of the representatives of levels i and m - i.
+    Every vector is an integer row of length n, and ``mul`` is the
+    algebra's ``product_kernel``.  ``p`` is passed on to ``_insert`` and
+    ``_reduce``, which keep residues with pivot 1 over GF(p) and primitive
+    integer rows over Q (``p = 0``).  Over Q the products ignore the
+    table's common denominator D, as the rows ignore their own, since a
+    span does not depend on the scaling of the vectors that span it.  Level
+    0 is the unity (None when there is none), level 1 the gens, and level m
+    the products of the representatives of levels i and m - i.
 
     The ladder stops once its span V is closed, V*V <= V, which counts only
     once the gens lie in V: then no longer word can leave V.  It raises
@@ -266,9 +266,7 @@ def _ladder(table: list, p: int, unity, max_level, gens, *, closure=True) -> lis
     generate A then run into the level cap and raise ResourceLimit; they
     never give a wrong ladder.
     """
-    n = len(table)
     rows, pivots = [], []
-    mul = partial(table_product, table)
     add = partial(_insert, rows, pivots, p)
 
     def residue(v):
@@ -326,8 +324,8 @@ def _set_ladder(algebra: Algebra, elements, max_level=None) -> list:
     unity = algebra.unity
     if unity is not None:
         unity = integer_row(unity)[0]
-    return _ladder(algebra.product_table[0], algebra.field.characteristic, unity, max_level,
-                   [integer_row(s)[0] for s in elements])
+    return _ladder(algebra.product_kernel, algebra.dim, algebra.field.characteristic, unity,
+                   max_level, [integer_row(s)[0] for s in elements])
 
 
 def lin_span(algebra: Algebra, gens, k: int) -> SpanBasis:
@@ -520,15 +518,16 @@ def _augmentation_ideal(algebra: Algebra, budget: int | None = None):
     return [[(int(i == j) - chi[j] * x) % p for i, x in enumerate(e)] for j in range(n)]
 
 
-def _nilpotent(table: list, p: int, m_rows) -> bool:
+def _nilpotent(mul, p: int, m_rows) -> bool:
     """Whether the ideal M spanned by m_rows is nilpotent, over GF(p).
 
-    The chain T_1 = M, T_(k+1) = M T_k + T_k M only shrinks, since M is an
-    ideal, and once its dimension stops falling it stays the same.  T_(k+1)
-    spans the results of k multiplications, each by one element of M, of
-    an element of M.  A word in at least 2^k elements of M has a leaf at
-    depth k or more, so it is such a result.  So M is nilpotent if and only
-    if the chain reaches 0, after at most dim M steps.
+    ``mul`` is the algebra's ``product_kernel``.  The chain T_1 = M,
+    T_(k+1) = M T_k + T_k M only shrinks, since M is an ideal, and once its
+    dimension stops falling it stays the same.  T_(k+1) spans the results
+    of k multiplications, each by one element of M, of an element of M.  A
+    word in at least 2^k elements of M has a leaf at depth k or more, so it
+    is such a result.  So M is nilpotent if and only if the chain reaches
+    0, after at most dim M steps.
     """
     basis, pivots = [], []
     for u in m_rows:
@@ -538,8 +537,8 @@ def _nilpotent(table: list, p: int, m_rows) -> bool:
         rows, pivots = [], []
         for u in basis:
             for t in chain:
-                _insert(rows, pivots, p, table_product(table, u, t))
-                _insert(rows, pivots, p, table_product(table, t, u))
+                _insert(rows, pivots, p, mul(u, t))
+                _insert(rows, pivots, p, mul(t, u))
         if len(rows) == len(chain):
             return False
         chain = rows
@@ -568,13 +567,13 @@ def _generation_test(algebra: Algebra, budget: int | None = None):
     if m_rows is None:
         return None
     p, n, e = algebra.field.p, algebra.dim, algebra.unity
-    table = algebra.product_table[0]
+    product = algebra.product_kernel
     k_rows, k_pivots = [], []
     if e is not None:
         _insert(k_rows, k_pivots, p, e)
     for u in m_rows:
         for v in m_rows:
-            _insert(k_rows, k_pivots, p, table_product(table, u, v))
+            _insert(k_rows, k_pivots, p, product(u, v))
     codim = n - len(k_rows)
     if codim == 0:
         return None
@@ -597,7 +596,7 @@ def _generation_test(algebra: Algebra, budget: int | None = None):
                 return True
         return False
 
-    return can_generate, codim, _nilpotent(table, p, m_rows)
+    return can_generate, codim, _nilpotent(product, p, m_rows)
 
 
 def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE_BUDGET,
@@ -648,7 +647,7 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
         if exact:
             subspaces = takewhile(lambda rows: len(rows) <= codim, subspaces)
         subspaces = filter(can_generate, subspaces)
-    run = partial(_ladder, algebra.product_table[0], field.p,
+    run = partial(_ladder, algebra.product_kernel, n, field.p,
                   list(unity) if unity is not None else None, max_level, closure=not exact)
     best = None
     for rows in subspaces:

@@ -15,7 +15,8 @@ checks.
 
 The last sections hold what the tests read and the package does not: the
 example algebras the sweeps run on, by their ``alglen gen`` names, and
-functions moved out of the package unchanged (the full word enumeration,
+functions moved out of the package unchanged (the interpreted product loop
+that ``Algebra.product_kernel`` replaced, the full word enumeration,
 the subspace enumeration over the engine's row tuples, the conjugation
 twists of the Cayley-Dickson doubling, the two-block subword family and
 two alternative-type bound formulas).
@@ -447,6 +448,23 @@ EXAMPLES = {
 
 def example_algebras() -> dict:
     return {key: build_example(name) for key, name in EXAMPLES.items()}
+
+
+# -- the interpreted product loop -----------------------------------------------
+
+
+def table_product(table: list, u, v) -> list:
+    """Unreduced integer product of two integer vectors by a compiled table."""
+    acc = [0] * len(table)
+    for i, ui in enumerate(u):
+        if ui:
+            for j, terms in table[i]:
+                vj = v[j]
+                if vj:
+                    c = ui * vj
+                    for k, s in terms:
+                        acc[k] += c * s
+    return acc
 
 
 # -- full word enumeration -----------------------------------------------------

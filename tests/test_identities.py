@@ -505,14 +505,14 @@ def test_classify_builds_spans_only_where_read(monkeypatch):
 def test_one_product_per_row_pair(monkeypatch):
     # one check multiplies each distinct pair of integer rows once
     calls = []
-    table_product = identities.table_product
-
-    def counting(table, u, v):
-        calls.append((tuple(u), tuple(v)))
-        return table_product(table, u, v)
-
-    monkeypatch.setattr(identities, "table_product", counting)
     m3 = examples.make_matrix_algebra(3)
+    product = m3.product_kernel
+
+    def counting(u, v):
+        calls.append((tuple(u), tuple(v)))
+        return product(u, v)
+
+    monkeypatch.setitem(vars(m3), "product_kernel", counting)
     tuples = chain(identities._basis_tuples(m3, 2), identities._basis_tuples(m3, 3))
     assert identities._first_failure(m3, "alternative", tuples) is None
     assert len(calls) == len(set(calls)) == 99
@@ -555,12 +555,13 @@ def test_classify_walks_the_basis_tuples_once(monkeypatch):
     # on the octonions every product of basis rows is a signed basis row, and
     # both sliding texts hold at every basis triple
     products = Counter()
-    table_product = identities.table_product
+    cd3 = build_example("cd:3:-1,-1,-1")
+    product = cd3.product_kernel
 
-    def counting(table, u, v):
+    def counting(u, v):
         if _is_basis_row(u) and _is_basis_row(v):
             products[tuple(u), tuple(v)] += 1
-        return table_product(table, u, v)
+        return product(u, v)
 
     built = Counter()
     span_rows = identities._span_rows
@@ -571,9 +572,8 @@ def test_classify_walks_the_basis_tuples_once(monkeypatch):
         built[name, rows, all(map(_is_basis_row, rows))] += 1
         return span_rows(algebra, mul, memo, name)
 
-    monkeypatch.setattr(identities, "table_product", counting)
+    monkeypatch.setitem(vars(cd3), "product_kernel", counting)
     monkeypatch.setattr(identities, "_span_rows", recording)
-    cd3 = build_example("cd:3:-1,-1,-1")
     report = classify(cd3)
     assert all(v.holds for v in report.verdicts.values())
     # each distinct pair of basis-walk rows is multiplied once for all classes

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import alglen.algebra
 from alglen import examples, identities, io_cli
 from alglen.algebra import Algebra, make_algebra
 from alglen.errors import ParseError
@@ -226,6 +227,27 @@ def test_cli_exact_length_budget(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "16 subspaces exceed budget 15" in captured.err
+
+
+def test_product_kernel_is_built_only_where_a_product_is_made(tmp_path, capsys, monkeypatch):
+    built = []
+    compile_product = alglen.algebra._compile_product
+    monkeypatch.setattr(alglen.algebra, "_compile_product",
+                        lambda table: built.append(len(table)) or compile_product(table))
+    # gen only prints the constants, even of a unital algebra
+    assert _run(capsys, "gen", "spin:300", "-o", str(tmp_path / "spin.alg"))[0] == 0
+    path = str(tmp_path / "aflex3.alg")
+    assert _run(capsys, "gen", "aflex", "--field", "gf:3", "-o", path)[0] == 0
+    assert built == []
+    # a budget refusal comes before any product (this file declares no
+    # unity, which parse_algebra would check by multiplying)
+    code = main(["exact-length", path, "--budget", "15"])
+    assert code == 2 and "exceed budget 15" in capsys.readouterr().err
+    assert built == []
+    # a job that multiplies compiles the kernel once
+    code, out = _run(capsys, "exact-length", path)
+    assert code == 0 and "l(A) = 3" in out
+    assert built == [5]
 
 
 def test_cli_exact_length_budget_refuses_a_large_dimension_at_once(tmp_path, capsys):
@@ -485,6 +507,20 @@ def test_empty_set_specs_exit_2(fuzz_dir, spec, command):
     else:
         option = "--set=" + spec
     assert_exits_2([command, str(fuzz_dir / "aflex.alg"), option])
+
+
+@pytest.mark.parametrize("line", ["0 1/0 0 0 0", "0 x 0 0 0", "0 1 0 0"])
+@pytest.mark.parametrize("command", ["length", "diffseq", "bounds"])
+def test_bad_set_file_lines_name_the_file_and_line(fuzz_dir, capsys, command, line):
+    # a bad scalar, a zero denominator or a wrong coordinate count in a set
+    # file is reported as parse_algebra reports one in an algebra file
+    path = fuzz_dir / "bad.set"
+    path.write_text(f"1 0 0 0 0\n{line}\n", encoding="utf-8")
+    code = main([command, str(fuzz_dir / "aflex.alg"), f"--set-file={path}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: line 2: ")
+    assert f"in set file {str(path)!r}" in captured.err
 
 
 def test_bounds_refuses_a_bad_set_before_classify(fuzz_dir, monkeypatch):

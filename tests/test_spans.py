@@ -305,10 +305,10 @@ def test_sweep_ladder_agrees_with_diff_sequence():
         for make in (examples.make_a_flex, examples.make_a_alt):
             for algebra in (make(field), examples.make_unital_hull(make(field))):
                 p, n = field.p, algebra.dim
-                table = algebra.product_table[0]
+                mul = algebra.product_kernel
                 unity = list(algebra.unity) if algebra.unity is not None else None
                 for rows in spans._subspace_rows(p, n, algebra.unity, None):
-                    level_reps = spans._ladder(table, p, unity, None, rows)
+                    level_reps = spans._ladder(mul, n, p, unity, None, rows)
                     dims = list(accumulate(map(len, level_reps)))
                     top = len(dims) - 1 if dims[-1] == n else len(dims)
                     gens = [algebra.element(r) for r in rows]
@@ -469,7 +469,7 @@ def test_generation_pretest_matches_unpruned_sweep(kind, triangular, data):
     algebra = data.draw(prime_field_algebras(field, 4, kind, triangular))
     p, n = algebra.field.p, algebra.dim
     unity = list(algebra.unity) if algebra.unity is not None else None
-    table = algebra.product_table[0]
+    mul = algebra.product_kernel
     m_rows = spans._augmentation_ideal(algebra)
     if algebra.unity is not None:
         # the search finds a character exactly when one exists
@@ -487,7 +487,7 @@ def test_generation_pretest_matches_unpruned_sweep(kind, triangular, data):
     exact = m_rows is not None and _is_nilpotent(algebra, m_rows)
     best = None
     for rows in spans._subspace_rows(p, n, algebra.unity, None):
-        length, generating = _sweep_reading(spans._ladder(table, p, unity, None, rows), n)
+        length, generating = _sweep_reading(spans._ladder(mul, n, p, unity, None, rows), n)
         if generating and (best is None or length > best[0]):
             best = (length, rows)
         passes = can_generate is None or can_generate(rows)
@@ -516,17 +516,17 @@ def test_sweep_ladder_without_closure_checks(kind, triangular, data):
     can_generate, codim, _ = test
     p, n = field.p, algebra.dim
     unity = list(algebra.unity) if algebra.unity is not None else None
-    table = algebra.product_table[0]
+    mul = algebra.product_kernel
     for rows in takewhile(lambda rows: len(rows) <= codim,
                           spans._subspace_rows(p, n, algebra.unity, None)):
-        checked = spans._ladder(table, p, unity, None, rows)
+        checked = spans._ladder(mul, n, p, unity, None, rows)
         if can_generate(rows):
             assert len(rows) == codim and _sweep_reading(checked, n)[1]
-            assert spans._ladder(table, p, unity, None, rows, closure=False) == checked
+            assert spans._ladder(mul, n, p, unity, None, rows, closure=False) == checked
         else:
             assert not _sweep_reading(checked, n)[1]
             with pytest.raises(ResourceLimit, match="exceeded 5 levels"):
-                spans._ladder(table, p, unity, 5, rows, closure=False)
+                spans._ladder(mul, n, p, unity, 5, rows, closure=False)
 
 
 def test_generation_pretest_on_examples(monkeypatch):
@@ -538,9 +538,9 @@ def test_generation_pretest_on_examples(monkeypatch):
     aflex3 = examples.make_a_flex(f3)
     can_generate, codim, exact = spans._generation_test(aflex3)
     assert (codim, exact) == (2, True)
-    table = aflex3.product_table[0]
+    mul = aflex3.product_kernel
     for rows in spans._subspace_rows(3, aflex3.dim, None, None):
-        reps = spans._ladder(table, 3, None, None, rows)
+        reps = spans._ladder(mul, aflex3.dim, 3, None, None, rows)
         assert can_generate(rows) == _sweep_reading(reps, aflex3.dim)[1]
     assert sum(map(can_generate, spans._subspace_rows(3, 5, None, None))) == 1900
     minimal = [rows for rows in spans._subspace_rows(3, 5, None, None)
@@ -586,7 +586,7 @@ def test_nilpotency_verdict_matches_oracle(kind, triangular, data):
     m_rows = spans._augmentation_ideal(algebra)
     if m_rows is None:
         return
-    verdict = spans._nilpotent(algebra.product_table[0], field.p, m_rows)
+    verdict = spans._nilpotent(algebra.product_kernel, field.p, m_rows)
     if _is_nilpotent(algebra, m_rows):
         assert verdict
     test = spans._generation_test(algebra)
