@@ -18,11 +18,12 @@ generation pre-test and the identity checks all call it; none of them
 picks row operations by field.  It keeps echelon rows, each reduced only
 against the rows inserted before it, which is all that a residue needs;
 SpanBasis builds the reduced row-echelon form only where it is read.  The
-sweep runs no ladder on a subspace that a linear pre-test
-(``_generation_test``) shows cannot generate the algebra.  Where that
-test is exact, it runs none on a subspace larger than a minimal
-generating one, and the ladders it runs skip the closure check, since
-every subspace they start from generates.
+exact-length sweep lists no subspace that a linear pre-test
+(``_generation_test``) shows cannot generate the algebra:
+``enumerate_subspace_rows`` builds each basis row by row and drops a
+partial one that can no longer pass.  Where the test is exact, it lists
+none larger than a minimal generating one, and the ladders skip the
+closure check, since every subspace they start from generates.
 
 A generator set S is any sequence of elements of the algebra, and the
 exact-length witness is a tuple of them.  find_unity solves for an
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product, takewhile
+from itertools import combinations, product
 from math import gcd
 from operator import mul
 
@@ -391,26 +392,54 @@ def count_subspaces(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
-def enumerate_subspace_rows(p: int, n: int):
-    """Canonical RREF representative rows of every subspace of GF(p)^n.
+def enumerate_subspace_rows(p: int, n: int, c, project, top: int):
+    """RREF rows of the subspaces the exact-length sweep visits, in its order.
 
-    Rank ascending, pivot columns lexicographic, then free entries counted
-    lexicographically in row-major order.  Rows are tuples of ints.
+    The subspaces of GF(p)^n, or of the hyperplane x_c = 0 when c is a
+    column, of rank codim = len(project) to top: rank ascending, pivot
+    columns lexicographic, then free entries lexicographic in row-major
+    order.  Rows are tuples of n ints.  Each basis is built one row at a
+    time with the echelon of its rows' images under ``project`` (see
+    _generation_test), and dropped once that rank plus the rows still to
+    choose is below codim: every subspace listed projects onto A/K, and
+    with no projection none is dropped.  Each row's candidates and their
+    images are built once per pivot set.
     """
-    for r in range(n + 1):
-        if r == 0:
-            yield ()
-            continue
-        for pivots in combinations(range(n), r):
-            free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, n)
-                    if j not in pivots]
-            for values in product(range(p), repeat=len(free)):
-                rows = [[0] * n for _ in range(r)]
-                for i in range(r):
-                    rows[i][pivots[i]] = 1
-                for (i, j), val in zip(free, values):
-                    rows[i][j] = val
-                yield tuple(tuple(row) for row in rows)
+    codim = len(project)
+    cols = [j for j in range(n) if j != c]
+    for r in range(codim, top + 1):
+        for pivots in combinations(cols, r):
+            choices = []
+            for lead in pivots:
+                free = [j for j in cols if j > lead and j not in pivots]
+                rows = []
+                for values in product(range(p), repeat=len(free)):
+                    row = [0] * n
+                    row[lead] = 1
+                    for j, x in zip(free, values):
+                        row[j] = x
+                    rows.append((tuple(row), [sum(map(mul, row, f)) % p for f in project]))
+                choices.append(rows)
+            yield from _extend(p, codim, choices, [], [], [])
+
+
+def _extend(p: int, codim: int, choices, basis, span, pivots):
+    """Each completion of basis by one row per remaining choice that can
+    still project onto A/K; span and pivots: the echelon of its images."""
+    i = len(basis)
+    if i == len(choices):
+        yield tuple(basis)
+        return
+    for row, image in choices[i]:
+        # once the images span A/K no further row can add to them
+        grew = len(span) < codim and _insert(span, pivots, p, image) is not None
+        if len(span) + len(choices) - i - 1 >= codim:
+            basis.append(row)
+            yield from _extend(p, codim, choices, basis, span, pivots)
+            basis.pop()
+        if grew:
+            span.pop()
+            pivots.pop()
 
 
 def _check_budget(p: int, m: int, budget) -> None:
@@ -429,28 +458,6 @@ def _check_budget(p: int, m: int, budget) -> None:
     if count > budget:
         shown = count if count.bit_length() <= 64 else "over 2^64"
         raise ResourceLimit(f"{shown} subspaces exceed budget {budget}")
-
-
-def _subspace_rows(p: int, n: int, must_contain, budget):
-    """Row tuples of the subspaces to visit, after a budget check.
-
-    Without a nonzero ``must_contain`` these are the RREF rows of every
-    subspace of GF(p)^n.  With one, v, let c be its first nonzero
-    coordinate: since v lies outside the hyperplane H = {x_c = 0},
-    U -> U ∩ H is a bijection from the subspaces that contain v onto the
-    subspaces of H, with inverse W -> W + <v>.  So the subspaces of
-    GF(p)^(n-1) are enumerated, a zero is inserted at c, and each row tuple
-    stands for its span plus <v>; no subspace is visited and then dropped.
-    """
-    c = None
-    if must_contain is not None:
-        c = next((i for i, x in enumerate(must_contain) if x % p), None)
-    m = n if c is None else n - 1
-    _check_budget(p, m, budget)
-    rows_iter = enumerate_subspace_rows(p, m)
-    if c is None:
-        return rows_iter
-    return (tuple(r[:c] + (0,) + r[c:] for r in rows) for rows in rows_iter)
 
 
 def _rref_basis(field: Field, n: int, rows, extra=None) -> SpanBasis:
@@ -546,9 +553,8 @@ def _nilpotent(mul, p: int, m_rows) -> bool:
 
 
 def _generation_test(algebra: Algebra, budget: int | None = None):
-    """(predicate, codim, exact): a linear test that V can generate A, or None.
+    """(project, codim, exact): a linear test that V can generate A, or None.
 
-    The predicate on subspace rows rejects only non-generating subspaces.
     With M from _augmentation_ideal, let K = M^2, plus <e> when A is unital.
     The subalgebra generated by V (and e) lies in V + K: every v in V is
     chi(v) e plus an element of M, and every product of two or more elements
@@ -556,12 +562,11 @@ def _generation_test(algebra: Algebra, budget: int | None = None):
     rows of V project onto A/K, of dimension ``codim``.  ``exact`` tells
     whether M is nilpotent (see _nilpotent); then the converse holds too,
     since any subspace N with N + M^2 = M generates M, and V generates A if
-    and only if its rows reach rank codim in A/K.  K and the projection of
-    each basis vector onto A/K (its residue modulo K at the columns that are
-    no pivot of K) are computed once, and the image of each row tuple once.
-    The result is None when A has no M (``budget`` as in
-    _augmentation_ideal), or when K = A, so that the predicate would reject
-    nothing.
+    and only if its rows reach rank codim in A/K.  ``project`` holds codim
+    rows f of length n; the image of v in A/K, its residue modulo K at the
+    columns that are no pivot of K, is ``[sum(v_j f_j) % p for f in
+    project]``.  The result is None when A has no M (``budget`` as in
+    _augmentation_ideal), or when K = A, so that the test rejects nothing.
     """
     m_rows = _augmentation_ideal(algebra, budget)
     if m_rows is None:
@@ -577,26 +582,10 @@ def _generation_test(algebra: Algebra, budget: int | None = None):
     codim = n - len(k_rows)
     if codim == 0:
         return None
-    free = [j for j in range(n) if j not in k_pivots]
     images = [_reduce(k_rows, k_pivots, p, [int(i == j) for i in range(n)])[0]
               for j in range(n)]
-    columns = [[image[j] for image in images] for j in free]
-    projections = {}  # row tuple -> its image in A/K; rows recur across subspaces
-
-    def can_generate(rows) -> bool:
-        if len(rows) < codim:
-            return False
-        span, pivots = [], []
-        for row in rows:
-            image = projections.get(row)
-            if image is None:
-                image = projections[row] = [sum(map(mul, row, column)) % p
-                                            for column in columns]
-            if _insert(span, pivots, p, image) is not None and len(span) == codim:
-                return True
-        return False
-
-    return can_generate, codim, _nilpotent(product, p, m_rows)
+    project = [[image[j] for image in images] for j in range(n) if j not in k_pivots]
+    return project, codim, _nilpotent(product, p, m_rows)
 
 
 def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE_BUDGET,
@@ -606,20 +595,25 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     The maximum over all generating sets equals the maximum over RREF bases
     of subspaces (containing the unity when there is one), because the span
     ladder of S depends on S only through Lin_1(S).  Prime fields only.
-    For a unital algebra only the subspaces containing the unity are
-    enumerated (see _subspace_rows), and the budget counts those.  The
-    witness is the RREF basis of the first subspace in enumeration order
-    that attains the maximum, as a tuple of elements.  ``max_level`` caps
-    each ladder as in diff_sequence.
+    For a unital algebra only the subspaces containing the unity e count:
+    with c the first nonzero coordinate of e, U -> U ∩ H is a bijection
+    from them onto the subspaces of the hyperplane H = {x_c = 0}, with
+    inverse W -> W + <e>.  So subspaces of H are enumerated, each standing
+    for its span plus <e>.  The budget counts these lifted subspaces, and
+    is checked before any other work.  The witness is the RREF basis of
+    the first subspace in enumeration order that attains the maximum, as a
+    tuple of elements.  ``max_level`` caps each ladder as in diff_sequence.
 
-    A linear pre-test (_generation_test) skips the ladder of a subspace V
-    when V + K != A, with K = A^2 for a non-unital A and K = <e> + M^2 for
-    a unital one, M the kernel of a character.  The subalgebra V generates
-    lies in V + K, so a skipped V never generates.  The test is exact when
-    M (or A) is nilpotent: V generates if and only if its lifted rows reach
-    rank codim = dim A/K in A/K.  Then the sweep stops at the first row
-    tuple with more than codim rows.  Since Lin_k(U) <= Lin_k(V) for U <= V,
-    a generating V is never longer than a generating U inside it, and a
+    A linear pre-test (_generation_test) rules out a subspace V when
+    V + K != A, with K = A^2 for a non-unital A and K = <e> + M^2 for a
+    unital one, M the kernel of a character.  The subalgebra V generates
+    lies in V + K, so such a V never generates.  The enumeration
+    (enumerate_subspace_rows) lists only the subspaces that pass: it drops
+    a partial basis whose rows cannot reach rank codim = dim A/K in A/K,
+    so no rank below codim is listed.  The test is exact when M (or A) is
+    nilpotent: V generates if and only if it passes.  Then no rank above
+    codim is listed either.  Since Lin_k(U) <= Lin_k(V) for U <= V, a
+    generating V is never longer than a generating U inside it, and a
     passing V with more than codim rows contains a passing U with exactly
     codim of them, enumerated earlier (ranks ascend).  So the first
     subspace that attains the maximum has codim rows, and neither the
@@ -627,30 +621,24 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     so its ladder runs without closure checks (``closure=False``), which
     could only fail before full rank; should the test wrongly pass a
     subspace, its ladder raises ResourceLimit at the level cap instead of
-    giving a wrong length.  When the test is not exact, or A has
-    no M (a unital A without a character), every passing subspace is
-    swept, and so is every one when the character search alone would try
-    more than ``budget`` functionals.  The budget check comes before the
-    character search and still counts every lifted subspace, swept or not;
-    a ``max_level`` that only a skipped ladder would exceed no longer
-    raises.
+    giving a wrong length.  An inexact test lists every rank from codim
+    up.  Every subspace is swept when A has no test: a unital A without a
+    character, or one whose character search alone would try more than
+    ``budget`` functionals.  A ``max_level`` that only a skipped ladder
+    would exceed does not raise.
     """
     field = algebra.field
     if not isinstance(field, PrimeField):
         raise NotFiniteField("exact length needs a prime field")
-    n, unity = algebra.dim, algebra.unity
-    subspaces = _subspace_rows(field.p, n, unity, budget)
-    test = _generation_test(algebra, budget)
-    exact = False
-    if test is not None:
-        can_generate, codim, exact = test
-        if exact:
-            subspaces = takewhile(lambda rows: len(rows) <= codim, subspaces)
-        subspaces = filter(can_generate, subspaces)
-    run = partial(_ladder, algebra.product_kernel, n, field.p,
+    p, n, unity = field.p, algebra.dim, algebra.unity
+    c = None if unity is None else next((i for i, x in enumerate(unity) if x % p), None)
+    m = n if c is None else n - 1
+    _check_budget(p, m, budget)
+    project, codim, exact = _generation_test(algebra, budget) or ([], 0, False)
+    run = partial(_ladder, algebra.product_kernel, n, p,
                   list(unity) if unity is not None else None, max_level, closure=not exact)
     best = None
-    for rows in subspaces:
+    for rows in enumerate_subspace_rows(p, n, c, project, codim if exact else m):
         level_reps = run(rows)
         if sum(map(len, level_reps)) == n:
             length = max(k for k, reps in enumerate(level_reps) if reps)

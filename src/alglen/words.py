@@ -39,16 +39,17 @@ def evaluate(algebra, gens, w: Word):
 
     ``gens`` is a sequence of elements; letter i names ``gens[i - 1]``.
     """
-    n = len(gens)
+    return _evaluate(algebra.multiply, gens, w)
 
-    def rec(t):
-        if isinstance(t, int):
-            if not 1 <= t <= n:
-                raise IndexOutOfRange(f"letter {t} with {n} generators")
-            return gens[t - 1]
-        return algebra.multiply(rec(t[0]), rec(t[1]))
 
-    return rec(w)
+def _evaluate(multiply, gens, w: Word):
+    # module-level, not a closure: a self-recursive closure would make each
+    # call a reference cycle that keeps the algebra and gens until gc runs
+    if isinstance(w, int):
+        if not 1 <= w <= len(gens):
+            raise IndexOutOfRange(f"letter {w} with {len(gens)} generators")
+        return gens[w - 1]
+    return multiply(_evaluate(multiply, gens, w[0]), _evaluate(multiply, gens, w[1]))
 
 
 def enumerate_restricted(s_size: int, m: int, cap: int | None = DEFAULT_WORD_CAP):

@@ -17,13 +17,15 @@ The last sections hold what the tests read and the package does not: the
 example algebras the sweeps run on, by their ``alglen gen`` names, and
 functions moved out of the package unchanged (the interpreted product loop
 that ``Algebra.product_kernel`` replaced, the full word enumeration,
-the subspace enumeration over the engine's row tuples, the conjugation
-twists of the Cayley-Dickson doubling, the two-block subword family and
-two alternative-type bound formulas).
+the subspace enumeration over the engine's row tuples, the exact-length
+sweep's candidates as the full enumeration filtered by the generation
+pre-test's predicate, the conjugation twists of the Cayley-Dickson
+doubling, the two-block subword family and two alternative-type bound
+formulas).
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, takewhile
 
 from alglen.algebra import Algebra, Element, make_algebra
 from alglen.bounds import alt_min_dim
@@ -31,7 +33,8 @@ from alglen.errors import DimensionMismatch, DomainError, NotFiniteField, Resour
 from alglen.examples import _cd_tables
 from alglen.field import Field, PrimeField
 from alglen.io_cli import build_example
-from alglen.spans import DEFAULT_SUBSPACE_BUDGET, _rref_basis, _subspace_rows
+from alglen.spans import (DEFAULT_SUBSPACE_BUDGET, _check_budget, _generation_test,
+                          _rref_basis)
 from alglen.words import DEFAULT_WORD_CAP, evaluate
 
 
@@ -519,6 +522,83 @@ def enumerate_full(s_size: int, m: int, cap: int | None = DEFAULT_WORD_CAP):
 # -- subspace enumeration over prime fields ------------------------------------
 
 
+def all_subspace_rows(p: int, n: int):
+    """Canonical RREF representative rows of every subspace of GF(p)^n.
+
+    Rank ascending, pivot columns lexicographic, then free entries counted
+    lexicographically in row-major order.  Rows are tuples of ints.
+    """
+    for r in range(n + 1):
+        if r == 0:
+            yield ()
+            continue
+        for pivots in combinations(range(n), r):
+            free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, n)
+                    if j not in pivots]
+            for values in product(range(p), repeat=len(free)):
+                rows = [[0] * n for _ in range(r)]
+                for i in range(r):
+                    rows[i][pivots[i]] = 1
+                for (i, j), val in zip(free, values):
+                    rows[i][j] = val
+                yield tuple(tuple(row) for row in rows)
+
+
+def subspace_rows(p: int, n: int, must_contain, budget):
+    """Row tuples of the subspaces to visit, after a budget check.
+
+    Without a nonzero ``must_contain`` these are the RREF rows of every
+    subspace of GF(p)^n.  With one, v, let c be its first nonzero
+    coordinate: since v lies outside the hyperplane H = {x_c = 0},
+    U -> U ∩ H is a bijection from the subspaces that contain v onto the
+    subspaces of H, with inverse W -> W + <v>.  So the subspaces of
+    GF(p)^(n-1) are enumerated, a zero is inserted at c, and each row tuple
+    stands for its span plus <v>; no subspace is visited and then dropped.
+    """
+    c = None
+    if must_contain is not None:
+        c = next((i for i, x in enumerate(must_contain) if x % p), None)
+    m = n if c is None else n - 1
+    _check_budget(p, m, budget)
+    rows_iter = all_subspace_rows(p, m)
+    if c is None:
+        return rows_iter
+    return (tuple(r[:c] + (0,) + r[c:] for r in rows) for rows in rows_iter)
+
+
+def generation_predicate(algebra, project):
+    """The generation pre-test on row tuples: whether their images in A/K reach rank codim.
+
+    ``project`` is the projection that ``spans._generation_test`` returns;
+    the rank is taken by ``rref_rows``.
+    """
+    field, codim = algebra.field, len(project)
+
+    def can_generate(rows) -> bool:
+        images = [[sum(a * b for a, b in zip(row, f)) % field.p for f in project]
+                  for row in rows]
+        return len(rows) >= codim and len(rref_rows(field, images, codim)) == codim
+
+    return can_generate
+
+
+def sweep_candidates(algebra, budget=None) -> list:
+    """The row tuples the exact-length sweep runs a ladder on, found the old way.
+
+    Every lifted subspace (``subspace_rows``), cut after the last with codim
+    rows when the pre-test is exact, then filtered by the pre-test's
+    predicate; every lifted subspace when the algebra has no pre-test.
+    """
+    subspaces = subspace_rows(algebra.field.p, algebra.dim, algebra.unity, budget)
+    test = _generation_test(algebra, budget)
+    if test is None:
+        return list(subspaces)
+    project, codim, exact = test
+    if exact:
+        subspaces = takewhile(lambda rows: len(rows) <= codim, subspaces)
+    return list(filter(generation_predicate(algebra, project), subspaces))
+
+
 def enumerate_subspaces(field: Field, n: int, must_contain: Element | None = None,
                         budget: int | None = DEFAULT_SUBSPACE_BUDGET):
     """Every subspace of GF(p)^n exactly once, as SpanBasis objects.
@@ -531,7 +611,7 @@ def enumerate_subspaces(field: Field, n: int, must_contain: Element | None = Non
         raise NotFiniteField("subspace enumeration needs a prime field")
     if must_contain is not None and len(must_contain) != n:
         raise DimensionMismatch("must_contain has wrong length")
-    for rows in _subspace_rows(field.p, n, must_contain, budget):
+    for rows in subspace_rows(field.p, n, must_contain, budget):
         yield _rref_basis(field, n, rows, must_contain)
 
 

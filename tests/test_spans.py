@@ -307,7 +307,7 @@ def test_sweep_ladder_agrees_with_diff_sequence():
                 p, n = field.p, algebra.dim
                 mul = algebra.product_kernel
                 unity = list(algebra.unity) if algebra.unity is not None else None
-                for rows in spans._subspace_rows(p, n, algebra.unity, None):
+                for rows in oracles.subspace_rows(p, n, algebra.unity, None):
                     level_reps = spans._ladder(mul, n, p, unity, None, rows)
                     dims = list(accumulate(map(len, level_reps)))
                     top = len(dims) - 1 if dims[-1] == n else len(dims)
@@ -483,10 +483,12 @@ def test_generation_pretest_matches_unpruned_sweep(kind, triangular, data):
             kernel = oracles.rref_rows(algebra.field, m_rows, n)
             assert len(kernel) == n - 1
             assert all(sum(a * b for a, b in zip(chi, r)) % p == 0 for r in kernel)
-    can_generate, _, exact_here = spans._generation_test(algebra) or (None, None, False)
+    test = spans._generation_test(algebra)
+    can_generate = oracles.generation_predicate(algebra, test[0]) if test else None
+    exact_here = bool(test) and test[2]
     exact = m_rows is not None and _is_nilpotent(algebra, m_rows)
     best = None
-    for rows in spans._subspace_rows(p, n, algebra.unity, None):
+    for rows in oracles.subspace_rows(p, n, algebra.unity, None):
         length, generating = _sweep_reading(spans._ladder(mul, n, p, unity, None, rows), n)
         if generating and (best is None or length > best[0]):
             best = (length, rows)
@@ -513,12 +515,13 @@ def test_sweep_ladder_without_closure_checks(kind, triangular, data):
     test = spans._generation_test(algebra)
     if test is None or not test[2]:
         return
-    can_generate, codim, _ = test
+    project, codim, _ = test
+    can_generate = oracles.generation_predicate(algebra, project)
     p, n = field.p, algebra.dim
     unity = list(algebra.unity) if algebra.unity is not None else None
     mul = algebra.product_kernel
     for rows in takewhile(lambda rows: len(rows) <= codim,
-                          spans._subspace_rows(p, n, algebra.unity, None)):
+                          oracles.subspace_rows(p, n, algebra.unity, None)):
         checked = spans._ladder(mul, n, p, unity, None, rows)
         if can_generate(rows):
             assert len(rows) == codim and _sweep_reading(checked, n)[1]
@@ -536,14 +539,15 @@ def test_generation_pretest_on_examples(monkeypatch):
     # the 729 passing subspaces with codim = dim A/A^2 = 2 rows, the minimal
     # generating ones
     aflex3 = examples.make_a_flex(f3)
-    can_generate, codim, exact = spans._generation_test(aflex3)
+    project, codim, exact = spans._generation_test(aflex3)
     assert (codim, exact) == (2, True)
+    can_generate = oracles.generation_predicate(aflex3, project)
     mul = aflex3.product_kernel
-    for rows in spans._subspace_rows(3, aflex3.dim, None, None):
+    for rows in oracles.subspace_rows(3, aflex3.dim, None, None):
         reps = spans._ladder(mul, aflex3.dim, 3, None, None, rows)
         assert can_generate(rows) == _sweep_reading(reps, aflex3.dim)[1]
-    assert sum(map(can_generate, spans._subspace_rows(3, 5, None, None))) == 1900
-    minimal = [rows for rows in spans._subspace_rows(3, 5, None, None)
+    assert sum(map(can_generate, oracles.subspace_rows(3, 5, None, None))) == 1900
+    minimal = [rows for rows in oracles.subspace_rows(3, 5, None, None)
                if len(rows) == codim and can_generate(rows)]
     assert len(minimal) == 729
     ladders = []
@@ -600,13 +604,95 @@ def test_exact_length_of_non_nilpotent_plane():
     # pass it (V + A^2 = A) but square to 0, so only A itself generates; a
     # sweep cut at codim = 1 row would find no generating subspace at all
     plane = make_algebra(PrimeField(2), 2, {(2, 1): [(1, 1), (2, 1)]})
-    can_generate, codim, exact = spans._generation_test(plane)
+    project, codim, exact = spans._generation_test(plane)
     assert (codim, exact) == (1, False)
+    can_generate = oracles.generation_predicate(plane, project)
     assert can_generate(((1, 0),)) and can_generate(((0, 1),))
     length, witness = exact_algebra_length(plane)
     assert length == 1
     assert witness == (plane.basis_element(1), plane.basis_element(2))
 
+
+def _swept_rows(algebra):
+    """The row tuples exact_algebra_length runs a ladder on, in order, and its result."""
+    swept = []
+    ladder = spans._ladder
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spans, "_ladder", lambda *args, **kw:
+                      swept.append(args[-1]) or ladder(*args, **kw))
+        result = exact_algebra_length(algebra)
+    return swept, result
+
+
+@pytest.mark.parametrize("kind, triangular", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sweep_candidates_match_the_reference(kind, triangular, data):
+    # the enumeration that builds each basis row by row and drops partial
+    # bases lists exactly the subspaces that the full enumeration, cut at
+    # codim rows where the pre-test is exact and filtered by its predicate,
+    # passes on to the ladders, in the same order; with no pre-test, all
+    field = data.draw(st.sampled_from([PrimeField(2), PrimeField(3)]))
+    algebra = data.draw(prime_field_algebras(field, 4, kind, triangular))
+    assert _swept_rows(algebra)[0] == oracles.sweep_candidates(algebra)
+
+
+def _plane():
+    # the non-nilpotent plane of test_exact_length_of_non_nilpotent_plane
+    return make_algebra(PrimeField(2), 2, {(2, 1): [(1, 1), (2, 1)]})
+
+
+SWEPT_EXAMPLES = [
+    pytest.param(lambda: examples.make_a_flex(PrimeField(3)), "exact", id="aflex-gf3"),
+    pytest.param(lambda: examples.make_unital_hull(examples.make_a_alt(PrimeField(2))),
+                 "exact", id="hull-aalt-gf2"),
+    pytest.param(lambda: examples.make_group_algebra_z2n(2), "exact", id="z2n2"),
+    pytest.param(lambda: make_algebra(PrimeField(3), 3, {}), "exact", id="zero-gf3"),
+    pytest.param(_plane, "inexact", id="plane"),
+    pytest.param(lambda: examples.make_unital_hull(_plane()), "inexact", id="hull-plane"),
+    pytest.param(lambda: examples.make_matrix_algebra(2, PrimeField(2)), "none", id="matrix2-gf2"),
+    pytest.param(lambda: examples.make_spin_factor(3, PrimeField(2)), "none", id="spin3-gf2"),
+]
+
+
+@pytest.mark.parametrize("build, kind", SWEPT_EXAMPLES)
+def test_sweep_candidates_on_examples(build, kind):
+    # the same on fixed algebras with an exact pre-test, an inexact one and
+    # none (matrix:2 and spin:3 have no character); with none, every lifted
+    # subspace is swept, and length and witness agree with the sweep spelled
+    # out
+    algebra = build()
+    test = spans._generation_test(algebra)
+    assert kind == ("none" if test is None else "exact" if test[2] else "inexact")
+    swept, result = _swept_rows(algebra)
+    assert swept == oracles.sweep_candidates(algebra)
+    if test is None:
+        assert swept == list(oracles.subspace_rows(algebra.field.p, algebra.dim,
+                                                   algebra.unity, None))
+    assert result == _generic_exact_length(algebra)
+
+
+def test_enumeration_without_a_projection_lists_every_subspace():
+    for p, n in ((2, 4), (3, 3)):
+        assert (list(spans.enumerate_subspace_rows(p, n, None, [], n))
+                == list(oracles.all_subspace_rows(p, n)))
+        for c in range(n):
+            lifted = [tuple(r[:c] + (0,) + r[c:] for r in rows)
+                      for rows in oracles.all_subspace_rows(p, n - 1)]
+            assert list(spans.enumerate_subspace_rows(p, n, c, [], n - 1)) == lifted
+
+
+def test_exact_length_checks_the_budget_before_any_work(monkeypatch, z2n2):
+    # the budget refusal comes before the pre-test, whose character search
+    # and products could take long on a large algebra
+    def pretest(*args, **kwargs):
+        raise AssertionError("the pre-test ran before the budget check")
+
+    monkeypatch.setattr(spans, "_generation_test", pretest)
+    with pytest.raises(ResourceLimit, match=r"over 2\^64 subspaces exceed budget 2000000"):
+        exact_algebra_length(make_algebra(PrimeField(2), 21, {}))
+    with pytest.raises(ResourceLimit, match="16 subspaces exceed budget 15"):
+        exact_algebra_length(z2n2, budget=15)
 
 def _generates(algebra, gens):
     """Whether gens (with the unity) generate A: the span closed under products."""

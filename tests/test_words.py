@@ -1,6 +1,11 @@
+import gc
+import weakref
+
 import pytest
 
-from alglen.errors import ParseError, ResourceLimit
+from alglen import examples
+from alglen.errors import IndexOutOfRange, ParseError, ResourceLimit
+from alglen.field import PrimeField
 from alglen.io_cli import resolve_set
 from alglen.words import (enumerate_restricted, MAX_WORD_DEPTH, evaluate, format_word,
                           is_restricted, parse_word, word_length, word_letters)
@@ -58,6 +63,27 @@ def test_evaluate(aflex, z2n2):
     letters = [z2n2.basis_element(2), z2n2.basis_element(3)]
     # (e_f1 e_f2) e_f1 = e_f2
     assert evaluate(z2n2, letters, ((1, 2), 1)) == z2n2.basis_element(3)
+    with pytest.raises(IndexOutOfRange):
+        evaluate(z2n2, letters, (1, 3))
+
+
+def test_evaluate_leaves_no_reference_cycle():
+    # with the collector off, the algebra must go with its last reference:
+    # nothing that evaluate builds may keep it (or gens) in a cycle
+    algebra = examples.make_a_flex(PrimeField(3))
+    gens = (algebra.basis_element(1), algebra.basis_element(2))
+    algebra.multiply(*gens)
+    alive = weakref.ref(algebra)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert evaluate(algebra, gens, ((1, 2), 1)) == algebra.multiply(
+            algebra.multiply(*gens), gens[0])
+        del algebra
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_parse_format_roundtrip():
