@@ -111,20 +111,21 @@ class BoundReport:
                 "all_passed": self.all_passed}
 
 
-def audit(algebra, report, set_results, algebra_length=None,
-          canonical_shapes=()) -> BoundReport:
-    """Check every applicable bound against computed lengths.
+def audit(algebra, report, seq, algebra_length=None, surviving=None) -> BoundReport:
+    """Check every applicable bound against the lengths of one generator set.
 
-    ``report`` is the ClassificationReport, ``set_results`` a list of
-    (label, DiffSequence) pairs, ``algebra_length`` an optional exact l(A),
-    ``canonical_shapes`` optional (label, m, block_sizes) triples of words
-    known to survive at the top level.  Each bound is applied when the class
-    verdicts it rests on hold.  A failing entry falsifies a proved statement,
-    and so signals an implementation bug rather than new mathematics, only
-    when those verdicts are ``holds-exhaustive``.  The descending, sliding
-    and mixing verdicts used here are ``holds-randomized``: a random sample
-    may miss the one tuple that fails, and then a FAIL can mean that the
-    algebra is not in the class and the bound does not apply.
+    ``report`` is the ClassificationReport, ``seq`` the DiffSequence of the
+    set, ``algebra_length`` an optional exact l(A), and ``surviving`` an
+    optional (m, CanonicalWord) pair: the flexible canonical form of a word
+    of length m = l(S) >= 3 outside the span of shorter words.  Its block sizes
+    bound d1 and d2 when its shape is EOO, OEE or O11; other shapes add no
+    entry.  Each bound is applied when the class verdicts it rests on hold.
+    A failing entry falsifies a proved statement, and so signals an
+    implementation bug rather than new mathematics, only when those verdicts
+    are ``holds-exhaustive``.  The descending, sliding and mixing verdicts
+    used here are ``holds-randomized``: a random sample may miss the one
+    tuple that fails, and then a FAIL can mean that the algebra is not in
+    the class and the bound does not apply.
     """
     entries = []
     d0 = 1 if algebra.unity is not None else 0
@@ -138,46 +139,42 @@ def audit(algebra, report, set_results, algebra_length=None,
     def add(name, inputs, requirement, observed, passed):
         entries.append(BoundEntry(name, inputs, requirement, observed, bool(passed)))
 
-    for label, seq in set_results:
-        l_s, d1 = seq.length_of_set, (seq.d[1] if len(seq.d) > 1 else 0)
-        if slow:
-            add("slowly-growing-length", {"set": label},
-                "l(S) <= dim", {"l(S)": l_s, "dim": algebra.dim},
-                l_s <= algebra.dim)
-        if is_alt:
-            cap = quick_set_bounds(d1, "alt")
-            add("alt-quick-set-bound", {"set": label, "d1": d1},
-                "l(S) <= 2*d1", {"l(S)": l_s, "cap": cap}, l_s <= cap)
-        if is_flex:
-            cap = quick_set_bounds(d1, "flex")
-            add("flex-quick-set-bound", {"set": label, "d1": d1},
-                "l(S) <= 3*d1 - 1", {"l(S)": l_s, "cap": cap}, l_s <= cap)
-        if is_flex and 3 <= l_s <= 4:
-            ok = all(seq.d[k] >= 2 for k in range(1, l_s))
-            add("flex-low-length-differences", {"set": label, "l(S)": l_s},
-                "d_k >= 2 for 1 <= k < l(S)", {"d": list(seq.d)}, ok)
+    l_s = seq.length_of_set
+    d1 = seq.d[1] if len(seq.d) > 1 else 0
+    if slow:
+        add("slowly-growing-length", {"set": "S"},
+            "l(S) <= dim", {"l(S)": l_s, "dim": algebra.dim},
+            l_s <= algebra.dim)
+    if is_alt:
+        cap = quick_set_bounds(d1, "alt")
+        add("alt-quick-set-bound", {"set": "S", "d1": d1},
+            "l(S) <= 2*d1", {"l(S)": l_s, "cap": cap}, l_s <= cap)
+    if is_flex:
+        cap = quick_set_bounds(d1, "flex")
+        add("flex-quick-set-bound", {"set": "S", "d1": d1},
+            "l(S) <= 3*d1 - 1", {"l(S)": l_s, "cap": cap}, l_s <= cap)
+    if is_flex and 3 <= l_s <= 4:
+        ok = all(seq.d[k] >= 2 for k in range(1, l_s))
+        add("flex-low-length-differences", {"set": "S", "l(S)": l_s},
+            "d_k >= 2 for 1 <= k < l(S)", {"d": list(seq.d)}, ok)
 
-    lengths = [seq.length_of_set for _, seq in set_results]
-    if algebra_length is not None:
-        lengths.append(algebra_length)
-    best = max(lengths, default=None)
-
-    if best is not None and is_alt and best >= 2:
+    best = l_s if algebra_length is None else max(l_s, algebra_length)
+    if is_alt and best >= 2:
         add("alt-min-dim", {"length": best},
             "dim - d0 >= 2^(n-1) + n - 2",
             {"dim-d0": dim_minus, "required": alt_min_dim(best)},
             dim_minus >= alt_min_dim(best))
-    if best is not None and is_alt and dim_minus >= 3:
+    if is_alt and dim_minus >= 3:
         cap = alt_max_length(dim_minus)
         add("alt-max-length", {"dim-d0": dim_minus},
             "length <= ceil(log2(dim - d0))", {"length": best, "cap": cap},
             best <= cap)
-    if best is not None and is_flex and best >= 1:
+    if is_flex and best >= 1:
         add("flex-min-dim", {"length": best},
             "dim - d0 >= piecewise minimum",
             {"dim-d0": dim_minus, "required": flex_min_dim(best)},
             dim_minus >= flex_min_dim(best))
-    if best is not None and is_flex and dim_minus >= 3:
+    if is_flex and dim_minus >= 3:
         cap = flex_max_length(dim_minus)
         strong = flex_max_length_strong(dim_minus)
         add("flex-max-length", {"dim-d0": dim_minus},
@@ -185,25 +182,22 @@ def audit(algebra, report, set_results, algebra_length=None,
             {"length": best, "cap": cap, "strong": strong},
             best <= min(cap, strong))
 
-    for label, m, sizes in canonical_shapes:
-        seq = dict(set_results).get(label)
-        if seq is None or not is_flex:
-            continue
-        d1 = seq.d[1] if len(seq.d) > 1 else 0
+    if is_flex and surviving is not None and surviving[1].shape in ("EOO", "OEE", "O11"):
+        m, cw = surviving
+        sizes = tuple(len(cw.blocks[r]) for r in ("x", "y", "z"))
+        j, k, l = sizes
         d2 = seq.d[2] if len(seq.d) > 2 else 0
-        if len(sizes) == 3:
-            j, k, l = sizes
-            add("flex-surviving-word-d1", {"set": label, "sizes": sizes},
-                "d1 >= max block size", {"d1": d1, "required": max(sizes)},
-                d1 >= max(sizes))
-            add("flex-surviving-word-d2", {"set": label, "sizes": sizes},
-                "d2 >= max pairwise block product",
-                {"d2": d2, "required": max(j * k, k * l, j * l)},
-                d2 >= max(j * k, k * l, j * l))
-            if k == 1 and l == 1 and m >= 3:
-                need = flex_one_letter_dim_bound(m)
-                have = sum(seq.d[: m + 1]) - (seq.d[0] if seq.d else 0)
-                add("flex-one-letter-outer-blocks", {"set": label, "m": m},
-                    "dim Lin_m - d0 >= 2^(m-2) + m - 2",
-                    {"have": have, "required": need}, have >= need)
+        add("flex-surviving-word-d1", {"set": "S", "sizes": sizes},
+            "d1 >= max block size", {"d1": d1, "required": max(sizes)},
+            d1 >= max(sizes))
+        add("flex-surviving-word-d2", {"set": "S", "sizes": sizes},
+            "d2 >= max pairwise block product",
+            {"d2": d2, "required": max(j * k, k * l, j * l)},
+            d2 >= max(j * k, k * l, j * l))
+        if k == 1 and l == 1:
+            need = flex_one_letter_dim_bound(m)
+            have = sum(seq.d[: m + 1]) - (seq.d[0] if seq.d else 0)
+            add("flex-one-letter-outer-blocks", {"set": "S", "m": m},
+                "dim Lin_m - d0 >= 2^(m-2) + m - 2",
+                {"have": have, "required": need}, have >= need)
     return BoundReport(tuple(entries))

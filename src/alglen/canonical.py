@@ -138,23 +138,7 @@ def canonical_alt_form(w: Word) -> CanonicalWord:
     m = word_length(w)
     if m < 2:
         raise WordTooShort("two-block form needs at least 2 letters")
-
-    def rec(t):
-        if word_length(t) == 2:
-            return 1, [t[0]], [t[1]]
-        if word_length(t) == 3:
-            left, right = t
-            if isinstance(right, int):
-                return 1, [left[0], left[1]], [right]
-            return 1, [left], [right[1], right[0]]
-        left, right = t
-        if isinstance(right, int):
-            sign, x, y = rec(left)
-            return -sign, x + [right], y
-        sign, x, y = rec(right)
-        return -sign, x, y + [left]
-
-    sign, x, y = rec(w)
+    sign, x, y = _alt_blocks(w)
     partition = (tuple([y[0]] + x[1:]), tuple([x[0]] + y[1:]))
     return CanonicalWord(
         variant="alt-two-block",
@@ -164,6 +148,24 @@ def canonical_alt_form(w: Word) -> CanonicalWord:
         blocks={"x": tuple(x), "y": tuple(y)},
         partition=partition,
     )
+
+
+def _alt_blocks(t: Word):
+    """(sign, x, y) of the two-block form of a restricted word of 2 or more letters."""
+    # module-level, not a closure: a self-recursive closure is a reference cycle
+    if word_length(t) == 2:
+        return 1, [t[0]], [t[1]]
+    if word_length(t) == 3:
+        left, right = t
+        if isinstance(right, int):
+            return 1, [left[0], left[1]], [right]
+        return 1, [left], [right[1], right[0]]
+    left, right = t
+    if isinstance(right, int):
+        sign, x, y = _alt_blocks(left)
+        return -sign, x + [right], y
+    sign, x, y = _alt_blocks(right)
+    return -sign, x, y + [left]
 
 
 # -- three-block form (flexible type) -----------------------------------------
@@ -211,21 +213,24 @@ def _pull_z(state):
 
 def _t1(state):
     sign, form, (x, y, z) = state
-    assert len(y) == 1 and len(z) == 2
+    if not (len(y) == 1 and len(z) == 2):
+        raise AssertionError("_t1 needs a one-letter y and a two-letter z")
     new_form = "B" if form == "A" else "A"
     return (-sign, new_form, (x + (y[0],), (z[0],), (z[1],)))
 
 
 def _t2(state):
     sign, form, (x, y, z) = state
-    assert len(y) == 2 and len(z) == 1 and len(x) >= 2
+    if not (len(y) == 2 and len(z) == 1 and len(x) >= 2):
+        raise AssertionError("_t2 needs a two-letter y, a one-letter z and two or more x")
     new_form = "B" if form == "A" else "A"
     return (-sign, new_form, (x[:-1], (x[-1],), (y[0], y[1], z[0])))
 
 
 def _t3(state):
     sign, form, (x, y, z) = state
-    assert len(y) == 2 and len(z) == 2
+    if not (len(y) == 2 and len(z) == 2):
+        raise AssertionError("_t3 needs a two-letter y and a two-letter z")
     return (-sign, form, (x, (z[0],), (y[1], y[0], z[1])))
 
 
@@ -277,10 +282,12 @@ def _normalize(state):
     _, _, (x, y, z) = st
     a, b, c = len(x), len(y), len(z)
     if a % 2 == 0:
-        assert b % 2 == 1 and c % 2 == 1
+        if not (b % 2 == 1 and c % 2 == 1):
+            raise AssertionError("an even x block needs odd y and z blocks")
         return st, "EOO"
     if b % 2 == 0:
-        assert a == 1 and c % 2 == 1
+        if not (a == 1 and c % 2 == 1):
+            raise AssertionError("an even y block needs a one-letter x and an odd z")
         return st, "OO"
     if b == 1 and c == 1:
         return st, "O11"
@@ -295,7 +302,8 @@ def _normalize(state):
     for pull in donors:
         (side, letter), inner = pull(st)
         inner, inner_shape = _normalize(inner)
-        assert inner_shape in ("EOO", "OO")
+        if inner_shape not in ("EOO", "OO"):
+            raise AssertionError(f"a pulled letter left shape {inner_shape}, not EOO or OO")
         candidate = _push(inner, side, letter)
         _, _, (cx, cy, cz) = candidate
         ca, cb, cc = len(cx), len(cy), len(cz)

@@ -1,9 +1,7 @@
 """Constructors for the named example algebras of ``alglen gen``.
 
 All constructors return immutable Algebra objects with human-readable
-labels.  ``io_cli.build_example`` owns the table of names.  The
-Cayley-Dickson doubling is generic plumbing for experiments; nothing in
-the acceptance suite depends on it.
+labels.  ``io_cli.build_example`` owns the table of names.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from .field import Field, PrimeField, Rationals
 GROUP_ALGEBRA_CAP = 6
 
 
-def make_group_algebra_z2n(n: int, cap: int = GROUP_ALGEBRA_CAP) -> Algebra:
+def make_group_algebra_z2n(n: int) -> Algebra:
     """Group algebra of (Z/2)^n over GF(2): basis e_x, products e_x e_y = e_{x+y}.
 
     Commutative, associative, unital with unity e_0; dimension 2^n.
@@ -25,8 +23,8 @@ def make_group_algebra_z2n(n: int, cap: int = GROUP_ALGEBRA_CAP) -> Algebra:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if n > cap:
-        raise ResourceLimit(f"group algebra dimension 2^{n} exceeds cap 2^{cap}")
+    if n > GROUP_ALGEBRA_CAP:
+        raise ResourceLimit(f"group algebra dimension 2^{n} exceeds cap 2^{GROUP_ALGEBRA_CAP}")
     field = PrimeField(2)
     dim = 2**n
     products = {(x + 1, y + 1): [((x ^ y) + 1, 1)] for x in range(dim) for y in range(dim)}
@@ -155,63 +153,40 @@ def make_unital_hull(algebra: Algebra) -> Algebra:
     return make_algebra(f, dim, products, unity=unity, labels=labels)
 
 
-# -- Cayley-Dickson plumbing -------------------------------------------------
+# -- Cayley-Dickson doubling ---------------------------------------------------
 
 
-def _cd_tables(level: int, gammas, f: Field):
-    """Multiplication and conjugation of the doubling construction.
+def _cd_product(level: int, gammas, i: int, j: int, f: Field) -> tuple:
+    """(c, k) with b_i b_j = c b_k in the doubling algebra of the given level.
 
-    Product of pairs: (a, b)(c, d) = (ac + g * conj(d) b, d a + b conj(c)).
-    Returns (mul, conj) where mul maps basis pairs to coordinate vectors and
-    conj is a sign vector on the basis.
+    Below h = 2^(level-1), b_i is the pair (b_i, 0); from h on, b_i is
+    (0, b_(i-h)).  Pairs multiply as (a, b)(c, d) = (ac + g conj(d) b,
+    da + b conj(c)) with g = gammas[level - 1], and conj(b_k) = b_k for
+    k = 0 and -b_k otherwise.
     """
-    dim = 2**level
-    one = f.one()
-
-    def mul_vec(level, x, y):
-        # x, y are coordinate lists of length 2**level; returns their product
-        n = 2**level
-        if level == 0:
-            return [f.mul(x[0], y[0])]
-        h = n // 2
-        g = gammas[level - 1]
-        a, b = x[:h], x[h:]
-        c, d = y[:h], y[h:]
-        conj_d = conj_vec(level - 1, d)
-        conj_c = conj_vec(level - 1, c)
-        left = vec_add(mul_vec(level - 1, a, c), vec_scale(g, mul_vec(level - 1, conj_d, b)))
-        right = vec_add(mul_vec(level - 1, d, a), mul_vec(level - 1, b, conj_c))
-        return left + right
-
-    def conj_vec(level, x):
-        if level == 0:
-            return list(x)
-        h = 2**level // 2
-        a = conj_vec(level - 1, x[:h])
-        return a + [f.neg(c) for c in x[h:]]
-
-    def vec_add(x, y):
-        return [f.add(u, v) for u, v in zip(x, y)]
-
-    def vec_scale(c, x):
-        return [f.mul(c, v) for v in x]
-
-    def basis_vec(i):
-        return [one if k == i else f.zero() for k in range(dim)]
-
-    mul = {}
-    for i in range(dim):
-        for j in range(dim):
-            mul[(i, j)] = mul_vec(level, basis_vec(i), basis_vec(j))
-    conj_signs = conj_vec(level, [one] * dim)
-    return mul, conj_signs
+    if level == 0:
+        return f.one(), 0
+    h = 2 ** (level - 1)
+    if i < h and j < h:  # (a, 0)(c, 0) = (ac, 0)
+        return _cd_product(level - 1, gammas, i, j, f)
+    if i < h:  # (a, 0)(0, d) = (0, da)
+        c, k = _cd_product(level - 1, gammas, j - h, i, f)
+        return c, k + h
+    if j < h:  # (0, b)(c, 0) = (0, b conj(c))
+        c, k = _cd_product(level - 1, gammas, i - h, j, f)
+        return (c if j == 0 else f.neg(c)), k + h
+    # (0, b)(0, d) = (g conj(d) b, 0)
+    c, k = _cd_product(level - 1, gammas, j - h, i - h, f)
+    c = f.mul(gammas[level - 1], c)
+    return (c if j == h else f.neg(c)), k
 
 
 def make_cayley_dickson(level: int, gammas, field: Field | None = None) -> Algebra:
     """Doubling algebra of dimension 2^level with parameters gammas.
 
     Level 0 is the field itself; (-1, -1) at level 2 gives a quaternion
-    type algebra.  Not tied to any concrete example in the test corpus.
+    type algebra.  ``gen cd:<level>:<gammas>`` builds it; the ``classify-q``
+    benchmark runs cd:3, and the classify golden outputs hold cd:3 and cd:4.
     """
     if not 0 <= level <= 4:
         raise DomainError("level must be between 0 and 4")
@@ -222,12 +197,12 @@ def make_cayley_dickson(level: int, gammas, field: Field | None = None) -> Algeb
     if any(f.is_zero(g) for g in gammas):
         raise DomainError("gamma parameters must be nonzero")
     dim = 2**level
-    mul, _ = _cd_tables(level, gammas, f)
+    # a product of basis vectors is a basis vector times a product of nonzero gammas
     products = {}
-    for (i, j), vec in mul.items():
-        terms = [(k + 1, c) for k, c in enumerate(vec) if not f.is_zero(c)]
-        if terms:
-            products[(i + 1, j + 1)] = terms
+    for i in range(dim):
+        for j in range(dim):
+            c, k = _cd_product(level, gammas, i, j, f)
+            products[(i + 1, j + 1)] = [(k + 1, c)]
     unity = [f.one()] + [f.zero()] * (dim - 1)
     labels = [f"u{i}" for i in range(dim)]
     return make_algebra(f, dim, products, unity=unity, labels=labels)

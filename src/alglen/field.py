@@ -88,20 +88,18 @@ def is_prime(n: int) -> bool:
 class Field:
     """Common interface for exact scalar arithmetic.
 
-    ``kind`` is ``"rationals"`` or ``"prime-field"``; ``characteristic`` is
-    0 or p.  Concrete values are produced by :meth:`from_int` and
-    :meth:`parse` and consumed by the arithmetic methods below.
+    ``characteristic`` is 0 over the rationals and p over GF(p), so it alone
+    tells two fields apart.  Concrete values are produced by :meth:`from_int`
+    and :meth:`parse` and consumed by the arithmetic methods below.
     """
 
-    kind: str
     characteristic: int
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.kind == other.kind \
-            and self.characteristic == other.characteristic
+        return isinstance(other, Field) and self.characteristic == other.characteristic
 
     def __hash__(self):
-        return hash((self.kind, self.characteristic))
+        return hash(self.characteristic)
 
     # subclass API: zero, one, from_int, add, sub, mul, neg, inv, div,
     # is_zero, format
@@ -127,7 +125,6 @@ class Field:
 
 
 class Rationals(Field):
-    kind = "rationals"
     characteristic = 0
 
     def __repr__(self):
@@ -173,8 +170,6 @@ class Rationals(Field):
 
 class PrimeField(Field):
     """GF(p) with residues stored as the least non-negative representative."""
-
-    kind = "prime-field"
 
     def __init__(self, p: int):
         if p >= _PRIME_LIMIT:

@@ -346,11 +346,8 @@ class Witness:
     equation: str
     elements: tuple  # (name, coords) pairs, in order of quantification
 
-    def as_dict(self, algebra=None):
-        shown = {}
-        for name, coords in self.elements:
-            shown[name] = (algebra.format_element(coords) if algebra
-                           else [str(c) for c in coords])
+    def as_dict(self, algebra):
+        shown = {name: algebra.format_element(coords) for name, coords in self.elements}
         return {"equation": self.equation, "elements": shown}
 
 
@@ -365,7 +362,7 @@ class Verdict:
     def holds(self) -> bool:
         return self.kind.startswith("holds")
 
-    def as_dict(self, algebra=None):
+    def as_dict(self, algebra):
         out = {"kind": self.kind}
         if self.kind == "holds-randomized":
             out["samples"] = self.samples
@@ -706,7 +703,7 @@ class ClassificationReport:
     def verdict(self, name: str) -> Verdict:
         return self.verdicts[name]
 
-    def as_dict(self, algebra=None):
+    def as_dict(self, algebra):
         return {
             "verdicts": {k: v.as_dict(algebra) for k, v in self.verdicts.items()},
             "seed": self.seed,

@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 
 from .algebra import DEFAULT_SAMPLES, Algebra, make_algebra
 from .errors import AlgLenError, ParseError
@@ -341,17 +342,13 @@ def _cmd_exact_length(args) -> int:
     return 0
 
 
-def _find_surviving_word(algebra, gens, seq, cap=4096):
-    """A restricted word of top length evaluating outside the lower span."""
+def _find_surviving_word(algebra, gens, seq):
+    """Among the first 4096 restricted words of top length, one outside the lower span."""
     m = seq.length_of_set
     if m < 3:
         return None
     lower = lin_span(algebra, gens, m - 1)
-    count = 0
-    for w in enumerate_restricted(len(gens), m, cap=None):
-        count += 1
-        if count > cap:
-            return None
+    for w in islice(enumerate_restricted(len(gens), m, cap=None), 4096):
         if not lower.contains(evaluate(algebra, gens, w)):
             return w
     return None
@@ -370,19 +367,14 @@ def _cmd_bounds(args) -> int:
                                         max_level=args.max_level)
     report = identities.classify(algebra, seed=args.seed, samples=args.samples)
     seq = diff_sequence(algebra, gens, max_level=args.max_level)
-    set_results = [("S", seq)]
-    shapes = []
+    surviving = None
     if report.verdict("descendingly_flexible").holds:
         w = _find_surviving_word(algebra, gens, seq)
         if w is not None:
             from .canonical import canonical_flex_form
 
-            cw = canonical_flex_form(w)
-            if cw.shape in ("EOO", "OEE", "O11"):
-                sizes = tuple(len(cw.blocks[r]) for r in ("x", "y", "z"))
-                shapes.append(("S", word_length(w), sizes))
-    audit_report = audit(algebra, report, set_results,
-                         algebra_length=exact, canonical_shapes=shapes)
+            surviving = (word_length(w), canonical_flex_form(w))
+    audit_report = audit(algebra, report, seq, algebra_length=exact, surviving=surviving)
     lines = [f"bounds audit of {args.algebra}"]
     for e in audit_report.entries:
         status = "pass" if e.passed else "FAIL"

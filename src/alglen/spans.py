@@ -135,7 +135,6 @@ class SpanBasis:
     """
 
     def __init__(self, field: Field, dim: int):
-        self.field = field
         self.dim = dim
         self.p = field.characteristic  # 0 over Q
         self._rows: list[list[int]] = []

@@ -27,13 +27,6 @@ def word_length(w: Word) -> int:
     return word_length(w[0]) + word_length(w[1])
 
 
-def word_letters(w: Word) -> list:
-    """Letter indices in left-to-right leaf order."""
-    if isinstance(w, int):
-        return [w]
-    return word_letters(w[0]) + word_letters(w[1])
-
-
 def evaluate(algebra, gens, w: Word):
     """Product of the generator elements respecting the bracketing of w.
 
@@ -104,31 +97,26 @@ def parse_word(text: str) -> Word:
         depth += (tok == "(") - (tok == ")")
         if depth > MAX_WORD_DEPTH:
             raise ParseError(f"word nested deeper than {MAX_WORD_DEPTH} brackets")
-    pos = 0
-
-    def need(tok):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            raise ParseError(f"expected {tok!r} in word {text!r}")
-        pos += 1
-
-    def rec():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError(f"unexpected end of word {text!r}")
-        tok = tokens[pos]
-        if tok == "(":
-            pos += 1
-            left = rec()
-            right = rec()
-            need(")")
-            return (left, right)
-        if tok.isdecimal() and int(tok) >= 1:
-            pos += 1
-            return int(tok)
-        raise ParseError(f"bad token {tok!r} in word {text!r}")
-
-    w = rec()
+    w, pos = _parse_at(tokens, 0, text)
     if pos != len(tokens):
         raise ParseError(f"trailing tokens in word {text!r}")
     return w
+
+
+def _parse_at(tokens, pos: int, text: str):
+    """The word that starts at ``tokens[pos]`` and the position after it.
+
+    Module-level, not a closure, for the reason given at ``_evaluate``.
+    """
+    if pos >= len(tokens):
+        raise ParseError(f"unexpected end of word {text!r}")
+    tok = tokens[pos]
+    if tok == "(":
+        left, pos = _parse_at(tokens, pos + 1, text)
+        right, pos = _parse_at(tokens, pos, text)
+        if pos >= len(tokens) or tokens[pos] != ")":
+            raise ParseError(f"expected ')' in word {text!r}")
+        return (left, right), pos + 1
+    if tok.isdecimal() and int(tok) >= 1:
+        return int(tok), pos + 1
+    raise ParseError(f"bad token {tok!r} in word {text!r}")

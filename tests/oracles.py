@@ -30,7 +30,6 @@ from itertools import combinations, permutations, product, takewhile
 from alglen.algebra import Algebra, Element, make_algebra
 from alglen.bounds import alt_min_dim
 from alglen.errors import DimensionMismatch, DomainError, NotFiniteField, ResourceLimit
-from alglen.examples import _cd_tables
 from alglen.field import Field, PrimeField
 from alglen.io_cli import build_example
 from alglen.spans import (DEFAULT_SUBSPACE_BUDGET, _check_budget, _generation_test,
@@ -473,6 +472,13 @@ def table_product(table: list, u, v) -> list:
 # -- full word enumeration -----------------------------------------------------
 
 
+def word_letters(w) -> list:
+    """Letter indices of a word in left-to-right leaf order."""
+    if isinstance(w, int):
+        return [w]
+    return word_letters(w[0]) + word_letters(w[1])
+
+
 @lru_cache(maxsize=None)
 def catalan(n: int) -> int:
     if n == 0:
@@ -618,18 +624,18 @@ def enumerate_subspaces(field: Field, n: int, must_contain: Element | None = Non
 # -- conjugation twists of the Cayley-Dickson doubling -------------------------
 
 
-def twist_conjugation(algebra: Algebra, side: str, level: int, gammas,
-                      field: Field | None = None) -> Algebra:
+def twist_conjugation(algebra: Algebra, side: str) -> Algebra:
     """Replace x*y of a doubling algebra by conj(x)y, x conj(y), or both.
 
-    The twisted products generally lose the unity, so none is declared.
+    conj(a, b) = (conj(a), -b) fixes the unity u0 and negates every other
+    basis vector.  The twisted products generally lose the unity, so none
+    is declared.
     """
     if side not in ("left", "right", "both"):
         raise DomainError("side must be left, right, or both")
-    f = field or algebra.field
-    gammas = [g if not isinstance(g, int) else f.from_int(g) for g in gammas]
-    _, conj_signs = _cd_tables(level, gammas, f)
+    f = algebra.field
     dim = algebra.dim
+    conj_signs = [f.one()] + [f.neg(f.one())] * (dim - 1)
 
     def twisted(i, j):
         ci = conj_signs[i - 1]

@@ -114,7 +114,7 @@ def test_criterion_3_exact_lengths_with_equality(tmp_path, capsys):
             report = identities.classify(algebra, seed=0)
             gens = [algebra.basis_element(1), algebra.basis_element(2)]
             seq = diff_sequence(algebra, gens)
-            audit = bounds.audit(algebra, report, [("S", seq)], algebra_length=length)
+            audit = bounds.audit(algebra, report, seq, algebra_length=length)
             assert audit.all_passed
             name = f"{kind}-min-dim"
             entry = next(e for e in audit.entries if e.name == name)

@@ -3,7 +3,9 @@ from hypothesis import given, strategies as st
 
 import oracles
 from alglen import bounds, identities, spans
+from alglen.canonical import canonical_flex_form
 from alglen.errors import DomainError
+from alglen.words import word_length
 
 
 def test_alt_min_dim_table():
@@ -99,7 +101,7 @@ def test_audit_on_aflex_gf2(aflex_gf2):
     gens = [aflex_gf2.basis_element(1), aflex_gf2.basis_element(2)]
     seq = spans.diff_sequence(aflex_gf2, gens)
     exact, _ = spans.exact_algebra_length(aflex_gf2)
-    audit = bounds.audit(aflex_gf2, report, [("S", seq)], algebra_length=exact)
+    audit = bounds.audit(aflex_gf2, report, seq, algebra_length=exact)
     assert audit.all_passed
     names = {e.name for e in audit.entries}
     assert "flex-quick-set-bound" in names
@@ -114,7 +116,7 @@ def test_audit_on_aalt_gf2(aalt_gf2):
     gens = [aalt_gf2.basis_element(1), aalt_gf2.basis_element(2)]
     seq = spans.diff_sequence(aalt_gf2, gens)
     exact, _ = spans.exact_algebra_length(aalt_gf2)
-    audit = bounds.audit(aalt_gf2, report, [("S", seq)], algebra_length=exact)
+    audit = bounds.audit(aalt_gf2, report, seq, algebra_length=exact)
     assert audit.all_passed
     entry = next(e for e in audit.entries if e.name == "alt-min-dim")
     assert entry.observed == {"dim-d0": 5, "required": 5}
@@ -124,5 +126,25 @@ def test_audit_flags_fabricated_violation(z2n2):
     report = identities.classify(z2n2)
     gens = [z2n2.basis_element(2), z2n2.basis_element(3)]
     seq = spans.diff_sequence(z2n2, gens)
-    audit = bounds.audit(z2n2, report, [("S", seq)], algebra_length=9)
+    audit = bounds.audit(z2n2, report, seq, algebra_length=9)
     assert not audit.all_passed
+
+
+def test_audit_checks_the_three_block_shapes_of_a_surviving_word(aflex_gf2):
+    # EOO, OEE and O11 words add the block-size entries; OO and OE add none
+    report = identities.classify(aflex_gf2)
+    seq = spans.diff_sequence(aflex_gf2, [aflex_gf2.basis_element(1),
+                                          aflex_gf2.basis_element(2)])
+    plain = bounds.audit(aflex_gf2, report, seq).entries
+    for w in [(1, (1, 1)), (1, (1, (1, 1))), (1, (1, (1, (1, 1)))),
+              (1, ((1, 1), 1)), (1, ((1, (1, 1)), 1))]:
+        cw = canonical_flex_form(w)
+        entries = bounds.audit(aflex_gf2, report, seq, surviving=(word_length(w), cw)).entries
+        assert entries[:len(plain)] == plain
+        added = [e.name for e in entries[len(plain):]]
+        if cw.shape in ("EOO", "OEE", "O11"):
+            assert added[:2] == ["flex-surviving-word-d1", "flex-surviving-word-d2"], cw.shape
+            sizes = tuple(len(cw.blocks[r]) for r in ("x", "y", "z"))
+            assert entries[len(plain)].inputs == {"set": "S", "sizes": sizes}
+        else:
+            assert added == [], cw.shape

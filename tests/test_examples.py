@@ -91,7 +91,7 @@ def test_cayley_dickson_levels():
 
 def test_twist_conjugation():
     quat = examples.make_cayley_dickson(2, [-1, -1])
-    twisted = oracles.twist_conjugation(quat, "both", 2, [-1, -1])
+    twisted = oracles.twist_conjugation(quat, "both")
     # conjugating both arguments keeps products of imaginary units and flips
     # signs on mixed products with the old unity
     i = twisted.basis_element(2)
@@ -101,7 +101,7 @@ def test_twist_conjugation():
                                                   quat.multiply(one, i))
     assert twisted.unity is None
     with pytest.raises(DomainError):
-        oracles.twist_conjugation(quat, "sideways", 2, [-1, -1])
+        oracles.twist_conjugation(quat, "sideways")
 
 
 def test_nonmixing7_products():

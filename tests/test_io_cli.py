@@ -599,6 +599,27 @@ def test_exact_length_json_matches_the_golden_outputs(tmp_path, monkeypatch):
         assert (code, out.getvalue()) == (job["exit"], job["stdout"]), job["argv"]
 
 
+GOLDEN_BOUNDS_JSON = Path(__file__).parent / "golden" / "bounds_json.json"
+
+
+def test_bounds_matches_the_golden_outputs(tmp_path, monkeypatch):
+    # text and --json of bounds: the surviving-word entries of aflex over Q,
+    # GF(2) and GF(3) and of hull:aflex with two sets, the alternative aalt,
+    # spin:2, cd:2 and --exact over GF(2) and GF(3); recorded before the
+    # audit took one generator set
+    monkeypatch.chdir(tmp_path)
+    jobs = json.loads(GOLDEN_BOUNDS_JSON.read_text(encoding="utf-8"))
+    assert len(jobs) == 13
+    for job in jobs:
+        path = job["argv"][1]
+        if not Path(path).exists():
+            assert main(["gen", job["example"], "--field", job["field"], "-o", path]) == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(job["argv"])
+        assert (code, out.getvalue()) == (job["exit"], job["stdout"]), job["argv"]
+
+
 def test_cli_json_deterministic(tmp_path, capsys):
     path = str(tmp_path / "aalt2.alg")
     _run(capsys, "gen", "aalt", "--field", "gf:2", "-o", path)

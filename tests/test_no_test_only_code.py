@@ -3,7 +3,8 @@ somewhere other than at its definition, and every class member is read.
 
 A function, class or constant that only tests read belongs beside the tests
 (``oracles``), not in the package.  A name counts as named wherever it
-occurs as a word of a package file, in code or in text; the names that
+occurs as a word of a package file, in code or in text, outside the lines
+of its own definition (so a recursive call does not count); the names that
 ``alglen.__all__`` exports are the package's API and need no other mention.
 A method, property or class-level field of a package class counts as read
 wherever ``.name`` occurs in a package file, for any object: a member that
@@ -21,28 +22,38 @@ SRC = Path(alglen.__file__).resolve().parent
 
 
 def _defined(tree):
-    """The module-level names a module defines, dunders aside."""
+    """(name, node) of each module-level name a module defines, dunders aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
-                        yield name.id
+                        yield name.id, node
 
 
 def unnamed_definitions() -> list:
-    """``module:name`` of each module-level name named only where it is defined."""
+    """``module:name`` of each module-level name named only within its own definition.
+
+    The lines of a definition do not count, so a function that only calls
+    itself is not named beyond its definition.
+    """
     texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    definitions = [(module, name) for module, text in texts.items()
-                   for name in _defined(ast.parse(text))
-                   if not (name.startswith("__") and name.endswith("__"))]
     words = Counter(word for text in texts.values() for word in re.findall(r"\w+", text))
-    defined = Counter(name for _, name in definitions)
+    definitions = []
+    own = Counter()  # occurrences of each name within the lines of its definitions
+    for module, text in texts.items():
+        lines = text.splitlines()
+        for name, node in _defined(ast.parse(text)):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            definitions.append((module, name))
+            own[name] += sum(re.findall(r"\w+", line).count(name)
+                             for line in lines[node.lineno - 1:node.end_lineno])
     return [f"{module}:{name}" for module, name in definitions
-            if words[name] <= defined[name] and name not in alglen.__all__]
+            if words[name] <= own[name] and name not in alglen.__all__]
 
 
 def test_every_module_level_name_is_named_beyond_its_definition():

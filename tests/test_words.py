@@ -4,12 +4,13 @@ import weakref
 import pytest
 
 from alglen import examples
+from alglen.canonical import canonical_alt_form
 from alglen.errors import IndexOutOfRange, ParseError, ResourceLimit
 from alglen.field import PrimeField
 from alglen.io_cli import resolve_set
 from alglen.words import (enumerate_restricted, MAX_WORD_DEPTH, evaluate, format_word,
-                          is_restricted, parse_word, word_length, word_letters)
-from oracles import catalan, count_full, enumerate_full
+                          is_restricted, parse_word, word_length)
+from oracles import catalan, count_full, enumerate_full, word_letters
 
 
 def test_catalan():
@@ -81,6 +82,24 @@ def test_evaluate_leaves_no_reference_cycle():
             algebra.multiply(*gens), gens[0])
         del algebra
         assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_parse_word_and_canonical_alt_form_leave_no_reference_cycle():
+    # with the collector off, nothing either builds may be left for it: a
+    # self-recursive closure would leave a reference cycle on every call
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(100):
+            parse_word("((1 2) (3 (1 2)))")
+        assert gc.collect() == 0
+        for _ in range(100):
+            canonical_alt_form(((1, (2, 1)), 3))
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
