@@ -220,9 +220,20 @@ def _compile_product(table: list):
                     expr = " + ".join(terms[start:start + _TERMS_PER_STATEMENT])
                     lines.append(f"        a{k} += u{i} * ({expr.replace('+ -', '- ')})")
     lines.append(f"    return [{', '.join(f'a{k}' for k in range(n))}]")
+    return compile_kernel("product kernel", n, "product", lines)
+
+
+def compile_kernel(title: str, n: int, name: str, lines: list):
+    """The function ``name`` that the generated source ``lines`` defines.
+
+    The source is compiled under the name ``<alglen {title}, dim {n}>``, so
+    that profiles and tracebacks name the kernel and its dimension rather
+    than ``<string>``.  Every generated kernel of the package is compiled
+    here; the callers interpolate only ``int`` indices and coefficients.
+    """
     namespace = {}
-    exec(compile("\n".join(lines), f"<alglen product kernel, dim {n}>", "exec"), namespace)
-    return namespace["product"]
+    exec(compile("\n".join(lines), f"<alglen {title}, dim {n}>", "exec"), namespace)
+    return namespace[name]
 
 
 def make_algebra(field: Field, dim: int, products: dict, unity=None, labels=None) -> Algebra:

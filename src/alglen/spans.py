@@ -7,23 +7,26 @@ stops once the current span V satisfies V*V <= V (the closure criterion):
 then no longer word can leave it, so the sequence has ended for every
 algebra.
 
-One ladder (``_ladder``) serves diff_sequence, lin_span and the exact-length
-sweep.  It works on integer rows over both fields, since spans do not
-depend on scaling, multiplied through the algebra's compiled product
+One ladder (``_ladder``) serves diff_sequence, lin_span and the
+exact-length sweep.  It works on integer rows over both fields, since spans
+do not depend on scaling, multiplied through the algebra's compiled product
 kernel.  One echelon routine, ``_reduce`` and ``_insert``, does the row
-arithmetic of both fields and branches on the characteristic p (0 over
-Q) once per call: residues with pivot 1 over GF(p), primitive integer
-rows with fraction-free elimination over Q.  The ladder, SpanBasis, the
-generation pre-test and the identity checks all call it; none of them
-picks row operations by field.  It keeps echelon rows, each reduced only
-against the rows inserted before it, which is all that a residue needs;
-SpanBasis builds the reduced row-echelon form only where it is read.  The
-exact-length sweep lists no subspace that a linear pre-test
-(``_generation_test``) shows cannot generate the algebra:
-``enumerate_subspace_rows`` builds each basis row by row and drops a
-partial one that can no longer pass.  Where the test is exact, it lists
-none larger than a minimal generating one, and the ladders skip the
-closure check, since every subspace they start from generates.
+arithmetic of both fields and branches on the characteristic p (0 over Q)
+once per call: residues with pivot 1 over GF(p), primitive integer rows
+with fraction-free elimination over Q.  Its row operations
+(v - c r, a v - c r, v mod p, s v mod p and the lead mod p) are
+straight-line kernels, generated and compiled once per row length at its
+first use (``_ROW_KERNELS``), as each algebra's product kernel is.  The ladder,
+SpanBasis, the generation pre-test, the subspace enumeration and the
+identity checks all call it; none of them picks row operations by field.
+It keeps echelon rows, each reduced only against the rows inserted before
+it, which is all that a residue needs; SpanBasis builds the reduced
+row-echelon form only where it is read.  The exact-length sweep lists no
+subspace that a linear pre-test (``_generation_test``) shows cannot
+generate the algebra: ``enumerate_subspace_rows`` builds each basis row by
+row and drops a partial one that can no longer pass.  Where the test is
+exact, it lists none larger than a minimal generating one, and the ladders
+skip the closure check, since every subspace they start from generates.
 
 A generator set S is any sequence of elements of the algebra, and the
 exact-length witness is a tuple of them.  find_unity solves for an
@@ -33,17 +36,67 @@ identity element with a SpanBasis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations, product
 from math import gcd
 from operator import mul
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, compile_kernel
 from .errors import DimensionMismatch, NotFiniteField, ResourceLimit
 from .field import Field, PrimeField, integer_row, rational_row
 
 DEFAULT_MAX_LEVEL = 64
 DEFAULT_SUBSPACE_BUDGET = 2_000_000
+
+
+# the row kernels: name -> (arguments, entry i of the row it returns)
+_ROW_FORMS = {
+    "sub": ("v, r, c", "v{i} - c*r{i}"),
+    "comb": ("v, r, a, c", "a*v{i} - c*r{i}"),
+    "residue": ("v, p", "v{i} % p"),
+    "scale": ("v, s, p", "v{i}*s % p"),
+    "lead": ("v, p", None),
+}
+
+
+def _row_kernel_source(name: str, n: int) -> list:
+    """The source lines of the row kernel ``name`` on rows of n ints.
+
+    ``sub(v, r, c)`` is v - c r, ``comb(v, r, a, c)`` is a v - c r (the
+    fraction-free elimination over Q), ``residue(v, p)`` is v mod p and
+    ``scale(v, s, p)`` is s v mod p, each a new list of the n entries
+    written out; ``lead(v, p)`` is the index of the first entry of v that
+    is nonzero mod p, or None.
+    """
+    args, entry = _ROW_FORMS[name]
+    lines = [f"def {name}({args}):"]
+    lines += [f"    [{', '.join(f'{x}{i}' for i in range(n))}] = {x}"
+              for x in args.split(", ") if x in ("v", "r")]
+    if entry is None:
+        lines += [f"    if v{i} % p:\n        return {i}" for i in range(n)]
+        lines.append("    return None")
+    else:
+        lines.append(f"    return [{', '.join(entry.format(i=i) for i in range(n))}]")
+    return lines
+
+
+class _RowKernels(dict):
+    """Row length n -> its row kernels (sub, comb, residue, scale, lead), built at first use.
+
+    Each kernel unpacks its rows into locals and writes out one expression
+    per entry (see _row_kernel_source): the same integer arithmetic as a
+    loop over the entries, in about a third of its time on short rows.
+    Each length is compiled once per process, and only ``int`` indices
+    enter the source.
+    """
+
+    def __missing__(self, n: int) -> tuple:
+        kernels = self[n] = tuple(compile_kernel("row kernels", n, name,
+                                                 _row_kernel_source(name, n))
+                                  for name in _ROW_FORMS)
+        return kernels
+
+
+_ROW_KERNELS = _RowKernels()
 
 
 def _primitive(v: list, lead: int) -> list:
@@ -62,14 +115,16 @@ def _reduce(rows, pivots, p: int, v) -> tuple:
     GF(p) they are residues with pivot 1, w holds residues and s = 1.  Over
     Q (``p = 0``) they are primitive rows and elimination is fraction-free
     (Bareiss): ``v <- (r_j/g) v - (v_j/g) r`` with ``g = gcd(r_j, v_j)``
-    for the row r with pivot j.
+    for the row r with pivot j.  The row operations are the row kernels of
+    v's length.
     """
+    sub, comb, residue, _, _ = _ROW_KERNELS[len(v)]
     if p:
         for row, j in zip(rows, pivots):
             c = v[j] % p
             if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        return [x % p for x in v], 1
+                v = sub(v, row, c)
+        return residue(v, p), 1
     s = 1
     for row, j in zip(rows, pivots):
         c = v[j]
@@ -80,9 +135,9 @@ def _reduce(rows, pivots, p: int, v) -> tuple:
                 r //= g
                 c //= g
             if r == 1:
-                v = [x - c * y for x, y in zip(v, row)]
+                v = sub(v, row, c)
             else:
-                v = [r * x - c * y for x, y in zip(v, row)]
+                v = comb(v, row, r, c)
                 s *= r
     return v, s
 
@@ -92,21 +147,31 @@ def _insert(rows, pivots, p: int, v):
 
     Returns v's residue, now the last row, or None when v already lies in
     their span: scaled to pivot 1 over GF(p), a primitive row (gcd 1,
-    positive pivot) over Q.  The older rows are left as they are: each row
+    positive pivot) over Q.  Over GF(p) the elimination of _reduce leaves
+    v unreduced, and one kernel finds its lead and one scales it, with no
+    residue list between.  The older rows are left as they are: each row
     is reduced only against the rows before it, which is all that _reduce
     needs.
     """
-    v = _reduce(rows, pivots, p, v)[0]
-    for lead, x in enumerate(v):  # a loop, not a generator: this runs once per insertion
-        if x:
-            break
-    else:
-        return None
     if not p:
+        v = _reduce(rows, pivots, p, v)[0]
+        for lead, x in enumerate(v):  # a loop, not a generator: this runs once per insertion
+            if x:
+                break
+        else:
+            return None
         v = _primitive(list(v), lead)
-    elif v[lead] != 1:
-        s = pow(v[lead], -1, p)
-        v = [x * s % p for x in v]
+    else:
+        sub, _, _, scale, first = _ROW_KERNELS[len(v)]
+        for row, j in zip(rows, pivots):
+            c = v[j] % p
+            if c:
+                v = sub(v, row, c)
+        lead = first(v, p)
+        if lead is None:
+            return None
+        s = v[lead] % p
+        v = scale(v, s if s == 1 else pow(s, -1, p), p)
     rows.append(v)
     pivots.append(lead)
     return v
@@ -237,10 +302,6 @@ class DiffSequence:
         }
 
 
-def _level_cap(max_level: int | None, dim: int) -> int:
-    return max_level if max_level is not None else max(DEFAULT_MAX_LEVEL, dim + 2)
-
-
 def _ladder(mul, n: int, p: int, unity, max_level, gens, *, closure=True) -> list:
     """Span ladder of gens: level_reps[k] spans Lin_k(S) modulo Lin_(k-1)(S).
 
@@ -254,11 +315,11 @@ def _ladder(mul, n: int, p: int, unity, max_level, gens, *, closure=True) -> lis
     the products of the representatives of levels i and m - i.
 
     The ladder stops once its span V is closed, V*V <= V, which counts only
-    once the gens lie in V: then no longer word can leave V.  It raises
-    ResourceLimit past the level cap.  Two shortcuts leave the result
-    unchanged: the ladder stops once the span is all of A (it is closed and
-    can gain nothing), and the closure check stops at the first pair whose
-    product leaves the span (the others stay pending).
+    once the gens lie in V: then no longer word can leave V (see _closed).
+    It raises ResourceLimit past the level cap, ``max_level`` or by default
+    max(DEFAULT_MAX_LEVEL, n + 2).  The ladder also stops once the span is
+    all of A, which leaves the result unchanged: it is closed and can gain
+    nothing.
 
     With ``closure=False`` the ladder runs no closure check and stops only
     at full rank.  That is for gens known to generate A: their span is
@@ -266,55 +327,60 @@ def _ladder(mul, n: int, p: int, unity, max_level, gens, *, closure=True) -> lis
     generate A then run into the level cap and raise ResourceLimit; they
     never give a wrong ladder.
     """
-    rows, pivots = [], []
-    add = partial(_insert, rows, pivots, p)
-
-    def residue(v):
-        return _reduce(rows, pivots, p, v)[0]
-
-    def insert(vectors):
-        """Insert each vector; the new rows."""
+    cap = max_level if max_level is not None else max(DEFAULT_MAX_LEVEL, n + 2)
+    rows, pivots, level_reps = [], [], []
+    if closure:
+        spanning, pending = [], []
+    vectors = [] if unity is None else [unity]
+    while True:
         new = []
         for v in vectors:
-            v = add(v)
+            v = _insert(rows, pivots, p, v)
             if v is not None:
                 new.append(v)
                 if len(rows) == n:
                     break
-        return new
-
-    level_reps = [insert([unity] if unity is not None else [])]
-    cap = _level_cap(max_level, n)
-    spanning = []
-    pending = []  # (u, v) spanning pairs not yet known to multiply into the span
-
-    def closed(level):
-        for u in level_reps[level]:
-            spanning.append(u)
-            pending.extend((u, v) for v in spanning)
-            pending.extend((v, u) for v in spanning[:-1])
-        if level == 0 and any(any(residue(s)) for s in gens):
-            return False
-        while pending:
-            if any(residue(mul(*pending[-1]))):
-                return False
-            pending.pop()
-        return True
-
-    while len(rows) < n:
+        level_reps.append(new)
+        if len(rows) == n:
+            return level_reps
         level = len(level_reps) - 1
-        if closure and closed(level):
-            break
+        if closure and _closed(mul, rows, pivots, p, gens, level_reps, spanning, pending):
+            return level_reps
         if level >= cap:
             raise ResourceLimit(f"span ladder exceeded {cap} levels")
-        m = level + 1
-        if m == 1:
-            new = insert(gens)
-        else:
-            new = insert(mul(u, v) for i in range(1, m)
-                         for u in level_reps[i] for v in level_reps[m - i])
-        level_reps.append(new)
-    return level_reps
+        vectors = gens if level == 0 else _products(mul, level_reps, level + 1)
+
+
+def _products(mul, level_reps, m: int):
+    """The products of the representatives of levels i and m - i, for 0 < i < m."""
+    for i in range(1, m):
+        for u in level_reps[i]:
+            for v in level_reps[m - i]:
+                yield mul(u, v)
+
+
+def _closed(mul, rows, pivots, p: int, gens, level_reps, spanning, pending) -> bool:
+    """Whether the ladder's span V is closed, V*V <= V, with the gens in V.
+
+    ``spanning`` holds the representatives of the levels checked before, and
+    ``pending`` their (u, v) pairs not yet known to multiply into V; both
+    are the caller's, kept between levels.  The last level's
+    representatives join them here.  The check stops at the first pair
+    whose product leaves V, and that pair and the others stay pending: V
+    only grows, so a product once in V stays there.
+    """
+    level = len(level_reps) - 1
+    for u in level_reps[level]:
+        spanning.append(u)
+        pending.extend((u, v) for v in spanning)
+        pending.extend((v, u) for v in spanning[:-1])
+    if level == 0 and any(any(_reduce(rows, pivots, p, s)[0]) for s in gens):
+        return False
+    while pending:
+        if any(_reduce(rows, pivots, p, mul(*pending[-1]))[0]):
+            return False
+        pending.pop()
+    return True
 
 
 def _set_ladder(algebra: Algebra, elements, max_level=None) -> list:
@@ -634,11 +700,11 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     m = n if c is None else n - 1
     _check_budget(p, m, budget)
     project, codim, exact = _generation_test(algebra, budget) or ([], 0, False)
-    run = partial(_ladder, algebra.product_kernel, n, p,
-                  list(unity) if unity is not None else None, max_level, closure=not exact)
+    kernel = algebra.product_kernel
+    unity_row = list(unity) if unity is not None else None
     best = None
     for rows in enumerate_subspace_rows(p, n, c, project, codim if exact else m):
-        level_reps = run(rows)
+        level_reps = _ladder(kernel, n, p, unity_row, max_level, rows, closure=not exact)
         if sum(map(len, level_reps)) == n:
             length = max(k for k, reps in enumerate(level_reps) if reps)
             if best is None or length > best[0]:

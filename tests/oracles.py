@@ -16,7 +16,9 @@ checks.
 The last sections hold what the tests read and the package does not: the
 example algebras the sweeps run on, by their ``alglen gen`` names, and
 functions moved out of the package unchanged (the interpreted product loop
-that ``Algebra.product_kernel`` replaced, the full word enumeration,
+that ``Algebra.product_kernel`` replaced, the interpreted echelon routine
+whose row operations the row kernels of ``spans`` replaced, the full word
+enumeration,
 the subspace enumeration over the engine's row tuples, the exact-length
 sweep's candidates as the full enumeration filtered by the generation
 pre-test's predicate, the conjugation twists of the Cayley-Dickson
@@ -26,6 +28,7 @@ formulas).
 
 from functools import lru_cache
 from itertools import combinations, permutations, product, takewhile
+from math import gcd
 
 from alglen.algebra import Algebra, Element, make_algebra
 from alglen.bounds import alt_min_dim
@@ -467,6 +470,65 @@ def table_product(table: list, u, v) -> list:
                     for k, s in terms:
                         acc[k] += c * s
     return acc
+
+
+# -- the interpreted echelon routine --------------------------------------------
+
+
+def echelon_reduce(rows, pivots, p: int, v) -> tuple:
+    """``spans._reduce`` with its row operations as loops over the entries.
+
+    (w, s) with w / s the residue of the int vector v modulo echelon rows:
+    residues with pivot 1 over GF(p), w reduced mod p and s = 1; primitive
+    rows with fraction-free (Bareiss) elimination over Q (``p = 0``).
+    """
+    if p:
+        for row, j in zip(rows, pivots):
+            c = v[j] % p
+            if c:
+                v = [x - c * y for x, y in zip(v, row)]
+        return [x % p for x in v], 1
+    s = 1
+    for row, j in zip(rows, pivots):
+        c = v[j]
+        if c:
+            r = row[j]
+            g = gcd(r, c)
+            if g != 1:
+                r //= g
+                c //= g
+            if r == 1:
+                v = [x - c * y for x, y in zip(v, row)]
+            else:
+                v = [r * x - c * y for x, y in zip(v, row)]
+                s *= r
+    return v, s
+
+
+def echelon_insert(rows, pivots, p: int, v):
+    """``spans._insert`` with its row operations as loops over the entries.
+
+    Appends v's residue to the rows, scaled to pivot 1 over GF(p) and
+    primitive (gcd 1, positive pivot) over Q, and returns it; None when v
+    lies in the span of the rows.
+    """
+    v = echelon_reduce(rows, pivots, p, v)[0]
+    for lead, x in enumerate(v):
+        if x:
+            break
+    else:
+        return None
+    if p:
+        s = pow(v[lead], -1, p)
+        v = [x * s % p for x in v]
+    else:
+        g = gcd(*v)
+        if v[lead] < 0:
+            g = -g
+        v = [x // g for x in v]
+    rows.append(v)
+    pivots.append(lead)
+    return v
 
 
 # -- full word enumeration -----------------------------------------------------

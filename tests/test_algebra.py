@@ -1,8 +1,10 @@
+import ast
 import pickle
 import random
 import time
 import traceback
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -202,6 +204,17 @@ def test_product_kernel_builds_in_linear_time():
     assert time.perf_counter() - start < 2.0
     v1 = [0, 1] + [0] * 3999
     assert product(v1, v1) == [1] + [0] * 4000
+
+
+def test_generated_code_is_compiled_in_one_place():
+    # the product kernel and the row kernels of spans both go through
+    # algebra.compile_kernel, the package's only exec and compile
+    src = Path(algebra_module.__file__).parent
+    calls = sorted((path.name, node.func.id) for path in src.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in ("compile", "eval", "exec"))
+    assert calls == [("algebra.py", "compile"), ("algebra.py", "exec")]
 
 
 def test_product_kernel_splits_long_sums():

@@ -620,6 +620,30 @@ def test_bounds_matches_the_golden_outputs(tmp_path, monkeypatch):
         assert (code, out.getvalue()) == (job["exit"], job["stdout"]), job["argv"]
 
 
+GOLDEN_LADDER_JSON = Path(__file__).parent / "golden" / "ladder_json.json"
+
+
+def test_ladder_json_matches_the_golden_outputs(tmp_path, monkeypatch):
+    # --json of the closure-checked ladder: diffseq and length with --set
+    # 1,2, basis and a set file of fractional vectors on aflex, aalt,
+    # cd:3:-1,-1,-1 and spin:3 over Q and aflex over GF(3), and the four
+    # search-ladder jobs at seed 0; recorded before the echelon routine's
+    # row operations were compiled per row length
+    monkeypatch.chdir(tmp_path)
+    jobs = json.loads(GOLDEN_LADDER_JSON.read_text(encoding="utf-8"))
+    assert len(jobs) == 34
+    for job in jobs:
+        path = job["argv"][1]
+        if not Path(path).exists():
+            assert main(["gen", job["example"], "--field", job["field"], "-o", path]) == 0
+        if "set_file" in job:
+            Path(job["argv"][3]).write_text(job["set_file"], encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(job["argv"])
+        assert (code, out.getvalue()) == (job["exit"], job["stdout"]), job["argv"]
+
+
 def test_cli_json_deterministic(tmp_path, capsys):
     path = str(tmp_path / "aalt2.alg")
     _run(capsys, "gen", "aalt", "--field", "gf:2", "-o", path)
