@@ -8,7 +8,6 @@ tuples of length n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
@@ -23,43 +22,57 @@ Element = tuple  # tuple of n scalars
 DEFAULT_SAMPLES = 64
 
 
-@dataclass(frozen=True)
 class Algebra:
     """Immutable structure-constant algebra.
 
     ``sc`` maps a 1-based basis pair (i, j) to a tuple of (k, scalar)
     terms; absent pairs multiply to zero.  ``unity`` is an optional
-    coordinate tuple declared by the caller, never inferred.
+    coordinate tuple declared by the caller, never inferred.  Two algebras
+    are equal when their five fields are; an algebra is not hashable, since
+    ``sc`` is a dict.
     """
 
-    field: Field
-    dim: int
-    sc: dict
-    unity: Element | None = None
-    labels: tuple | None = None
+    _FIELDS = ("field", "dim", "sc", "unity", "labels")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, field: Field, dim: int, sc: dict, unity: Element | None = None,
+                 labels: tuple | None = None):
+        if dim < 1:
             raise DimensionMismatch("dimension must be positive")
-        for (i, j), terms in self.sc.items():
-            if not (1 <= i <= self.dim and 1 <= j <= self.dim):
+        for (i, j), terms in sc.items():
+            if not (1 <= i <= dim and 1 <= j <= dim):
                 raise IndexOutOfRange(f"structure constant index ({i},{j})")
             for k, c in terms:
-                if not 1 <= k <= self.dim:
+                if not 1 <= k <= dim:
                     raise IndexOutOfRange(f"structure constant target {k}")
-                if self.field.is_zero(c):
+                if field.is_zero(c):
                     raise ValueError(f"zero structure constant stored at ({i},{j},{k})")
-        if self.unity is not None and len(self.unity) != self.dim:
+        if unity is not None and len(unity) != dim:
             raise DimensionMismatch("unity has wrong length")
-        if self.labels is not None:
-            if len(self.labels) != self.dim:
+        if labels is not None:
+            if len(labels) != dim:
                 raise DimensionMismatch("labels list has wrong length")
             seen = set()
-            for label in self.labels:
+            for label in labels:
                 if label in seen:
                     # two basis elements would print alike
                     raise ValueError(f"repeated label {label!r}")
                 seen.add(label)
+        # written past __setattr__, as cached_property writes its values
+        self.__dict__.update(field=field, dim=dim, sc=sc, unity=unity, labels=labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an Algebra")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an Algebra")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    def __repr__(self):
+        return "Algebra(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS) + ")"
 
     # -- elements ---------------------------------------------------------
 

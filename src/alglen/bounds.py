@@ -7,8 +7,6 @@ floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 
 
@@ -80,13 +78,19 @@ def flex_one_letter_dim_bound(n: int) -> int:
     return 2 ** (n - 2) + n - 2
 
 
-@dataclass(frozen=True)
 class BoundEntry:
-    name: str
-    inputs: dict
-    requirement: str
-    observed: dict
-    passed: bool
+    def __init__(self, name: str, inputs: dict, requirement: str, observed: dict,
+                 passed: bool):
+        self.name = name
+        self.inputs = inputs
+        self.requirement = requirement
+        self.observed = observed
+        self.passed = passed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
     def as_dict(self):
         return {
@@ -98,9 +102,9 @@ class BoundEntry:
         }
 
 
-@dataclass
 class BoundReport:
-    entries: tuple
+    def __init__(self, entries: tuple):
+        self.entries = entries
 
     @property
     def all_passed(self) -> bool:

@@ -16,8 +16,6 @@ that, numerically, in a concrete algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotRestrictedForm, WordTooShort
 from .spans import SpanBasis, lin_span
 from .words import Word, evaluate, is_restricted, word_length
@@ -25,7 +23,6 @@ from .words import Word, evaluate, is_restricted, word_length
 ALT_SHAPE = "ALT2"
 
 
-@dataclass(frozen=True)
 class CanonicalWord:
     """Signed normal form with its block structure and letter partition.
 
@@ -34,12 +31,14 @@ class CanonicalWord:
     exchangeable classes implied by the block structure.
     """
 
-    variant: str  # "alt-two-block" | "flex-three-block"
-    sign: int
-    shape: str
-    form: str  # "A": (xy)z / (x)(y);  "B": the mirrored arrangement
-    blocks: dict
-    partition: tuple
+    def __init__(self, variant: str, sign: int, shape: str, form: str, blocks: dict,
+                 partition: tuple):
+        self.variant = variant  # "alt-two-block" | "flex-three-block"
+        self.sign = sign
+        self.shape = shape
+        self.form = form  # "A": (xy)z / (x)(y);  "B": the mirrored arrangement
+        self.blocks = blocks
+        self.partition = partition
 
     def tree(self) -> Word:
         if self.variant == "alt-two-block":

@@ -16,11 +16,13 @@ integer rows, over Q an element's numerators over one common denominator
 code that each algebra compiles from its structure constants
 (``Algebra.product_kernel``), and build exact scalars only for their
 output (:func:`rational_row`).
+
+``fractions`` is imported only where a ``Fraction`` is built, so a run over
+GF(p) never loads it (nor the ``decimal`` module that it loads).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DivisionByZero, ParseError
@@ -52,6 +54,7 @@ def rational_row(numerators, d: int) -> tuple:
     """The exact scalars x / d, for integers x and d > 0: int when integral."""
     if d == 1:
         return tuple(numerators)
+    from fractions import Fraction
     return tuple(x // d if x % d == 0 else Fraction(x, d) for x in numerators)
 
 
@@ -154,11 +157,13 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0")
+        from fractions import Fraction
         return 1 / Fraction(a)
 
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero("division by 0")
+        from fractions import Fraction
         return Fraction(a) / b
 
     def is_zero(self, a) -> bool:

@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
 
@@ -339,24 +338,25 @@ _IMPLIED_BY = {text: other for text in _TABLE_TEXTS for other in _TABLE_TEXTS
                if _narrower(EQUATIONS[other], EQUATIONS[text])}
 
 
-@dataclass(frozen=True)
 class Witness:
     """A concrete violation: named elements and the equation they break."""
 
-    equation: str
-    elements: tuple  # (name, coords) pairs, in order of quantification
+    def __init__(self, equation: str, elements: tuple):
+        self.equation = equation
+        self.elements = elements  # (name, coords) pairs, in order of quantification
 
     def as_dict(self, algebra):
         shown = {name: algebra.format_element(coords) for name, coords in self.elements}
         return {"equation": self.equation, "elements": shown}
 
 
-@dataclass(frozen=True)
 class Verdict:
-    kind: str  # holds-exhaustive | holds-randomized | fails | inconclusive
-    samples: int = 0
-    witness: Witness | None = None
-    note: str | None = None
+    def __init__(self, kind: str, samples: int = 0, witness: Witness | None = None,
+                 note: str | None = None):
+        self.kind = kind  # holds-exhaustive | holds-randomized | fails | inconclusive
+        self.samples = samples
+        self.witness = witness
+        self.note = note
 
     @property
     def holds(self) -> bool:
@@ -690,15 +690,16 @@ def _walk(algebra, seed, samples) -> dict:
 # -- aggregation ---------------------------------------------------------------
 
 
-@dataclass
 class ClassificationReport:
     """Per-class verdicts for one algebra, plus consistency warnings."""
 
-    verdicts: dict
-    seed: int
-    samples: int
-    characteristic: int
-    warnings: tuple
+    def __init__(self, verdicts: dict, seed: int, samples: int, characteristic: int,
+                 warnings: tuple):
+        self.verdicts = verdicts
+        self.seed = seed
+        self.samples = samples
+        self.characteristic = characteristic
+        self.warnings = warnings
 
     def verdict(self, name: str) -> Verdict:
         return self.verdicts[name]

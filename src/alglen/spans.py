@@ -35,7 +35,6 @@ identity element with a SpanBasis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 from operator import mul
@@ -280,16 +279,30 @@ def find_unity(algebra: Algebra) -> Element | None:
     return tuple(row[n] for row in system.rows)
 
 
-@dataclass
 class DiffSequence:
-    """Dimension growth record of the span ladder of one generator set."""
+    """Dimension growth record of the span ladder of one generator set.
 
-    d: tuple
-    length_of_set: int
-    stabilized_by: str
-    generating: bool
-    total_rank: int
-    dim: int
+    Two records are equal when their six fields are; a record is not hashable.
+    """
+
+    _FIELDS = ("d", "length_of_set", "stabilized_by", "generating", "total_rank", "dim")
+
+    def __init__(self, d: tuple, length_of_set: int, stabilized_by: str, generating: bool,
+                 total_rank: int, dim: int):
+        self.d = d
+        self.length_of_set = length_of_set
+        self.stabilized_by = stabilized_by
+        self.generating = generating
+        self.total_rank = total_rank
+        self.dim = dim
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    def __repr__(self):
+        return "DiffSequence(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS) + ")"
 
     def as_dict(self):
         return {

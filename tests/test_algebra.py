@@ -11,10 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from alglen import algebra as algebra_module, examples
-from alglen.algebra import make_algebra
+from alglen.algebra import Algebra, make_algebra
 from alglen.errors import DimensionMismatch, IndexOutOfRange
 from alglen.field import PrimeField, Rationals
-from alglen.io_cli import build_example
+from alglen.io_cli import build_example, parse_algebra, print_algebra
 
 
 def test_group_algebra_products(z2n2):
@@ -79,6 +79,28 @@ def test_construction_errors():
         alg.multiply((f.one(),), (f.one(), f.zero()))
     # zero coefficients are silently dropped by the constructor
     assert make_algebra(f, 2, {(1, 1): [(2, f.zero())]}).sc == {}
+
+
+def test_algebra_is_an_immutable_record_equal_by_fields(aflex):
+    f = PrimeField(3)
+    plain = make_algebra(f, 2, {(1, 1): [(2, 1)]})
+    assert (plain.unity, plain.labels) == (None, None)
+    full = make_algebra(f, 2, {(1, 1): [(2, 1)]}, unity=[1, 0], labels=["e", "x"])
+    assert (full.unity, full.labels) == ((1, 0), ("e", "x"))
+    assert full != plain and full == Algebra(field=f, dim=2, sc={(1, 1): ((2, 1),)},
+                                             unity=(1, 0), labels=("e", "x"))
+    assert repr(plain) == "Algebra(field=GF(3), dim=2, sc={(1, 1): ((2, 1),)}, " \
+                          "unity=None, labels=None)"
+    with pytest.raises(AttributeError):
+        plain.dim = 3
+    with pytest.raises(AttributeError):
+        del plain.sc
+    with pytest.raises(TypeError):
+        hash(plain)
+    # cached members are still computed once and kept
+    assert plain.product_kernel is plain.product_kernel
+    text = print_algebra(aflex)
+    assert parse_algebra(text) == parse_algebra(text) == aflex
 
 
 def test_repeated_labels_are_refused():

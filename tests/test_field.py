@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alglen.errors import DivisionByZero, ParseError
-from alglen.field import PrimeField, Rationals, is_prime
+from alglen.field import PrimeField, Rationals, is_prime, rational_row
 from alglen.io_cli import _resolve_field
 
 Q = Rationals()
@@ -29,6 +29,20 @@ def test_parse_examples():
         Q.parse("one half")
     with pytest.raises(DivisionByZero):
         Q.parse("1/0")
+
+
+def test_rationals_build_reduced_fractions():
+    # Fraction is imported only where one is built; the values are unchanged
+    half = Q.parse("1/2")
+    assert type(half) is Fraction and (half.numerator, half.denominator) == (1, 2)
+    assert type(Q.inv(-4)) is Fraction and Q.inv(-4) == Fraction(-1, 4)
+    assert type(Q.div(6, 4)) is Fraction and Q.div(6, 4).denominator == 2
+    row = rational_row([1, 2], 4)
+    assert row == (Fraction(1, 4), Fraction(1, 2)) and all(type(x) is Fraction for x in row)
+    assert [x.denominator for x in row] == [4, 2]
+    assert rational_row([4, 6], 2) == (2, 3) and rational_row([1, 3], 1) == (1, 3)
+    with pytest.raises(DivisionByZero):
+        Q.div(1, 0)
 
 
 def test_prime_check():

@@ -13,7 +13,8 @@ import oracles
 from alglen import examples, identities
 from alglen.algebra import make_algebra
 from alglen.field import PrimeField, Rationals
-from alglen.identities import EQUATIONS, IDENTITIES, Witness, classify, replay_witness
+from alglen.identities import (EQUATIONS, IDENTITIES, Verdict, Witness, classify,
+                               replay_witness)
 from alglen.io_cli import build_example, main, parse_algebra
 
 
@@ -111,6 +112,19 @@ def test_witness_replay(aflex, aalt):
             if verdict.kind == "fails":
                 elements = {k: v for k, v in verdict.witness.elements}
                 assert replay_witness(algebra, verdict.witness), verdict.witness
+
+
+def test_verdict_keeps_its_keyword_defaults(aalt):
+    fails = Verdict("fails")
+    assert (fails.kind, fails.samples, fails.witness, fails.note) == ("fails", 0, None, None)
+    assert not fails.holds and fails.as_dict(aalt) == {"kind": "fails"}
+    witness = Witness("(ab)a = a(ab)", (("a", aalt.basis_element(1)),))
+    held = Verdict(kind="holds-randomized", samples=8, note="n", witness=witness)
+    assert held.holds and held.witness is witness
+    assert held.as_dict(aalt) == {"kind": "holds-randomized", "samples": 8,
+                                  "witness": {"equation": "(ab)a = a(ab)",
+                                              "elements": {"a": "f1"}},
+                                  "note": "n"}
 
 
 def test_determinism(aalt):

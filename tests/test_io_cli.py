@@ -745,13 +745,15 @@ def test_duplicate_set_warning(z2n2, tmp_path, capsys):
     assert "duplicate" in captured.err
 
 
-# A fresh interpreter runs one command and lists the alglen modules it loaded.
+# A fresh interpreter runs one command and lists the modules that importing
+# alglen and running the command added to those it had loaded.
 LOADED_CHILD = """\
 import contextlib, io, json, sys
+before = set(sys.modules)
 from alglen import io_cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = io_cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("alglen."))]))
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
 ENGINES = {"identities", "bounds", "canonical", "examples"}
@@ -763,13 +765,13 @@ LOADS = {
     "length": (["length", "FILE", "--set", "1,2"], {"spans"}, ENGINES),
     "infer-unity": (["infer-unity", "FILE"], {"spans"}, ENGINES),
     "classify": (["classify", "FILE"], {"identities"}, {"canonical", "examples"}),
+    "bounds": (["bounds", "FILE", "--set", "1,2"], {"identities", "bounds"}, {"examples"}),
     "gen": (["gen", "aflex"], {"examples"}, {"identities", "bounds", "canonical"}),
 }
 
 
-@pytest.mark.parametrize("command", sorted(LOADS))
-def test_each_command_loads_only_the_engines_it_runs(tmp_path, capsys, command):
-    argv, loaded, unloaded = LOADS[command]
+def _loaded_modules(tmp_path, capsys, argv) -> tuple:
+    """(exit code, modules added) of a fresh interpreter that runs argv on a GF(2) file."""
     path = str(tmp_path / "aflex2.alg")
     _run(capsys, "gen", "aflex", "--field", "gf:2", "-o", path)
     argv = [path if arg == "FILE" else arg for arg in argv]
@@ -778,7 +780,34 @@ def test_each_command_loads_only_the_engines_it_runs(tmp_path, capsys, command):
     proc = subprocess.run([sys.executable, "-c", LOADED_CHILD, json.dumps(argv)],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     code, modules = json.loads(proc.stdout)
-    names = {m.removeprefix("alglen.") for m in modules}
+    return code, set(modules)
+
+
+@pytest.mark.parametrize("command", sorted(LOADS))
+def test_each_command_loads_only_the_engines_it_runs(tmp_path, capsys, command):
+    argv, loaded, unloaded = LOADS[command]
+    code, modules = _loaded_modules(tmp_path, capsys, argv)
+    names = {m.removeprefix("alglen.") for m in modules if m.startswith("alglen.")}
     assert code == 0
     assert loaded <= names
     assert not names & unloaded
+
+
+# stdlib modules that a command must not load over GF(p): dataclasses loads
+# inspect, and fractions loads decimal; classify and bounds may build a Fraction
+NO_FRACTIONS = {"dataclasses", "inspect", "fractions", "decimal"}
+STDLIB_UNLOADED = {
+    "exact-length": NO_FRACTIONS,
+    "diffseq": NO_FRACTIONS,
+    "length": NO_FRACTIONS,
+    "infer-unity": NO_FRACTIONS,
+    "classify": {"dataclasses", "inspect"},
+    "bounds": {"dataclasses", "inspect"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(STDLIB_UNLOADED))
+def test_commands_over_gf_p_skip_slow_stdlib_imports(tmp_path, capsys, command):
+    code, modules = _loaded_modules(tmp_path, capsys, LOADS[command][0])
+    assert code == 0
+    assert not modules & STDLIB_UNLOADED[command], sorted(modules)

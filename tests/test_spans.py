@@ -12,8 +12,8 @@ from alglen import examples, spans
 from alglen.algebra import make_algebra
 from alglen.errors import DimensionMismatch, NotFiniteField, ResourceLimit
 from alglen.field import PrimeField, Rationals
-from alglen.spans import (SpanBasis, count_subspaces, diff_sequence, exact_algebra_length,
-                          gaussian_binomial, lin_span)
+from alglen.spans import (DiffSequence, SpanBasis, count_subspaces, diff_sequence,
+                          exact_algebra_length, gaussian_binomial, lin_span)
 from oracles import enumerate_subspaces
 
 Q = Rationals()
@@ -201,6 +201,18 @@ def test_diff_sequence_frozen_values(z2n2, aflex):
     assert seq.d == (0, 2, 2, 1)
     assert seq.length_of_set == 3 and seq.generating
     assert seq.stabilized_by == "closure-criterion"
+
+
+def test_diff_sequence_is_a_record_equal_by_fields(aflex):
+    pair = [aflex.basis_element(1), aflex.basis_element(2)]
+    seq = diff_sequence(aflex, pair)
+    fields = dict(d=(0, 2, 2, 1), length_of_set=3, stabilized_by="closure-criterion",
+                  generating=True, total_rank=5, dim=5)
+    assert seq == DiffSequence(**fields) == diff_sequence(aflex, pair)
+    assert seq != DiffSequence(**{**fields, "generating": False})
+    assert repr(seq) == "DiffSequence(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+    with pytest.raises(TypeError):
+        hash(seq)
 
 
 def test_empty_set(aflex, z2n2):
