@@ -17,7 +17,7 @@ that, numerically, in a concrete algebra.
 from __future__ import annotations
 
 from .errors import NotRestrictedForm, WordTooShort
-from .spans import SpanBasis, lin_span
+from .spans import lin_span
 from .words import Word, evaluate, is_restricted, word_length
 
 ALT_SHAPE = "ALT2"
@@ -376,16 +376,9 @@ def canonical_flex_form(w: Word) -> CanonicalWord:
 # -- numeric verification ------------------------------------------------------
 
 
-def verify_equivalence(algebra, gens, w: Word, cw: CanonicalWord,
-                       lower_span: SpanBasis | None = None) -> bool:
-    """True when w and its signed canonical form differ by shorter words.
-
-    ``lower_span`` may carry a precomputed basis of the span of words of
-    length < len(w); otherwise it is built here.
-    """
-    m = word_length(w)
-    if lower_span is None:
-        lower_span = lin_span(algebra, gens, m - 1)
+def verify_equivalence(algebra, gens, w: Word, cw: CanonicalWord) -> bool:
+    """True when w and its signed canonical form differ by shorter words."""
+    lower_span = lin_span(algebra, gens, word_length(w) - 1)
     lhs = evaluate(algebra, gens, w)
     rhs = evaluate(algebra, gens, cw.tree())
     if cw.sign == -1:

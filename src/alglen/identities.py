@@ -9,8 +9,8 @@ are necessary but not sufficient; their positive verdicts carry the
 ``holds-randomized`` assurance level with the sample count used.
 
 Every identity is written once, in ``IDENTITIES``, as the text its failure
-witness carries; the checks, ``replay_witness`` and the README's list of
-classes all read that table.
+witness carries; the checks and the README's list of classes both read that
+table.
 
 The checks run on integer rows, as the span ladder does: residues mod p
 over GF(p), and over Q each element's numerators without its denominator,
@@ -65,13 +65,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import partial
 from itertools import chain, product
 
 from .algebra import DEFAULT_SAMPLES, Algebra, Element
 from .errors import DomainError
 from .field import integer_row
-from .spans import SpanBasis, _insert, _reduce
+from .spans import _insert, _reduce
 
 CHAR2_SAMPLE_FACTOR = 4
 
@@ -210,30 +209,29 @@ def _value(mul, memo, word):
     return memo[word]
 
 
-class _LazySpan(SpanBasis):
+class _LazySpan:
     """The span of pending integer rows, inserted only as far as a membership needs.
 
-    ``absorbs`` reduces the vector first, then inserts pending rows one at a
-    time, reducing its residue again by each row that enlarges the span,
-    and stops once the residue is zero (at the latest once the span is all
-    of A).  A row is made only when it is taken, so a word's products are
-    made only when the span asks for the word.  After a False answer every
-    pending row has been inserted, so the span is complete.
+    It keeps bare echelon rows and their pivots, as ``spans._insert`` makes
+    them, and the characteristic p (0 over Q).  ``absorbs`` reduces the
+    vector first, then inserts pending rows one at a time, reducing its
+    residue again by each row that enlarges the span, and stops once the
+    residue is zero (at the latest once the span is all of A).  A row is
+    made only when it is taken, so a word's products are made only when the
+    span asks for the word.  After a False answer every pending row has been
+    inserted, so the span is complete.
     """
 
-    def __init__(self, algebra, pending):
-        super().__init__(algebra.field, algebra.dim)
-        self._pending = pending
+    def __init__(self, p, pending):
+        self.rows, self.pivots, self.p, self.pending = [], [], p, pending
 
     def absorbs(self, v) -> bool:
-        # the rows are integer rows already, so the row routine is called
-        # without SpanBasis's conversions and length checks
-        rows, pivots, p = self._rows, self._pivots, self.p
+        rows, pivots, p = self.rows, self.pivots, self.p
         while True:
             v = _reduce(rows, pivots, p, v)[0]
             if not any(v):
                 return True
-            for row in self._pending:
+            for row in self.pending:
                 if _insert(rows, pivots, p, row) is not None:
                     break
             else:
@@ -284,46 +282,22 @@ class _Equation:
             return False
         basis = memo.get(self.span)
         if basis is None:
-            basis = memo[self.span] = _LazySpan(algebra, _span_rows(algebra, mul, memo, self.span))
+            basis = memo[self.span] = _LazySpan(p, _span_rows(algebra, mul, memo, self.span))
         return not basis.absorbs(lhs)
-
-    def __call__(self, algebra, memo) -> bool:
-        """True when the elements in memo violate the equation.
-
-        memo maps each letter to an element; the letters are replaced by
-        their integer rows, and memo gains every product and the span.
-        """
-        for letter in self.letters:
-            memo[letter] = _row(memo[letter])[0]
-        return self.violated(algebra, _row_product(algebra), memo)
-
-
-def _coefficient_clash(texts, algebra, memo) -> bool:
-    """True when a1 and a2 force different aa-coefficients at one b."""
-    forced = {g for a in (memo["a1"], memo["a2"])
-              for _, g in _forced_coefficients(algebra, a, memo["b"], texts)[1] if g is not None}
-    return len(forced) > 1
 
 
 def _clash(text):
     return f"aa-coefficient forced by {text.split(' in ')[0]} inconsistent at fixed b"
 
 
-# Every text a failure witness can carry, keyed as it is carried.  The
-# sufficient conditions represent the sandwich products of the descending
-# classes' pair memberships; ``outside`` is their failed ``in``.
-_TABLE_TEXTS = [text for texts in IDENTITIES.values() for text in texts]
-EQUATIONS = {text: _Equation(text) for text in _TABLE_TEXTS}
+EQUATIONS = {text: _Equation(text) for texts in IDENTITIES.values() for text in texts}
 # a class's texts by the number of elements they quantify over
 _BY_ARITY = {(name, k): [t for t in texts if len(EQUATIONS[t].letters) == k]
              for name, texts in IDENTITIES.items() for k in (2, 3)}
-# each sufficient condition's variant, and the descending class it implies
+# each sufficient condition's variant, and the descending class it implies;
+# a condition represents the sandwich products of that class's pair texts
 _DESCENDING = {"flex": "descendingly_flexible", "alt": "descendingly_alternative"}
 _SANDWICHES = {v: _BY_ARITY[name, 2] for v, name in _DESCENDING.items()}
-EQUATIONS.update({t.replace(" in ", " outside "): EQUATIONS[t]
-                  for texts in _SANDWICHES.values() for t in texts})
-EQUATIONS.update({_clash(t): partial(_coefficient_clash, texts)
-                  for texts in _SANDWICHES.values() for t in texts})
 
 
 def _narrower(e, f) -> bool:
@@ -334,7 +308,7 @@ def _narrower(e, f) -> bool:
 # a text is skipped at a tuple where the text it maps to held: a mixing text
 # where the sliding text with its left side held, since Lin_1(P) holds the
 # words of Lin_1(Q_l) and of Lin_1(Q_r)
-_IMPLIED_BY = {text: other for text in _TABLE_TEXTS for other in _TABLE_TEXTS
+_IMPLIED_BY = {text: other for text in EQUATIONS for other in EQUATIONS
                if _narrower(EQUATIONS[other], EQUATIONS[text])}
 
 
@@ -463,7 +437,7 @@ def _first_failure(algebra, name, tuples) -> Verdict | None:
 # -- sufficient condition ------------------------------------------------------
 
 
-def _forced_coefficients(algebra, a, b, texts, mul=None):
+def _forced_coefficients(algebra, a, b, texts, mul):
     """Reduce aa and each sandwich product modulo Lin_1(a,b,ab,ba) plus the unity.
 
     Returns that span's rank and, per pair-membership text, whether its
@@ -471,13 +445,12 @@ def _forced_coefficients(algebra, a, b, texts, mul=None):
     there; None when aa lies in the smaller span, so nothing is forced.
     The products are integer rows: over Q a product is D^2 d_a^2 d_b times
     the exact one and aa is D d_a^2 times it (see _row), so the coefficient
-    is the ratio of their residues divided by D d_b.  mul is the product
-    function to use, a new one when None.
+    is the ratio of their residues divided by D d_b.  mul is the walk's
+    product function (_row_product).
     """
     f, p = algebra.field, algebra.field.characteristic
     (a, _), (b, d_b) = _row(a), _row(b)
     memo = {"a": a, "b": b}
-    mul = mul or _row_product(algebra)
     products = [EQUATIONS[text].evaluate(mul, memo) for text in texts]
     # the span's echelon rows, kept bare as _LazySpan keeps them
     rows, pivots = [], []
@@ -735,14 +708,3 @@ def classify(algebra: Algebra, seed: int = 0,
         warnings=tuple(warnings),
     )
 
-
-def replay_witness(algebra: Algebra, witness: Witness) -> bool:
-    """Re-derive a failure standalone; True when the violation reproduces.
-
-    The witness's text is looked up in ``EQUATIONS`` and re-evaluated on its
-    elements, each membership on a span rebuilt from scratch.
-    """
-    equation = EQUATIONS.get(witness.equation)
-    if equation is None:
-        raise ValueError(f"no replay rule for equation {witness.equation!r}")
-    return equation(algebra, dict(witness.elements))

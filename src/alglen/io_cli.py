@@ -178,6 +178,16 @@ def print_algebra(algebra: Algebra) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read(path: str, what: str) -> str:
+    """The text of a file; one that is not UTF-8 raises ParseError naming the file and line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise ParseError(f"{what} {path!r} is not UTF-8 text", line) from None
+
+
 # -- generator sets --------------------------------------------------------------
 
 
@@ -195,16 +205,15 @@ def resolve_set(algebra: Algebra, set_spec: str | None, set_file: str | None) ->
     """
     if set_file is not None:
         elements = []
-        with open(set_file, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    coords = [algebra.field.parse(tok) for tok in line.split()]
-                    elements.append(algebra.element(coords))
-                except AlgLenError as exc:
-                    raise ParseError(f"{exc} in set file {set_file!r}", lineno) from None
+        for lineno, raw in enumerate(_read(set_file, "set file").split("\n"), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                coords = [algebra.field.parse(tok) for tok in line.split()]
+                elements.append(algebra.element(coords))
+            except AlgLenError as exc:
+                raise ParseError(f"{exc} in set file {set_file!r}", lineno) from None
         if not elements:
             raise ParseError(f"set file {set_file!r} names no element")
         gens = tuple(elements)
@@ -275,8 +284,7 @@ def build_example(name: str, field_spec: str | None = None) -> Algebra:
 
 
 def _load(path: str) -> Algebra:
-    with open(path, encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
+    return parse_algebra(_read(path, "algebra file"))
 
 
 def _emit(payload: dict, as_json: bool, text_lines) -> None:
@@ -297,8 +305,7 @@ def _cmd_classify(args) -> int:
         v = report.verdict(name)
         extra = ""
         if v.witness is not None:
-            shown = {k: algebra.format_element(c) for k, c in v.witness.elements}
-            extra = f"  [{v.witness.equation} at {shown}]"
+            extra = f"  [{v.witness.equation} at {v.witness.as_dict(algebra)['elements']}]"
         lines.append(f"  {name}: {v.kind}{extra}")
     for w in report.warnings:
         lines.append(f"  WARNING: {w}")
@@ -436,13 +443,12 @@ def _cmd_infer_unity(args) -> int:
         lines.append(f"identity element exists: {algebra.format_element(candidate)}")
         if declared is None:
             lines.append("note: diagnostics only; declare it in the file to use it")
-    code = 0
-    if declared is not None and candidate != tuple(declared):
+    matches = declared is None or candidate == declared
+    if not matches:
         lines.append("MISMATCH between declared unity and solved identity")
-        code = 1
-    payload["matches_declaration"] = declared is None or candidate == tuple(declared)
+    payload["matches_declaration"] = matches
     _emit(payload, args.json, lines)
-    return code
+    return 0 if matches else 1
 
 
 def _cmd_gen(args) -> int:

@@ -306,6 +306,33 @@ def coefficient_clash(algebra, texts, values):
     return len(forced) > 1
 
 
+# the text of a sufficient condition's failure where two pairs (a1, b), (a2, b)
+# force different aa-coefficients, by the left side of a sandwich text
+CLASH = "aa-coefficient forced by {} inconsistent at fixed b"
+
+
+def pair_texts(name):
+    """The two-letter texts of a class: a descending class's are its sandwich texts."""
+    from alglen.identities import IDENTITIES
+
+    return [t for t in IDENTITIES[name] if len(_text_letters(t)) == 2]
+
+
+def witness_violated(algebra, witness):
+    """Whether a failure witness's elements break its text.
+
+    An ``=``, ``in`` or ``outside`` text goes to identity_violated, and a
+    CLASH text to coefficient_clash over the sandwich texts of the
+    descending class whose left side it names.
+    """
+    values = dict(witness.elements)
+    for name in ("descendingly_flexible", "descendingly_alternative"):
+        texts = pair_texts(name)
+        if witness.equation in (CLASH.format(t.split(" in ")[0]) for t in texts):
+            return coefficient_clash(algebra, texts, values)
+    return identity_violated(algebra, witness.equation, values)
+
+
 # -- each class's stream walked alone ------------------------------------------
 
 # the order in which each sweep class visits its tuples: ("basis", arity)
@@ -350,7 +377,7 @@ def reference_verdict(algebra, name, seed, samples):
     if name.startswith("sufficient_condition_"):
         pair_class = {"flex": "descendingly_flexible",
                       "alt": "descendingly_alternative"}[name.rsplit("_", 1)[1]]
-        texts = [t for t in IDENTITIES[pair_class] if len(_text_letters(t)) == 2]
+        texts = pair_texts(pair_class)
         verdict = _reference_sufficient(algebra, texts, seed, n)
         if verdict[0].startswith("holds"):
             kind, text, values = reference_verdict(algebra, pair_class, seed, samples)
@@ -386,8 +413,7 @@ def _reference_row(algebra, texts, a_values, b):
             if seen is None:
                 seen = (a, g)
             elif g != seen[1]:
-                failure = ("fails", f"aa-coefficient forced by {lhs} inconsistent at fixed b",
-                           {"a1": seen[0], "a2": a, "b": b})
+                failure = "fails", CLASH.format(lhs), {"a1": seen[0], "a2": a, "b": b}
                 return failure, informative, pinned
     return None, informative, pinned
 

@@ -20,7 +20,7 @@ import oracles
 from alglen.algebra import make_algebra
 from alglen.examples import make_unital_hull
 from alglen.field import PrimeField, Rationals, rational_row
-from alglen.identities import classify, replay_witness
+from alglen.identities import classify
 from alglen.spans import SpanBasis, diff_sequence, lin_span
 
 Q = Rationals()
@@ -209,4 +209,4 @@ def test_exhaustive_verdicts_match_brute_force(algebra):
     assert report.verdict("alternative").kind == ("holds-exhaustive" if alternative else "fails")
     for verdict in report.verdicts.values():
         if verdict.kind == "fails":
-            assert replay_witness(algebra, verdict.witness), verdict.witness
+            assert oracles.witness_violated(algebra, verdict.witness), verdict.witness

@@ -13,8 +13,7 @@ import oracles
 from alglen import examples, identities
 from alglen.algebra import make_algebra
 from alglen.field import PrimeField, Rationals
-from alglen.identities import (EQUATIONS, IDENTITIES, Verdict, Witness, classify,
-                               replay_witness)
+from alglen.identities import EQUATIONS, IDENTITIES, Verdict, Witness, classify
 from alglen.io_cli import build_example, main, parse_algebra
 
 
@@ -97,12 +96,10 @@ def test_matrix4_descending_failures():
     assert _witness_labels(m4, df) == {"a": "E12", "b": "E23", "c": "E31"}
     # the triple of consecutive one-step matrix units is also a violation
     a, b, c = m4.basis_element(2), m4.basis_element(7), m4.basis_element(12)
-    lhs = m4.add(m4.multiply(m4.multiply(a, b), c), m4.multiply(m4.multiply(c, b), a))
-    # the span the equation table builds for Lin_2'(a,b,c) at this triple
-    values = {"a": a, "b": b, "c": c}
-    identities.EQUATIONS["(ab)c + (cb)a in Lin_2'(a,b,c)"](m4, values)
-    span = values["Lin_2'(a,b,c)"]
-    assert not span.contains(lhs)
+    text = "(ab)c + (cb)a in Lin_2'(a,b,c)"
+    rows = {"a": identities._row(a)[0], "b": identities._row(b)[0], "c": identities._row(c)[0]}
+    assert EQUATIONS[text].violated(m4, identities._row_product(m4), rows)
+    assert oracles.identity_violated(m4, text, {"a": a, "b": b, "c": c})
 
 
 def test_witness_replay(aflex, aalt):
@@ -110,8 +107,7 @@ def test_witness_replay(aflex, aalt):
         report = classify(algebra, samples=8)
         for verdict in report.verdicts.values():
             if verdict.kind == "fails":
-                elements = {k: v for k, v in verdict.witness.elements}
-                assert replay_witness(algebra, verdict.witness), verdict.witness
+                assert oracles.witness_violated(algebra, verdict.witness), verdict.witness
 
 
 def test_verdict_keeps_its_keyword_defaults(aalt):
@@ -297,22 +293,24 @@ def test_replay_covers_the_table():
     # every text a check can emit: the table's, and the sufficient
     # conditions' four "outside" and four "aa-coefficient forced" texts
     table_texts = {t for texts in IDENTITIES.values() for t in texts}
-    extra = set(EQUATIONS) - table_texts
-    assert len(table_texts) == 18 and len(extra) == 8
-    assert sum(" outside " in t for t in extra) == 4
-    assert sum(t.startswith("aa-coefficient forced by ") for t in extra) == 4
+    assert set(EQUATIONS) == table_texts and len(table_texts) == 18
+    pairs = [t for name in ("descendingly_flexible", "descendingly_alternative")
+             for t in oracles.pair_texts(name)]
+    emitted = (table_texts | {t.replace(" in ", " outside ") for t in pairs}
+               | {oracles.CLASH.format(t.split(" in ")[0]) for t in pairs})
+    assert len(emitted) == 26
     n7 = examples.make_nonmixing7()
     zero = (n7.field.zero(),) * n7.dim
     names = ("a", "b", "c", "x", "y", "z", "a1", "a2")
-    for text in EQUATIONS:
-        assert not replay_witness(n7, Witness(text, tuple((n, zero) for n in names))), text
-    with pytest.raises(ValueError, match="no replay rule"):
-        replay_witness(n7, Witness("(ab)a = a(ab)", (("a", zero), ("b", zero))))
+    for text in emitted:
+        witness = Witness(text, tuple((n, zero) for n in names))
+        assert not oracles.witness_violated(n7, witness), text
     # texts no classify run above reaches, on basis tuples of nonmix7
     u, v, z = (n7.basis_element(i) for i in (1, 2, 3))
-    assert replay_witness(n7, Witness("(ba)c + (bc)a = b(ac) + b(ca)",
-                                      (("a", u), ("b", z), ("c", v))))
-    assert replay_witness(n7, Witness("z(xy) in Lin_1(P)", (("x", v), ("y", u), ("z", z))))
+    assert oracles.witness_violated(n7, Witness("(ba)c + (bc)a = b(ac) + b(ca)",
+                                                (("a", u), ("b", z), ("c", v))))
+    assert oracles.witness_violated(n7, Witness("z(xy) in Lin_1(P)",
+                                                (("x", v), ("y", u), ("z", z))))
 
 
 def test_equation_table_refuses_a_non_homogeneous_text():
@@ -370,23 +368,20 @@ def identity_cases(draw):
 @given(identity_cases())
 def test_equations_match_the_exact_oracle(case):
     algebra, values = case
+    rows = {x: identities._row(v)[0] for x, v in values.items()}
     for text, equation in EQUATIONS.items():
-        if text.startswith("aa-coefficient forced by "):
-            texts = next(t for t in identities._SANDWICHES.values()
-                         if text == identities._clash(t[0]) or text == identities._clash(t[1]))
-            expected = oracles.coefficient_clash(algebra, texts, values)
-        else:
-            expected = oracles.identity_violated(algebra, text, values)
-        assert equation(algebra, dict(values)) == expected, text
+        assert equation.violated(algebra, identities._row_product(algebra), dict(rows)) \
+            == oracles.identity_violated(algebra, text, values), text
     # the texts of a class share one memo per tuple, and so its lazy spans
     for texts in IDENTITIES.values():
-        memo = dict(values)
+        mul, memo = identities._row_product(algebra), dict(rows)
         for text in texts:
-            assert EQUATIONS[text](algebra, memo) \
+            assert EQUATIONS[text].violated(algebra, mul, memo) \
                 == oracles.identity_violated(algebra, text, values), text
     for texts in identities._SANDWICHES.values():
         for a in (values["a"], values["a1"]):
-            assert identities._forced_coefficients(algebra, a, values["b"], texts) \
+            mul = identities._row_product(algebra)
+            assert identities._forced_coefficients(algebra, a, values["b"], texts, mul) \
                 == oracles.forced_coefficients(algebra, a, values["b"], texts)
 
 
@@ -407,12 +402,10 @@ def test_forced_coefficients_match_the_exact_oracle():
             values = {"a": algebra.scale(scale, a), "b": b, "a1": a, "a2": a}
             values["b"] = algebra.scale(scale, b) if t % 2 else b
             for texts in identities._SANDWICHES.values():
-                got = identities._forced_coefficients(algebra, values["a"], values["b"], texts)
+                got = identities._forced_coefficients(algebra, values["a"], values["b"], texts,
+                                                      identities._row_product(algebra))
                 assert got == oracles.forced_coefficients(algebra, values["a"], values["b"], texts)
                 pinned += sum(g is not None for _, g in got[1])
-                clash = identities._clash(texts[0])
-                assert EQUATIONS[clash](algebra, dict(values)) \
-                    == oracles.coefficient_clash(algebra, texts, values), clash
         assert pinned
 
 
@@ -489,7 +482,7 @@ def test_zero_left_side_builds_no_span(monkeypatch, field):
     m3 = build_example("matrix:3", field)
     p = m3.field.characteristic
     mul = identities._row_product(m3)
-    memberships = [EQUATIONS[t] for t in identities._TABLE_TEXTS if EQUATIONS[t].span]
+    memberships = [equation for equation in EQUATIONS.values() if equation.span]
     zero = multiple_of_p = 0
     for elements in chain(identities._basis_tuples(m3, 2), identities._basis_tuples(m3, 3)):
         for equation in memberships:
@@ -620,7 +613,7 @@ def test_sufficient_conditions_fail_on_the_descending_witness_line(tmp_path, cap
         verdict = report.verdict(name)
         assert (verdict.kind, verdict.witness.equation) == ("fails", equation)
         assert _witness_labels(algebra, verdict) == shown
-        assert replay_witness(algebra, verdict.witness)
+        assert oracles.witness_violated(algebra, verdict.witness)
 
 
 @settings(max_examples=60, deadline=None)
@@ -636,4 +629,4 @@ def test_no_sufficient_condition_warning_at_few_samples(algebra, seed, samples):
     for name in ("sufficient_condition_flex", "sufficient_condition_alt"):
         verdict = report.verdict(name)
         if verdict.kind == "fails":
-            assert replay_witness(algebra, verdict.witness), verdict.witness
+            assert oracles.witness_violated(algebra, verdict.witness), verdict.witness

@@ -523,6 +523,28 @@ def test_bad_set_file_lines_name_the_file_and_line(fuzz_dir, capsys, command, li
     assert f"in set file {str(path)!r}" in captured.err
 
 
+@pytest.mark.parametrize("command, option", [
+    ("classify", None), ("exact-length", None), ("length", None),
+    ("length", "--set-file"), ("diffseq", "--set-file"), ("bounds", "--set-file")])
+def test_files_that_are_not_utf8_exit_2(fuzz_dir, capsys, command, option):
+    # a byte that is not UTF-8 on line 2 of an algebra or set file is a parse
+    # error naming the file and the line, not a decoding traceback
+    good = fuzz_dir / "aflex.alg"
+    if option is None:
+        path = fuzz_dir / "latin1.alg"
+        path.write_bytes(good.read_bytes().replace(b"\n", b"\n# caf\xe9\n", 1))
+        argv = [command, str(path)]
+    else:
+        path = fuzz_dir / "latin1.set"
+        path.write_bytes(b"1 0 0 0 0\n0 1 0 0 0 # caf\xe9\n")
+        argv = [command, str(good), f"{option}={path}"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: line 2: ")
+    assert f"{str(path)!r} is not UTF-8 text" in captured.err
+
+
 def test_bounds_refuses_a_bad_set_before_classify(fuzz_dir, monkeypatch):
     def classify(*args, **kwargs):
         raise AssertionError("classify ran before --set was checked")
@@ -767,6 +789,10 @@ LOADS = {
     "classify": (["classify", "FILE"], {"identities"}, {"canonical", "examples"}),
     "bounds": (["bounds", "FILE", "--set", "1,2"], {"identities", "bounds"}, {"examples"}),
     "gen": (["gen", "aflex"], {"examples"}, {"identities", "bounds", "canonical"}),
+    "canonical": (["canonical", "--class", "flex", "--word", "((1 2) 3)"], {"canonical"},
+                  {"identities", "bounds", "examples"}),
+    "search": (["search", "FILE", "--set-size", "2", "--samples", "2"], {"identities"},
+               {"bounds", "canonical", "examples"}),
 }
 
 
