@@ -194,20 +194,16 @@ def _push(state, side, letter):
     return (-sign, "A", (y, x, z + (letter,)))
 
 
-def _pull_y(state):
+def _pull(state, role):
+    """Take the outermost letter off role "y" or "z": the inverse of _push."""
     sign, form, (x, y, z) = state
-    letter = y[-1]
-    side = "R" if form == "A" else "L"
-    new_form = "B" if form == "A" else "A"
-    return (side, letter), (-sign, new_form, (z, y[:-1], x))
-
-
-def _pull_z(state):
-    sign, form, (x, y, z) = state
-    letter = z[-1]
-    side = "L" if form == "A" else "R"
-    new_form = "B" if form == "A" else "A"
-    return (side, letter), (-sign, new_form, (y, x, z[:-1]))
+    if role == "y":
+        side = "R" if form == "A" else "L"
+        letter, rest = y[-1], (z, y[:-1], x)
+    else:
+        side = "L" if form == "A" else "R"
+        letter, rest = z[-1], (y, x, z[:-1])
+    return (side, letter), (-sign, "B" if form == "A" else "A", rest)
 
 
 def _t1(state):
@@ -244,16 +240,12 @@ def _reduce_and_push(state):
     def pull_pairs(st):
         while True:
             _, _, (x, y, z) = st
-            if len(y) >= 3:
-                w1, st = _pull_y(st)
-                w2, st = _pull_y(st)
-                wrappers.extend([w1, w2])
-            elif len(z) >= 3:
-                w1, st = _pull_z(st)
-                w2, st = _pull_z(st)
-                wrappers.extend([w1, w2])
-            else:
+            role = "y" if len(y) >= 3 else "z" if len(z) >= 3 else None
+            if role is None:
                 return st
+            w1, st = _pull(st, role)
+            w2, st = _pull(st, role)
+            wrappers.extend([w1, w2])
 
     st = state
     while True:
@@ -293,13 +285,8 @@ def _normalize(state):
 
     # all-odd shape with a longer middle or outer block: move one letter
     # out, renormalize the rest, and put the letter back in
-    donors = []
-    if b >= 3:
-        donors.append(_pull_y)
-    if c >= 3:
-        donors.append(_pull_z)
-    for pull in donors:
-        (side, letter), inner = pull(st)
+    for role in [r for r, k in (("y", b), ("z", c)) if k >= 3]:
+        (side, letter), inner = _pull(st, role)
         inner, inner_shape = _normalize(inner)
         if inner_shape not in ("EOO", "OO"):
             raise AssertionError(f"a pulled letter left shape {inner_shape}, not EOO or OO")

@@ -104,8 +104,13 @@ class Field:
     def __hash__(self):
         return hash(self.characteristic)
 
-    # subclass API: zero, one, from_int, add, sub, mul, neg, inv, div,
-    # is_zero, format
+    # subclass API: from_int, add, sub, mul, neg, inv, is_zero, format
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -132,12 +137,6 @@ class Rationals(Field):
 
     def __repr__(self):
         return "Q"
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def from_int(self, n: int):
         return n
@@ -187,12 +186,6 @@ class PrimeField(Field):
     def __repr__(self):
         return f"GF({self.p})"
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def from_int(self, n: int):
         return n % self.p
 
@@ -212,9 +205,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise DivisionByZero("inverse of 0")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

@@ -58,7 +58,9 @@ call over a class's random tuples has its own.  The per-tuple memo binds
 the letters a, b, c and x, y, z to the tuple's rows and holds its words
 and spans, so a product or span that several classes name is made once
 per tuple; it is cleared when the tuple is done, since a span's pending
-rows refer back to it.
+rows refer back to it.  One memoized recursion, ``_value``, makes every
+word of a text or a span: a word the memo lacks is the product of its two
+factors (``_FACTORS``), each made the same way.
 """
 
 from __future__ import annotations
@@ -73,18 +75,6 @@ from .field import integer_row
 from .spans import _insert, _reduce
 
 CHAR2_SAMPLE_FACTOR = 4
-
-CLASS_NAMES = (
-    "flexible",
-    "alternative",
-    "left_sliding",
-    "right_sliding",
-    "mixing",
-    "descendingly_flexible",
-    "descendingly_alternative",
-    "sufficient_condition_flex",
-    "sufficient_condition_alt",
-)
 
 # -- the equation table --------------------------------------------------------
 #
@@ -117,35 +107,25 @@ IDENTITIES = {
                                  "a(bc) + b(ac) in Lin_2'(a,b,c)"),
 }
 
-
-def _compile(word, steps):
-    """Append the products that build a word to steps, factors first, once each.
-
-    A step ``(word, left, right)`` names each value by its text, so a
-    product shared by several words or equations is made once per tuple.
-    """
-    if len(word) == 1:
-        return
-    depth = 0
-    for end, ch in enumerate(word):  # the left factor ends where depth returns to 0
-        depth += (ch == "(") - (ch == ")")
-        if depth == 0:
-            break
-    left, right = (f[1:-1] if f[0] == "(" else f for f in (word[:end + 1], word[end + 1:]))
-    _compile(left, steps)
-    _compile(right, steps)
-    if (word, left, right) not in steps:
-        steps.append((word, left, right))
+CLASS_NAMES = (*IDENTITIES, "sufficient_condition_flex", "sufficient_condition_alt")
 
 
-def _compiled(word):
-    steps = []
-    _compile(word, steps)
-    return steps
-
-
-# the steps of every span word, run only when a span asks for the word
-_WORD_STEPS = {word: _compiled(word) for words in SPANS.values() for word in words}
+def _factors(words) -> dict:
+    """word -> (left, right), the two factors of each product within the words."""
+    table, words = {}, list(words)
+    while words:
+        word = words.pop()
+        if len(word) == 1 or word in table:
+            continue
+        depth = 0
+        for end, ch in enumerate(word):  # the left factor ends where depth returns to 0
+            depth += (ch == "(") - (ch == ")")
+            if depth == 0:
+                break
+        left, right = (f[1:-1] if f[0] == "(" else f for f in (word[:end + 1], word[end + 1:]))
+        table[word] = left, right
+        words += left, right
+    return table
 
 
 def _letters(word) -> str:
@@ -188,25 +168,29 @@ def _is_zero(v, p) -> bool:
     return not any(x % p for x in v) if p else not any(v)
 
 
-def _total(memo, words):
-    """The sum of the words' integer rows in memo; a side of a text has one word or two."""
-    if len(words) == 1:
-        return memo[words[0]]
-    u, v = words
-    return [x + y for x, y in zip(memo[u], memo[v])]
-
-
-def _run(steps, mul, memo):
-    """Make each product of steps that memo lacks; memo holds the letters' integer rows."""
-    for word, left, right in steps:
-        if word not in memo:
-            memo[word] = mul(memo[left], memo[right])
-
-
 def _value(mul, memo, word):
-    """A span word's integer row, made as _run makes it."""
-    _run(_WORD_STEPS[word], mul, memo)
-    return memo[word]
+    """The word's integer row: memo[word], made from its two factors' rows where memo lacks it.
+
+    memo holds the letters' integer rows, and each product it makes, so a
+    product that several words or texts share is made once per memo.  A
+    factor is looked up before it recurses: most are letters or made
+    already, and a call costs more than the lookup.
+    """
+    value = memo.get(word)
+    if value is None:
+        left, right = _FACTORS[word]
+        u, v = memo.get(left), memo.get(right)
+        value = memo[word] = mul(_value(mul, memo, left) if u is None else u,
+                                 _value(mul, memo, right) if v is None else v)
+    return value
+
+
+def _total(mul, memo, words):
+    """The sum of the words' integer rows; a side of a text has one word or two."""
+    if len(words) == 1:
+        return _value(mul, memo, words[0])
+    u, v = words
+    return [x + y for x, y in zip(_value(mul, memo, u), _value(mul, memo, v))]
 
 
 class _LazySpan:
@@ -247,7 +231,7 @@ def _span_rows(algebra, mul, memo, name):
 
 
 class _Equation:
-    """One table text, compiled once into the products it needs."""
+    """One table text, split once into its sides; _value makes their words."""
 
     def __init__(self, text):
         lhs, _, rhs = text.partition(" = ")
@@ -258,14 +242,10 @@ class _Equation:
             raise ValueError(f"{text!r} is not homogeneous in each letter")
         words = self.rhs or SPANS[self.span]
         self.letters = "".join(sorted(set(filter(str.isalpha, lhs + " ".join(words)))))
-        self.steps = []
-        for word in compared:
-            _compile(word, self.steps)
 
     def evaluate(self, mul, memo):
-        """The left side's integer row, made as _run makes it."""
-        _run(self.steps, mul, memo)
-        return _total(memo, self.lhs)
+        """The left side's integer row."""
+        return _total(mul, memo, self.lhs)
 
     def violated(self, algebra, mul, memo) -> bool:
         """True when the letters' integer rows in memo violate the equation.
@@ -276,7 +256,7 @@ class _Equation:
         """
         lhs, p = self.evaluate(mul, memo), algebra.field.characteristic
         if self.rhs:
-            rhs = _total(memo, self.rhs)
+            rhs = _total(mul, memo, self.rhs)
             return not _is_zero([x - y for x, y in zip(lhs, rhs)], p)
         if _is_zero(lhs, p):
             return False
@@ -291,6 +271,9 @@ def _clash(text):
 
 
 EQUATIONS = {text: _Equation(text) for texts in IDENTITIES.values() for text in texts}
+# every product word of a span or a table text, and its two factors, for _value
+_FACTORS = _factors([word for words in SPANS.values() for word in words]
+                    + [word for e in EQUATIONS.values() for word in e.lhs + (e.rhs or [])])
 # a class's texts by the number of elements they quantify over
 _BY_ARITY = {(name, k): [t for t in texts if len(EQUATIONS[t].letters) == k]
              for name, texts in IDENTITIES.items() for k in (2, 3)}

@@ -42,6 +42,7 @@ def parse_algebra(text: str) -> Algebra:
     dim = None
     unity_decl = None  # ("none",) | ("index", i) | ("vec", [scalars])
     labels = None
+    first = {}  # the line of each field, dim, unital and labels directive
     muls = {}
     mul_lines = {}
 
@@ -51,15 +52,17 @@ def parse_algebra(text: str) -> Algebra:
         except AlgLenError as exc:
             raise ParseError(str(exc), lineno) from None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         head = parts[0]
+        if head in ("field", "dim", "unital", "labels"):
+            if head in first:
+                raise ParseError(f"duplicate {head} directive", lineno)
+            first[head] = lineno
         if head == "field":
-            if field is not None:
-                raise ParseError("duplicate field directive", lineno)
             if parts[1:] == ["rational"]:
                 field = Rationals()
             elif len(parts) == 3 and parts[1] == "gf":
@@ -74,26 +77,20 @@ def parse_algebra(text: str) -> Algebra:
             else:
                 raise ParseError(f"bad field directive {line!r}", lineno)
         elif head == "dim":
-            if dim is not None:
-                raise ParseError("duplicate dim directive", lineno)
             if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                 raise ParseError(f"bad dim directive {line!r}", lineno)
             dim = int(parts[1])
         elif head == "unital":
-            if unity_decl is not None:
-                raise ParseError("duplicate unital directive", lineno)
             if parts[1:] == ["none"]:
-                unity_decl = ("none", lineno)
+                unity_decl = ("none",)
             elif len(parts) == 2 and parts[1].isdecimal():
-                unity_decl = ("index", int(parts[1]), lineno)
+                unity_decl = ("index", int(parts[1]))
             elif len(parts) >= 3 and parts[1] == "vec":
-                unity_decl = ("vec", parts[2:], lineno)
+                unity_decl = ("vec", parts[2:])
             else:
                 raise ParseError(f"bad unital directive {line!r}", lineno)
         elif head == "labels":
-            if labels is not None:
-                raise ParseError("duplicate labels directive", lineno)
-            labels, labels_line = parts[1:], lineno
+            labels = parts[1:]
             seen = set()
             for label in labels:
                 if label in seen:
@@ -119,33 +116,30 @@ def parse_algebra(text: str) -> Algebra:
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
 
-    if field is None:
-        raise ParseError("missing field directive")
-    if dim is None:
-        raise ParseError("missing dim directive")
-    if unity_decl is None:
-        raise ParseError("missing unital directive")
+    for head in ("field", "dim", "unital"):
+        if head not in first:
+            raise ParseError(f"missing {head} directive")
 
     unity = None
     if unity_decl[0] == "index":
         i = unity_decl[1]
         if not 1 <= i <= dim:
-            raise ParseError(f"unity index {i} out of range", unity_decl[2])
+            raise ParseError(f"unity index {i} out of range", first["unital"])
         unity = tuple(field.one() if t == i - 1 else field.zero() for t in range(dim))
     elif unity_decl[0] == "vec":
         coords = unity_decl[1]
         if len(coords) != dim:
-            raise ParseError("unity vector has wrong length", unity_decl[2])
-        unity = tuple(scalar(c, unity_decl[2]) for c in coords)
+            raise ParseError("unity vector has wrong length", first["unital"])
+        unity = tuple(scalar(c, first["unital"]) for c in coords)
 
     if labels is not None and len(labels) != dim:
-        raise ParseError("labels list has wrong length", labels_line)
+        raise ParseError("labels list has wrong length", first["labels"])
 
     algebra = make_algebra(field, dim, muls, unity=unity, labels=labels)
     ok, bad = algebra.verify_unity()
     if not ok:
         raise ParseError(
-            f"declared unity fails on basis vector {bad}", unity_decl[-1])
+            f"declared unity fails on basis vector {bad}", first["unital"])
     return algebra
 
 

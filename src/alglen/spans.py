@@ -423,14 +423,12 @@ def diff_sequence(algebra: Algebra, gens, max_level: int | None = None) -> DiffS
     """Difference sequence d_k = dim Lin_k(S) - dim Lin_(k-1)(S) of a generator set.
 
     ``gens`` is S, any sequence of elements of the algebra.  The sizes of
-    the levels of _ladder, which runs until the span is closed, without
-    trailing zeros; l(S) is the last level with d_k != 0.  d_1 is checked
-    against the rank of S by a separate SpanBasis.
+    the levels of _ladder, which runs until the span is closed; l(S) is the
+    last level.  The ladder never ends on a level that added nothing past
+    level 0: a pair whose product leaves the span stays pending until the
+    level of that product adds it.
     """
     d = [len(reps) for reps in _set_ladder(algebra, gens, max_level)]
-    while len(d) > 1 and d[-1] == 0:
-        d.pop()
-    _check_first_difference(algebra, gens, d)
     total = sum(d)
     return DiffSequence(
         d=tuple(d),
@@ -440,19 +438,6 @@ def diff_sequence(algebra: Algebra, gens, max_level: int | None = None) -> DiffS
         total_rank=total,
         dim=algebra.dim,
     )
-
-
-def _check_first_difference(algebra, elements, d):
-    # d_1 must equal rank(S) resp. rank(S + {e}) - 1; recomputed independently
-    probe = SpanBasis(algebra.field, algebra.dim)
-    if algebra.unity is not None:
-        probe.add(algebra.unity)
-    base = probe.rank
-    for s in elements:
-        probe.add(s)
-    d1 = d[1] if len(d) > 1 else 0
-    if d1 != probe.rank - base:
-        raise AssertionError("first difference disagrees with rank of S")
 
 
 # -- subspace enumeration over prime fields --------------------------------
@@ -719,7 +704,7 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     for rows in enumerate_subspace_rows(p, n, c, project, codim if exact else m):
         level_reps = _ladder(kernel, n, p, unity_row, max_level, rows, closure=not exact)
         if sum(map(len, level_reps)) == n:
-            length = max(k for k, reps in enumerate(level_reps) if reps)
+            length = len(level_reps) - 1
             if best is None or length > best[0]:
                 best = (length, rows)
     if best is None:

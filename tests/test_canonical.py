@@ -1,4 +1,6 @@
+import json
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,7 @@ from alglen.canonical import (CanonicalWord, canonical_alt_form, canonical_flex_
                               verify_equivalence)
 from alglen.errors import NotRestrictedForm, WordTooShort
 from alglen.spans import lin_span
-from alglen.words import enumerate_restricted, evaluate
+from alglen.words import enumerate_restricted, evaluate, format_word
 from oracles import word_letters
 
 
@@ -37,6 +39,22 @@ def test_flex_worked_examples():
     assert c.partition == ((1, 3), (2,))
     c = canonical_flex_form((((1, 2), 3), 4))
     assert c.shape == "EOO" and c.sign == 1 and c.tree() == (((1, 2), 3), 4)
+
+
+GOLDEN_FORMS = Path(__file__).parent / "golden" / "canonical_forms.json"
+
+
+def test_forms_match_the_golden_forms():
+    # both forms of each of the 336 restricted words over 2 letters of
+    # length 3 to 5, recorded before the three-block form's two pull rules
+    # became one
+    golden = json.loads(GOLDEN_FORMS.read_text(encoding="utf-8"))
+    words = [w for m in range(3, 6) for w in enumerate_restricted(2, m)]
+    assert [entry["word"] for entry in golden] == [format_word(w) for w in words]
+    assert len(words) == 336
+    for w, entry in zip(words, golden):
+        assert canonical_alt_form(w).as_dict() == entry["alt"], entry["word"]
+        assert canonical_flex_form(w).as_dict() == entry["flex"], entry["word"]
 
 
 def test_rejects_bad_words():

@@ -185,6 +185,8 @@ def test_ladder_matches_word_spans(case):
     dims = [len(rows) for rows in words]
     diffs = tuple([dims[0]] + [b - a for a, b in zip(dims, dims[1:])])
     assert diffs == seq.d + (0, 0)
+    # the closure-checked ladder never ends on a level that added nothing
+    assert seq.d == (0,) or seq.d[-1] != 0
     assert seq.stabilized_by == "closure-criterion"
     for k in range(seq.length_of_set + 1):
         assert lin_span(algebra, gens, k).row_tuples() == words[k], k

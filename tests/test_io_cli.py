@@ -545,6 +545,24 @@ def test_files_that_are_not_utf8_exit_2(fuzz_dir, capsys, command, option):
     assert f"{str(path)!r} is not UTF-8 text" in captured.err
 
 
+@pytest.mark.parametrize("sep", ["\f", "\x85", "\u2028"])
+def test_only_a_newline_ends_a_line_of_an_algebra_file(fuzz_dir, capsys, sep):
+    # a form feed, U+0085 or U+2028 in a comment stays in the comment, as it
+    # does in a set file; files are read in text mode, so "\r\n" and "\r"
+    # end a line as "\n" does
+    path = fuzz_dir / "breaks.alg"
+    for end in ("\n", "\r\n", "\r"):
+        text = f"field gf 3\ndim 2\n# note{sep}continued\nunital none\nmul 1 1 2 1\n"
+        path.write_bytes(text.replace("\n", end).encode("utf-8"))
+        assert main(["classify", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+    text = f"field gf 3\ndim 2\nunital none\n# x{sep}y\nmul 1 1 1 1\nmul 1 1 1 2\n"
+    path.write_text(text, encoding="utf-8")
+    assert main(["exact-length", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 6: duplicate product entry (1,1,1); first at line 5\n"
+
+
 def test_bounds_refuses_a_bad_set_before_classify(fuzz_dir, monkeypatch):
     def classify(*args, **kwargs):
         raise AssertionError("classify ran before --set was checked")

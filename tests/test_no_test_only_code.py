@@ -16,6 +16,10 @@ set, so every one must be passed by some package call outside its own
 function, by keyword, by position or through ``*``/``**``.  The one
 exception is ``io_cli.main(argv)``, the in-process entry point that callers
 outside the package (the benchmark harness, the tests) drive.
+
+A rule is stated once: no method repeats, AST for AST and docstring aside,
+the method of the same name in its base class or in a sibling subclass (one
+with a base class in common), since the base class can hold the one copy.
 """
 
 import ast
@@ -196,3 +200,45 @@ def unpassed_parameters() -> list:
 
 def test_every_optional_parameter_is_passed_by_the_package():
     assert unpassed_parameters() == []
+
+
+def _body(function) -> str:
+    """The function's decorators, parameters and statements as AST text, its docstring aside."""
+    body = function.body
+    if (isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    return ast.dump(ast.Module(body=[*function.decorator_list, function.args, *body],
+                               type_ignores=[]))
+
+
+def repeated_methods() -> list:
+    """``module:Class.method`` of each method that repeats one it could share, and that one.
+
+    A method repeats the method of the same name in a base class of its
+    class, or in a sibling subclass defined before it.
+    """
+    classes = [(module, node) for module, tree in _trees().items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    names = {node.name for _, node in classes}
+
+    def bases(node):
+        return {base.id for base in node.bases if isinstance(base, ast.Name) and base.id in names}
+
+    def methods(node):
+        return {item.name: _body(item) for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+    found = []
+    for i, (module, node) in enumerate(classes):
+        for j, (where, other) in enumerate(classes):
+            if not (other.name in bases(node) or j < i and bases(node) & bases(other)):
+                continue
+            shared = methods(other)
+            found += [f"{module}:{node.name}.{name} repeats {where}:{other.name}.{name}"
+                      for name, body in methods(node).items() if shared.get(name) == body]
+    return found
+
+
+def test_no_method_repeats_its_base_class_or_a_sibling():
+    assert repeated_methods() == []
