@@ -79,9 +79,7 @@ class Algebra:
     def basis_element(self, i: int) -> Element:
         if not 1 <= i <= self.dim:
             raise IndexOutOfRange(f"basis index {i}")
-        z = self.field.zero()
-        one = self.field.one()
-        return tuple(one if k == i - 1 else z for k in range(self.dim))
+        return tuple(int(k == i - 1) for k in range(self.dim))
 
     def element(self, coords) -> Element:
         coords = tuple(coords)

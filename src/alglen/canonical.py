@@ -111,13 +111,9 @@ def _application_chain(w: Word):
         if isinstance(left, int):
             apps.append(("L", left))
             t = right
-        elif isinstance(right, int):
+        else:
             apps.append(("R", right))
             t = left
-        else:
-            raise NotRestrictedForm("no single-letter factor at the top level")
-    if not is_restricted(t):
-        raise NotRestrictedForm("inner subword is not an application chain")
     return apps, t
 
 

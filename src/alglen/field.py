@@ -106,12 +106,6 @@ class Field:
 
     # subclass API: from_int, add, sub, mul, neg, inv, is_zero, format
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 

@@ -649,12 +649,10 @@ def _walk(algebra, seed, samples) -> dict:
 class ClassificationReport:
     """Per-class verdicts for one algebra, plus consistency warnings."""
 
-    def __init__(self, verdicts: dict, seed: int, samples: int, characteristic: int,
-                 warnings: tuple):
+    def __init__(self, verdicts: dict, seed: int, samples: int, warnings: tuple):
         self.verdicts = verdicts
         self.seed = seed
         self.samples = samples
-        self.characteristic = characteristic
         self.warnings = warnings
 
     def verdict(self, name: str) -> Verdict:
@@ -665,7 +663,7 @@ class ClassificationReport:
             "verdicts": {k: v.as_dict(algebra) for k, v in self.verdicts.items()},
             "seed": self.seed,
             "samples": self.samples,
-            "characteristic": self.characteristic,
+            "characteristic": algebra.field.characteristic,
             "warnings": list(self.warnings),
         }
 
@@ -683,11 +681,6 @@ def classify(algebra: Algebra, seed: int = 0,
         suff = f"sufficient_condition_{v}"
         if verdicts[suff].holds and verdicts[name].kind == "fails":
             warnings.append(f"{suff} holds but {name} fails; implication violated")
-    return ClassificationReport(
-        verdicts=verdicts,
-        seed=seed,
-        samples=samples,
-        characteristic=algebra.field.characteristic,
-        warnings=tuple(warnings),
-    )
+    return ClassificationReport(verdicts=verdicts, seed=seed, samples=samples,
+                                warnings=tuple(warnings))
 

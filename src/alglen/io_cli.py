@@ -3,7 +3,7 @@
 The file grammar is line oriented with ``#`` comments:
 
     field rational | field gf <p>
-    dim <n>
+    dim <n>                         (1 <= n <= 10000)
     unital <i> | unital none | unital vec <s1> ... <sn>
     labels <l1> ... <ln>            (optional)
     mul <i> <j> <k> <scalar>        (b_i * b_j gains <scalar> * b_k)
@@ -32,6 +32,10 @@ from .field import Field, PrimeField, Rationals
 from .spans import (DEFAULT_SUBSPACE_BUDGET, diff_sequence, exact_algebra_length, find_unity,
                     lin_span)
 from .words import enumerate_restricted, evaluate, format_word, parse_word, word_length
+
+# an algebra file declares at most this dimension: compiling the product
+# kernels takes some 7 KB per dimension, 85 MB at the limit
+MAX_DIM = 10_000
 
 
 # -- algebra file format -------------------------------------------------------
@@ -80,6 +84,8 @@ def parse_algebra(text: str) -> Algebra:
             if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                 raise ParseError(f"bad dim directive {line!r}", lineno)
             dim = int(parts[1])
+            if dim > MAX_DIM:
+                raise ParseError(f"dim {dim} exceeds the limit {MAX_DIM}", lineno)
         elif head == "unital":
             if parts[1:] == ["none"]:
                 unity_decl = ("none",)
@@ -125,7 +131,7 @@ def parse_algebra(text: str) -> Algebra:
         i = unity_decl[1]
         if not 1 <= i <= dim:
             raise ParseError(f"unity index {i} out of range", first["unital"])
-        unity = tuple(field.one() if t == i - 1 else field.zero() for t in range(dim))
+        unity = tuple(int(t == i - 1) for t in range(dim))
     elif unity_decl[0] == "vec":
         coords = unity_decl[1]
         if len(coords) != dim:
@@ -155,9 +161,8 @@ def print_algebra(algebra: Algebra) -> str:
         lines.append("unital none")
     else:
         # the unity is b_i when its only coordinate other than zero is a one at i
-        z, one = f.zero(), f.one()
-        nonzero = [i for i, c in enumerate(algebra.unity) if c != z]
-        if len(nonzero) == 1 and algebra.unity[nonzero[0]] == one:
+        nonzero = [i for i, c in enumerate(algebra.unity) if c != 0]
+        if len(nonzero) == 1 and algebra.unity[nonzero[0]] == 1:
             lines.append(f"unital {nonzero[0] + 1}")
         else:
             lines.append("unital vec " + " ".join(f.format(c) for c in algebra.unity))
@@ -349,7 +354,7 @@ def _find_surviving_word(algebra, gens, seq):
     if m < 3:
         return None
     lower = lin_span(algebra, gens, m - 1)
-    for w in islice(enumerate_restricted(len(gens), m, cap=None), 4096):
+    for w in islice(enumerate_restricted(len(gens), m), 4096):
         if not lower.contains(evaluate(algebra, gens, w)):
             return w
     return None
@@ -499,10 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
         if with_level:
             p.add_argument("--max-level", type=int, default=None, dest="max_level")
         if with_set:
-            p.add_argument("--set", default=None,
-                           help="'basis', or comma-separated 1-based basis indices")
-            p.add_argument("--set-file", default=None, dest="set_file",
-                           help="file with one coordinate vector per line")
+            one_set = p.add_mutually_exclusive_group()
+            one_set.add_argument("--set", default=None,
+                                 help="'basis', or comma-separated 1-based basis indices")
+            one_set.add_argument("--set-file", default=None, dest="set_file",
+                                 help="file with one coordinate vector per line")
         if with_budget:
             p.add_argument("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET)
 

@@ -282,19 +282,21 @@ def find_unity(algebra: Algebra) -> Element | None:
 class DiffSequence:
     """Dimension growth record of the span ladder of one generator set.
 
-    Two records are equal when their six fields are; a record is not hashable.
+    The record is read off ``d`` and the algebra's dimension ``dim``: l(S)
+    is the last level, the total rank the sum of ``d``, and the set is
+    generating when that rank is ``dim``.  Two records are equal when their
+    six fields are; a record is not hashable.
     """
 
     _FIELDS = ("d", "length_of_set", "stabilized_by", "generating", "total_rank", "dim")
+    stabilized_by = "closure-criterion"
 
-    def __init__(self, d: tuple, length_of_set: int, stabilized_by: str, generating: bool,
-                 total_rank: int, dim: int):
+    def __init__(self, d: tuple, dim: int):
         self.d = d
-        self.length_of_set = length_of_set
-        self.stabilized_by = stabilized_by
-        self.generating = generating
-        self.total_rank = total_rank
         self.dim = dim
+        self.length_of_set = len(d) - 1
+        self.total_rank = sum(d)
+        self.generating = self.total_rank == dim
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -428,16 +430,8 @@ def diff_sequence(algebra: Algebra, gens, max_level: int | None = None) -> DiffS
     level 0: a pair whose product leaves the span stays pending until the
     level of that product adds it.
     """
-    d = [len(reps) for reps in _set_ladder(algebra, gens, max_level)]
-    total = sum(d)
-    return DiffSequence(
-        d=tuple(d),
-        length_of_set=len(d) - 1,
-        stabilized_by="closure-criterion",
-        generating=(total == algebra.dim),
-        total_rank=total,
-        dim=algebra.dim,
-    )
+    return DiffSequence(tuple(len(reps) for reps in _set_ladder(algebra, gens, max_level)),
+                        algebra.dim)
 
 
 # -- subspace enumeration over prime fields --------------------------------

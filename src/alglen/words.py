@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import IndexOutOfRange, ParseError, ResourceLimit
+from .errors import IndexOutOfRange, ParseError
 
 Word = object  # int leaf or (Word, Word) pair
 
-DEFAULT_WORD_CAP = 2_000_000
 # parse_word refuses deeper brackets, well inside Python's recursion limit
 MAX_WORD_DEPTH = 256
 
@@ -45,7 +44,7 @@ def _evaluate(multiply, gens, w: Word):
     return multiply(_evaluate(multiply, gens, w[0]), _evaluate(multiply, gens, w[1]))
 
 
-def enumerate_restricted(s_size: int, m: int, cap: int | None = DEFAULT_WORD_CAP):
+def enumerate_restricted(s_size: int, m: int):
     """Words built by one single-letter multiplication (left or right) per step.
 
     Every word is a chain X_1 ... X_{m-1} applied to an innermost letter,
@@ -56,8 +55,6 @@ def enumerate_restricted(s_size: int, m: int, cap: int | None = DEFAULT_WORD_CAP
     """
     if m < 1:
         raise ValueError("word length must be >= 1")
-    if cap is not None and 2 ** (m - 1) * s_size**m > cap:
-        raise ResourceLimit(f"restricted enumeration at length {m} exceeds cap {cap}")
     seen = set()
     for letters in product(range(1, s_size + 1), repeat=m):
         for pattern in product("LR", repeat=m - 1):

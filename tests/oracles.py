@@ -37,7 +37,7 @@ from alglen.field import Field, PrimeField
 from alglen.io_cli import build_example
 from alglen.spans import (DEFAULT_SUBSPACE_BUDGET, _check_budget, _generation_test,
                           _rref_basis)
-from alglen.words import DEFAULT_WORD_CAP, evaluate
+from alglen.words import evaluate
 
 
 # -- per-scalar Field-method references ---------------------------------------
@@ -46,7 +46,7 @@ from alglen.words import DEFAULT_WORD_CAP, evaluate
 def field_multiply(algebra, a, b):
     """Bilinear product summed term by term with the Field methods."""
     f = algebra.field
-    acc = [f.zero()] * algebra.dim
+    acc = [0] * algebra.dim
     for (i, j), terms in algebra.sc.items():
         c = f.mul(a[i - 1], b[j - 1])
         for k, coeff in terms:
@@ -118,7 +118,7 @@ def restricted_word_span(algebra, elements, up_to):
         vectors.append(tuple(algebra.unity))
     result = [rref_rows(algebra.field, vectors, algebra.dim)]
     for m in range(1, up_to + 1):
-        for w in enumerate_restricted(len(elements), m, cap=None):
+        for w in enumerate_restricted(len(elements), m):
             vectors.append(evaluate(algebra, elements, w))
         result.append(rref_rows(algebra.field, vectors, algebra.dim))
     return result
@@ -247,7 +247,7 @@ def _word_value(algebra, values, word):
 
 
 def _total(algebra, values, side):
-    acc = (algebra.field.zero(),) * algebra.dim
+    acc = (0,) * algebra.dim
     for word in side.split(" + "):
         acc = algebra.add(acc, _word_value(algebra, values, word))
     return acc
@@ -601,6 +601,9 @@ def count_full(s_size: int, m: int) -> int:
     return catalan(m - 1) * s_size**m
 
 
+DEFAULT_WORD_CAP = 2_000_000
+
+
 def enumerate_full(s_size: int, m: int, cap: int | None = DEFAULT_WORD_CAP):
     """Every word of length exactly m: Catalan(m-1) shapes x s_size^m letters."""
     if m < 1:
@@ -723,13 +726,13 @@ def twist_conjugation(algebra: Algebra, side: str) -> Algebra:
         raise DomainError("side must be left, right, or both")
     f = algebra.field
     dim = algebra.dim
-    conj_signs = [f.one()] + [f.neg(f.one())] * (dim - 1)
+    conj_signs = [1] + [f.neg(1)] * (dim - 1)
 
     def twisted(i, j):
         ci = conj_signs[i - 1]
         cj = conj_signs[j - 1]
         terms = algebra.sc.get((i, j), ())
-        factor = f.one()
+        factor = 1
         if side in ("left", "both"):
             factor = f.mul(factor, ci)
         if side in ("right", "both"):

@@ -259,7 +259,7 @@ def test_criterion_9_spin_factor_identity():
         for a, b in pairs:
             alpha, v = a[0], a[1:]
             beta, w = b[0], b[1:]
-            inner = f.zero()
+            inner = 0
             for x, y in zip(v, w):
                 inner = f.add(inner, f.mul(x, y))
             coeff_a = f.sub(inner, f.mul(alpha, beta))

@@ -71,7 +71,7 @@ def test_rejects_bad_words():
 def test_flex_shapes_and_class_sizes():
     for s_size in (1, 2, 3):
         for m in range(3, 8):
-            for w in enumerate_restricted(s_size, m, cap=None):
+            for w in enumerate_restricted(s_size, m):
                 c = canonical_flex_form(w)
                 assert c.shape in ("EOO", "OEE", "O11", "OO", "OE")
                 assert sorted(word_letters(c.tree())) == sorted(word_letters(w))
@@ -172,7 +172,7 @@ def test_alt_subword_family_counts():
 
 
 def test_flex_block_structure_matches_shape():
-    for w in enumerate_restricted(3, 6, cap=None):
+    for w in enumerate_restricted(3, 6):
         c = canonical_flex_form(w)
         if c.shape == "EOO":
             x, y, z = (len(c.blocks[r]) for r in ("x", "y", "z"))

@@ -109,7 +109,7 @@ def span_cases(draw):
     vectors = draw(st.lists(vec, max_size=5))
     # a probe inside the span of a prefix, shifted off it half the time
     coeffs = draw(st.lists(scalars(field), min_size=len(vectors), max_size=len(vectors)))
-    probe = [field.zero()] * dim
+    probe = [0] * dim
     for c, v in zip(coeffs, vectors):
         probe = [field.add(x, field.mul(c, y)) for x, y in zip(probe, v)]
     if draw(st.booleans()):

@@ -300,7 +300,7 @@ def test_replay_covers_the_table():
                | {oracles.CLASH.format(t.split(" in ")[0]) for t in pairs})
     assert len(emitted) == 26
     n7 = examples.make_nonmixing7()
-    zero = (n7.field.zero(),) * n7.dim
+    zero = (0,) * n7.dim
     names = ("a", "b", "c", "x", "y", "z", "a1", "a2")
     for text in emitted:
         witness = Witness(text, tuple((n, zero) for n in names))
@@ -358,7 +358,7 @@ def identity_cases(draw):
     algebra = draw(small_algebras())
     field = algebra.field
     scalar = _scalars(field)
-    letter = st.tuples(*[st.one_of(st.just(field.zero()), scalar)] * algebra.dim)
+    letter = st.tuples(*[st.one_of(st.just(0), scalar)] * algebra.dim)
     pool = st.sampled_from(draw(st.lists(letter, min_size=1, max_size=3)))
     return algebra, {name: draw(st.one_of(pool, letter))
                      for name in ("a", "b", "c", "x", "y", "z", "a1", "a2")}
@@ -489,7 +489,7 @@ def test_zero_left_side_builds_no_span(monkeypatch, field):
             if len(equation.letters) != len(elements):
                 continue
             values = dict(zip(equation.letters, elements))
-            if oracles._total(m3, values, " + ".join(equation.lhs)) != (m3.field.zero(),) * m3.dim:
+            if oracles._total(m3, values, " + ".join(equation.lhs)) != (0,) * m3.dim:
                 continue
             memo = {x: identities._row(v)[0] for x, v in values.items()}
             multiple_of_p += any(equation.evaluate(mul, dict(memo)))

@@ -266,6 +266,21 @@ def test_cli_exact_length_budget_refuses_a_large_dimension_at_once(tmp_path, cap
         assert elapsed < 1.0
 
 
+def test_a_dimension_above_the_limit_is_refused_at_its_line(tmp_path, capsys, monkeypatch):
+    # a dim of a million would compile product kernels of some 7 GB: every
+    # dim above the limit is refused at its line, before any algebra is built
+    def make_algebra(*args, **kwargs):
+        raise AssertionError("an algebra was built past the dim limit")
+
+    monkeypatch.setattr(io_cli, "make_algebra", make_algebra)
+    path = tmp_path / "huge.alg"
+    for dim in (io_cli.MAX_DIM + 1, 10**6, 10**20):
+        path.write_text(f"field gf 2\ndim {dim}\nunital none\n")
+        for argv in (["length", str(path), "--set", "1"], ["classify", str(path)]):
+            assert _outcome(capsys, argv) == (
+                2, "", f"error: line 2: dim {dim} exceeds the limit 10000\n"), argv
+
+
 def test_cli_exact_length_skips_a_character_search_past_the_budget(tmp_path, capsys):
     # unital of dim 3 over GF(10007), b1 = e and b2 b3 = e: the sweep visits
     # only 10,010 subspaces, but a character search would try 10007^2
@@ -543,6 +558,47 @@ def test_files_that_are_not_utf8_exit_2(fuzz_dir, capsys, command, option):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: line 2: ")
     assert f"{str(path)!r} is not UTF-8 text" in captured.err
+
+
+@pytest.mark.parametrize("command", ["diffseq", "length", "bounds", "canonical"])
+def test_set_and_set_file_together_are_a_usage_error(fuzz_dir, capsys, command):
+    # one generator set per run: naming both is refused, not one of them dropped
+    path = fuzz_dir / "one.set"
+    path.write_text("1 0 0 0 0\n", encoding="utf-8")
+    argv = [command, str(fuzz_dir / "aflex.alg"), "--set", "1,2", "--set-file", str(path)]
+    if command == "canonical":
+        argv[1:1] = ["--class", "flex", "--word", "((1 2) 1)"]
+    code, out, err = _outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "argument --set-file: not allowed with argument --set" in err
+
+
+@pytest.mark.parametrize("argv, text, expected", [
+    (["length"], "field rational\ndim 2\nunital vec 1\n",
+     (2, "", "error: line 3: unity vector has wrong length\n")),
+    (["length"], "field rational\ndim 1\nunital none\nmul 1 1 1 1/x\n",
+     (2, "", "error: line 4: bad scalar '1/x'\n")),
+    (["gen", "aflex", "--field", "gf3"], None,
+     (2, "", "error: bad field spec 'gf3'; use rational or gf:<p>\n")),
+    (["gen", "spin:0"], None, (2, "", "error: n must be >= 1\n")),
+    (["gen", "cd:2:-1"], None, (2, "", "error: need exactly 2 gamma parameters\n")),
+    (["canonical", "--class", "flex", "--word", "(1 2 3)"], None,
+     (2, "", "error: expected ')' in word '(1 2 3)'\n")),
+    (["infer-unity"], "field rational\ndim 3\nunital none\n"
+     "mul 1 1 1 1\nmul 1 2 2 1\nmul 1 3 3 1\nmul 2 1 2 1\nmul 2 2 1 1\nmul 3 1 3 1\nmul 3 3 1 1\n",
+     (0, "no unity declared\nidentity element exists: b1\n"
+         "note: diagnostics only; declare it in the file to use it\n", "")),
+], ids=["unity-length", "denominator", "field-spec", "spin-size", "cd-gammas", "word",
+        "undeclared-unity"])
+def test_messages_of_rarely_taken_paths(tmp_path, capsys, argv, text, expected):
+    # a wrong unity length, a bad denominator, a bad field spec, bad example
+    # parameters, a word with three factors, and an identity element that the
+    # file (spin:2 with unital none) does not declare
+    if text is not None:
+        path = tmp_path / "case.alg"
+        path.write_text(text, encoding="utf-8")
+        argv = argv + [str(path)]
+    assert _outcome(capsys, argv) == expected
 
 
 @pytest.mark.parametrize("sep", ["\f", "\x85", "\u2028"])

@@ -13,9 +13,13 @@ with one of another type (``list.insert``) passes.
 
 An optional parameter that no package call passes is an option only tests
 set, so every one must be passed by some package call outside its own
-function, by keyword, by position or through ``*``/``**``.  The one
+function, by keyword, by position or through ``*``/``**``.  One that every
+such call passes the same literal is a constant, not an option.  The one
 exception is ``io_cli.main(argv)``, the in-process entry point that callers
 outside the package (the benchmark harness, the tests) drive.
+
+A function or method, dunders aside, does more than return a constant: a
+constant is a literal or a named value where it is used.
 
 A rule is stated once: no method repeats, AST for AST and docstring aside,
 the method of the same name in its base class or in a sibling subclass (one
@@ -175,41 +179,98 @@ def _callee(call):
     return None
 
 
-def unpassed_parameters() -> list:
-    """``module:label(parameter)`` of each optional parameter that no package call passes.
+def _argument(call, index, name):
+    """The expression the call passes as the parameter.
 
-    Calls within the function's own lines do not count, so a parameter only
-    a recursive call passes is not passed.
+    None when the call passes it through ``*`` or ``**``, or not at all.
+    """
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return keyword.value
+    if index is None or index >= len(call.args):
+        return None
+    if any(isinstance(a, ast.Starred) for a in call.args[:index + 1]):
+        return None
+    return call.args[index]
+
+
+def _optional_parameters():
+    """(``module:label(parameter)``, index, name, calls) of each optional parameter.
+
+    The calls are the package calls that reach the function by its callee
+    name, and the index is the parameter's among the positional arguments
+    they pass.  Calls within the function's own lines do not count, so a
+    parameter only a recursive call passes is not passed.
     """
     trees = _trees()
     calls = [(module, node) for module, tree in trees.items() for node in ast.walk(tree)
              if isinstance(node, ast.Call)]
-    found = []
     for module, tree in trees.items():
         for function, label, callee, skip in _functions(tree):
             for index, name in _optional(function.args):
                 if (module, label, name) in ENTRY_POINTS:
                     continue
-                at = None if index is None else index - skip
-                if not any(_callee(call) == callee and _passes(call, at, name)
-                           and not (where == module and _within(call, function))
-                           for where, call in calls):
-                    found.append(f"{module}:{label}({name})")
-    return found
+                yield (f"{module}:{label}({name})", None if index is None else index - skip, name,
+                       [call for where, call in calls if _callee(call) == callee
+                        and not (where == module and _within(call, function))])
+
+
+def unpassed_parameters() -> list:
+    """``module:label(parameter)`` of each optional parameter that no package call passes."""
+    return [label for label, index, name, calls in _optional_parameters()
+            if not any(_passes(call, index, name) for call in calls)]
 
 
 def test_every_optional_parameter_is_passed_by_the_package():
     assert unpassed_parameters() == []
 
 
-def _body(function) -> str:
-    """The function's decorators, parameters and statements as AST text, its docstring aside."""
+def literal_parameters() -> list:
+    """``module:label(parameter)`` of each optional parameter that is a constant.
+
+    Every package call that reaches the function passes the parameter, and
+    passes it the same literal.
+    """
+    found = []
+    for label, index, name, calls in _optional_parameters():
+        arguments = [_argument(call, index, name) for call in calls]
+        if (arguments and all(isinstance(a, ast.Constant) for a in arguments)
+                and len({ast.dump(a) for a in arguments}) == 1):
+            found.append(label)
+    return found
+
+
+def test_no_optional_parameter_is_always_passed_one_literal():
+    assert literal_parameters() == []
+
+
+def _statements(function) -> list:
+    """The function's statements, its docstring aside."""
     body = function.body
     if (isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
             and isinstance(body[0].value.value, str)):
-        body = body[1:]
-    return ast.dump(ast.Module(body=[*function.decorator_list, function.args, *body],
-                               type_ignores=[]))
+        return body[1:]
+    return body
+
+
+def constant_functions() -> list:
+    """``module:label`` of each function or method, dunders aside, that only returns a literal."""
+    return [f"{module}:{label}" for module, tree in _trees().items()
+            for function, label, _, _ in _functions(tree)
+            if not _dunder(function.name)
+            and [type(statement) for statement in _statements(function)] == [ast.Return]
+            and isinstance(_statements(function)[0].value, ast.Constant)]
+
+
+def test_no_function_only_returns_a_constant():
+    assert constant_functions() == []
+
+
+def _body(function) -> str:
+    """The function's decorators, parameters and statements as AST text, its docstring aside."""
+    return ast.dump(ast.Module(
+        body=[*function.decorator_list, function.args, *_statements(function)],
+        type_ignores=[]))
 
 
 def repeated_methods() -> list:

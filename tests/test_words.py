@@ -52,8 +52,6 @@ def test_restriction_predicate():
 def test_resource_limits():
     with pytest.raises(ResourceLimit):
         list(enumerate_full(10, 12, cap=1000))
-    with pytest.raises(ResourceLimit):
-        list(enumerate_restricted(10, 12, cap=1000))
 
 
 def test_evaluate(aflex, z2n2):
