@@ -234,16 +234,18 @@ def _compile_product(table: list):
     return compile_kernel("product kernel", n, "product", lines)
 
 
-def compile_kernel(title: str, n: int, name: str, lines: list):
+def compile_kernel(title: str, n: int, name: str, lines: list, unit: str = "dim"):
     """The function ``name`` that the generated source ``lines`` defines.
 
-    The source is compiled under the name ``<alglen {title}, dim {n}>``, so
-    that profiles and tracebacks name the kernel and its dimension rather
-    than ``<string>``.  Every generated kernel of the package is compiled
-    here; the callers interpolate only ``int`` indices and coefficients.
+    The source is compiled under the name ``<alglen {title}, {unit} {n}>``,
+    so that profiles and tracebacks name the kernel and its size (a
+    dimension, or the arity of a tuple check) rather than ``<string>``.
+    Every generated kernel of the package is compiled here; the callers
+    interpolate only ``int`` indices and coefficients, and the identity
+    words of the package's own table.
     """
     namespace = {}
-    exec(compile("\n".join(lines), f"<alglen {title}, dim {n}>", "exec"), namespace)
+    exec(compile("\n".join(lines), f"<alglen {title}, {unit} {n}>", "exec"), namespace)
     return namespace[name]
 
 

@@ -22,7 +22,7 @@ same positive factor, and a span does not depend on how its vectors are
 scaled.  ``_Equation`` refuses a text that is not homogeneous.  A
 membership's span is built only where its answer is read: a left side that
 is zero holds at once, since 0 lies in every span.  Otherwise the span is
-grown lazily (``_LazySpan``): the left side is reduced first, and the
+grown lazily (``_lazy_span``): the left side is reduced first, and the
 span's words are made and inserted one at a time only until the residue is
 zero, so a span is complete only where a membership fails.  The lazy spans,
 and the span of ``_forced_coefficients``, keep bare echelon rows and call
@@ -47,20 +47,27 @@ condition that the grid finds holding while the descending class it
 implies fails is checked once more, on the pairs of the line of that
 class's witness (``_line_walk``), where its failure must show.
 
-Three memos keep the checks from redoing work, each with its own scope.  A
-sample element is drawn once per algebra: ``random_element`` keeps its
-draws in ``Algebra.sample_draws``, which lives as long as the parsed
-algebra (one CLI job), because the classes' salts overlap.  A product of
-two rows is made once per walk: ``_row_product`` gives a product function
-that memoizes on the pair of row tuples, and one serves the whole basis
-walk and the (b, a) grid of one ``_walk`` call; each ``_first_failure``
-call over a class's random tuples has its own.  The per-tuple memo binds
-the letters a, b, c and x, y, z to the tuple's rows and holds its words
-and spans, so a product or span that several classes name is made once
-per tuple; it is cleared when the tuple is done, since a span's pending
-rows refer back to it.  One memoized recursion, ``_value``, makes every
-word of a text or a span: a word the memo lacks is the product of its two
-factors (``_FACTORS``), each made the same way.
+The check of one tuple is generated code (``_check_source``), one
+function per arity, compiled once per process at its first tuple through
+``algebra.compile_kernel``, as the product and row kernels are.  It gets
+the open classes as a bitmask and returns the classes that fail at the
+tuple, each with the first text it breaks.  The tuple's rows are its
+locals, and x, y, z are read as a, b, c; every word of a text or a span
+has a local that is made once, from its two factors' locals, where the
+check first needs it, so a word that several classes name is made once
+per tuple.  A span's words are made by a nested generator only as the
+lazy span takes them, and the span dies with the check's frame.  The pair
+check also makes the (b, a) grid's words, so it is the one word evaluator
+of the package.
+
+Two memos outlive a tuple.  A sample element is drawn once per algebra:
+``random_element`` keeps its draws in ``Algebra.sample_draws``, which
+lives as long as the parsed algebra (one CLI job), because the classes'
+salts overlap.  A product of two rows is made once per walk:
+``_row_product`` gives a product function that memoizes on the pair of row
+tuples, and one serves the whole basis walk and the (b, a) grid of one
+``_walk`` call; each ``_first_failure`` call over a class's random tuples
+has its own.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ import random
 from collections import Counter
 from itertools import chain, product
 
-from .algebra import DEFAULT_SAMPLES, Algebra, Element
+from .algebra import DEFAULT_SAMPLES, Algebra, Element, compile_kernel
 from .errors import DomainError
 from .field import integer_row
 from .spans import _insert, _reduce
@@ -168,36 +175,11 @@ def _is_zero(v, p) -> bool:
     return not any(x % p for x in v) if p else not any(v)
 
 
-def _value(mul, memo, word):
-    """The word's integer row: memo[word], made from its two factors' rows where memo lacks it.
+def _lazy_span(p, pending):
+    """The membership test of the span of pending integer rows, grown only as far as it needs.
 
-    memo holds the letters' integer rows, and each product it makes, so a
-    product that several words or texts share is made once per memo.  A
-    factor is looked up before it recurses: most are letters or made
-    already, and a call costs more than the lookup.
-    """
-    value = memo.get(word)
-    if value is None:
-        left, right = _FACTORS[word]
-        u, v = memo.get(left), memo.get(right)
-        value = memo[word] = mul(_value(mul, memo, left) if u is None else u,
-                                 _value(mul, memo, right) if v is None else v)
-    return value
-
-
-def _total(mul, memo, words):
-    """The sum of the words' integer rows; a side of a text has one word or two."""
-    if len(words) == 1:
-        return _value(mul, memo, words[0])
-    u, v = words
-    return [x + y for x, y in zip(_value(mul, memo, u), _value(mul, memo, v))]
-
-
-class _LazySpan:
-    """The span of pending integer rows, inserted only as far as a membership needs.
-
-    It keeps bare echelon rows and their pivots, as ``spans._insert`` makes
-    them, and the characteristic p (0 over Q).  ``absorbs`` reduces the
+    The test keeps bare echelon rows and their pivots, as ``spans._insert``
+    makes them, over the characteristic p (0 over Q).  It reduces the
     vector first, then inserts pending rows one at a time, reducing its
     residue again by each row that enlarges the span, and stops once the
     residue is zero (at the latest once the span is all of A).  A row is
@@ -205,33 +187,31 @@ class _LazySpan:
     span asks for the word.  After a False answer every pending row has been
     inserted, so the span is complete.
     """
+    rows, pivots = [], []
 
-    def __init__(self, p, pending):
-        self.rows, self.pivots, self.p, self.pending = [], [], p, pending
-
-    def absorbs(self, v) -> bool:
-        rows, pivots, p = self.rows, self.pivots, self.p
+    def absorbs(v) -> bool:
         while True:
             v = _reduce(rows, pivots, p, v)[0]
             if not any(v):
                 return True
-            for row in self.pending:
+            for row in pending:
                 if _insert(rows, pivots, p, row) is not None:
                     break
             else:
                 return False
 
-
-def _span_rows(algebra, mul, memo, name):
-    """The unity's integer row, if there is a unity, then each word's of the named span."""
-    if algebra.unity is not None:
-        yield _row(algebra.unity)[0]
-    for word in SPANS[name]:
-        yield _value(mul, memo, word)
+    return absorbs
 
 
 class _Equation:
-    """One table text, split once into its sides; _value makes their words."""
+    """One table text, split once into its sides and the span it names.
+
+    ``lhs`` and ``rhs`` are the words of its sides (``rhs`` None for a
+    membership, whose span's name is ``span``), and ``letters`` the letters
+    it quantifies over.  The generated tuple check (``_check_source``) makes
+    the words.  A text that is not homogeneous in each letter is refused,
+    since the checks drop denominators.
+    """
 
     def __init__(self, text):
         lhs, _, rhs = text.partition(" = ")
@@ -243,37 +223,12 @@ class _Equation:
         words = self.rhs or SPANS[self.span]
         self.letters = "".join(sorted(set(filter(str.isalpha, lhs + " ".join(words)))))
 
-    def evaluate(self, mul, memo):
-        """The left side's integer row."""
-        return _total(mul, memo, self.lhs)
-
-    def violated(self, algebra, mul, memo) -> bool:
-        """True when the letters' integer rows in memo violate the equation.
-
-        Each named span is built once per tuple, as a _LazySpan under its
-        name, and only when a left side that is not zero asks for it: 0 lies
-        in every span.
-        """
-        lhs, p = self.evaluate(mul, memo), algebra.field.characteristic
-        if self.rhs:
-            rhs = _total(mul, memo, self.rhs)
-            return not _is_zero([x - y for x, y in zip(lhs, rhs)], p)
-        if _is_zero(lhs, p):
-            return False
-        basis = memo.get(self.span)
-        if basis is None:
-            basis = memo[self.span] = _LazySpan(p, _span_rows(algebra, mul, memo, self.span))
-        return not basis.absorbs(lhs)
-
 
 def _clash(text):
     return f"aa-coefficient forced by {text.split(' in ')[0]} inconsistent at fixed b"
 
 
 EQUATIONS = {text: _Equation(text) for texts in IDENTITIES.values() for text in texts}
-# every product word of a span or a table text, and its two factors, for _value
-_FACTORS = _factors([word for words in SPANS.values() for word in words]
-                    + [word for e in EQUATIONS.values() for word in e.lhs + (e.rhs or [])])
 # a class's texts by the number of elements they quantify over
 _BY_ARITY = {(name, k): [t for t in texts if len(EQUATIONS[t].letters) == k]
              for name, texts in IDENTITIES.items() for k in (2, 3)}
@@ -293,6 +248,174 @@ def _narrower(e, f) -> bool:
 # words of Lin_1(Q_l) and of Lin_1(Q_r)
 _IMPLIED_BY = {text: other for text in EQUATIONS for other in EQUATIONS
                if _narrower(EQUATIONS[other], EQUATIONS[text])}
+
+# -- the tuple check -----------------------------------------------------------
+#
+# The check of one tuple is generated code, one function per arity k
+# (_check_source), compiled once per process at its first tuple.  Bit i of
+# its mask stands for the class CLASS_NAMES[i], and it returns, for each
+# class of the mask that has texts of arity k, the index in _TEXTS of the
+# first of them that the tuple violates.
+
+# each class bit, and each text's (class, text) by its index in the check
+_BIT = {name: 1 << i for i, name in enumerate(CLASS_NAMES)}
+_TEXTS = [(name, text) for name, texts in IDENTITIES.items() for text in texts]
+_TEXT_INDEX = {text: i for i, (_, text) in enumerate(_TEXTS)}
+_SPAN_INDEX = {name: i for i, name in enumerate(SPANS)}
+# x, y, z name the tuple's rows as a, b, c do, so the check reads them as a,
+# b, c, and a word that several classes name is one local
+_ABC = str.maketrans("xyz", "abc")
+_LOCAL = str.maketrans("()", "LR")
+# every product word of a span or a table text, in a, b, c, and its two factors
+_FACTORS = _factors([word.translate(_ABC) for words in SPANS.values() for word in words]
+                    + [word.translate(_ABC) for e in EQUATIONS.values()
+                       for word in e.lhs + (e.rhs or [])])
+
+
+def _local(word) -> str:
+    """The check's local for a word in a, b, c: a letter is its row, a product w_<word>."""
+    return word if len(word) == 1 else "w_" + word.translate(_LOCAL)
+
+
+def _make(word, pad) -> list:
+    """Lines that make the word's row where its local is still None, each factor first."""
+    if len(word) == 1:
+        return []
+    left, right = _FACTORS[word]
+    inner = pad + "    "
+    return [f"{pad}if {_local(word)} is None:", *_make(left, inner), *_make(right, inner),
+            f"{inner}{_local(word)} = mul({_local(left)}, {_local(right)})"]
+
+
+def _side(words, pad) -> tuple:
+    """(lines, locals): the lines that make the words' rows, and the words' locals."""
+    words = [word.translate(_ABC) for word in words]
+    return [line for word in words for line in _make(word, pad)], [_local(w) for w in words]
+
+
+def _sum(names) -> str:
+    """The sum of the rows in the locals; a side has one word or two."""
+    return names[0] if len(names) == 1 else f"[q + r for q, r in zip({', '.join(names)})]"
+
+
+def _text_lines(e, pad) -> list:
+    """Lines that set bad to whether the tuple's rows violate the equation e.
+
+    A product's row is reduced mod p (``_row_product``), so two words are
+    equal exactly when their rows are; a sum of two is compared mod p.  A
+    membership whose left side is zero holds without its span, since 0
+    lies in every span; otherwise the span (s<i>, i its index in SPANS) is
+    made at its first use in the tuple, and its words only as it takes them
+    (span<i>).
+    """
+    lines, lhs = _side(e.lhs, pad)
+    if e.rhs:
+        more, rhs = _side(e.rhs, pad)
+        if len(lhs) == len(rhs) == 1:
+            return lines + more + [f"{pad}bad = {lhs[0]} != {rhs[0]}"]
+        q = [f"q{i}" for i in range(len(lhs + rhs))]
+        signed = " + ".join(q[:len(lhs)]) + "".join(f" - {x}" for x in q[len(lhs):])
+        return lines + more + [
+            f"{pad}d = [{signed} for {', '.join(q)} in zip({', '.join(lhs + rhs)})]",
+            f"{pad}bad = any(q % p for q in d) if p else any(d)"]
+    i = _SPAN_INDEX[e.span]
+    nonzero = "any(v)" if len(lhs) == 1 else "(any(q % p for q in v) if p else any(v))"
+    return lines + [f"{pad}v = {_sum(lhs)}", f"{pad}bad = False", f"{pad}if {nonzero}:",
+                    f"{pad}    if s{i} is None:", f"{pad}        s{i} = span(p, span{i}())",
+                    f"{pad}    bad = not s{i}(v)"]
+
+
+def _class_lines(texts, pad) -> list:
+    """Lines that append to failed the index of the first of the texts the tuple violates.
+
+    A text that ``_IMPLIED_BY`` maps to another is skipped where that one
+    held (h<i>, i the other's index in _TEXTS).
+    """
+    text, rest = texts[0], texts[1:]
+    i = _TEXT_INDEX[text]
+    lines, inner = [], pad
+    implied_by = _IMPLIED_BY.get(text)
+    if implied_by is not None:
+        inner = pad + "    "
+        lines += [f"{pad}bad = False",
+                  f"{pad}if not h{_TEXT_INDEX[implied_by]}:"]
+    lines += _text_lines(EQUATIONS[text], inner)
+    lines += [f"{pad}if bad:", f"{pad}    failed.append({i})"]
+    held = [f"{pad}    h{i} = True"] if text in _IMPLIED_BY.values() else []
+    after = held + (_class_lines(rest, pad + "    ") if rest else [])
+    return lines + ([f"{pad}else:", *after] if after else [])
+
+
+def _check_source(k: int) -> list:
+    """The source lines of ``check(mask, a, b[, c], mul, p, e, span)`` on k-tuples.
+
+    a, b, c are the tuple's integer rows, mul the walk's product function
+    (``_row_product``), p the characteristic, e the unity's integer row or
+    None, and span the lazy span's constructor (``_lazy_span``).  Each
+    product word in the tuple's letters has a local, None until it is made
+    from its factors' locals, so a word is made once per tuple, whichever
+    class names it first.  A nested generator per span yields the unity's
+    row, if any, then the span's words, each made as it is taken.  The
+    classes run in table order; each stops at its first violated text, and
+    a text is skipped where the text ``_IMPLIED_BY`` maps it to held.
+
+    At k = 2 the mask may hold the sufficient conditions' bits instead, for
+    the (b, a) grid: the check then returns the rows ab, ba, aa and the left
+    sides of each such condition's sandwich texts (``_forced_coefficients``
+    reduces them).  Only the table's words, as locals, and int indices
+    enter the source.
+    """
+    letters = "abc"[:k]
+    texts = [text for name in IDENTITIES for text in _BY_ARITY[name, k]]
+    spans = [name for name in SPANS if any(EQUATIONS[t].span == name for t in texts)]
+    words = [_local(word) for word in sorted(_FACTORS) if set(word) <= set(letters + "()")]
+    held = sorted(_TEXT_INDEX[t] for t in set(_IMPLIED_BY.values()) if t in texts)
+    unmade = words + [f"s{_SPAN_INDEX[name]}" for name in spans]
+    lines = [f"def check(mask, {', '.join(letters)}, mul, p, e, span):",
+             f"    {' = '.join(unmade)} = None"]
+    if held:
+        lines.append(f"    {' = '.join(f'h{i}' for i in held)} = False")
+    if k == 2:
+        grid = [(_BIT[f"sufficient_condition_{v}"], sandwiches)
+                for v, sandwiches in _SANDWICHES.items()]
+        lines.append(f"    if mask & {sum(bit for bit, _ in grid)}:")
+        lines += [line for word in ("ab", "ba", "aa") for line in _make(word, "        ")]
+        lines.append("        rows = [w_ab, w_ba, w_aa]")
+        for bit, sandwiches in grid:
+            lines.append(f"        if mask & {bit}:")
+            sides = [_side(EQUATIONS[t].lhs, "            ") for t in sandwiches]
+            lines += [line for made, _ in sides for line in made]
+            lines.append(f"            rows += [{', '.join(_sum(names) for _, names in sides)}]")
+        lines.append("        return rows")
+    for name in spans:
+        i = _SPAN_INDEX[name]
+        lines += [f"    def span{i}():", f"        nonlocal {', '.join(words)}",
+                  "        if e is not None:", "            yield e"]
+        for word in SPANS[name]:
+            word = word.translate(_ABC)
+            lines += _make(word, "        ") + [f"        yield {_local(word)}"]
+    lines.append("    failed = []")
+    for name in IDENTITIES:
+        if _BY_ARITY[name, k]:
+            lines.append(f"    if mask & {_BIT[name]}:")
+            lines += _class_lines(_BY_ARITY[name, k], "        ")
+    lines.append("    return failed")
+    return lines
+
+
+class _TupleChecks(dict):
+    """Arity k -> the check of a k-tuple (see _check_source), compiled at its first use.
+
+    Each arity is compiled once per process; profiles and tracebacks name
+    it ``<alglen tuple check, arity k>``.
+    """
+
+    def __missing__(self, k: int):
+        check = self[k] = compile_kernel("tuple check", k, "check", _check_source(k), "arity")
+        return check
+
+
+_TUPLE_CHECKS = _TupleChecks()
 
 
 class Witness:
@@ -381,34 +504,23 @@ def _random_tuples(algebra, arity, n_random, seed, salt):
 def _first_failures(algebra, names, tuples, mul) -> dict:
     """Each named class's failed verdict for the first tuple that breaks a text of its arity.
 
-    A tuple is visited once for the classes still open, in the order of
-    names, on one memo that binds a, b, c and x, y, z to its rows, so a
-    product or span that several classes' texts name is made once per
-    tuple.  A text is skipped where the text ``_IMPLIED_BY`` maps it to held.
+    A tuple is visited once for the classes still open, by the check of its
+    arity (``_TUPLE_CHECKS``), so a product or span that several classes'
+    texts name is made once per tuple; the check takes the classes in table
+    order and skips a text where the text ``_IMPLIED_BY`` maps it to held.
+    A span lives in the check's frame and dies when the tuple is done.
     """
-    failures = {}
+    failures, mask = {}, sum(_BIT[name] for name in names)
+    p = algebra.field.characteristic
+    e = None if algebra.unity is None else _row(algebra.unity)[0]
     for elements in tuples:
-        todo = [name for name in names if name not in failures]
-        if not todo:
+        if not mask:
             break
         rows = [_row(x)[0] for x in elements]
-        memo, held = {}, set()
-        try:
-            for name in todo:
-                texts = _BY_ARITY[name, len(elements)]
-                letters = EQUATIONS[texts[0]].letters if texts else ""
-                memo.update(zip(letters, rows))
-                for text in texts:
-                    if _IMPLIED_BY.get(text) in held:
-                        continue
-                    if EQUATIONS[text].violated(algebra, mul, memo):
-                        failures[name] = _fails(text, letters, elements)
-                        break
-                    held.add(text)
-        finally:
-            # a span's pending rows hold the memo that holds the span: clear
-            # the memo so that the span dies with the tuple, not at a GC pass
-            memo.clear()
+        for i in _TUPLE_CHECKS[len(elements)](mask, *rows, mul, p, e, _lazy_span):
+            name, text = _TEXTS[i]
+            failures[name] = _fails(text, EQUATIONS[text].letters, elements)
+            mask ^= _BIT[name]
     return failures
 
 
@@ -420,29 +532,30 @@ def _first_failure(algebra, name, tuples) -> Verdict | None:
 # -- sufficient condition ------------------------------------------------------
 
 
-def _forced_coefficients(algebra, a, b, texts, mul):
+def _forced_coefficients(algebra, a, b, variants, mul):
     """Reduce aa and each sandwich product modulo Lin_1(a,b,ab,ba) plus the unity.
 
-    Returns that span's rank and, per pair-membership text, whether its
-    product lies in Lin_1(a,b,aa,ab,ba) and the aa-coefficient it forces
-    there; None when aa lies in the smaller span, so nothing is forced.
-    The products are integer rows: over Q a product is D^2 d_a^2 d_b times
-    the exact one and aa is D d_a^2 times it (see _row), so the coefficient
-    is the ratio of their residues divided by D d_b.  mul is the walk's
-    product function (_row_product).
+    Returns that span's rank and, per sandwich text of the variants, in
+    order, whether its product lies in Lin_1(a,b,aa,ab,ba) and the
+    aa-coefficient it forces there; None when aa lies in the smaller span,
+    so nothing is forced.  The pair check makes the words (see
+    _check_source).  The products are integer rows: over Q a product is
+    D^2 d_a^2 d_b times the exact one and aa is D d_a^2 times it (see _row),
+    so the coefficient is the ratio of their residues divided by D d_b.
+    mul is the walk's product function (_row_product).
     """
     f, p = algebra.field, algebra.field.characteristic
     (a, _), (b, d_b) = _row(a), _row(b)
-    memo = {"a": a, "b": b}
-    products = [EQUATIONS[text].evaluate(mul, memo) for text in texts]
-    # the span's echelon rows, kept bare as _LazySpan keeps them
+    mask = sum(_BIT[f"sufficient_condition_{v}"] for v in variants)
+    ab, ba, aa, *products = _TUPLE_CHECKS[2](mask, a, b, mul, p, None, None)
+    # the span's echelon rows, kept bare as _lazy_span keeps them
     rows, pivots = [], []
-    spanning = [_value(mul, memo, w) for w in SPANS["Lin_1(a,b,aa,ab,ba)"] if w != "aa"]
+    spanning = [a, b, ab, ba]
     if algebra.unity is not None:
         spanning.insert(0, _row(algebra.unity)[0])
     for v in spanning:
         _insert(rows, pivots, p, v)
-    aa_res, aa_s = _reduce(rows, pivots, p, _value(mul, memo, "aa"))
+    aa_res, aa_s = _reduce(rows, pivots, p, aa)
     lead = next((i for i, x in enumerate(aa_res) if x), None)
     residues = [_reduce(rows, pivots, p, v) for v in products]
     if lead is None:  # aa adds nothing, so each product itself must be absorbed
@@ -514,7 +627,7 @@ def _walk_pairs(algebra, a_values, b, variants, failures, mul) -> tuple:
         if not todo:
             break
         texts = [text for v in todo for text in _SANDWICHES[v]]
-        rank, forced = _forced_coefficients(algebra, a, b, texts, mul)
+        rank, forced = _forced_coefficients(algebra, a, b, todo, mul)
         if 0 < rank < algebra.dim:
             informative += 1
         forced = dict(zip(texts, forced))

@@ -27,14 +27,15 @@ import sys
 from itertools import islice
 
 from .algebra import DEFAULT_SAMPLES, Algebra, make_algebra
-from .errors import AlgLenError, ParseError
+from .errors import AlgLenError, ParseError, ResourceLimit
 from .field import Field, PrimeField, Rationals
 from .spans import (DEFAULT_SUBSPACE_BUDGET, diff_sequence, exact_algebra_length, find_unity,
                     lin_span)
 from .words import enumerate_restricted, evaluate, format_word, parse_word, word_length
 
-# an algebra file declares at most this dimension: compiling the product
-# kernels takes some 7 KB per dimension, 85 MB at the limit
+# an algebra file declares at most this dimension, and ``gen spin:<n>`` builds
+# at most this one: compiling the product kernels takes some 7 KB per
+# dimension, 85 MB at the limit
 MAX_DIM = 10_000
 
 
@@ -261,7 +262,10 @@ def build_example(name: str, field_spec: str | None = None) -> Algebra:
     if base == "aalt":
         return make_a_alt(field)
     if base == "spin":
-        return make_spin_factor(_parse_int(param or "2", f"{base} size"), field)
+        n = _parse_int(param or "2", f"{base} size")
+        if n + 1 > MAX_DIM:  # refused before the n + 1 basis elements are built
+            raise ResourceLimit(f"{name} has dim {n + 1}, which exceeds the limit {MAX_DIM}")
+        return make_spin_factor(n, field)
     if base == "matrix":
         return make_matrix_algebra(_parse_int(param or "2", f"{base} size"), field)
     if base == "chain3":

@@ -94,10 +94,14 @@ def test_criterion_2_classification_matrix():
         a, b, c = m4.basis_element(2), m4.basis_element(7), m4.basis_element(12)
         # both sums lie outside the span the equation table builds for
         # Lin_2'(a,b,c) at this triple, one span shared by the two texts
-        mul = identities._row_product(m4)
-        rows = {"a": identities._row(a)[0], "b": identities._row(b)[0], "c": identities._row(c)[0]}
-        for text in ("(ab)c + (cb)a in Lin_2'(a,b,c)", "(ab)c + (ac)b in Lin_2'(a,b,c)"):
-            assert identities.EQUATIONS[text].violated(m4, mul, rows), text
+        rows = [identities._row(x)[0] for x in (a, b, c)]
+        names = ("descendingly_flexible", "descendingly_alternative")
+        check = identities._TUPLE_CHECKS[3]
+        failed = check(identities._BIT[names[0]] | identities._BIT[names[1]], *rows,
+                       identities._row_product(m4), 0, None, identities._lazy_span)
+        texts = ("(ab)c + (cb)a in Lin_2'(a,b,c)", "(ab)c + (ac)b in Lin_2'(a,b,c)")
+        assert [identities._TEXTS[i] for i in failed] == list(zip(names, texts))
+        for text in texts:
             assert oracles.identity_violated(m4, text, {"a": a, "b": b, "c": c}), text
 
 

@@ -1,9 +1,11 @@
 import gc
 import random
+import time
+import traceback
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,26 @@ from alglen.io_cli import build_example, main, parse_algebra
 
 def _witness_labels(algebra, verdict):
     return {name: algebra.format_element(c) for name, c in verdict.witness.elements}
+
+
+def _tuple_check(algebra, names, elements, span=None):
+    """The (class, text) pairs that the generated check of the tuple returns for the classes.
+
+    span is the lazy span's constructor the check calls, identities._lazy_span
+    unless given.
+    """
+    mask = sum(identities._BIT[name] for name in names)
+    rows = [identities._row(x)[0] for x in elements]
+    e = None if algebra.unity is None else identities._row(algebra.unity)[0]
+    found = identities._TUPLE_CHECKS[len(elements)](
+        mask, *rows, identities._row_product(algebra), algebra.field.characteristic, e,
+        span or identities._lazy_span)
+    return [identities._TEXTS[i] for i in found]
+
+
+def _span_name(pending) -> str:
+    """The SPANS name of the span whose pending rows the generator yields (span<i>)."""
+    return list(identities.SPANS)[int(pending.__name__.removeprefix("span"))]
 
 
 def test_flexible_alternative_on_associative():
@@ -97,8 +119,8 @@ def test_matrix4_descending_failures():
     # the triple of consecutive one-step matrix units is also a violation
     a, b, c = m4.basis_element(2), m4.basis_element(7), m4.basis_element(12)
     text = "(ab)c + (cb)a in Lin_2'(a,b,c)"
-    rows = {"a": identities._row(a)[0], "b": identities._row(b)[0], "c": identities._row(c)[0]}
-    assert EQUATIONS[text].violated(m4, identities._row_product(m4), rows)
+    assert _tuple_check(m4, ["descendingly_flexible"], (a, b, c)) \
+        == [("descendingly_flexible", text)]
     assert oracles.identity_violated(m4, text, {"a": a, "b": b, "c": c})
 
 
@@ -364,25 +386,168 @@ def identity_cases(draw):
                      for name in ("a", "b", "c", "x", "y", "z", "a1", "a2")}
 
 
+def _oracle_verdicts(algebra, values, k) -> dict:
+    """text -> (violated, left side not zero) of each text of arity k, by the oracles."""
+    return {text: (oracles.identity_violated(algebra, text, values),
+                   any(oracles._total(algebra, values, " + ".join(EQUATIONS[text].lhs))))
+            for texts in IDENTITIES.values() for text in texts
+            if len(EQUATIONS[text].letters) == k}
+
+
+def _first_violated(verdicts, names, k) -> list:
+    """(class, text) of the first text of arity k that each named class violates."""
+    found = []
+    for name in names:
+        text = next((t for t in identities._BY_ARITY[name, k] if verdicts[t][0]), None)
+        if text is not None:
+            found.append((name, text))
+    return found
+
+
+def _abc(values, elements) -> dict:
+    """values with a, b, c and x, y, z bound to the elements, as the tuple check reads them."""
+    bound = dict(values)
+    for a, x, element in zip("abc", "xyz", elements):
+        bound[a] = bound[x] = element
+    return bound
+
+
 @settings(max_examples=120, deadline=None)
 @given(identity_cases())
 def test_equations_match_the_exact_oracle(case):
+    # the generated check of a pair and of a triple, each class on its own,
+    # against each text's oracle verdict; the (b, a) grid's reductions
+    # against the oracle's
     algebra, values = case
-    rows = {x: identities._row(v)[0] for x, v in values.items()}
-    for text, equation in EQUATIONS.items():
-        assert equation.violated(algebra, identities._row_product(algebra), dict(rows)) \
-            == oracles.identity_violated(algebra, text, values), text
-    # the texts of a class share one memo per tuple, and so its lazy spans
-    for texts in IDENTITIES.values():
-        mul, memo = identities._row_product(algebra), dict(rows)
-        for text in texts:
-            assert EQUATIONS[text].violated(algebra, mul, memo) \
-                == oracles.identity_violated(algebra, text, values), text
-    for texts in identities._SANDWICHES.values():
+    for k in (2, 3):
+        elements = tuple(values[x] for x in "abc"[:k])
+        verdicts = _oracle_verdicts(algebra, _abc(values, elements), k)
+        for name in identities._SALTS:
+            assert _tuple_check(algebra, [name], elements) \
+                == _first_violated(verdicts, [name], k), name
+    for v, texts in identities._SANDWICHES.items():
         for a in (values["a"], values["a1"]):
             mul = identities._row_product(algebra)
-            assert identities._forced_coefficients(algebra, a, values["b"], texts, mul) \
+            assert identities._forced_coefficients(algebra, a, values["b"], (v,), mul) \
                 == oracles.forced_coefficients(algebra, a, values["b"], texts)
+
+
+def _masks() -> list:
+    """Every set of sweep classes that the walk can leave open, as lists of names."""
+    names = list(identities._SALTS)
+    return [[name for i, name in enumerate(names) if m >> i & 1]
+            for m in range(1, 1 << len(names))]
+
+
+def _expected_spans(verdicts, names, k) -> list:
+    """The spans a tuple's check builds: one per span that an evaluated membership reads.
+
+    A class's texts are evaluated up to its first violated one, a text that
+    another implies is skipped where that one held, and a membership whose
+    left side is zero reads no span.
+    """
+    held, spans = set(), []
+    for name in names:
+        for text in identities._BY_ARITY[name, k]:
+            if identities._IMPLIED_BY.get(text) in held:
+                continue
+            violated, nonzero = verdicts[text]
+            span = EQUATIONS[text].span
+            if span and nonzero and span not in spans:
+                spans.append(span)
+            if violated:
+                break
+            held.add(text)
+    return spans
+
+
+@settings(max_examples=60, deadline=None)
+@given(identity_cases(), st.integers(1, 127), st.data())
+def test_tuple_check_matches_the_oracles(case, basis_mask, data):
+    # the check of a drawn pair and triple under every set of open classes,
+    # and of basis tuples under a drawn one, returns each class's first
+    # text the oracle finds violated and builds the span of each evaluated
+    # membership with a nonzero left side, once; the grid's pairs fail
+    # where the oracle's pairs do
+    algebra, values = case
+    built = []
+
+    def recording(p, pending):
+        built.append(_span_name(pending))
+        return identities._lazy_span(p, pending)
+
+    basis = [algebra.basis_element(i) for i in range(1, algebra.dim + 1)]
+    masks = _masks()
+    for k in (2, 3):
+        drawn = tuple(values[x] for x in "abc"[:k])
+        cases = [(drawn, names) for names in masks]
+        tuples = list(product(basis, repeat=k))
+        cases += [(t, masks[basis_mask - 1]) for t in data.draw(
+            st.lists(st.sampled_from(tuples), max_size=6))]
+        verdicts = {}
+        for elements, names in cases:
+            if elements not in verdicts:
+                verdicts[elements] = _oracle_verdicts(algebra, _abc(values, elements), k)
+            built.clear()
+            assert _tuple_check(algebra, names, elements, recording) \
+                == _first_violated(verdicts[elements], names, k), names
+            assert built == _expected_spans(verdicts[elements], names, k), names
+    for v, texts in identities._SANDWICHES.items():
+        for variants in ((v,), tuple(identities._SANDWICHES)):
+            failures, mul = {}, identities._row_product(algebra)
+            a_values = [values["a"], values["a1"], values["a2"]]
+            informative, pinned = identities._walk_pairs(
+                algebra, a_values, values["b"], variants, failures, mul)
+            failure, row_informative, row_pinned = oracles._reference_row(
+                algebra, texts, a_values, values["b"])
+            got = failures.get(v)
+            assert (got and (got.kind, got.witness.equation, dict(got.witness.elements))) \
+                == failure
+            if got is not None:
+                assert oracles.witness_violated(algebra, got.witness)
+            if failure is None and len(variants) == 1:
+                assert (informative, pinned[v]) == (row_informative, row_pinned)
+
+
+def test_each_tuple_check_is_compiled_once_per_process(monkeypatch):
+    # the first tuple of an arity compiles its check, and every later walk,
+    # on any algebra and field, reuses it
+    compile_kernel, builds = identities.compile_kernel, []
+    monkeypatch.setattr(identities, "compile_kernel",
+                        lambda *args: builds.append(args[:2] + args[4:]) or compile_kernel(*args))
+    for k in (2, 3):
+        monkeypatch.delitem(identities._TUPLE_CHECKS, k, raising=False)
+    classify(build_example("aflex"), samples=4)
+    checks = dict(identities._TUPLE_CHECKS)
+    classify(build_example("aalt", "gf:3"), samples=4)
+    classify(build_example("hull:aflex", "gf:2"), samples=4)
+    assert builds == [("tuple check", 2, "arity"), ("tuple check", 3, "arity")]
+    assert dict(identities._TUPLE_CHECKS) == checks
+
+
+def test_tuple_checks_are_named_in_tracebacks(aflex):
+    # profiles and tracebacks name the check and its arity, not "<string>"
+    def failing(u, v):
+        raise ArithmeticError("no product")
+
+    rows = [identities._row(aflex.basis_element(i))[0] for i in (1, 2, 3)]
+    for k in (2, 3):
+        name = f"<alglen tuple check, arity {k}>"
+        check = identities._TUPLE_CHECKS[k]
+        assert check.__code__.co_filename == name
+        with pytest.raises(ArithmeticError) as info:
+            check(identities._BIT["flexible"], *rows[:k], failing, 0, None, identities._lazy_span)
+        assert traceback.extract_tb(info.value.__traceback__)[-2].filename == name
+
+
+def test_tuple_checks_compile_within_a_cold_start_bound():
+    # both checks compile in about 4 ms on a 2-core Xeon VM; a fresh
+    # classify pays that once, so the bound catches a build some ten times
+    # slower
+    start = time.perf_counter()
+    for k in (2, 3):
+        identities.compile_kernel("tuple check", k, "check", identities._check_source(k), "arity")
+    assert time.perf_counter() - start < 0.05
 
 
 def test_forced_coefficients_match_the_exact_oracle():
@@ -401,8 +566,8 @@ def test_forced_coefficients_match_the_exact_oracle():
             a, b = (identities.random_element(algebra, 5, 2 * t + i) for i in range(2))
             values = {"a": algebra.scale(scale, a), "b": b, "a1": a, "a2": a}
             values["b"] = algebra.scale(scale, b) if t % 2 else b
-            for texts in identities._SANDWICHES.values():
-                got = identities._forced_coefficients(algebra, values["a"], values["b"], texts,
+            for v, texts in identities._SANDWICHES.items():
+                got = identities._forced_coefficients(algebra, values["a"], values["b"], (v,),
                                                       identities._row_product(algebra))
                 assert got == oracles.forced_coefficients(algebra, values["a"], values["b"], texts)
                 pinned += sum(g is not None for _, g in got[1])
@@ -440,16 +605,17 @@ def test_random_element_draws_once_per_algebra(monkeypatch):
 
 
 def test_no_span_outlives_its_tuple(monkeypatch):
-    # a span's pending rows hold the tuple's memo, which holds the span; the
-    # sweep must break that cycle itself, without waiting for a GC pass
+    # a span lives in the frame of its tuple's check, and nothing that
+    # outlives the tuple may hold it: it must die without a GC pass
     spans = []
+    lazy_span = identities._lazy_span
 
-    class Tracked(identities._LazySpan):
-        def __init__(self, *args):
-            super().__init__(*args)
-            spans.append(weakref.ref(self))
+    def tracked(p, pending):
+        span = lazy_span(p, pending)
+        spans.append(weakref.ref(span))
+        return span
 
-    monkeypatch.setattr(identities, "_LazySpan", Tracked)
+    monkeypatch.setattr(identities, "_lazy_span", tracked)
     cd3 = build_example("cd:3:-1,-1,-1")
     triples = list(identities._random_tuples(cd3, 3, 64, 0, 12))
     gc.disable()
@@ -462,15 +628,15 @@ def test_no_span_outlives_its_tuple(monkeypatch):
 
 
 def _tracking_spans(monkeypatch) -> list:
-    """Every _LazySpan built from now on, in order."""
+    """The SPANS name of every lazy span built from now on, in order."""
     spans = []
+    lazy_span = identities._lazy_span
 
-    class Tracked(identities._LazySpan):
-        def __init__(self, *args):
-            super().__init__(*args)
-            spans.append(self)
+    def tracked(p, pending):
+        spans.append(_span_name(pending))
+        return lazy_span(p, pending)
 
-    monkeypatch.setattr(identities, "_LazySpan", Tracked)
+    monkeypatch.setattr(identities, "_lazy_span", tracked)
     return spans
 
 
@@ -481,23 +647,24 @@ def test_zero_left_side_builds_no_span(monkeypatch, field):
     spans = _tracking_spans(monkeypatch)
     m3 = build_example("matrix:3", field)
     p = m3.field.characteristic
-    mul = identities._row_product(m3)
-    memberships = [equation for equation in EQUATIONS.values() if equation.span]
     zero = multiple_of_p = 0
     for elements in chain(identities._basis_tuples(m3, 2), identities._basis_tuples(m3, 3)):
-        for equation in memberships:
-            if len(equation.letters) != len(elements):
-                continue
-            values = dict(zip(equation.letters, elements))
-            if oracles._total(m3, values, " + ".join(equation.lhs)) != (0,) * m3.dim:
-                continue
-            memo = {x: identities._row(v)[0] for x, v in values.items()}
-            multiple_of_p += any(equation.evaluate(mul, dict(memo)))
-            built = len(spans)
-            assert not equation.violated(m3, mul, memo)
-            assert len(spans) == built and equation.span not in memo
-            zero += 1
-    assert zero > 0 and spans == []
+        k = len(elements)
+        values = _abc({}, elements)
+        verdicts = _oracle_verdicts(m3, values, k)
+        for name in identities._SALTS:
+            read = _expected_spans(verdicts, [name], k)
+            spans.clear()
+            assert _tuple_check(m3, [name], elements) == _first_violated(verdicts, [name], k)
+            assert spans == read, (name, elements)
+        for text, (_, nonzero) in verdicts.items():
+            equation = EQUATIONS[text]
+            if equation.span and not nonzero:
+                # the sum of the words' residues, as the check adds their rows
+                words = [oracles._word_value(m3, values, w) for w in equation.lhs]
+                multiple_of_p += any(map(sum, zip(*words)))
+                zero += 1
+    assert zero > 0
     # over GF(2), (ab)c + (cb)a is 2(ab)a at c = a
     assert (multiple_of_p > 0) == (p == 2)
 
@@ -570,17 +737,23 @@ def test_classify_walks_the_basis_tuples_once(monkeypatch):
             products[tuple(u), tuple(v)] += 1
         return product(u, v)
 
-    built = Counter()
-    span_rows = identities._span_rows
+    built, current = Counter(), []
+    lazy_span = identities._lazy_span
 
-    def recording(algebra, mul, memo, name):
-        letters = sorted(set(filter(str.isalpha, "".join(identities.SPANS[name]))))
-        rows = tuple(memo[letter] for letter in letters)
-        built[name, rows, all(map(_is_basis_row, rows))] += 1
-        return span_rows(algebra, mul, memo, name)
+    def recording(p, pending):
+        rows = current[-1]
+        built[_span_name(pending), rows, all(map(_is_basis_row, rows))] += 1
+        return lazy_span(p, pending)
 
+    # each check records the rows of its tuple before it runs
+    for k in (2, 3):
+        def check(mask, *args, check=identities._TUPLE_CHECKS[k], k=k):
+            current.append(tuple(args[:k]))
+            return check(mask, *args)
+
+        monkeypatch.setitem(identities._TUPLE_CHECKS, k, check)
     monkeypatch.setitem(vars(cd3), "product_kernel", counting)
-    monkeypatch.setattr(identities, "_span_rows", recording)
+    monkeypatch.setattr(identities, "_lazy_span", recording)
     report = classify(cd3)
     assert all(v.holds for v in report.verdicts.values())
     # each distinct pair of basis-walk rows is multiplied once for all classes

@@ -281,6 +281,22 @@ def test_a_dimension_above_the_limit_is_refused_at_its_line(tmp_path, capsys, mo
                 2, "", f"error: line 2: dim {dim} exceeds the limit 10000\n"), argv
 
 
+def test_gen_refuses_a_spin_factor_above_the_dim_limit(tmp_path, capsys, monkeypatch):
+    # spin:<n> has dim n + 1; above the limit gen exits 2 before it builds
+    # anything, and at the limit it reaches the constructor
+    def make_spin_factor(n, field):
+        raise AssertionError(f"spin:{n} was built")
+
+    monkeypatch.setattr(examples, "make_spin_factor", make_spin_factor)
+    path = str(tmp_path / "spin.alg")
+    for n in (io_cli.MAX_DIM, 200_000, 10**20):
+        assert _outcome(capsys, ["gen", f"spin:{n}", "-o", path]) == (
+            2, "", f"error: spin:{n} has dim {n + 1}, which exceeds the limit 10000\n"), n
+    with pytest.raises(AssertionError, match="spin:9999 was built"):
+        main(["gen", "spin:9999", "-o", path])
+    assert not (tmp_path / "spin.alg").exists()
+
+
 def test_cli_exact_length_skips_a_character_search_past_the_budget(tmp_path, capsys):
     # unital of dim 3 over GF(10007), b1 = e and b2 b3 = e: the sweep visits
     # only 10,010 subspaces, but a character search would try 10007^2
@@ -870,10 +886,10 @@ LOADS = {
 }
 
 
-def _loaded_modules(tmp_path, capsys, argv) -> tuple:
-    """(exit code, modules added) of a fresh interpreter that runs argv on a GF(2) file."""
-    path = str(tmp_path / "aflex2.alg")
-    _run(capsys, "gen", "aflex", "--field", "gf:2", "-o", path)
+def _loaded_modules(tmp_path, capsys, argv, field="gf:2") -> tuple:
+    """(exit code, modules added) of a fresh interpreter that runs argv on aflex over the field."""
+    path = str(tmp_path / "aflex.alg")
+    _run(capsys, "gen", "aflex", "--field", field, "-o", path)
     argv = [path if arg == "FILE" else arg for arg in argv]
     src = str(Path(io_cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -911,3 +927,17 @@ def test_commands_over_gf_p_skip_slow_stdlib_imports(tmp_path, capsys, command):
     code, modules = _loaded_modules(tmp_path, capsys, LOADS[command][0])
     assert code == 0
     assert not modules & STDLIB_UNLOADED[command], sorted(modules)
+
+
+# the standard-library modules that classify and bounds add over Q: argparse
+# with gettext and locale, and fractions with decimal and numbers; the
+# generated tuple checks load none
+STDLIB_OVER_Q = {"__future__", "_decimal", "_locale", "argparse", "decimal", "fractions",
+                 "gettext", "locale", "numbers"}
+
+
+@pytest.mark.parametrize("command", ["bounds", "classify"])
+def test_identity_commands_over_q_load_no_further_stdlib_modules(tmp_path, capsys, command):
+    code, modules = _loaded_modules(tmp_path, capsys, LOADS[command][0], "rational")
+    assert code == 0
+    assert {m for m in modules if not m.startswith("alglen")} <= STDLIB_OVER_Q, sorted(modules)
