@@ -231,22 +231,37 @@ def _compile_product(table: list):
                     expr = " + ".join(terms[start:start + _TERMS_PER_STATEMENT])
                     lines.append(f"        a{k} += u{i} * ({expr.replace('+ -', '- ')})")
     lines.append(f"    return [{', '.join(f'a{k}' for k in range(n))}]")
-    return compile_kernel("product kernel", n, "product", lines)
+    return compile_kernel(f"product kernel, dim {n}", "product", lines)
 
 
-def compile_kernel(title: str, n: int, name: str, lines: list, unit: str = "dim"):
+def compile_kernel(label: str, name: str, lines: list):
     """The function ``name`` that the generated source ``lines`` defines.
 
-    The source is compiled under the name ``<alglen {title}, {unit} {n}>``,
-    so that profiles and tracebacks name the kernel and its size (a
-    dimension, or the arity of a tuple check) rather than ``<string>``.
+    The source is compiled under the name ``<alglen {label}>``, so that
+    profiles and tracebacks name the kernel and its size (say ``product
+    kernel, dim 4`` or ``tuple check, arity 3``) rather than ``<string>``.
     Every generated kernel of the package is compiled here; the callers
     interpolate only ``int`` indices and coefficients, and the identity
     words of the package's own table.
     """
     namespace = {}
-    exec(compile("\n".join(lines), f"<alglen {title}, {unit} {n}>", "exec"), namespace)
+    exec(compile("\n".join(lines), f"<alglen {label}>", "exec"), namespace)
     return namespace[name]
+
+
+class KernelCache(dict):
+    """Key -> what ``build(key)`` compiles, built at the key's first lookup.
+
+    Each key is built once per process.  A lookup is a plain subscript, as
+    cheap as a dict's on every later use.
+    """
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 def make_algebra(field: Field, dim: int, products: dict, unity=None, labels=None) -> Algebra:

@@ -12,6 +12,14 @@ the two letter-exchange equivalences
 applied to subwords, so the output differs from the input by a sign and an
 element of the span of shorter words; verify_equivalence checks exactly
 that, numerically, in a concrete algebra.
+
+Both sets of rules are closed under the mirror image, which swaps the
+factors of every product, so each rule is stated once: the three-block
+form keeps its blocks in one of two arrangements, form A ``((x y) z)`` and
+form B, its mirror ``(z (y x))``, and each step reads the arrangement only
+to tell which side of the word a letter is on.  A form-B tree is the
+mirror (``_mirror``) of the form-A tree of the same blocks, except that the
+two-factor OO shape has one tree in both.
 """
 
 from __future__ import annotations
@@ -28,7 +36,10 @@ class CanonicalWord:
 
     ``blocks`` maps role names to letter tuples listed innermost first;
     ``partition`` groups the letters (with multiplicity) into the pairwise
-    exchangeable classes implied by the block structure.
+    exchangeable classes implied by the block structure.  ``form`` is "A"
+    or "B", and a form-B word is the mirror image of the form-A word of the
+    same blocks (the OO shape aside, whose one tree serves both): the
+    exchange rules are closed under the mirror image.
     """
 
     def __init__(self, variant: str, sign: int, shape: str, form: str, blocks: dict,
@@ -41,22 +52,17 @@ class CanonicalWord:
         self.partition = partition
 
     def tree(self) -> Word:
+        b = self.blocks
         if self.variant == "alt-two-block":
-            return (_left_chain(self.blocks["x"]), _right_nest(self.blocks["y"]))
-        if self.shape in ("EOO", "OEE", "O11"):
-            x, y, z = self.blocks["x"], self.blocks["y"], self.blocks["z"]
-            if self.form == "A":
-                return ((_block_tree(x, "left"), _block_tree(y, "right")),
-                        _block_tree(z, "right"))
-            return (_block_tree(z, "left"),
-                    (_block_tree(y, "left"), _block_tree(x, "right")))
-        u, v = self.blocks["u"], self.blocks["v"]
-        if self.form == "A":
-            return (_block_tree(u, "left"),
-                    _block_tree(v, "right" if self.shape == "OO" else "left"))
+            return (_left_chain(b["x"]), _mirror(_left_chain(b["y"])))
         if self.shape == "OO":
-            return (_block_tree(u, "left"), _block_tree(v, "right"))
-        return (_block_tree(v, "right"), _block_tree(u, "right"))
+            return (_block_tree(b["u"]), _mirror(_block_tree(b["v"])))
+        if self.shape == "OE":
+            t = (_block_tree(b["u"]), _block_tree(b["v"]))
+        else:
+            t = ((_block_tree(b["x"]), _mirror(_block_tree(b["y"]))),
+                 _mirror(_block_tree(b["z"])))
+        return t if self.form == "A" else _mirror(t)
 
     def as_dict(self):
         return {
@@ -79,26 +85,21 @@ def _left_chain(letters) -> Word:
     return t
 
 
-def _right_nest(letters) -> Word:
-    t = letters[0]
-    for s in letters[1:]:
-        t = (s, t)
-    return t
+def _mirror(w: Word) -> Word:
+    """The mirror image of w: the factors of every product swapped."""
+    return w if isinstance(w, int) else (_mirror(w[1]), _mirror(w[0]))
 
 
-def _block_tree(letters, swap_type: str) -> Word:
-    """Alternating application tree of a swapping block, innermost first.
+def _block_tree(letters) -> Word:
+    """Alternating application tree of a left-swapping block, innermost first.
 
-    The outermost application side equals the block type (left or right)
-    and the sides alternate inward.
+    The outermost application is on the left and the sides alternate
+    inward; a right-swapping block is its mirror.
     """
     k = len(letters)
     t = letters[0]
     for i in range(1, k):
-        outer_side = swap_type == "left"
-        same_as_outer = (k - 1 - i) % 2 == 0
-        left_side = outer_side if same_as_outer else not outer_side
-        t = (letters[i], t) if left_side else (t, letters[i])
+        t = (letters[i], t) if (k - i) % 2 else (t, letters[i])
     return t
 
 
@@ -167,9 +168,12 @@ def _alt_blocks(t: Word):
 
 # state: (sign, form, (x, y, z)) with role tuples listed innermost first.
 # Form A renders as ((x y) z) with x left-swapping, y and z right-swapping;
-# form B as (z (y x)) with z and y left-swapping and x right-swapping.
-# Every transition below is a fixed chain of the two letter-exchange
-# equivalences and flips the sign exactly once.
+# form B as its mirror (z (y x)).  Every transition below is a fixed chain
+# of the two letter-exchange equivalences and flips the sign exactly once;
+# it reads the form only to tell z's side, the right in form A and the
+# left in form B.
+
+_OTHER = {"A": "B", "B": "A"}
 
 
 def _base_state(core: Word):
@@ -181,48 +185,21 @@ def _base_state(core: Word):
 
 def _push(state, side, letter):
     sign, form, (x, y, z) = state
-    if form == "A":
-        if side == "R":
-            return (-sign, "B", (y, x, z + (letter,)))
-        return (-sign, "B", (z, y + (letter,), x))
-    if side == "R":
-        return (-sign, "A", (z, y + (letter,), x))
-    return (-sign, "A", (y, x, z + (letter,)))
+    if (side == "R") == (form == "A"):  # the letter lands on z's side
+        return (-sign, _OTHER[form], (y, x, z + (letter,)))
+    return (-sign, _OTHER[form], (z, y + (letter,), x))
 
 
 def _pull(state, role):
     """Take the outermost letter off role "y" or "z": the inverse of _push."""
     sign, form, (x, y, z) = state
+    # the side of the push: for role z, z's side in the form it was pushed in
+    side = "R" if (role == "y") == (form == "A") else "L"
     if role == "y":
-        side = "R" if form == "A" else "L"
         letter, rest = y[-1], (z, y[:-1], x)
     else:
-        side = "L" if form == "A" else "R"
         letter, rest = z[-1], (y, x, z[:-1])
-    return (side, letter), (-sign, "B" if form == "A" else "A", rest)
-
-
-def _t1(state):
-    sign, form, (x, y, z) = state
-    if not (len(y) == 1 and len(z) == 2):
-        raise AssertionError("_t1 needs a one-letter y and a two-letter z")
-    new_form = "B" if form == "A" else "A"
-    return (-sign, new_form, (x + (y[0],), (z[0],), (z[1],)))
-
-
-def _t2(state):
-    sign, form, (x, y, z) = state
-    if not (len(y) == 2 and len(z) == 1 and len(x) >= 2):
-        raise AssertionError("_t2 needs a two-letter y, a one-letter z and two or more x")
-    new_form = "B" if form == "A" else "A"
-    return (-sign, new_form, (x[:-1], (x[-1],), (y[0], y[1], z[0])))
-
-
-def _t3(state):
-    sign, form, (x, y, z) = state
-    if not (len(y) == 2 and len(z) == 2):
-        raise AssertionError("_t3 needs a two-letter y and a two-letter z")
-    return (-sign, form, (x, (z[0],), (y[1], y[0], z[1])))
+    return (side, letter), (-sign, _OTHER[form], rest)
 
 
 def _reduce_and_push(state):
@@ -232,32 +209,24 @@ def _reduce_and_push(state):
     parities already decide the shape class.
     """
     wrappers = []
-
-    def pull_pairs(st):
-        while True:
-            _, _, (x, y, z) = st
-            role = "y" if len(y) >= 3 else "z" if len(z) >= 3 else None
-            if role is None:
-                return st
-            w1, st = _pull(st, role)
-            w2, st = _pull(st, role)
-            wrappers.extend([w1, w2])
-
     st = state
     while True:
-        st = pull_pairs(st)
-        _, _, (x, y, z) = st
+        sign, form, (x, y, z) = st
+        role = "y" if len(y) >= 3 else "z" if len(z) >= 3 else None
+        if role is not None:
+            w1, st = _pull(st, role)
+            w2, st = _pull(st, role)
+            wrappers += [w1, w2]
+            continue
         b, c = len(y), len(z)
-        if (b, c) == (1, 1):
-            break
+        if (b, c) == (1, 1) or (b, c) == (2, 1) and len(x) == 1:
+            break  # (2, 1): the two-factor shape with a single left letter
         if (b, c) == (1, 2):
-            st = _t1(st)
+            st = (-sign, _OTHER[form], (x + y, (z[0],), (z[1],)))
         elif (b, c) == (2, 1):
-            if len(x) == 1:
-                break  # the two-factor shape with a single left letter
-            st = _t2(st)
+            st = (-sign, _OTHER[form], (x[:-1], (x[-1],), y + z))
         else:
-            st = _t3(st)
+            st = (-sign, form, (x, (z[0],), (y[1], y[0], z[1])))
     for side, letter in reversed(wrappers):
         st = _push(st, side, letter)
     return st
@@ -310,7 +279,7 @@ def _flex_blocks(state, shape):
     return -sign, form, {"u": y + (z[0],), "v": x}
 
 
-def _flex_partition(shape, form, blocks):
+def _flex_partition(shape, blocks):
     def inner(block):
         return [block[0]]
 
@@ -345,7 +314,7 @@ def canonical_flex_form(w: Word) -> CanonicalWord:
         state = _push(state, side, letter)
     state, shape = _normalize(state)
     sign, form, blocks = _flex_blocks(state, shape)
-    partition = _flex_partition(shape, form, blocks)
+    partition = _flex_partition(shape, blocks)
     return CanonicalWord(
         variant="flex-three-block",
         sign=sign,

@@ -49,7 +49,8 @@ class's witness (``_line_walk``), where its failure must show.
 
 The check of one tuple is generated code (``_check_source``), one
 function per arity, compiled once per process at its first tuple through
-``algebra.compile_kernel``, as the product and row kernels are.  It gets
+``algebra.compile_kernel`` and kept in an ``algebra.KernelCache``
+(``_TUPLE_CHECKS``), as the product and row kernels are.  It gets
 the open classes as a bitmask and returns the classes that fail at the
 tuple, each with the first text it breaks.  The tuple's rows are its
 locals, and x, y, z are read as a, b, c; every word of a text or a span
@@ -76,7 +77,7 @@ import random
 from collections import Counter
 from itertools import chain, product
 
-from .algebra import DEFAULT_SAMPLES, Algebra, Element, compile_kernel
+from .algebra import DEFAULT_SAMPLES, Algebra, Element, KernelCache, compile_kernel
 from .errors import DomainError
 from .field import integer_row
 from .spans import _insert, _reduce
@@ -403,19 +404,10 @@ def _check_source(k: int) -> list:
     return lines
 
 
-class _TupleChecks(dict):
-    """Arity k -> the check of a k-tuple (see _check_source), compiled at its first use.
-
-    Each arity is compiled once per process; profiles and tracebacks name
-    it ``<alglen tuple check, arity k>``.
-    """
-
-    def __missing__(self, k: int):
-        check = self[k] = compile_kernel("tuple check", k, "check", _check_source(k), "arity")
-        return check
-
-
-_TUPLE_CHECKS = _TupleChecks()
+# arity k -> the check of a k-tuple (see _check_source), named
+# ``<alglen tuple check, arity k>`` in profiles and tracebacks
+_TUPLE_CHECKS = KernelCache(
+    lambda k: compile_kernel(f"tuple check, arity {k}", "check", _check_source(k)))
 
 
 class Witness:

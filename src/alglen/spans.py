@@ -16,9 +16,10 @@ once per call: residues with pivot 1 over GF(p), primitive integer rows
 with fraction-free elimination over Q.  Its row operations
 (v - c r, a v - c r, v mod p, s v mod p and the lead mod p) are
 straight-line kernels, generated and compiled once per row length at its
-first use (``_ROW_KERNELS``), as each algebra's product kernel is.  The ladder,
-SpanBasis, the generation pre-test, the subspace enumeration and the
-identity checks all call it; none of them picks row operations by field.
+first use (``_ROW_KERNELS``, an ``algebra.KernelCache``), as each
+algebra's product kernel is.  The ladder, SpanBasis, the generation
+pre-test, the subspace enumeration and the identity checks all call it;
+none of them picks row operations by field.
 It keeps echelon rows, each reduced only against the rows inserted before
 it, which is all that a residue needs; SpanBasis builds the reduced
 row-echelon form only where it is read.  The exact-length sweep lists no
@@ -39,7 +40,7 @@ from itertools import combinations, product
 from math import gcd
 from operator import mul
 
-from .algebra import Algebra, Element, compile_kernel
+from .algebra import Algebra, Element, KernelCache, compile_kernel
 from .errors import DimensionMismatch, NotFiniteField, ResourceLimit
 from .field import Field, PrimeField, integer_row, rational_row
 
@@ -78,24 +79,13 @@ def _row_kernel_source(name: str, n: int) -> list:
     return lines
 
 
-class _RowKernels(dict):
-    """Row length n -> its row kernels (sub, comb, residue, scale, lead), built at first use.
-
-    Each kernel unpacks its rows into locals and writes out one expression
-    per entry (see _row_kernel_source): the same integer arithmetic as a
-    loop over the entries, in about a third of its time on short rows.
-    Each length is compiled once per process, and only ``int`` indices
-    enter the source.
-    """
-
-    def __missing__(self, n: int) -> tuple:
-        kernels = self[n] = tuple(compile_kernel("row kernels", n, name,
-                                                 _row_kernel_source(name, n))
-                                  for name in _ROW_FORMS)
-        return kernels
-
-
-_ROW_KERNELS = _RowKernels()
+# row length n -> its row kernels (sub, comb, residue, scale, lead), each
+# unpacking its rows into locals and writing out one expression per entry:
+# the same integer arithmetic as a loop over the entries, in about a third
+# of its time on short rows; only ``int`` indices enter the source
+_ROW_KERNELS = KernelCache(lambda n: tuple(
+    compile_kernel(f"row kernels, dim {n}", name, _row_kernel_source(name, n))
+    for name in _ROW_FORMS))
 
 
 def _primitive(v: list, lead: int) -> list:
@@ -307,14 +297,7 @@ class DiffSequence:
         return "DiffSequence(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS) + ")"
 
     def as_dict(self):
-        return {
-            "d": list(self.d),
-            "length_of_set": self.length_of_set,
-            "stabilized_by": self.stabilized_by,
-            "generating": self.generating,
-            "total_rank": self.total_rank,
-            "dim": self.dim,
-        }
+        return {f: list(self.d) if f == "d" else getattr(self, f) for f in self._FIELDS}
 
 
 def _ladder(mul, n: int, p: int, unity, max_level, gens, *, closure=True) -> list:

@@ -57,6 +57,51 @@ def test_forms_match_the_golden_forms():
         assert canonical_flex_form(w).as_dict() == entry["flex"], entry["word"]
 
 
+def _chains(m):
+    """The 2^(m-1) restricted words that apply the letters 2..m, in order, to the letter 1."""
+    for bits in range(2 ** (m - 1)):
+        w = 1
+        for letter in range(2, m + 1):
+            w = (letter, w) if bits >> (letter - 2) & 1 else (w, letter)
+        yield w
+
+
+def _mirror(w):
+    """The mirror image of w: the factors of every product swapped."""
+    return w if isinstance(w, int) else (_mirror(w[1]), _mirror(w[0]))
+
+
+GOLDEN_CHAINS = Path(__file__).parent / "golden" / "canonical_chains.json"
+
+
+def test_forms_match_the_golden_chains():
+    # both forms and their trees for the 224 chains on the distinct letters
+    # 1..m, m = 6, 7 and 8, recorded before each exchange rule of the
+    # three-block form was stated once
+    golden = json.loads(GOLDEN_CHAINS.read_text(encoding="utf-8"))
+    words = [w for m in (6, 7, 8) for w in _chains(m)]
+    assert [entry["word"] for entry in golden] == [format_word(w) for w in words]
+    assert len(words) == 224
+    for w, entry in zip(words, golden):
+        for name, canon in (("alt", canonical_alt_form), ("flex", canonical_flex_form)):
+            c = canon(w)
+            assert c.as_dict() == entry[name], (name, entry["word"])
+            assert format_word(c.tree()) == entry[name + "_tree"], (name, entry["word"])
+
+
+def test_forms_commute_with_the_mirror_image():
+    # both sets of exchange rules are closed under the mirror image, so the
+    # form of a mirrored word is the mirrored form, with the same sign
+    for m in range(3, 10):
+        for w in _chains(m):
+            flex, mirrored = canonical_flex_form(w), canonical_flex_form(_mirror(w))
+            assert (mirrored.sign, mirrored.shape) == (flex.sign, flex.shape), w
+            assert mirrored.tree() == _mirror(flex.tree()), w
+            alt, mirrored = canonical_alt_form(w), canonical_alt_form(_mirror(w))
+            assert mirrored.sign == alt.sign, w
+            assert mirrored.tree() == _mirror(alt.tree()), w
+
+
 def test_rejects_bad_words():
     with pytest.raises(NotRestrictedForm):
         canonical_alt_form(((1, 2), (3, 4)))

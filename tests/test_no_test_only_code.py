@@ -21,6 +21,10 @@ outside the package (the benchmark harness, the tests) drive.
 A function or method, dunders aside, does more than return a constant: a
 constant is a literal or a named value where it is used.
 
+Every parameter of a function, method or lambda is read by its body: one
+that no caller's value reaches is not an input.  ``self``, ``cls`` and the
+parameters of dunder methods, whose signatures Python fixes, are exempt.
+
 A rule is stated once: no method repeats, AST for AST and docstring aside,
 the method of the same name in its base class or in a sibling subclass (one
 with a base class in common), since the base class can hold the one copy.
@@ -264,6 +268,42 @@ def constant_functions() -> list:
 
 def test_no_function_only_returns_a_constant():
     assert constant_functions() == []
+
+
+def _reads(node, name) -> bool:
+    """Whether code in the node reads the name, by a plain load or an augmented assignment."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+            return True
+        if (isinstance(child, ast.AugAssign) and isinstance(child.target, ast.Name)
+                and child.target.id == name):
+            return True
+    return False
+
+
+def unread_parameters() -> list:
+    """``module:label(parameter)`` of each parameter that its function's body never reads.
+
+    A lambda's label is ``lambda`` and its line.
+    """
+    found = []
+    for module, tree in _trees().items():
+        functions = [(function, label) for function, label, _, _ in _functions(tree)
+                     if not _dunder(function.name)]
+        functions += [(node, f"lambda@{node.lineno}") for node in ast.walk(tree)
+                      if isinstance(node, ast.Lambda)]
+        for function, label in functions:
+            args = function.args
+            body = function.body if isinstance(function.body, list) else [function.body]
+            for arg in [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]:
+                if (arg is not None and arg.arg not in ("self", "cls")
+                        and not any(_reads(statement, arg.arg) for statement in body)):
+                    found.append(f"{module}:{label}({arg.arg})")
+    return found
+
+
+def test_every_parameter_is_read_by_its_function():
+    assert unread_parameters() == []
 
 
 def _body(function) -> str:
