@@ -8,16 +8,17 @@ then no longer word can leave it, so the sequence has ended for every
 algebra.
 
 One ladder (``_ladder``) serves diff_sequence, lin_span and the
-exact-length sweep.  It works on integer rows over both fields, since spans
-do not depend on scaling, multiplied through the algebra's compiled product
-kernel.  One echelon routine, ``_reduce`` and ``_insert``, does the row
-arithmetic of both fields and branches on the characteristic p (0 over Q)
-once per call: residues with pivot 1 over GF(p), primitive integer rows
-with fraction-free elimination over Q.  Its row operations
-(v - c r, a v - c r, v mod p, s v mod p and the lead mod p) are
-straight-line kernels, generated and compiled once per row length at its
-first use (``_ROW_KERNELS``, an ``algebra.KernelCache``), as each
-algebra's product kernel is.  The ladder, SpanBasis, the generation
+exact-length sweep, which builds levels 0 to 2 once per basis prefix and
+resumes the ladder from there (``_sweep_ladder``).  It works on integer
+rows over both fields, since spans do not depend on scaling, multiplied
+through the algebra's compiled product kernel.  One echelon routine,
+``_reduce`` and ``_insert``, does the row arithmetic of both fields and
+branches on the characteristic p (0 over Q) once per call: residues with
+pivot 1 over GF(p), primitive integer rows with fraction-free elimination
+over Q.  Its row operations (v - c r, a v - c r, v mod p, s v mod p and the
+lead mod p) are straight-line kernels, generated and compiled once per row
+length at its first use (``_ROW_KERNELS``, an ``algebra.KernelCache``), as
+each algebra's product kernel is.  The ladder, SpanBasis, the generation
 pre-test, the subspace enumeration and the identity checks all call it;
 none of them picks row operations by field.
 It keeps echelon rows, each reduced only against the rows inserted before
@@ -36,7 +37,7 @@ identity element with a SpanBasis.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, product, starmap
 from math import gcd
 from operator import mul
 
@@ -300,7 +301,7 @@ class DiffSequence:
         return {f: list(self.d) if f == "d" else getattr(self, f) for f in self._FIELDS}
 
 
-def _ladder(mul, n: int, p: int, unity, max_level, gens, *, closure=True) -> list:
+def _ladder(mul, n: int, p: int, unity, max_level, gens, *, closure=True, start=None) -> list:
     """Span ladder of gens: level_reps[k] spans Lin_k(S) modulo Lin_(k-1)(S).
 
     Every vector is an integer row of length n, and ``mul`` is the
@@ -310,7 +311,9 @@ def _ladder(mul, n: int, p: int, unity, max_level, gens, *, closure=True) -> lis
     table's common denominator D, as the rows ignore their own, since a
     span does not depend on the scaling of the vectors that span it.  Level
     0 is the unity (None when there is none), level 1 the gens, and level m
-    the products of the representatives of levels i and m - i.
+    the products of the representatives of levels i and m - i.  Any
+    vectors of Lin_m(S) that are independent modulo Lin_(m-1)(S) serve as
+    level m's representatives, by bilinearity.
 
     The ladder stops once its span V is closed, V*V <= V, which counts only
     once the gens lie in V: then no longer word can leave V (see _closed).
@@ -324,29 +327,45 @@ def _ladder(mul, n: int, p: int, unity, max_level, gens, *, closure=True) -> lis
     closed only once it is A, so the levels are the same.  Gens that do not
     generate A then run into the level cap and raise ResourceLimit; they
     never give a wrong ladder.
+
+    ``start`` resumes a ladder at a later level: the echelon rows and
+    pivots of that level's span and level_reps up to it, all three handed
+    over to the ladder.  The levels below it must be ones where the ladder
+    goes on: not all of A, not closed and within the cap.  The exact-length
+    sweep resumes at level 1 or 2 (see _sweep_ladder).
     """
-    cap = max_level if max_level is not None else max(DEFAULT_MAX_LEVEL, n + 2)
-    rows, pivots, level_reps = [], [], []
-    if closure:
-        spanning, pending = [], []
-    vectors = [] if unity is None else [unity]
-    while True:
-        new = []
-        for v in vectors:
-            v = _insert(rows, pivots, p, v)
-            if v is not None:
-                new.append(v)
-                if len(rows) == n:
-                    break
-        level_reps.append(new)
-        if len(rows) == n:
-            return level_reps
+    cap = _level_cap(max_level, n)
+    rows, pivots, level_reps = start or ([], [], [])
+    if not level_reps:
+        level_reps.append(_grow(rows, pivots, p, n, [] if unity is None else [unity]))
+    # the representatives below the top level; _closed adds each level's
+    spanning, pending = [v for reps in level_reps[:-1] for v in reps], []
+    while len(rows) < n:
         level = len(level_reps) - 1
         if closure and _closed(mul, rows, pivots, p, gens, level_reps, spanning, pending):
-            return level_reps
+            break
         if level >= cap:
             raise ResourceLimit(f"span ladder exceeded {cap} levels")
         vectors = gens if level == 0 else _products(mul, level_reps, level + 1)
+        level_reps.append(_grow(rows, pivots, p, n, vectors))
+    return level_reps
+
+
+def _level_cap(max_level, n: int) -> int:
+    """The ladder's level cap: ``max_level``, or by default max(DEFAULT_MAX_LEVEL, n + 2)."""
+    return max_level if max_level is not None else max(DEFAULT_MAX_LEVEL, n + 2)
+
+
+def _grow(rows, pivots, p: int, n: int, vectors) -> list:
+    """The residues of vectors that _insert adds to the echelon rows, until rank n."""
+    new = []
+    for v in vectors:
+        v = _insert(rows, pivots, p, v)
+        if v is not None:
+            new.append(v)
+            if len(rows) == n:
+                break
+    return new
 
 
 def _products(mul, level_reps, m: int):
@@ -628,6 +647,55 @@ def _generation_test(algebra: Algebra, budget: int | None = None):
     return project, codim, _nilpotent(product, p, m_rows)
 
 
+def _sweep_ladder(mul, n: int, p: int, unity, cap: int, closure, states, rows) -> list:
+    """_ladder of the basis rows, its levels 0 to 2 built once per basis prefix.
+
+    ``states`` is the sweep's, kept from one basis to the next: states[d]
+    is (r_1..r_d, their state) for each proper prefix of the last basis,
+    states[0] that of no rows.  A state is the echelon rows, the pivots and
+    the level-2 representatives of
+    Lin_2 = <e> + span(r_1..r_d) + span{r_i r_j : i, j <= d}, or None once
+    a row added nothing to the state before it, as it can where the
+    pre-test is inexact.  The states of the rows this basis shares with the
+    last one are kept and the others dropped; each further row is inserted,
+    then its products with the rows before it and with itself: 2d + 1
+    products for r_(d+1).  Lin_2 does not depend on that order, and the
+    products the state keeps are independent modulo Lin_1, so they serve as
+    level 2's representatives; level 1 is closed exactly when there are
+    none.  So the length is read off the state where Lin_2 is all of A (1
+    or 2) or, with closure checks, where level 1 is closed (1); otherwise
+    _ladder resumes at level 1 or 2.  The rank-0 basis and a basis whose
+    state is None get the ladder from scratch.  Every outcome, the sizes of
+    the levels or the error past the level cap ``cap``, is the ladder's
+    from scratch.
+    """
+    if not rows:
+        return _ladder(mul, n, p, unity, cap, rows, closure=closure)
+    while len(states) > len(rows) or states[-1][0] != rows[:len(states) - 1]:
+        states.pop()
+    state = states[-1][1]
+    for i in range(len(states) - 1, len(rows)):
+        if state is not None:
+            row, echelon, pivots = rows[i], state[0][:], state[1][:]
+            if _insert(echelon, pivots, p, row) is None:
+                state = None
+            else:
+                pairs = [(u, v) for w in rows[:i] for u, v in ((row, w), (w, row))]
+                new = _grow(echelon, pivots, p, n, starmap(mul, pairs + [(row, row)]))
+                state = echelon, pivots, state[2] + new
+        if i + 1 < len(rows):
+            states.append((rows[:i + 1], state))
+    if state is None:
+        return _ladder(mul, n, p, unity, cap, rows, closure=closure)
+    echelon, pivots, level2 = state
+    reps = [states[0][1][0], list(rows)] + ([level2] if level2 else [])
+    if len(reps) - 2 >= cap:  # the ladder from scratch raises at a lower level
+        raise ResourceLimit(f"span ladder exceeded {cap} levels")
+    if len(echelon) == n or closure and not level2:
+        return reps
+    return _ladder(mul, n, p, unity, cap, rows, closure=closure, start=(echelon, pivots, reps))
+
+
 def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE_BUDGET,
                          max_level: int | None = None):
     """Maximum of l(S) over generating sets, with an achieving witness.
@@ -665,7 +733,11 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     up.  Every subspace is swept when A has no test: a unital A without a
     character, or one whose character search alone would try more than
     ``budget`` functionals.  A ``max_level`` that only a skipped ladder
-    would exceed does not raise.
+    would exceed does not raise.  Consecutive bases share their first rows,
+    so each ladder takes its levels 0 to 2 from the Lin_2 of its rows,
+    built row by row and kept for the bases that follow (_sweep_ladder).
+    The sizes of its levels, and so lengths, witnesses and level-cap
+    errors, are those of the ladder from scratch.
     """
     field = algebra.field
     if not isinstance(field, PrimeField):
@@ -677,9 +749,13 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     project, codim, exact = _generation_test(algebra, budget) or ([], 0, False)
     kernel = algebra.product_kernel
     unity_row = list(unity) if unity is not None else None
+    echelon, pivots = [], []
+    _grow(echelon, pivots, p, n, [] if unity is None else [unity_row])
+    states = [((), (echelon, pivots, []))]
+    cap = _level_cap(max_level, n)
     best = None
     for rows in enumerate_subspace_rows(p, n, c, project, codim if exact else m):
-        level_reps = _ladder(kernel, n, p, unity_row, max_level, rows, closure=not exact)
+        level_reps = _sweep_ladder(kernel, n, p, unity_row, cap, not exact, states, rows)
         if sum(map(len, level_reps)) == n:
             length = len(level_reps) - 1
             if best is None or length > best[0]:

@@ -313,15 +313,19 @@ def test_cli_exact_length_skips_a_character_search_past_the_budget(tmp_path, cap
 
 def test_cli_max_level_caps_general_mode(tmp_path, capsys):
     # exact-length honours --max-level like length does: aalt over GF(2)
-    # needs more than one level, so both exit 2 with the same message
+    # needs more than one level, so both exit 2 with the same message; the
+    # sweep takes levels 0 to 2 from its basis prefixes, and caps 0 and 2
+    # still raise as the ladder from scratch does
     path = str(tmp_path / "aalt2.alg")
     _run(capsys, "gen", "aalt", "--field", "gf:2", "-o", path)
-    for argv in (["length", path, "--set", "1,2", "--max-level", "1"],
-                 ["exact-length", path, "--max-level", "1"]):
+    for argv, cap in ((["length", path, "--set", "1,2", "--max-level", "1"], 1),
+                      (["exact-length", path, "--max-level", "1"], 1),
+                      (["exact-length", path, "--max-level", "0"], 0),
+                      (["exact-length", path, "--max-level", "2"], 2)):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2, argv
-        assert "span ladder exceeded 1 levels" in captured.err, argv
+        assert f"span ladder exceeded {cap} levels" in captured.err, argv
     code, out = _run(capsys, "exact-length", path, "--max-level", "3")
     assert code == 0 and "l(A) = 3" in out
 

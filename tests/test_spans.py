@@ -623,9 +623,9 @@ def test_sweep_ladder_without_closure_checks(kind, triangular, data):
 def test_generation_pretest_on_examples(monkeypatch):
     f2, f3 = PrimeField(2), PrimeField(3)
     # 1,900 of the 2,664 subspaces pass and exactly these generate.  A is
-    # nilpotent, so the test is exact, and the sweep runs a ladder only on
-    # the 729 passing subspaces with codim = dim A/A^2 = 2 rows, the minimal
-    # generating ones
+    # nilpotent, so the test is exact, and the sweep's step per subspace,
+    # _sweep_ladder, runs only on the 729 passing subspaces with
+    # codim = dim A/A^2 = 2 rows, the minimal generating ones
     aflex3 = examples.make_a_flex(f3)
     project, codim, exact = spans._generation_test(aflex3)
     assert (codim, exact) == (2, True)
@@ -639,9 +639,9 @@ def test_generation_pretest_on_examples(monkeypatch):
                if len(rows) == codim and can_generate(rows)]
     assert len(minimal) == 729
     ladders = []
-    ladder = spans._ladder
-    monkeypatch.setattr(spans, "_ladder", lambda *args, **kwargs:
-                        ladders.append(args[-1]) or ladder(*args, **kwargs))
+    ladder = spans._sweep_ladder
+    monkeypatch.setattr(spans, "_sweep_ladder", lambda *args:
+                        ladders.append(args[-1]) or ladder(*args))
     assert exact_algebra_length(aflex3)[0] == 3 and ladders == minimal
     monkeypatch.undo()
     # GF(3) x GF(3) in the basis b1 = -f1, b2 = f2 of its idempotents, so
@@ -701,13 +701,145 @@ def test_exact_length_of_non_nilpotent_plane():
     assert witness == (plane.basis_element(1), plane.basis_element(2))
 
 
+def test_length_counts_words_not_dimensions():
+    # over GF(2), b1 b1 = b3 and b2 b2 = b1 in dim 4: level 3 of {b2, b4}
+    # adds nothing and level 4 adds b3, so l(A) = 4 exceeds
+    # n - codim + 1 = 3, and no bound that takes every level to add a
+    # dimension holds
+    algebra = make_algebra(PrimeField(2), 4, {(1, 1): [(3, 1)], (2, 2): [(1, 1)]})
+    length, witness = exact_algebra_length(algebra)
+    assert length == 4
+    assert [algebra.format_element(w) for w in witness] == ["b2", "b3 + b4"]
+    b2, b4 = algebra.basis_element(2), algebra.basis_element(4)
+    assert diff_sequence(algebra, [b2, b4]).d == (0, 2, 1, 0, 1)
+    _, codim, exact = spans._generation_test(algebra)
+    assert (codim, exact) == (2, True) and length > algebra.dim - codim + 1
+
+
+# squaring chains with gaps, b_i b_i = c b_k for i: (k, c) and every other
+# product 0, over GF(p) in dim n: tables like the one above, whose ladders
+# can add nothing at a level before a later level adds a dimension; the
+# last has a basis (b1, b2) whose b2 lies in Lin_2(b1)
+GAP_CHAINS = [
+    (2, 3, {1: (3, 1), 2: (1, 1)}),
+    (2, 4, {1: (3, 1), 2: (1, 1)}),
+    (2, 5, {1: (4, 1), 2: (1, 1), 3: (2, 1)}),
+    (2, 5, {1: (3, 1), 2: (5, 1), 4: (1, 1)}),
+    (3, 3, {1: (3, 2), 2: (1, 1)}),
+    (3, 4, {1: (3, 1), 2: (1, 2), 4: (2, 1)}),
+    (2, 2, {1: (2, 1), 2: (2, 1)}),
+]
+
+
+def _gap_chain_algebras():
+    for p, n, squares in GAP_CHAINS:
+        chain = make_algebra(PrimeField(p), n, {(i, i): [t] for i, t in squares.items()})
+        yield chain
+        yield examples.make_unital_hull(chain)
+
+
+def _ladder_outcome(ladder, *args, **kwargs):
+    """The sizes of the levels a ladder gives, or the message it raises."""
+    try:
+        return [len(reps) for reps in ladder(*args, **kwargs)]
+    except ResourceLimit as exc:
+        return str(exc)
+
+
+def _adds_nothing(algebra, rows):
+    """Whether a row of the basis lies in Lin_2 of the rows before it."""
+    f, n = algebra.field, algebra.dim
+    for d in range(1, len(rows)):
+        lin2 = oracles.full_word_span(algebra, [algebra.element(r) for r in rows[:d]], 2)[2]
+        if len(oracles.rref_rows(f, list(lin2) + [rows[d]], n)) == len(lin2):
+            return True
+    return False
+
+
+def test_sweep_step_matches_the_ladder_on_every_subspace():
+    # _sweep_ladder, fed every lifted subspace in order as the sweep feeds
+    # its own, against the ladder from scratch: the same level sizes or the
+    # same level-cap error, with and without closure checks and under caps
+    # 0 to 3; its states are those of the prefixes of the last basis
+    interior_zero = adds_nothing = False
+    for algebra in _gap_chain_algebras():
+        p, n = algebra.field.p, algebra.dim
+        unity = list(algebra.unity) if algebra.unity is not None else None
+        mul = algebra.product_kernel
+        for closure in (True, False):
+            for max_level in (None, 0, 1, 2, 3):
+                echelon, pivots = [], []
+                if unity is not None:
+                    spans._insert(echelon, pivots, p, unity)
+                states = [((), (echelon, pivots, []))]
+                cap = spans._level_cap(max_level, n)
+                for rows in oracles.subspace_rows(p, n, algebra.unity, None):
+                    got = _ladder_outcome(spans._sweep_ladder, mul, n, p, unity, cap,
+                                          closure, states, rows)
+                    expected = _ladder_outcome(spans._ladder, mul, n, p, unity, max_level,
+                                               rows, closure=closure)
+                    assert got == expected, (algebra.dim, closure, max_level, rows)
+                    if rows:
+                        assert [s[0] for s in states] == [rows[:d] for d in range(len(rows))]
+                    if closure and max_level is None:
+                        interior_zero |= sum(expected) == n and 0 in expected[1:-1]
+                        adds_nothing |= _adds_nothing(algebra, rows)
+    assert interior_zero and adds_nothing
+
+
+def _reference_sweep(algebra, max_level=None):
+    """exact_algebra_length with the ladder from scratch on each basis the
+    sweep lists: the length and witness, or the level-cap message."""
+    test = spans._generation_test(algebra)
+    exact = test is not None and test[2]
+    p, n = algebra.field.p, algebra.dim
+    unity = list(algebra.unity) if algebra.unity is not None else None
+    best = None
+    for rows in oracles.sweep_candidates(algebra):
+        try:
+            level_reps = spans._ladder(algebra.product_kernel, n, p, unity, max_level, rows,
+                                       closure=not exact)
+        except ResourceLimit as exc:
+            return str(exc)
+        length, generating = _sweep_reading(level_reps, n)
+        if generating and (best is None or length > best[0]):
+            best = (length, rows)
+    basis = spans._rref_basis(algebra.field, n, best[1], algebra.unity)
+    return best[0], tuple(algebra.element(r) for r in basis.row_tuples())
+
+
+def _sweep_outcome(algebra, max_level=None):
+    try:
+        return exact_algebra_length(algebra, max_level=max_level)
+    except ResourceLimit as exc:
+        return str(exc)
+
+
+def test_sweep_matches_the_reference_on_gap_chains():
+    # lengths, witnesses and level-cap errors, where levels add nothing
+    # between levels that add a dimension
+    for algebra in _gap_chain_algebras():
+        for max_level in (None, 0, 1, 2, 3):
+            assert _sweep_outcome(algebra, max_level) == _reference_sweep(algebra, max_level)
+
+
+@pytest.mark.parametrize("kind, triangular", KINDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_sweep_matches_the_reference_under_level_caps(kind, triangular, data):
+    field = data.draw(st.sampled_from([PrimeField(2), PrimeField(3)]))
+    algebra = data.draw(prime_field_algebras(field, 4, kind, triangular))
+    max_level = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+    assert _sweep_outcome(algebra, max_level) == _reference_sweep(algebra, max_level)
+
+
 def _swept_rows(algebra):
-    """The row tuples exact_algebra_length runs a ladder on, in order, and its result."""
+    """The row tuples exact_algebra_length takes the ladder of, in order, and its result."""
     swept = []
-    ladder = spans._ladder
+    ladder = spans._sweep_ladder
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spans, "_ladder", lambda *args, **kw:
-                      swept.append(args[-1]) or ladder(*args, **kw))
+        patch.setattr(spans, "_sweep_ladder", lambda *args:
+                      swept.append(args[-1]) or ladder(*args))
         result = exact_algebra_length(algebra)
     return swept, result
 
