@@ -5,7 +5,8 @@ new-part representatives instead of raw words; bilinearity makes the two
 spans identical while the cost stays polynomial in the rank.  A ladder
 stops once the current span V satisfies V*V <= V (the closure criterion):
 then no longer word can leave it, so the sequence has ended for every
-algebra.
+algebra.  A closed span makes the next level add nothing, so the check
+runs only where a level added nothing.
 
 One ladder (``_ladder``) serves diff_sequence, lin_span and the
 exact-length sweep, which builds levels 0 to 2 once per basis prefix and
@@ -27,8 +28,9 @@ row-echelon form only where it is read.  The exact-length sweep lists no
 subspace that a linear pre-test (``_generation_test``) shows cannot
 generate the algebra: ``enumerate_subspace_rows`` builds each basis row by
 row and drops a partial one that can no longer pass.  Where the test is
-exact, it lists none larger than a minimal generating one, and the ladders
-skip the closure check, since every subspace they start from generates.
+exact, it lists none larger than a minimal generating one, and every
+subspace it lists generates; a ladder that closes below A there is a
+fault of the test, raised as such.
 
 A generator set S is any sequence of elements of the algebra, and the
 exact-length witness is a tuple of them.  find_unity solves for an
@@ -37,7 +39,7 @@ identity element with a SpanBasis.
 
 from __future__ import annotations
 
-from itertools import combinations, product, starmap
+from itertools import combinations, compress, islice, product, starmap
 from math import gcd
 from operator import mul
 
@@ -301,8 +303,8 @@ class DiffSequence:
         return {f: list(self.d) if f == "d" else getattr(self, f) for f in self._FIELDS}
 
 
-def _ladder(mul, n: int, p: int, unity, max_level, gens, *, closure=True, start=None) -> list:
-    """Span ladder of gens: level_reps[k] spans Lin_k(S) modulo Lin_(k-1)(S).
+def _ladder(mul, n: int, p: int, unity, max_level, gens, start=None):
+    """Span ladder of gens, yielded by level: level k spans Lin_k(S) modulo Lin_(k-1)(S).
 
     Every vector is an integer row of length n, and ``mul`` is the
     algebra's ``product_kernel``.  ``p`` is passed on to ``_insert`` and
@@ -315,40 +317,39 @@ def _ladder(mul, n: int, p: int, unity, max_level, gens, *, closure=True, start=
     vectors of Lin_m(S) that are independent modulo Lin_(m-1)(S) serve as
     level m's representatives, by bilinearity.
 
-    The ladder stops once its span V is closed, V*V <= V, which counts only
-    once the gens lie in V: then no longer word can leave V (see _closed).
-    It raises ResourceLimit past the level cap, ``max_level`` or by default
-    max(DEFAULT_MAX_LEVEL, n + 2).  The ladder also stops once the span is
-    all of A, which leaves the result unchanged: it is closed and can gain
-    nothing.
-
-    With ``closure=False`` the ladder runs no closure check and stops only
-    at full rank.  That is for gens known to generate A: their span is
-    closed only once it is A, so the levels are the same.  Gens that do not
-    generate A then run into the level cap and raise ResourceLimit; they
-    never give a wrong ladder.
+    The ladder stops at the first level m whose span V is closed, V*V <= V:
+    then no longer word can leave V.  A closed V makes level m + 1 add
+    nothing, since its vectors are products of elements of V (at m = 0,
+    the gens, which then lie in V).  So the ladder grows level m + 1 first,
+    and only where it added nothing asks _closed whether to end at level m;
+    if not, the empty level stays and the ladder goes on.  It also stops
+    once the span is all of A, which is closed and can gain nothing.  It
+    raises ResourceLimit where it would go past the level cap,
+    ``max_level`` or by default max(DEFAULT_MAX_LEVEL, n + 2).  Each level
+    is yielded as it is appended, so a caller that needs only the levels
+    up to k grows no more of them.
 
     ``start`` resumes a ladder at a later level: the echelon rows and
     pivots of that level's span and level_reps up to it, all three handed
-    over to the ladder.  The levels below it must be ones where the ladder
-    goes on: not all of A, not closed and within the cap.  The exact-length
-    sweep resumes at level 1 or 2 (see _sweep_ladder).
+    over to the ladder, which yields those levels first.  The levels below
+    it must be ones where the ladder goes on: not all of A, not closed and
+    within the cap.  The exact-length sweep resumes at level 2 (see
+    _sweep_ladder).
     """
     cap = _level_cap(max_level, n)
     rows, pivots, level_reps = start or ([], [], [])
     if not level_reps:
         level_reps.append(_grow(rows, pivots, p, n, [] if unity is None else [unity]))
-    # the representatives below the top level; _closed adds each level's
-    spanning, pending = [v for reps in level_reps[:-1] for v in reps], []
+    yield from level_reps
     while len(rows) < n:
         level = len(level_reps) - 1
-        if closure and _closed(mul, rows, pivots, p, gens, level_reps, spanning, pending):
-            break
+        new = _grow(rows, pivots, p, n, _products(mul, level_reps, level + 1) if level else gens)
+        if not new and _closed(mul, rows, pivots, p, level_reps):
+            return
         if level >= cap:
             raise ResourceLimit(f"span ladder exceeded {cap} levels")
-        vectors = gens if level == 0 else _products(mul, level_reps, level + 1)
-        level_reps.append(_grow(rows, pivots, p, n, vectors))
-    return level_reps
+        level_reps.append(new)
+        yield new
 
 
 def _level_cap(max_level, n: int) -> int:
@@ -376,31 +377,28 @@ def _products(mul, level_reps, m: int):
                 yield mul(u, v)
 
 
-def _closed(mul, rows, pivots, p: int, gens, level_reps, spanning, pending) -> bool:
-    """Whether the ladder's span V is closed, V*V <= V, with the gens in V.
+def _closed(mul, rows, pivots, p: int, level_reps) -> bool:
+    """Whether the ladder's span V = Lin_m is closed, V*V <= V, once level m + 1 added nothing.
 
-    ``spanning`` holds the representatives of the levels checked before, and
-    ``pending`` their (u, v) pairs not yet known to multiply into V; both
-    are the caller's, kept between levels.  The last level's
-    representatives join them here.  The check stops at the first pair
-    whose product leaves V, and that pair and the others stay pending: V
-    only grows, so a product once in V stays there.
+    m is the last level of level_reps.  The unity multiplies V into V, and
+    the products of levels i and j with i + j <= m + 1 lie in Lin_(m+1) =
+    V, so only the pairs of representatives of levels i, j >= 1 with
+    i + j > m + 1 are left (a pair with level 0 has i + j <= m).  They are
+    checked newest levels first, over the levels that added something, up
+    to the first product outside V.
     """
-    level = len(level_reps) - 1
-    for u in level_reps[level]:
-        spanning.append(u)
-        pending.extend((u, v) for v in spanning)
-        pending.extend((v, u) for v in spanning[:-1])
-    if level == 0 and any(any(_reduce(rows, pivots, p, s)[0]) for s in gens):
-        return False
-    while pending:
-        if any(_reduce(rows, pivots, p, mul(*pending[-1]))[0]):
-            return False
-        pending.pop()
+    m = len(level_reps) - 1
+    filled = list(compress(enumerate(level_reps), level_reps))
+    for i, us in reversed(filled):
+        for j, vs in reversed(filled):
+            if i + j <= m + 1:
+                break
+            if any(any(_reduce(rows, pivots, p, mul(u, v))[0]) for u in us for v in vs):
+                return False
     return True
 
 
-def _set_ladder(algebra: Algebra, elements, max_level=None) -> list:
+def _set_ladder(algebra: Algebra, elements, max_level=None):
     """_ladder of elements of the algebra, after a length check."""
     for s in elements:
         _check_length(s, algebra.dim)
@@ -414,10 +412,11 @@ def _set_ladder(algebra: Algebra, elements, max_level=None) -> list:
 def lin_span(algebra: Algebra, gens, k: int) -> SpanBasis:
     """Lin_k(S): the span of the unity and of the words of length at most k.
 
-    ``gens`` is S, any sequence of elements of the algebra.
+    ``gens`` is S, any sequence of elements of the algebra.  The ladder
+    grows only levels 0 to k, so the level cap counts only those.
     """
     basis = SpanBasis(algebra.field, algebra.dim)
-    for reps in _set_ladder(algebra, gens)[:k + 1]:
+    for reps in islice(_set_ladder(algebra, gens), k + 1):
         for v in reps:
             basis.add(v)
     return basis
@@ -429,8 +428,8 @@ def diff_sequence(algebra: Algebra, gens, max_level: int | None = None) -> DiffS
     ``gens`` is S, any sequence of elements of the algebra.  The sizes of
     the levels of _ladder, which runs until the span is closed; l(S) is the
     last level.  The ladder never ends on a level that added nothing past
-    level 0: a pair whose product leaves the span stays pending until the
-    level of that product adds it.
+    level 0, since such a level ends it only when the span below it is
+    closed, and then the ladder ends below it.
     """
     return DiffSequence(tuple(len(reps) for reps in _set_ladder(algebra, gens, max_level)),
                         algebra.dim)
@@ -647,7 +646,7 @@ def _generation_test(algebra: Algebra, budget: int | None = None):
     return project, codim, _nilpotent(product, p, m_rows)
 
 
-def _sweep_ladder(mul, n: int, p: int, unity, cap: int, closure, states, rows) -> list:
+def _sweep_ladder(mul, n: int, p: int, unity, cap: int, states, rows) -> list:
     """_ladder of the basis rows, its levels 0 to 2 built once per basis prefix.
 
     ``states`` is the sweep's, kept from one basis to the next: states[d]
@@ -663,14 +662,13 @@ def _sweep_ladder(mul, n: int, p: int, unity, cap: int, closure, states, rows) -
     products the state keeps are independent modulo Lin_1, so they serve as
     level 2's representatives; level 1 is closed exactly when there are
     none.  So the length is read off the state where Lin_2 is all of A (1
-    or 2) or, with closure checks, where level 1 is closed (1); otherwise
-    _ladder resumes at level 1 or 2.  The rank-0 basis and a basis whose
-    state is None get the ladder from scratch.  Every outcome, the sizes of
-    the levels or the error past the level cap ``cap``, is the ladder's
-    from scratch.
+    or 2) or where level 1 is closed (1); otherwise _ladder resumes at
+    level 2.  The rank-0 basis and a basis whose state is None get the
+    ladder from scratch.  Every outcome, the sizes of the levels or the
+    error past the level cap ``cap``, is the ladder's from scratch.
     """
     if not rows:
-        return _ladder(mul, n, p, unity, cap, rows, closure=closure)
+        return list(_ladder(mul, n, p, unity, cap, rows))
     while len(states) > len(rows) or states[-1][0] != rows[:len(states) - 1]:
         states.pop()
     state = states[-1][1]
@@ -686,14 +684,14 @@ def _sweep_ladder(mul, n: int, p: int, unity, cap: int, closure, states, rows) -
         if i + 1 < len(rows):
             states.append((rows[:i + 1], state))
     if state is None:
-        return _ladder(mul, n, p, unity, cap, rows, closure=closure)
+        return list(_ladder(mul, n, p, unity, cap, rows))
     echelon, pivots, level2 = state
     reps = [states[0][1][0], list(rows)] + ([level2] if level2 else [])
     if len(reps) - 2 >= cap:  # the ladder from scratch raises at a lower level
         raise ResourceLimit(f"span ladder exceeded {cap} levels")
-    if len(echelon) == n or closure and not level2:
+    if len(echelon) == n or not level2:
         return reps
-    return _ladder(mul, n, p, unity, cap, rows, closure=closure, start=(echelon, pivots, reps))
+    return list(_ladder(mul, n, p, unity, cap, rows, start=(echelon, pivots, reps)))
 
 
 def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE_BUDGET,
@@ -725,19 +723,18 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     passing V with more than codim rows contains a passing U with exactly
     codim of them, enumerated earlier (ranks ascend).  So the first
     subspace that attains the maximum has codim rows, and neither the
-    maximum nor the witness changes.  Every subspace swept then generates,
-    so its ladder runs without closure checks (``closure=False``), which
-    could only fail before full rank; should the test wrongly pass a
-    subspace, its ladder raises ResourceLimit at the level cap instead of
-    giving a wrong length.  An inexact test lists every rank from codim
-    up.  Every subspace is swept when A has no test: a unital A without a
-    character, or one whose character search alone would try more than
-    ``budget`` functionals.  A ``max_level`` that only a skipped ladder
-    would exceed does not raise.  Consecutive bases share their first rows,
-    so each ladder takes its levels 0 to 2 from the Lin_2 of its rows,
-    built row by row and kept for the bases that follow (_sweep_ladder).
-    The sizes of its levels, and so lengths, witnesses and level-cap
-    errors, are those of the ladder from scratch.
+    maximum nor the witness changes.  Every subspace swept then generates;
+    should the test wrongly pass one that does not, the sweep raises
+    AssertionError naming its rows instead of giving a wrong length.  An
+    inexact test lists every rank from codim up.  Every subspace is swept
+    when A has no test: a unital A without a character, or one whose
+    character search alone would try more than ``budget`` functionals.  A
+    ``max_level`` that only a skipped ladder would exceed does not raise.
+    Consecutive bases share their first rows, so each ladder takes its
+    levels 0 to 2 from the Lin_2 of its rows, built row by row and kept for
+    the bases that follow (_sweep_ladder).  The sizes of its levels, and so
+    lengths, witnesses and level-cap errors, are those of the ladder from
+    scratch.
     """
     field = algebra.field
     if not isinstance(field, PrimeField):
@@ -755,11 +752,13 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     cap = _level_cap(max_level, n)
     best = None
     for rows in enumerate_subspace_rows(p, n, c, project, codim if exact else m):
-        level_reps = _sweep_ladder(kernel, n, p, unity_row, cap, not exact, states, rows)
+        level_reps = _sweep_ladder(kernel, n, p, unity_row, cap, states, rows)
         if sum(map(len, level_reps)) == n:
             length = len(level_reps) - 1
             if best is None or length > best[0]:
                 best = (length, rows)
+        elif exact:
+            raise AssertionError(f"the exact pre-test passed {rows}, which does not generate")
     if best is None:
         raise AssertionError("the whole space always generates")
     length, rows = best

@@ -365,6 +365,45 @@ def test_cli_canonical_verify(tmp_path, capsys):
     assert code == 0 and "numeric equivalence" in out and "True" in out
 
 
+# b_i b_i = b_(i+1) over Q in dim 8: the ladder of {b1} adds b_(j+1) at
+# level 2^j and nothing at the levels between, so l({b1}) = 128
+SQUARING_CHAIN = "field rational\ndim 8\nunital none\n" + "".join(
+    f"mul {i} {i} {i + 1} 1\n" for i in range(1, 8))
+
+
+def test_cli_canonical_verify_grows_only_the_levels_it_reads(tmp_path, capsys):
+    # verifying a word of length 3 needs only Lin_2, not the 128 levels of
+    # the whole ladder, which the default level cap of 64 would refuse
+    path = tmp_path / "sq8.alg"
+    path.write_text(SQUARING_CHAIN)
+    code, out = _run(capsys, "canonical", "--class", "flex", "--word", "((1 1) 1)",
+                     str(path), "--set", "1")
+    assert code == 0 and f"numeric equivalence in {path}: True" in out
+
+
+def test_cli_long_ladder_with_gaps(tmp_path, capsys, monkeypatch):
+    # the closure check runs only at the levels that add nothing, over the
+    # levels that added something, so 120 empty levels cost few products
+    path = tmp_path / "sq8.alg"
+    path.write_text(SQUARING_CHAIN)
+    products = []
+    compile_product = alglen.algebra._compile_product
+
+    def counting(table):
+        kernel = compile_product(table)
+        return lambda u, v: products.append(1) or kernel(u, v)
+
+    monkeypatch.setattr(alglen.algebra, "_compile_product", counting)
+    code, out = _run(capsys, "diffseq", str(path), "--set", "1", "--max-level", "200", "--json")
+    sequence = json.loads(out)["sequence"]
+    assert code == 0 and sequence["length_of_set"] == 128 and sequence["generating"]
+    assert [k for k, d in enumerate(sequence["d"]) if d] == [2 ** j for j in range(8)]
+    assert set(sequence["d"]) == {0, 1}
+    assert len(products) <= 197
+    code, out, err = _outcome(capsys, ["diffseq", str(path), "--set", "1"])
+    assert code == 2 and "span ladder exceeded 64 levels" in err
+
+
 def test_cli_search(tmp_path, capsys):
     path = str(tmp_path / "aflex.alg")
     _run(capsys, "gen", "aflex", "-o", path)

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import traceback
 from fractions import Fraction
@@ -12,6 +13,7 @@ from alglen import examples, spans
 from alglen.algebra import make_algebra
 from alglen.errors import DimensionMismatch, NotFiniteField, ResourceLimit
 from alglen.field import PrimeField, Rationals
+from alglen.io_cli import build_example
 from alglen.spans import (DiffSequence, SpanBasis, count_subspaces, diff_sequence,
                           exact_algebra_length, gaussian_binomial, lin_span)
 from oracles import enumerate_subspaces
@@ -396,7 +398,7 @@ def test_sweep_ladder_agrees_with_diff_sequence():
                 mul = algebra.product_kernel
                 unity = list(algebra.unity) if algebra.unity is not None else None
                 for rows in oracles.subspace_rows(p, n, algebra.unity, None):
-                    level_reps = spans._ladder(mul, n, p, unity, None, rows)
+                    level_reps = list(spans._ladder(mul, n, p, unity, None, rows))
                     dims = list(accumulate(map(len, level_reps)))
                     top = len(dims) - 1 if dims[-1] == n else len(dims)
                     gens = [algebra.element(r) for r in rows]
@@ -577,7 +579,7 @@ def test_generation_pretest_matches_unpruned_sweep(kind, triangular, data):
     exact = m_rows is not None and _is_nilpotent(algebra, m_rows)
     best = None
     for rows in oracles.subspace_rows(p, n, algebra.unity, None):
-        length, generating = _sweep_reading(spans._ladder(mul, n, p, unity, None, rows), n)
+        length, generating = _sweep_reading(list(spans._ladder(mul, n, p, unity, None, rows)), n)
         if generating and (best is None or length > best[0]):
             best = (length, rows)
         passes = can_generate is None or can_generate(rows)
@@ -595,9 +597,17 @@ def test_generation_pretest_matches_unpruned_sweep(kind, triangular, data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_sweep_ladder_without_closure_checks(kind, triangular, data):
-    # where the pre-test is exact the sweep's ladders skip the closure check:
-    # on every minimal generating subspace they must give the same levels,
-    # and on a subspace that does not generate they must hit the level cap
+    # where the pre-test is exact every subspace the sweep lists generates,
+    # so its ladders end at full rank, and a subspace that does not generate
+    # is a fault of the test: the sweep names it instead of running its
+    # ladder.  Here the pre-test of the non-nilpotent plane is made to claim
+    # exactness, so that its first listed subspace <b1> does not generate
+    plane = _plane()
+    inexact = spans._generation_test(plane)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spans, "_generation_test", lambda *args: inexact[:2] + (True,))
+        with pytest.raises(AssertionError, match=re.escape("((1, 0),)")):
+            exact_algebra_length(plane)
     field = data.draw(st.sampled_from([PrimeField(2), PrimeField(3)]))
     algebra = data.draw(prime_field_algebras(field, 4, kind, triangular))
     test = spans._generation_test(algebra)
@@ -610,14 +620,51 @@ def test_sweep_ladder_without_closure_checks(kind, triangular, data):
     mul = algebra.product_kernel
     for rows in takewhile(lambda rows: len(rows) <= codim,
                           oracles.subspace_rows(p, n, algebra.unity, None)):
-        checked = spans._ladder(mul, n, p, unity, None, rows)
+        checked = list(spans._ladder(mul, n, p, unity, None, rows))
         if can_generate(rows):
             assert len(rows) == codim and _sweep_reading(checked, n)[1]
-            assert spans._ladder(mul, n, p, unity, None, rows, closure=False) == checked
         else:
             assert not _sweep_reading(checked, n)[1]
-            with pytest.raises(ResourceLimit, match="exceeded 5 levels"):
-                spans._ladder(mul, n, p, unity, 5, rows, closure=False)
+
+
+@pytest.mark.parametrize("spec, letters, products", [
+    ("aalt", (1, 2), 6), ("z2n:3", (2, 3), 9), ("cd:4:-1,-1,-1,-1", (2, 3), 9)])
+def test_ladder_multiplies_each_pair_once(spec, letters, products):
+    # the closure check reuses no pair that the next level multiplies: with
+    # d = (0, 2, 2, 1), aalt's ladder makes level 2's 4 products and 2 of
+    # level 3's, where it reaches full rank; the group algebra and the
+    # octonions make the 4 + 4 of levels 2 and 3, which adds nothing, and
+    # the one product of level 2 by itself that shows their span is closed
+    algebra = build_example(spec)
+    kernel, made = algebra.product_kernel, []
+    vars(algebra)["product_kernel"] = lambda u, v: made.append(1) or kernel(u, v)
+    diff_sequence(algebra, [algebra.basis_element(i) for i in letters])
+    assert len(made) == products
+
+
+@pytest.mark.parametrize("kind, triangular", KINDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_closure_is_checked_only_after_a_level_that_added_nothing(kind, triangular, data):
+    # a closed span makes the next level add nothing, so the ladder asks
+    # whether its span is closed only right after growing an empty level:
+    # in diff_sequence on every subspace, whose levels match the word spans,
+    # and in the exact-length sweep
+    field = data.draw(st.sampled_from([PrimeField(2), PrimeField(3)]))
+    algebra = data.draw(prime_field_algebras(field, 4, kind, triangular))
+    p, n = field.p, algebra.dim
+    grown, checked = [], []
+    grow, closed = spans._grow, spans._closed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spans, "_grow", lambda *args: grown.append(grow(*args)) or grown[-1])
+        patch.setattr(spans, "_closed", lambda *args: checked.append(grown[-1]) or closed(*args))
+        for rows in oracles.subspace_rows(p, n, algebra.unity, None):
+            gens = [algebra.element(r) for r in rows]
+            d = diff_sequence(algebra, gens).d
+            dims = list(accumulate(d))
+            assert oracles.full_span_dims(algebra, gens, len(d)) == dims + dims[-1:]
+        exact_algebra_length(algebra)
+    assert checked == [[]] * len(checked)
 
 
 def test_generation_pretest_on_examples(monkeypatch):
@@ -632,7 +679,7 @@ def test_generation_pretest_on_examples(monkeypatch):
     can_generate = oracles.generation_predicate(aflex3, project)
     mul = aflex3.product_kernel
     for rows in oracles.subspace_rows(3, aflex3.dim, None, None):
-        reps = spans._ladder(mul, aflex3.dim, 3, None, None, rows)
+        reps = list(spans._ladder(mul, aflex3.dim, 3, None, None, rows))
         assert can_generate(rows) == _sweep_reading(reps, aflex3.dim)[1]
     assert sum(map(can_generate, oracles.subspace_rows(3, 5, None, None))) == 1900
     minimal = [rows for rows in oracles.subspace_rows(3, 5, None, None)
@@ -759,31 +806,28 @@ def _adds_nothing(algebra, rows):
 def test_sweep_step_matches_the_ladder_on_every_subspace():
     # _sweep_ladder, fed every lifted subspace in order as the sweep feeds
     # its own, against the ladder from scratch: the same level sizes or the
-    # same level-cap error, with and without closure checks and under caps
-    # 0 to 3; its states are those of the prefixes of the last basis
+    # same level-cap error, under caps 0 to 3; its states are those of the
+    # prefixes of the last basis
     interior_zero = adds_nothing = False
     for algebra in _gap_chain_algebras():
         p, n = algebra.field.p, algebra.dim
         unity = list(algebra.unity) if algebra.unity is not None else None
         mul = algebra.product_kernel
-        for closure in (True, False):
-            for max_level in (None, 0, 1, 2, 3):
-                echelon, pivots = [], []
-                if unity is not None:
-                    spans._insert(echelon, pivots, p, unity)
-                states = [((), (echelon, pivots, []))]
-                cap = spans._level_cap(max_level, n)
-                for rows in oracles.subspace_rows(p, n, algebra.unity, None):
-                    got = _ladder_outcome(spans._sweep_ladder, mul, n, p, unity, cap,
-                                          closure, states, rows)
-                    expected = _ladder_outcome(spans._ladder, mul, n, p, unity, max_level,
-                                               rows, closure=closure)
-                    assert got == expected, (algebra.dim, closure, max_level, rows)
-                    if rows:
-                        assert [s[0] for s in states] == [rows[:d] for d in range(len(rows))]
-                    if closure and max_level is None:
-                        interior_zero |= sum(expected) == n and 0 in expected[1:-1]
-                        adds_nothing |= _adds_nothing(algebra, rows)
+        for max_level in (None, 0, 1, 2, 3):
+            echelon, pivots = [], []
+            if unity is not None:
+                spans._insert(echelon, pivots, p, unity)
+            states = [((), (echelon, pivots, []))]
+            cap = spans._level_cap(max_level, n)
+            for rows in oracles.subspace_rows(p, n, algebra.unity, None):
+                got = _ladder_outcome(spans._sweep_ladder, mul, n, p, unity, cap, states, rows)
+                expected = _ladder_outcome(spans._ladder, mul, n, p, unity, max_level, rows)
+                assert got == expected, (algebra.dim, max_level, rows)
+                if rows:
+                    assert [s[0] for s in states] == [rows[:d] for d in range(len(rows))]
+                if max_level is None:
+                    interior_zero |= sum(expected) == n and 0 in expected[1:-1]
+                    adds_nothing |= _adds_nothing(algebra, rows)
     assert interior_zero and adds_nothing
 
 
@@ -797,8 +841,7 @@ def _reference_sweep(algebra, max_level=None):
     best = None
     for rows in oracles.sweep_candidates(algebra):
         try:
-            level_reps = spans._ladder(algebra.product_kernel, n, p, unity, max_level, rows,
-                                       closure=not exact)
+            level_reps = list(spans._ladder(algebra.product_kernel, n, p, unity, max_level, rows))
         except ResourceLimit as exc:
             return str(exc)
         length, generating = _sweep_reading(level_reps, n)
