@@ -10,7 +10,7 @@ runs only where a level added nothing.
 
 One ladder (``_ladder``) serves diff_sequence, lin_span and the
 exact-length sweep, which builds levels 0 to 2 once per basis prefix and
-resumes the ladder from there (``_sweep_ladder``).  It works on integer
+resumes the ladder from there (``_sweep``).  It works on integer
 rows over both fields, since spans do not depend on scaling, multiplied
 through the algebra's compiled product kernel.  One echelon routine,
 ``_reduce`` and ``_insert``, does the row arithmetic of both fields and
@@ -24,13 +24,13 @@ pre-test, the subspace enumeration and the identity checks all call it;
 none of them picks row operations by field.
 It keeps echelon rows, each reduced only against the rows inserted before
 it, which is all that a residue needs; SpanBasis builds the reduced
-row-echelon form only where it is read.  The exact-length sweep lists no
-subspace that a linear pre-test (``_generation_test``) shows cannot
-generate the algebra: ``enumerate_subspace_rows`` builds each basis row by
-row and drops a partial one that can no longer pass.  Where the test is
-exact, it lists none larger than a minimal generating one, and every
-subspace it lists generates; a ladder that closes below A there is a
-fault of the test, raised as such.
+row-echelon form only where it is read.  The exact-length sweep is one
+depth-first walk (``_sweep``) that builds each basis row by row, drops a
+partial one that a linear pre-test (``_generation_test``) shows cannot
+generate the algebra, and keeps the Lin_2 of each prefix for the ladders
+below it.  Where the test is exact, it lists none larger than a minimal
+generating one, and every subspace it lists generates; a ladder that
+closes below A there is a fault of the test, raised as such.
 
 A generator set S is any sequence of elements of the algebra, and the
 exact-length witness is a tuple of them.  find_unity solves for an
@@ -334,7 +334,7 @@ def _ladder(mul, n: int, p: int, unity, max_level, gens, start=None):
     over to the ladder, which yields those levels first.  The levels below
     it must be ones where the ladder goes on: not all of A, not closed and
     within the cap.  The exact-length sweep resumes at level 2 (see
-    _sweep_ladder).
+    _sweep).
     """
     cap = _level_cap(max_level, n)
     rows, pivots, level_reps = start or ([], [], [])
@@ -343,7 +343,7 @@ def _ladder(mul, n: int, p: int, unity, max_level, gens, start=None):
     yield from level_reps
     while len(rows) < n:
         level = len(level_reps) - 1
-        new = _grow(rows, pivots, p, n, _products(mul, level_reps, level + 1) if level else gens)
+        new = _grow(rows, pivots, p, n, _products(mul, level_reps) if level else gens)
         if not new and _closed(mul, rows, pivots, p, level_reps):
             return
         if level >= cap:
@@ -369,12 +369,18 @@ def _grow(rows, pivots, p: int, n: int, vectors) -> list:
     return new
 
 
-def _products(mul, level_reps, m: int):
-    """The products of the representatives of levels i and m - i, for 0 < i < m."""
-    for i in range(1, m):
-        for u in level_reps[i]:
-            for v in level_reps[m - i]:
-                yield mul(u, v)
+def _products(mul, level_reps):
+    """The products of the representatives of levels i and m - i, 0 < i < m = len(level_reps).
+
+    Only the splits whose two levels both added something are walked, as in _closed.
+    """
+    m = len(level_reps)
+    for i, us in compress(enumerate(level_reps), level_reps):
+        vs = level_reps[m - i] if i else ()
+        if vs:
+            for u in us:
+                for v in vs:
+                    yield mul(u, v)
 
 
 def _closed(mul, rows, pivots, p: int, level_reps) -> bool:
@@ -448,56 +454,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 def count_subspaces(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
-
-
-def enumerate_subspace_rows(p: int, n: int, c, project, top: int):
-    """RREF rows of the subspaces the exact-length sweep visits, in its order.
-
-    The subspaces of GF(p)^n, or of the hyperplane x_c = 0 when c is a
-    column, of rank codim = len(project) to top: rank ascending, pivot
-    columns lexicographic, then free entries lexicographic in row-major
-    order.  Rows are tuples of n ints.  Each basis is built one row at a
-    time with the echelon of its rows' images under ``project`` (see
-    _generation_test), and dropped once that rank plus the rows still to
-    choose is below codim: every subspace listed projects onto A/K, and
-    with no projection none is dropped.  Each row's candidates and their
-    images are built once per pivot set.
-    """
-    codim = len(project)
-    cols = [j for j in range(n) if j != c]
-    for r in range(codim, top + 1):
-        for pivots in combinations(cols, r):
-            choices = []
-            for lead in pivots:
-                free = [j for j in cols if j > lead and j not in pivots]
-                rows = []
-                for values in product(range(p), repeat=len(free)):
-                    row = [0] * n
-                    row[lead] = 1
-                    for j, x in zip(free, values):
-                        row[j] = x
-                    rows.append((tuple(row), [sum(map(mul, row, f)) % p for f in project]))
-                choices.append(rows)
-            yield from _extend(p, codim, choices, [], [], [])
-
-
-def _extend(p: int, codim: int, choices, basis, span, pivots):
-    """Each completion of basis by one row per remaining choice that can
-    still project onto A/K; span and pivots: the echelon of its images."""
-    i = len(basis)
-    if i == len(choices):
-        yield tuple(basis)
-        return
-    for row, image in choices[i]:
-        # once the images span A/K no further row can add to them
-        grew = len(span) < codim and _insert(span, pivots, p, image) is not None
-        if len(span) + len(choices) - i - 1 >= codim:
-            basis.append(row)
-            yield from _extend(p, codim, choices, basis, span, pivots)
-            basis.pop()
-        if grew:
-            span.pop()
-            pivots.pop()
 
 
 def _check_budget(p: int, m: int, budget) -> None:
@@ -646,52 +602,104 @@ def _generation_test(algebra: Algebra, budget: int | None = None):
     return project, codim, _nilpotent(product, p, m_rows)
 
 
-def _sweep_ladder(mul, n: int, p: int, unity, cap: int, states, rows) -> list:
-    """_ladder of the basis rows, its levels 0 to 2 built once per basis prefix.
+def _lin2_step(mul, n: int, p: int, state, rows, d: int):
+    """The sweep's Lin_2 state of rows[:d + 1] from that of rows[:d].
 
-    ``states`` is the sweep's, kept from one basis to the next: states[d]
-    is (r_1..r_d, their state) for each proper prefix of the last basis,
-    states[0] that of no rows.  A state is the echelon rows, the pivots and
-    the level-2 representatives of
-    Lin_2 = <e> + span(r_1..r_d) + span{r_i r_j : i, j <= d}, or None once
-    a row added nothing to the state before it, as it can where the
-    pre-test is inexact.  The states of the rows this basis shares with the
-    last one are kept and the others dropped; each further row is inserted,
-    then its products with the rows before it and with itself: 2d + 1
-    products for r_(d+1).  Lin_2 does not depend on that order, and the
-    products the state keeps are independent modulo Lin_1, so they serve as
-    level 2's representatives; level 1 is closed exactly when there are
-    none.  So the length is read off the state where Lin_2 is all of A (1
-    or 2) or where level 1 is closed (1); otherwise _ladder resumes at
-    level 2.  The rank-0 basis and a basis whose state is None get the
-    ladder from scratch.  Every outcome, the sizes of the levels or the
-    error past the level cap ``cap``, is the ladder's from scratch.
+    The state of r_1..r_d is the echelon rows, pivots and level-2
+    representatives of Lin_2 = <e> + span(r_1..r_d) + span{r_i r_j},
+    i, j <= d, or None once a row added nothing to the state before it,
+    as it can where the pre-test is inexact.  r_(d+1) is inserted, then
+    its 2d + 1 products with the rows before it and with itself.  Lin_2
+    does not depend on that order, and the products kept are independent
+    modulo Lin_1: level 2's representatives, none when level 1 is closed.
     """
-    if not rows:
-        return list(_ladder(mul, n, p, unity, cap, rows))
-    while len(states) > len(rows) or states[-1][0] != rows[:len(states) - 1]:
-        states.pop()
-    state = states[-1][1]
-    for i in range(len(states) - 1, len(rows)):
-        if state is not None:
-            row, echelon, pivots = rows[i], state[0][:], state[1][:]
-            if _insert(echelon, pivots, p, row) is None:
-                state = None
-            else:
-                pairs = [(u, v) for w in rows[:i] for u, v in ((row, w), (w, row))]
-                new = _grow(echelon, pivots, p, n, starmap(mul, pairs + [(row, row)]))
-                state = echelon, pivots, state[2] + new
-        if i + 1 < len(rows):
-            states.append((rows[:i + 1], state))
     if state is None:
-        return list(_ladder(mul, n, p, unity, cap, rows))
-    echelon, pivots, level2 = state
-    reps = [states[0][1][0], list(rows)] + ([level2] if level2 else [])
-    if len(reps) - 2 >= cap:  # the ladder from scratch raises at a lower level
-        raise ResourceLimit(f"span ladder exceeded {cap} levels")
-    if len(echelon) == n or not level2:
-        return reps
-    return list(_ladder(mul, n, p, unity, cap, rows, start=(echelon, pivots, reps)))
+        return None
+    row, echelon, pivots = rows[d], state[0][:], state[1][:]
+    if _insert(echelon, pivots, p, row) is None:
+        return None
+    pairs = [(u, v) for w in rows[:d] for u, v in ((row, w), (w, row))]
+    new = _grow(echelon, pivots, p, n, starmap(mul, pairs + [(row, row)]))
+    return echelon, pivots, state[2] + new
+
+
+def _sweep(algebra: Algebra, max_level, c, project, top: int):
+    """(rows, level_reps) of each basis the exact-length sweep visits, in its order.
+
+    The rows are the RREF rows, tuples of n ints, of a subspace of GF(p)^n,
+    or of the hyperplane x_c = 0 when c is a column, of rank codim =
+    len(project) to top: rank ascending, pivot columns lexicographic, then
+    free entries lexicographic in row-major order.  level_reps are the
+    levels of _ladder of the rows under the level cap ``max_level``, whose
+    error the sweep raises.  One depth-first walk appends a row per depth
+    and keeps two states of the basis so far.  The echelon of the rows'
+    images in A/K (see _generation_test) is updated on the way down, and a
+    partial basis is dropped once its rank plus the rows still to choose is
+    below codim: every subspace yielded projects onto A/K, and with no
+    projection none is dropped.  ``states[d]``, the Lin_2 state of the
+    first d rows (_lin2_step), is built only at a leaf, for the prefixes
+    that lack one, since a prefix can pass the pruning and have no basis
+    below it; a new row at depth i drops the states of longer prefixes.
+    The length is read off the state where Lin_2 is A (1 or 2) or level 1
+    is closed (1); otherwise _ladder resumes at level 2.  The rank-0 basis
+    and a state of None get the ladder from scratch; every other ladder
+    has its level sizes and its level-cap error.
+    """
+    p, n, kernel = algebra.field.p, algebra.dim, algebra.product_kernel
+    unity = None if algebra.unity is None else list(algebra.unity)
+    cap = _level_cap(max_level, n)
+    codim = len(project)
+    cols = [j for j in range(n) if j != c]
+    echelon, pivots = [], []
+    _grow(echelon, pivots, p, n, [] if unity is None else [unity])
+    states = [(echelon, pivots, [])]
+    basis, span, span_pivots = [], [], []
+
+    def ladder() -> list:
+        for d in range(len(states) - 1, len(basis)):
+            states.append(_lin2_step(kernel, n, p, states[d], basis, d))
+        state = states.pop() if basis else None  # no other basis has these rows
+        if state is None:
+            return list(_ladder(kernel, n, p, unity, cap, basis))
+        echelon, pivots, level2 = state
+        reps = [states[0][0], list(basis)] + ([level2] if level2 else [])
+        if len(reps) - 2 >= cap:  # the ladder from scratch raises at a lower level
+            raise ResourceLimit(f"span ladder exceeded {cap} levels")
+        if len(echelon) == n or not level2:
+            return reps
+        return list(_ladder(kernel, n, p, unity, cap, basis, start=(echelon, pivots, reps)))
+
+    def walk(choices):
+        i = len(basis)
+        if i == len(choices):
+            yield tuple(basis), ladder()
+            return
+        for row, image in choices[i]:
+            # once the images span A/K no further row can add to them
+            grew = len(span) < codim and _insert(span, span_pivots, p, image) is not None
+            if len(span) + len(choices) - i - 1 >= codim:
+                del states[i + 1:]
+                basis.append(row)
+                yield from walk(choices)
+                basis.pop()
+            if grew:
+                span.pop()
+                span_pivots.pop()
+
+    for r in range(codim, top + 1):
+        for lead_cols in combinations(cols, r):
+            choices = []
+            for lead in lead_cols:
+                free = [j for j in cols if j > lead and j not in lead_cols]
+                candidates = []
+                for values in product(range(p), repeat=len(free)):
+                    row = [0] * n
+                    row[lead] = 1
+                    for j, x in zip(free, values):
+                        row[j] = x
+                    candidates.append((tuple(row), [sum(map(mul, row, f)) % p for f in project]))
+                choices.append(candidates)
+            yield from walk(choices)
 
 
 def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE_BUDGET,
@@ -714,27 +722,25 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     V + K != A, with K = A^2 for a non-unital A and K = <e> + M^2 for a
     unital one, M the kernel of a character.  The subalgebra V generates
     lies in V + K, so such a V never generates.  The enumeration
-    (enumerate_subspace_rows) lists only the subspaces that pass: it drops
-    a partial basis whose rows cannot reach rank codim = dim A/K in A/K,
-    so no rank below codim is listed.  The test is exact when M (or A) is
-    nilpotent: V generates if and only if it passes.  Then no rank above
-    codim is listed either.  Since Lin_k(U) <= Lin_k(V) for U <= V, a
-    generating V is never longer than a generating U inside it, and a
-    passing V with more than codim rows contains a passing U with exactly
-    codim of them, enumerated earlier (ranks ascend).  So the first
-    subspace that attains the maximum has codim rows, and neither the
-    maximum nor the witness changes.  Every subspace swept then generates;
-    should the test wrongly pass one that does not, the sweep raises
-    AssertionError naming its rows instead of giving a wrong length.  An
-    inexact test lists every rank from codim up.  Every subspace is swept
-    when A has no test: a unital A without a character, or one whose
-    character search alone would try more than ``budget`` functionals.  A
-    ``max_level`` that only a skipped ladder would exceed does not raise.
-    Consecutive bases share their first rows, so each ladder takes its
-    levels 0 to 2 from the Lin_2 of its rows, built row by row and kept for
-    the bases that follow (_sweep_ladder).  The sizes of its levels, and so
-    lengths, witnesses and level-cap errors, are those of the ladder from
-    scratch.
+    (_sweep) lists only the subspaces that pass: it drops a partial basis
+    whose rows cannot reach rank codim = dim A/K in A/K, so no rank below
+    codim is listed.  The test is exact when M (or A) is nilpotent: V
+    generates if and only if it passes.  Then no rank above codim is
+    listed either.  Since Lin_k(U) <= Lin_k(V) for U <= V, a generating V
+    is never longer than a generating U inside it, and a passing V with
+    more than codim rows contains a passing U with exactly codim of them,
+    enumerated earlier (ranks ascend).  So the first subspace that attains
+    the maximum has codim rows, and neither the maximum nor the witness
+    changes.  Every subspace swept then generates; should the test wrongly
+    pass one that does not, the sweep raises AssertionError naming its
+    rows instead of giving a wrong length.  An inexact test lists every
+    rank from codim up.  Every subspace is swept when A has no test: a
+    unital A without a character, or one whose character search alone
+    would try more than ``budget`` functionals.  A ``max_level`` that only
+    a skipped ladder would exceed does not raise.  Each ladder takes its
+    levels 0 to 2 from the Lin_2 of its rows, which the walk builds once
+    per basis prefix; the sizes of its levels, and so lengths, witnesses
+    and level-cap errors, are those of the ladder from scratch.
     """
     field = algebra.field
     if not isinstance(field, PrimeField):
@@ -744,15 +750,8 @@ def exact_algebra_length(algebra: Algebra, budget: int | None = DEFAULT_SUBSPACE
     m = n if c is None else n - 1
     _check_budget(p, m, budget)
     project, codim, exact = _generation_test(algebra, budget) or ([], 0, False)
-    kernel = algebra.product_kernel
-    unity_row = list(unity) if unity is not None else None
-    echelon, pivots = [], []
-    _grow(echelon, pivots, p, n, [] if unity is None else [unity_row])
-    states = [((), (echelon, pivots, []))]
-    cap = _level_cap(max_level, n)
     best = None
-    for rows in enumerate_subspace_rows(p, n, c, project, codim if exact else m):
-        level_reps = _sweep_ladder(kernel, n, p, unity_row, cap, states, rows)
+    for rows, level_reps in _sweep(algebra, max_level, c, project, codim if exact else m):
         if sum(map(len, level_reps)) == n:
             length = len(level_reps) - 1
             if best is None or length > best[0]:

@@ -148,3 +148,52 @@ def test_audit_checks_the_three_block_shapes_of_a_surviving_word(aflex_gf2):
             assert entries[len(plain)].inputs == {"set": "S", "sizes": sizes}
         else:
             assert added == [], cw.shape
+
+
+@pytest.fixture(scope="module")
+def flex_report(aflex_gf2):
+    report = identities.classify(aflex_gf2)
+    assert report.verdict("descendingly_flexible").holds
+    return report
+
+
+def _entries(algebra, report, d, surviving=None):
+    """The audit's entries by name for the difference sequence d, with dim = sum(d)."""
+    seq = spans.DiffSequence(d, sum(d))
+    return {e.name: e for e in bounds.audit(algebra, report, seq, surviving=surviving).entries}
+
+
+@pytest.mark.parametrize("d, passed", [
+    ((0, 1, 2, 1), False), ((0, 2, 2, 1), True), ((0, 3, 2, 1), True),
+    ((0, 2, 1, 1), False), ((0, 2, 3, 1), True),
+    ((0, 2, 2, 1, 1), False), ((0, 2, 2, 2, 1), True), ((0, 2, 2, 3, 1), True)])
+def test_audit_low_length_differences_at_the_threshold(aflex_gf2, flex_report, d, passed):
+    # each d_k with 1 <= k < l(S) one below, at and one above 2
+    entry = _entries(aflex_gf2, flex_report, d)["flex-low-length-differences"]
+    assert entry.passed is passed
+    assert entry.inputs == {"set": "S", "l(S)": len(d) - 1}
+
+
+@pytest.mark.parametrize("length, applies", [(2, False), (3, True), (4, True), (5, False)])
+def test_audit_low_length_differences_only_at_lengths_3_and_4(aflex_gf2, flex_report,
+                                                               length, applies):
+    # the entry applies from l(S) = 3 to 4, and every d_k = 1 fails it
+    entries = _entries(aflex_gf2, flex_report, (0,) + (1,) * length)
+    assert ("flex-low-length-differences" in entries) is applies
+    if applies:
+        assert not entries["flex-low-length-differences"].passed
+
+
+def test_audit_surviving_word_blocks_at_the_thresholds(aflex_gf2, flex_report):
+    # an EOO word with blocks of sizes (2, 1, 3): d1 must reach the largest
+    # block, 3, and d2 the largest product of two blocks, 2 * 3 = 6, which
+    # is the outer two; d1 and d2 one below, at and one above
+    cw = canonical_flex_form((1, (1, (1, (1, (1, 1))))))
+    assert cw.shape == "EOO"
+    assert tuple(len(cw.blocks[r]) for r in ("x", "y", "z")) == (2, 1, 3)
+    for d1 in (2, 3, 4):
+        for d2 in (5, 6, 7):
+            entries = _entries(aflex_gf2, flex_report, (0, d1, d2, 1, 1, 1, 1), surviving=(6, cw))
+            first, second = entries["flex-surviving-word-d1"], entries["flex-surviving-word-d2"]
+            assert (first.passed, first.observed) == (d1 >= 3, {"d1": d1, "required": 3})
+            assert (second.passed, second.observed) == (d2 >= 6, {"d2": d2, "required": 6})

@@ -642,6 +642,29 @@ def test_ladder_multiplies_each_pair_once(spec, letters, products):
     assert len(made) == products
 
 
+def test_sweep_builds_each_prefix_state_once_and_only_where_used(monkeypatch):
+    # the echelon insertions and product-kernel calls of exact_algebra_length
+    # on the six algebras of the exact-gf benchmark, 17,655 and 8,719 in all:
+    # the walk builds Lin_2 of a basis prefix once, and only once a basis
+    # below it is yielded, since a prefix can pass the pre-test's pruning
+    # and still have no basis that completes it
+    inserted, insert = [], spans._insert
+    monkeypatch.setattr(spans, "_insert", lambda *args: inserted.append(1) or insert(*args))
+
+    def work(spec, field):
+        algebra = build_example(spec, field)
+        kernel, made = algebra.product_kernel, []
+        vars(algebra)["product_kernel"] = lambda u, v: made.append(1) or kernel(u, v)
+        inserted.clear()
+        assert exact_algebra_length(algebra)[0] == 3
+        return len(inserted), len(made)
+
+    assert [work(spec, field) for spec, field in [
+        ("aalt", "gf:3"), ("aflex", "gf:3"), ("hull:aalt", "gf:3"), ("hull:aflex", "gf:3"),
+        ("aalt", "gf:2"), ("hull:aflex", "gf:2")]] == [
+        (4107, 2005), (4107, 2005), (4122, 2028), (4122, 2028), (591, 315), (606, 338)]
+
+
 @pytest.mark.parametrize("kind, triangular", KINDS)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
@@ -670,9 +693,9 @@ def test_closure_is_checked_only_after_a_level_that_added_nothing(kind, triangul
 def test_generation_pretest_on_examples(monkeypatch):
     f2, f3 = PrimeField(2), PrimeField(3)
     # 1,900 of the 2,664 subspaces pass and exactly these generate.  A is
-    # nilpotent, so the test is exact, and the sweep's step per subspace,
-    # _sweep_ladder, runs only on the 729 passing subspaces with
-    # codim = dim A/A^2 = 2 rows, the minimal generating ones
+    # nilpotent, so the test is exact, and the sweep's walk, _sweep, yields
+    # only the 729 passing subspaces with codim = dim A/A^2 = 2 rows, the
+    # minimal generating ones
     aflex3 = examples.make_a_flex(f3)
     project, codim, exact = spans._generation_test(aflex3)
     assert (codim, exact) == (2, True)
@@ -686,9 +709,7 @@ def test_generation_pretest_on_examples(monkeypatch):
                if len(rows) == codim and can_generate(rows)]
     assert len(minimal) == 729
     ladders = []
-    ladder = spans._sweep_ladder
-    monkeypatch.setattr(spans, "_sweep_ladder", lambda *args:
-                        ladders.append(args[-1]) or ladder(*args))
+    monkeypatch.setattr(spans, "_sweep", _recording_sweep(ladders))
     assert exact_algebra_length(aflex3)[0] == 3 and ladders == minimal
     monkeypatch.undo()
     # GF(3) x GF(3) in the basis b1 = -f1, b2 = f2 of its idempotents, so
@@ -804,30 +825,33 @@ def _adds_nothing(algebra, rows):
 
 
 def test_sweep_step_matches_the_ladder_on_every_subspace():
-    # _sweep_ladder, fed every lifted subspace in order as the sweep feeds
-    # its own, against the ladder from scratch: the same level sizes or the
-    # same level-cap error, under caps 0 to 3; its states are those of the
-    # prefixes of the last basis
+    # _sweep with no projection yields every lifted subspace in order, each
+    # with its ladder, against the ladder from scratch: the same level sizes
+    # under caps None and 0 to 3, up to the first subspace whose ladder
+    # passes the cap, where the walk raises the same error
     interior_zero = adds_nothing = False
     for algebra in _gap_chain_algebras():
         p, n = algebra.field.p, algebra.dim
         unity = list(algebra.unity) if algebra.unity is not None else None
+        c = None if unity is None else next(i for i, x in enumerate(unity) if x % p)
         mul = algebra.product_kernel
         for max_level in (None, 0, 1, 2, 3):
-            echelon, pivots = [], []
-            if unity is not None:
-                spans._insert(echelon, pivots, p, unity)
-            states = [((), (echelon, pivots, []))]
-            cap = spans._level_cap(max_level, n)
+            walk = spans._sweep(algebra, max_level, c, [], n if c is None else n - 1)
             for rows in oracles.subspace_rows(p, n, algebra.unity, None):
-                got = _ladder_outcome(spans._sweep_ladder, mul, n, p, unity, cap, states, rows)
                 expected = _ladder_outcome(spans._ladder, mul, n, p, unity, max_level, rows)
-                assert got == expected, (algebra.dim, max_level, rows)
-                if rows:
-                    assert [s[0] for s in states] == [rows[:d] for d in range(len(rows))]
+                try:
+                    swept, level_reps = next(walk)
+                    got = swept, [len(reps) for reps in level_reps]
+                except ResourceLimit as exc:
+                    got = rows, str(exc)
+                assert got == (rows, expected), (algebra.dim, max_level, rows)
+                if isinstance(expected, str):
+                    break
                 if max_level is None:
                     interior_zero |= sum(expected) == n and 0 in expected[1:-1]
                     adds_nothing |= _adds_nothing(algebra, rows)
+            else:
+                assert next(walk, None) is None
     assert interior_zero and adds_nothing
 
 
@@ -876,13 +900,23 @@ def test_sweep_matches_the_reference_under_level_caps(kind, triangular, data):
     assert _sweep_outcome(algebra, max_level) == _reference_sweep(algebra, max_level)
 
 
+def _recording_sweep(swept):
+    """spans._sweep, appending the rows of each basis it yields to swept."""
+    sweep = spans._sweep
+
+    def recording(*args):
+        for rows, level_reps in sweep(*args):
+            swept.append(rows)
+            yield rows, level_reps
+
+    return recording
+
+
 def _swept_rows(algebra):
     """The row tuples exact_algebra_length takes the ladder of, in order, and its result."""
     swept = []
-    ladder = spans._sweep_ladder
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spans, "_sweep_ladder", lambda *args:
-                      swept.append(args[-1]) or ladder(*args))
+        patch.setattr(spans, "_sweep", _recording_sweep(swept))
         result = exact_algebra_length(algebra)
     return swept, result
 
@@ -937,12 +971,13 @@ def test_sweep_candidates_on_examples(build, kind):
 
 def test_enumeration_without_a_projection_lists_every_subspace():
     for p, n in ((2, 4), (3, 3)):
-        assert (list(spans.enumerate_subspace_rows(p, n, None, [], n))
+        zero = make_algebra(PrimeField(p), n, {})
+        assert ([rows for rows, _ in spans._sweep(zero, None, None, [], n)]
                 == list(oracles.all_subspace_rows(p, n)))
         for c in range(n):
             lifted = [tuple(r[:c] + (0,) + r[c:] for r in rows)
                       for rows in oracles.all_subspace_rows(p, n - 1)]
-            assert list(spans.enumerate_subspace_rows(p, n, c, [], n - 1)) == lifted
+            assert [rows for rows, _ in spans._sweep(zero, None, c, [], n - 1)] == lifted
 
 
 def test_exact_length_checks_the_budget_before_any_work(monkeypatch, z2n2):
