@@ -12,7 +12,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .field import Field, integer_row, rational_row
+from .field import Field, integer_row
 
 Element = tuple  # tuple of n scalars
 
@@ -87,18 +87,6 @@ class Algebra:
             raise DimensionMismatch(f"expected {self.dim} coordinates")
         return coords
 
-    def add(self, a: Element, b: Element) -> Element:
-        f = self.field
-        return tuple(f.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a: Element, b: Element) -> Element:
-        f = self.field
-        return tuple(f.sub(x, y) for x, y in zip(a, b))
-
-    def scale(self, c, a: Element) -> Element:
-        f = self.field
-        return tuple(f.mul(c, x) for x in a)
-
     @cached_property
     def product_table(self) -> tuple:
         """(table, D): the structure constants compiled to integers, built once.
@@ -135,24 +123,6 @@ class Algebra:
         # pickle cannot name the generated kernel; an unpickled copy compiles its own
         return {k: v for k, v in self.__dict__.items() if k != "product_kernel"}
 
-    def multiply(self, a: Element, b: Element) -> Element:
-        """Bilinear product of two coordinate vectors.
-
-        Exact integer arithmetic through :attr:`product_kernel`: over Q both
-        operands become integer numerators over a common denominator, and
-        the output is divided once by the three denominators; over GF(p)
-        each output coordinate is reduced mod p once.
-        """
-        if len(a) != self.dim or len(b) != self.dim:
-            raise DimensionMismatch("element length does not match algebra dimension")
-        product = self.product_kernel
-        p = self.field.characteristic
-        if p:
-            return tuple(x % p for x in product(a, b))
-        a, da = integer_row(a)
-        b, db = integer_row(b)
-        return rational_row(product(a, b), da * db * self.product_table[1])
-
     # -- unity ------------------------------------------------------------
 
     def verify_unity(self):
@@ -160,14 +130,23 @@ class Algebra:
 
         Returns ``(True, None)`` when the unity multiplies as the identity
         (or none is declared), else ``(False, i)`` with a failing 1-based
-        basis index.
+        basis index.  The products are integer rows: with E = d_e e the
+        unity's integer row (``integer_row``), the product kernel of E and
+        b_i is D d_e e b_i, so e b_i = b_i exactly when that product is
+        D d_e b_i, mod p over GF(p) (where D = d_e = 1); the same holds on
+        the other side.
         """
         if self.unity is None:
             return True, None
+        product, p = self.product_kernel, self.field.characteristic
+        e, d_e = integer_row(self.unity)
+        scale = self.product_table[1] * d_e
         for i in range(1, self.dim + 1):
             b = self.basis_element(i)
-            if self.multiply(self.unity, b) != b or self.multiply(b, self.unity) != b:
-                return False, i
+            for row in (product(e, b), product(b, e)):
+                row[i - 1] -= scale
+                if any(x % p for x in row) if p else any(row):
+                    return False, i
         return True, None
 
     def label(self, i: int) -> str:

@@ -25,8 +25,9 @@ two-factor OO shape has one tree in both.
 from __future__ import annotations
 
 from .errors import NotRestrictedForm, WordTooShort
+from .field import integer_row
 from .spans import lin_span
-from .words import Word, evaluate, is_restricted, word_length
+from .words import Word, is_restricted, word_length, word_row
 
 ALT_SHAPE = "ALT2"
 
@@ -329,10 +330,15 @@ def canonical_flex_form(w: Word) -> CanonicalWord:
 
 
 def verify_equivalence(algebra, gens, w: Word, cw: CanonicalWord) -> bool:
-    """True when w and its signed canonical form differ by shorter words."""
+    """True when w and its signed canonical form differ by shorter words.
+
+    Both words are evaluated on integer rows (``words.word_row``).  A word
+    and its canonical form hold the same letters, so over Q their rows are
+    their values times the same positive factor, and the signed difference
+    of the rows lies in the span exactly when that of the values does.
+    """
     lower_span = lin_span(algebra, gens, word_length(w) - 1)
-    lhs = evaluate(algebra, gens, w)
-    rhs = evaluate(algebra, gens, cw.tree())
-    if cw.sign == -1:
-        rhs = algebra.scale(algebra.field.from_int(-1), rhs)
-    return lower_span.contains(algebra.sub(lhs, rhs))
+    rows = [integer_row(g)[0] for g in gens]
+    lhs = word_row(algebra, rows, w)
+    rhs = word_row(algebra, rows, cw.tree())
+    return lower_span.contains([x - cw.sign * y for x, y in zip(lhs, rhs)])

@@ -9,13 +9,20 @@ reduced ``Fraction`` with positive denominator.  The two types agree on
 one a computation produced.  A :class:`Field` object supplies the
 operations, so no floating point ever enters any computation.
 
-The hot loops (the span ladder ``spans._ladder`` and the identity walk
-``identities._walk``) do not call the field per scalar: they work on
-integer rows, over Q an element's numerators over one common denominator
-(:func:`integer_row`), multiply them with plain ``int`` arithmetic in the
-code that each algebra compiles from its structure constants
-(``Algebra.product_kernel``), and build exact scalars only for their
-output (:func:`rational_row`).
+No computation adds or multiplies elements scalar by scalar.  Every
+product and sum of elements is made on integer rows, over Q an element's
+numerators over one common denominator (:func:`integer_row`), with plain
+``int`` arithmetic: in the code that each algebra compiles from its
+structure constants (``Algebra.product_kernel``) and in the echelon
+routine of ``spans``.  Exact scalars are built only at the inputs and
+outputs of that arithmetic: at parse (:meth:`Field.parse`, the example
+constructors), at print (:func:`rational_row` behind ``SpanBasis.rows``,
+for ``find_unity``'s solution and the exact-length witness, and
+:meth:`Field.format`), and for the aa-coefficient that the sufficient
+condition compares (``identities._forced_coefficients``).  The field's
+own arithmetic (``mul``, ``neg``, ``inv``, ``div``) serves only these.
+The exact sums and products of elements are the tests' reference
+(``tests/oracles.py``).
 
 ``fractions`` is imported only where a ``Fraction`` is built, so a run over
 GF(p) never loads it (nor the ``decimal`` module that it loads).
@@ -104,7 +111,7 @@ class Field:
     def __hash__(self):
         return hash(self.characteristic)
 
-    # subclass API: from_int, add, sub, mul, neg, inv, is_zero, format
+    # subclass API: from_int, mul, neg, inv, is_zero, format
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -134,12 +141,6 @@ class Rationals(Field):
 
     def from_int(self, n: int):
         return n
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -182,12 +183,6 @@ class PrimeField(Field):
 
     def from_int(self, n: int):
         return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

@@ -704,7 +704,8 @@ def _line_walk(algebra, variant, witness, mul) -> Verdict | None:
     else:
         f = _fixed_letter(witness.equation)
         x, y = (values[letter] for letter in "abc" if letter != f)
-        a_values, b = [x, y, algebra.add(x, y)], values[f]
+        # basis and random elements are integer rows, and so is their sum
+        a_values, b = [x, y, tuple(algebra.field.from_int(s + t) for s, t in zip(x, y))], values[f]
     failures = {}
     _walk_pairs(algebra, a_values, b, (variant,), failures, mul)
     return failures.get(variant)

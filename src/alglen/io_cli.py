@@ -28,10 +28,10 @@ from itertools import islice
 
 from .algebra import DEFAULT_SAMPLES, Algebra, make_algebra
 from .errors import AlgLenError, ParseError, ResourceLimit
-from .field import Field, PrimeField, Rationals
+from .field import Field, PrimeField, Rationals, integer_row
 from .spans import (DEFAULT_SUBSPACE_BUDGET, diff_sequence, exact_algebra_length, find_unity,
                     lin_span)
-from .words import enumerate_restricted, evaluate, format_word, parse_word, word_length
+from .words import enumerate_restricted, format_word, parse_word, word_length, word_row
 
 # an algebra file declares at most this dimension, and ``gen spin:<n>`` builds
 # at most this one: compiling the product kernels takes some 7 KB per
@@ -358,8 +358,9 @@ def _find_surviving_word(algebra, gens, seq):
     if m < 3:
         return None
     lower = lin_span(algebra, gens, m - 1)
+    rows = [integer_row(g)[0] for g in gens]
     for w in islice(enumerate_restricted(len(gens), m), 4096):
-        if not lower.contains(evaluate(algebra, gens, w)):
+        if not lower.contains(word_row(algebra, rows, w)):
             return w
     return None
 

@@ -254,16 +254,17 @@ def find_unity(algebra: Algebra) -> Element | None:
     declared unity changes the zero-length word count and with it the
     meaning of every length statement.
     """
-    n = algebra.dim
+    n, product, d = algebra.dim, algebra.product_kernel, algebra.product_table[1]
     basis = [algebra.basis_element(i) for i in range(1, n + 1)]
     # unknowns x_j with sum_j x_j (b_j b_i) = b_i = sum_j x_j (b_i b_j): one
-    # equation per coordinate of each side, as a row (coefficients | b_i)
+    # equation per coordinate of each side, as a row (coefficients | b_i);
+    # the kernel's products are D b_j b_i, so the right-hand side is D b_i
     system = SpanBasis(algebra.field, n + 1)
     for bi in basis:
-        for products in ([algebra.multiply(bj, bi) for bj in basis],
-                         [algebra.multiply(bi, bj) for bj in basis]):
+        for products in ([product(bj, bi) for bj in basis],
+                         [product(bi, bj) for bj in basis]):
             for k in range(n):
-                system.add([v[k] for v in products] + [bi[k]])
+                system.add([v[k] for v in products] + [d * bi[k]])
     # a pivot in the last column makes the system inconsistent; a column
     # without one leaves a nonzero kernel, and adding a kernel vector to a
     # solution would give a second identity element, which cannot exist

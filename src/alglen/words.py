@@ -6,6 +6,10 @@ Words are enumerated in one regime, the restricted one: words grown one
 left- or right-multiplication by a single letter at a time.  The full
 regime (every bracket shape times every letter assignment) serves only
 as a test oracle and lives with the tests.
+
+A word is evaluated on integer rows (``word_row``), through the algebra's
+product kernel, as the span ladder multiplies; the evaluation on exact
+scalars is the tests' reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -26,22 +30,27 @@ def word_length(w: Word) -> int:
     return word_length(w[0]) + word_length(w[1])
 
 
-def evaluate(algebra, gens, w: Word):
-    """Product of the generator elements respecting the bracketing of w.
+def word_row(algebra, rows, w: Word):
+    """The integer row of the word w, its letters' integer rows multiplied by its bracketing.
 
-    ``gens`` is a sequence of elements; letter i names ``gens[i - 1]``.
+    Letter i names ``rows[i - 1]``, an integer row (``field.integer_row``).
+    Each product is made by the algebra's ``product_kernel`` and reduced
+    mod p over GF(p).  Over Q the row is the word's exact value times
+    D^(m-1), D the structure constants' common denominator and m the word's
+    length, and times d_i for each occurrence of letter i, d_i the
+    denominator its row dropped: a positive factor that two words holding
+    the same letters share, so a span compares their rows as it would their
+    values.  Module-level, not a closure: a self-recursive closure would
+    make each call a reference cycle that keeps the algebra and the rows
+    until gc runs.
     """
-    return _evaluate(algebra.multiply, gens, w)
-
-
-def _evaluate(multiply, gens, w: Word):
-    # module-level, not a closure: a self-recursive closure would make each
-    # call a reference cycle that keeps the algebra and gens until gc runs
     if isinstance(w, int):
-        if not 1 <= w <= len(gens):
-            raise IndexOutOfRange(f"letter {w} with {len(gens)} generators")
-        return gens[w - 1]
-    return multiply(_evaluate(multiply, gens, w[0]), _evaluate(multiply, gens, w[1]))
+        if not 1 <= w <= len(rows):
+            raise IndexOutOfRange(f"letter {w} with {len(rows)} generators")
+        return rows[w - 1]
+    row = algebra.product_kernel(word_row(algebra, rows, w[0]), word_row(algebra, rows, w[1]))
+    p = algebra.field.characteristic
+    return [x % p for x in row] if p else row
 
 
 def enumerate_restricted(s_size: int, m: int):
@@ -103,7 +112,7 @@ def parse_word(text: str) -> Word:
 def _parse_at(tokens, pos: int, text: str):
     """The word that starts at ``tokens[pos]`` and the position after it.
 
-    Module-level, not a closure, for the reason given at ``_evaluate``.
+    Module-level, not a closure, for the reason given at ``word_row``.
     """
     if pos >= len(tokens):
         raise ParseError(f"unexpected end of word {text!r}")

@@ -6,12 +6,18 @@ on exact scalars (``rref_rows``, ``field_residue``), and canonical-form
 signs are validated in the free multilinear setting with a parity
 union-find over single-exchange rewrites.  The identity oracles avoid the
 identity checks' paths and the engine's echelon routine: they evaluate
-every word on exact scalars with ``Algebra.multiply`` and test a
-membership by the same local elimination over every span word, not on
-integer rows in a lazily grown span.
+every word on exact scalars with ``multiply`` and test a membership by
+the same local elimination over every span word, not on integer rows in a
+lazily grown span.
 The reference walk follows each class's tuple stream alone, with those
 oracles; it shares only the sample draws (``random_element``) with the
 checks.
+
+The exact element arithmetic comes first: the sum, scalar multiple and
+product of elements and the value of a word, on exact scalars, with the
+sum and difference of two scalars.  The package makes its products and
+sums of elements on integer rows (``Algebra.product_kernel``,
+``words.word_row``), and these are its reference.
 
 The last sections hold what the tests read and the package does not: the
 example algebras the sweeps run on, by their ``alglen gen`` names, and
@@ -32,12 +38,67 @@ from math import gcd
 
 from alglen.algebra import Algebra, Element, make_algebra
 from alglen.bounds import alt_min_dim
-from alglen.errors import DimensionMismatch, DomainError, NotFiniteField, ResourceLimit
-from alglen.field import Field, PrimeField
+from alglen.errors import (DimensionMismatch, DomainError, IndexOutOfRange, NotFiniteField,
+                           ResourceLimit)
+from alglen.field import Field, PrimeField, integer_row, rational_row
 from alglen.io_cli import build_example
 from alglen.spans import (DEFAULT_SUBSPACE_BUDGET, _check_budget, _generation_test,
                           _rref_basis)
-from alglen.words import evaluate
+
+
+# -- exact element arithmetic --------------------------------------------------
+
+
+def field_add(field, a, b):
+    """The exact sum of two scalars, reduced mod p over GF(p)."""
+    p = field.characteristic
+    return (a + b) % p if p else a + b
+
+
+def field_sub(field, a, b):
+    """The exact difference of two scalars, reduced mod p over GF(p)."""
+    p = field.characteristic
+    return (a - b) % p if p else a - b
+
+
+def add(algebra, a, b):
+    return tuple(field_add(algebra.field, x, y) for x, y in zip(a, b))
+
+
+def scale(algebra, c, a):
+    f = algebra.field
+    return tuple(f.mul(c, x) for x in a)
+
+
+def multiply(algebra, a, b):
+    """Bilinear product of two coordinate vectors, as exact scalars.
+
+    Exact integer arithmetic through ``algebra.product_kernel``: over Q
+    both operands become integer numerators over a common denominator, and
+    the output is divided once by the three denominators; over GF(p) each
+    output coordinate is reduced mod p once.
+    """
+    if len(a) != algebra.dim or len(b) != algebra.dim:
+        raise DimensionMismatch("element length does not match algebra dimension")
+    product = algebra.product_kernel
+    p = algebra.field.characteristic
+    if p:
+        return tuple(x % p for x in product(a, b))
+    a, da = integer_row(a)
+    b, db = integer_row(b)
+    return rational_row(product(a, b), da * db * algebra.product_table[1])
+
+
+def evaluate(algebra, gens, w):
+    """Product of the generator elements respecting the bracketing of w, as exact scalars.
+
+    ``gens`` is a sequence of elements; letter i names ``gens[i - 1]``.
+    """
+    if isinstance(w, int):
+        if not 1 <= w <= len(gens):
+            raise IndexOutOfRange(f"letter {w} with {len(gens)} generators")
+        return gens[w - 1]
+    return multiply(algebra, evaluate(algebra, gens, w[0]), evaluate(algebra, gens, w[1]))
 
 
 # -- per-scalar Field-method references ---------------------------------------
@@ -50,7 +111,7 @@ def field_multiply(algebra, a, b):
     for (i, j), terms in algebra.sc.items():
         c = f.mul(a[i - 1], b[j - 1])
         for k, coeff in terms:
-            acc[k - 1] = f.add(acc[k - 1], f.mul(c, coeff))
+            acc[k - 1] = field_add(f, acc[k - 1], f.mul(c, coeff))
     return tuple(acc)
 
 
@@ -61,7 +122,7 @@ def field_residue(field, rref, vec):
         lead = next(i for i, x in enumerate(row) if not field.is_zero(x))
         c = v[lead]
         if not field.is_zero(c):
-            v = [field.sub(x, field.mul(c, r)) for x, r in zip(v, row)]
+            v = [field_sub(field, x, field.mul(c, r)) for x, r in zip(v, row)]
     return v
 
 
@@ -77,7 +138,7 @@ def rref_rows(field, vectors, dim):
             lead = next(i for i, x in enumerate(row) if not field.is_zero(x))
             c = v[lead]
             if not field.is_zero(c):
-                v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
+                v = [field_sub(field, a, field.mul(c, b)) for a, b in zip(v, row)]
         lead = next((i for i, x in enumerate(v) if not field.is_zero(x)), None)
         if lead is None:
             continue
@@ -91,7 +152,7 @@ def rref_rows(field, vectors, dim):
         for k in range(i):
             c = rows[k][lead]
             if not field.is_zero(c):
-                rows[k] = [field.sub(a, field.mul(c, b))
+                rows[k] = [field_sub(field, a, field.mul(c, b))
                            for a, b in zip(rows[k], rows[i])]
     return tuple(tuple(r) for r in rows)
 
@@ -249,7 +310,7 @@ def _word_value(algebra, values, word):
 def _total(algebra, values, side):
     acc = (0,) * algebra.dim
     for word in side.split(" + "):
-        acc = algebra.add(acc, _word_value(algebra, values, word))
+        acc = add(algebra, acc, _word_value(algebra, values, word))
     return acc
 
 
@@ -263,7 +324,7 @@ def _full_span(algebra, values, words):
 def identity_violated(algebra, text, values):
     """Whether the elements named in values break an ``=`` or ``in`` table text.
 
-    Every word is evaluated with words.evaluate (Algebra.multiply on exact
+    Every word is evaluated with ``evaluate`` (``multiply`` on exact
     scalars), and a membership is tested in the span of every span word
     plus the unity.
     """
@@ -451,7 +512,7 @@ def _reference_line(algebra, texts, text, values):
     else:
         f = FIXED_LETTER[text.split(" in ")[0]]
         x, y = (values[letter] for letter in "abc" if letter != f)
-        a_values, b = [x, y, algebra.add(x, y)], values[f]
+        a_values, b = [x, y, add(algebra, x, y)], values[f]
     return _reference_row(algebra, texts, a_values, b)[0]
 
 

@@ -265,15 +265,15 @@ def test_criterion_9_spin_factor_identity():
             beta, w = b[0], b[1:]
             inner = 0
             for x, y in zip(v, w):
-                inner = f.add(inner, f.mul(x, y))
-            coeff_a = f.sub(inner, f.mul(alpha, beta))
-            expected = spin.add(
-                spin.scale(coeff_a, a),
-                spin.add(spin.scale(beta, spin.multiply(a, a)),
-                         spin.scale(alpha, spin.multiply(a, b))))
-            ab, ba = spin.multiply(a, b), spin.multiply(b, a)
-            for product in (spin.multiply(ab, a), spin.multiply(a, ba),
-                            spin.multiply(ba, a), spin.multiply(a, ab)):
+                inner = oracles.field_add(f, inner, f.mul(x, y))
+            coeff_a = oracles.field_sub(f, inner, f.mul(alpha, beta))
+            expected = oracles.add(
+                spin, oracles.scale(spin, coeff_a, a),
+                oracles.add(spin, oracles.scale(spin, beta, oracles.multiply(spin, a, a)),
+                            oracles.scale(spin, alpha, oracles.multiply(spin, a, b))))
+            ab, ba = oracles.multiply(spin, a, b), oracles.multiply(spin, b, a)
+            for product in (oracles.multiply(spin, ab, a), oracles.multiply(spin, a, ba),
+                            oracles.multiply(spin, ba, a), oracles.multiply(spin, a, ab)):
                 assert product == expected
         report = identities.classify(spin, seed=0)
         for variant in ("flex", "alt"):

@@ -20,19 +20,19 @@ from alglen.io_cli import build_example, parse_algebra, print_algebra
 def test_group_algebra_products(z2n2):
     # e_(1,0) * e_(0,1) = e_(1,1): masks 1 and 2 give 3, i.e. indices 2,3 -> 4
     a, b = z2n2.basis_element(2), z2n2.basis_element(3)
-    assert z2n2.multiply(a, b) == z2n2.basis_element(4)
-    assert z2n2.multiply(a, a) == z2n2.basis_element(1)
+    assert oracles.multiply(z2n2, a, b) == z2n2.basis_element(4)
+    assert oracles.multiply(z2n2, a, a) == z2n2.basis_element(1)
 
 
 def test_table_products(aflex, aalt):
-    assert aflex.multiply(aflex.basis_element(1), aflex.basis_element(2)) \
+    assert oracles.multiply(aflex, aflex.basis_element(1), aflex.basis_element(2)) \
         == aflex.basis_element(3)
-    minus_e4 = aflex.scale(aflex.field.from_int(-1), aflex.basis_element(4))
-    assert aflex.multiply(aflex.basis_element(2), aflex.basis_element(5)) == minus_e4
-    assert aalt.multiply(aalt.basis_element(2), aalt.basis_element(1)) \
+    minus_e4 = oracles.scale(aflex, aflex.field.from_int(-1), aflex.basis_element(4))
+    assert oracles.multiply(aflex, aflex.basis_element(2), aflex.basis_element(5)) == minus_e4
+    assert oracles.multiply(aalt, aalt.basis_element(2), aalt.basis_element(1)) \
         == aalt.basis_element(3)
     for j in range(1, 6):
-        assert not any(aflex.multiply(aflex.basis_element(3), aflex.basis_element(j)))
+        assert not any(oracles.multiply(aflex, aflex.basis_element(3), aflex.basis_element(j)))
 
 
 def test_bilinearity(aflex):
@@ -45,13 +45,13 @@ def test_bilinearity(aflex):
     for _ in range(25):
         a, b, c = rand(), rand(), rand()
         s = f.from_int(rng.randint(-3, 3))
-        left = aflex.multiply(aflex.add(a, aflex.scale(s, b)), c)
-        right = aflex.add(aflex.multiply(a, c),
-                          aflex.scale(s, aflex.multiply(b, c)))
+        left = oracles.multiply(aflex, oracles.add(aflex, a, oracles.scale(aflex, s, b)), c)
+        right = oracles.add(aflex, oracles.multiply(aflex, a, c),
+                            oracles.scale(aflex, s, oracles.multiply(aflex, b, c)))
         assert left == right
-        left = aflex.multiply(c, aflex.add(a, aflex.scale(s, b)))
-        right = aflex.add(aflex.multiply(c, a),
-                          aflex.scale(s, aflex.multiply(c, b)))
+        left = oracles.multiply(aflex, c, oracles.add(aflex, a, oracles.scale(aflex, s, b)))
+        right = oracles.add(aflex, oracles.multiply(aflex, c, a),
+                            oracles.scale(aflex, s, oracles.multiply(aflex, c, b)))
         assert left == right
 
 
@@ -65,7 +65,7 @@ def test_verify_unity(z2n2, aflex):
     ok, witness = wrong.verify_unity()
     assert not ok and witness == 1
     e2 = wrong.basis_element(2)
-    assert wrong.multiply(wrong.basis_element(1), e2) == wrong.basis_element(3)
+    assert oracles.multiply(wrong, wrong.basis_element(1), e2) == wrong.basis_element(3)
 
 
 def test_construction_errors():
@@ -76,7 +76,7 @@ def test_construction_errors():
         make_algebra(f, 2, {(1, 1): [(5, 1)]})
     alg = make_algebra(f, 2, {(1, 1): [(2, 1)]})
     with pytest.raises(DimensionMismatch):
-        alg.multiply((1,), (1, 0))
+        oracles.multiply(alg, (1,), (1, 0))
     # zero coefficients are silently dropped by the constructor
     assert make_algebra(f, 2, {(1, 1): [(2, 0)]}).sc == {}
 
@@ -114,14 +114,14 @@ def test_repeated_labels_are_refused():
 def test_matrix_units():
     m2 = examples.make_matrix_algebra(2)
     e12, e21 = m2.basis_element(2), m2.basis_element(3)
-    assert m2.multiply(e12, e21) == m2.basis_element(1)
+    assert oracles.multiply(m2, e12, e21) == m2.basis_element(1)
     assert m2.verify_unity() == (True, None)
 
 
 def test_labels_and_formatting(aflex):
     assert aflex.label(1) == "e1"
-    x = aflex.add(aflex.basis_element(1),
-                  aflex.scale(aflex.field.from_int(-2), aflex.basis_element(4)))
+    x = oracles.add(aflex, aflex.basis_element(1),
+                    oracles.scale(aflex, aflex.field.from_int(-2), aflex.basis_element(4)))
     assert aflex.format_element(x) == "e1 - 2*e4"
     assert aflex.format_element((0,) * aflex.dim) == "0"
 
@@ -130,7 +130,7 @@ def test_unital_hull(aflex):
     hull = examples.make_unital_hull(aflex)
     assert hull.dim == 6
     assert hull.verify_unity() == (True, None)
-    assert hull.multiply(hull.unity, hull.basis_element(2)) == hull.basis_element(2)
+    assert oracles.multiply(hull, hull.unity, hull.basis_element(2)) == hull.basis_element(2)
     with pytest.raises(Exception):
         examples.make_unital_hull(hull)
 
@@ -173,7 +173,7 @@ def test_product_kernel_matches_the_interpreted_loop(case):
     f = algebra.field
     a = tuple(f.from_int(x) if f.characteristic else Fraction(x, 3) for x in u)
     b = tuple(f.from_int(x) for x in v)
-    assert algebra.multiply(a, b) == oracles.field_multiply(algebra, a, b)
+    assert oracles.multiply(algebra, a, b) == oracles.field_multiply(algebra, a, b)
 
 
 def test_product_kernel_fixed_cases():
@@ -182,7 +182,7 @@ def test_product_kernel_fixed_cases():
     line = make_algebra(q, 1, {(1, 1): [(1, Fraction(-5, 2))]})
     assert line.product_table == ([[(0, ((0, -5),))]], 2)
     assert line.product_kernel([3], [7]) == [-105]
-    assert line.multiply((3,), (7,)) == (Fraction(-105, 2),)
+    assert oracles.multiply(line, (3,), (7,)) == (Fraction(-105, 2),)
     # no products: every sum stays 0
     assert make_algebra(q, 3, {}).product_kernel([1, -2, 2**70], [4, 5, 6]) == [0, 0, 0]
     # coefficients other than 1 and -1, several terms of a block on one coordinate:
@@ -251,8 +251,8 @@ def test_product_kernel_splits_long_sums():
 def test_algebra_pickles_after_a_product(aflex):
     # the compiled kernel stays behind; the copy compiles its own
     a, b = aflex.basis_element(1), aflex.basis_element(2)
-    product = aflex.multiply(a, b)
+    product = oracles.multiply(aflex, a, b)
     copy = pickle.loads(pickle.dumps(aflex))
     assert copy == aflex and "product_kernel" not in vars(copy)
-    assert copy.multiply(a, b) == product
+    assert oracles.multiply(copy, a, b) == product
     assert copy.product_table == aflex.product_table

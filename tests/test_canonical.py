@@ -1,15 +1,17 @@
 import json
+from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 import oracles
+from alglen.algebra import make_algebra
 from alglen.canonical import (CanonicalWord, canonical_alt_form, canonical_flex_form,
                               verify_equivalence)
 from alglen.errors import NotRestrictedForm, WordTooShort
 from alglen.spans import lin_span
-from alglen.words import enumerate_restricted, evaluate, format_word
+from alglen.words import enumerate_restricted, format_word
 from oracles import word_letters
 
 
@@ -183,6 +185,42 @@ def test_sign_flip_detected(aalt):
     assert not verify_equivalence(aalt, gens, w, flipped)
 
 
+def test_canonical_forms_hold_the_letters_of_their_words():
+    # verify_equivalence compares integer rows, which is exact because a
+    # word and its canonical form hold the same letters with multiplicity;
+    # the words in four letters include those in fewer
+    for m in range(3, 7):
+        for w in enumerate_restricted(4, m):
+            letters = sorted(word_letters(w))
+            for canon in (canonical_alt_form, canonical_flex_form):
+                assert sorted(word_letters(canon(w).tree())) == letters, (canon, w)
+
+
+def test_numeric_soundness_with_fractional_generators(aalt, aflex):
+    # over Q each word's integer row carries D^(m-1) and the generators'
+    # denominators; halved aalt has D = 2, and the sign-flipped form of a
+    # word outside the span of shorter words must still fail
+    halved = make_algebra(aalt.field, aalt.dim, {ij: [(k, Fraction(c) / 2) for k, c in terms]
+                                                 for ij, terms in aalt.sc.items()})
+    assert halved.product_table[1] == 2
+    for algebra, canon, lengths in ((aalt, canonical_alt_form, range(2, 6)),
+                                    (halved, canonical_alt_form, range(2, 6)),
+                                    (aflex, canonical_flex_form, range(3, 6))):
+        b = [algebra.basis_element(i) for i in range(1, 4)]
+        gens = [oracles.add(algebra, oracles.scale(algebra, Fraction(1, 2), b[0]),
+                            oracles.scale(algebra, Fraction(2, 3), b[2])),
+                oracles.scale(algebra, Fraction(-3, 2), b[1])]
+        for m in lengths:
+            for w in enumerate_restricted(2, m):
+                assert verify_equivalence(algebra, gens, w, canon(w)), (m, w)
+        w = (1, (2, 1)) if canon is canonical_alt_form else (1, (1, 2))
+        c = canon(w)
+        assert not lin_span(algebra, gens, 2).contains(oracles.evaluate(algebra, gens, w))
+        flipped = CanonicalWord(variant=c.variant, sign=-c.sign, shape=c.shape,
+                                form=c.form, blocks=c.blocks, partition=c.partition)
+        assert not verify_equivalence(algebra, gens, w, flipped)
+
+
 def test_repeated_letter_collapse(aalt, aflex, z2n3):
     # two equal letters in one exchangeable class force the word into the
     # span of shorter words; same for any class larger than the alphabet
@@ -200,7 +238,7 @@ def test_repeated_letter_collapse(aalt, aflex, z2n3):
                 collapse = any(len(cl) != len(set(cl)) for cl in c.partition)
                 overflow = any(len(cl) > len(gens) for cl in c.partition)
                 if collapse or overflow:
-                    assert lower.contains(evaluate(algebra, gens, w)), (m, w)
+                    assert lower.contains(oracles.evaluate(algebra, gens, w)), (m, w)
 
 
 def test_alt_subword_family_counts():

@@ -1,5 +1,6 @@
-"""Differential tests of the integer fast paths of Algebra.multiply, SpanBasis
-and the span ladder.
+"""Differential tests of the integer fast paths of the product kernel (through
+``oracles.multiply``, which hands its products out as exact scalars),
+SpanBasis and the span ladder.
 
 Over Q the engine works on integer numerators over a common denominator and
 hands out int or Fraction scalars; over GF(p) on residue lists.  These tests
@@ -88,17 +89,17 @@ def test_multiply_matches_field_reference(case):
     algebra, (a, b) = case
     f = algebra.field
     expected = oracles.field_multiply(algebra, a, b)
-    got = algebra.multiply(a, b)
+    got = oracles.multiply(algebra, a, b)
     assert got == expected
     assert in_contract(f, got)
     if not f.characteristic:
         for u, v in ((mixed(a), mixed(b)), (as_fractions(a), mixed(b)),
                      (mixed(a), as_fractions(b))):
-            assert algebra.multiply(u, v) == expected
+            assert oracles.multiply(algebra, u, v) == expected
         # the structure constants' scalar types do not matter either
         retyped = make_algebra(f, algebra.dim, {ij: [(k, plain(c)) for k, c in terms]
                                                 for ij, terms in algebra.sc.items()})
-        assert retyped.multiply(mixed(a), b) == expected
+        assert oracles.multiply(retyped, mixed(a), b) == expected
 
 
 @st.composite
@@ -111,9 +112,9 @@ def span_cases(draw):
     coeffs = draw(st.lists(scalars(field), min_size=len(vectors), max_size=len(vectors)))
     probe = [0] * dim
     for c, v in zip(coeffs, vectors):
-        probe = [field.add(x, field.mul(c, y)) for x, y in zip(probe, v)]
+        probe = [oracles.field_add(field, x, field.mul(c, y)) for x, y in zip(probe, v)]
     if draw(st.booleans()):
-        probe = [field.add(x, y) for x, y in zip(probe, draw(vec))]
+        probe = [oracles.field_add(field, x, y) for x, y in zip(probe, draw(vec))]
     return field, dim, vectors, tuple(probe)
 
 

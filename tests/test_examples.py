@@ -14,7 +14,7 @@ def test_registry_unities():
 def test_group_algebra_structure():
     one = examples.make_group_algebra_z2n(1)
     assert one.dim == 2
-    assert one.multiply(one.basis_element(2), one.basis_element(2)) \
+    assert oracles.multiply(one, one.basis_element(2), one.basis_element(2)) \
         == one.basis_element(1)
     with pytest.raises(ResourceLimit):
         examples.make_group_algebra_z2n(9)
@@ -26,24 +26,24 @@ def test_group_algebra_is_commutative_associative(z2n2):
     basis = [z2n2.basis_element(i) for i in range(1, 5)]
     for a in basis:
         for b in basis:
-            assert z2n2.multiply(a, b) == z2n2.multiply(b, a)
+            assert oracles.multiply(z2n2, a, b) == oracles.multiply(z2n2, b, a)
             for c in basis:
-                assert z2n2.multiply(z2n2.multiply(a, b), c) \
-                    == z2n2.multiply(a, z2n2.multiply(b, c))
+                assert oracles.multiply(z2n2, oracles.multiply(z2n2, a, b), c) \
+                    == oracles.multiply(z2n2, a, oracles.multiply(z2n2, b, c))
 
 
 def test_spin_factor_products():
     spin = examples.make_spin_factor(2)
     v1, v2 = spin.basis_element(2), spin.basis_element(3)
-    assert spin.multiply(v1, v1) == spin.basis_element(1)
-    assert not any(spin.multiply(v1, v2))
+    assert oracles.multiply(spin, v1, v1) == spin.basis_element(1)
+    assert not any(oracles.multiply(spin, v1, v2))
 
 
 def test_matrix_algebra_m4_units():
     m4 = examples.make_matrix_algebra(4)
     e12, e23 = m4.basis_element(2), m4.basis_element(7)
-    assert m4.multiply(e12, e23) == m4.basis_element(3)  # E12 E23 = E13
-    assert not any(m4.multiply(e23, e12))
+    assert oracles.multiply(m4, e12, e23) == m4.basis_element(3)  # E12 E23 = E13
+    assert not any(oracles.multiply(m4, e23, e12))
     with pytest.raises(ResourceLimit):
         examples.make_matrix_algebra(7)
 
@@ -51,17 +51,17 @@ def test_matrix_algebra_m4_units():
 def test_chain3_products():
     c3 = examples.make_chain3()
     a = c3.basis_element(1)
-    aa = c3.multiply(a, a)
+    aa = oracles.multiply(c3, a, a)
     assert aa == c3.basis_element(2)
-    assert c3.multiply(aa, a) == c3.basis_element(3)
-    assert not any(c3.multiply(a, aa))
+    assert oracles.multiply(c3, aa, a) == c3.basis_element(3)
+    assert not any(oracles.multiply(c3, a, aa))
 
 
 def test_unital_hull_structure(aflex):
     hull = examples.make_unital_hull(aflex)
     assert hull.dim == aflex.dim + 1
     # original products survive with shifted indices: e1 e2 = e3
-    assert hull.multiply(hull.basis_element(2), hull.basis_element(3)) \
+    assert oracles.multiply(hull, hull.basis_element(2), hull.basis_element(3)) \
         == hull.basis_element(4)
     with pytest.raises(AlreadyUnital):
         examples.make_unital_hull(hull)
@@ -70,7 +70,7 @@ def test_unital_hull_structure(aflex):
 def test_cayley_dickson_levels():
     base = examples.make_cayley_dickson(0, [])
     assert base.dim == 1
-    assert base.multiply(base.basis_element(1), base.basis_element(1)) \
+    assert oracles.multiply(base, base.basis_element(1), base.basis_element(1)) \
         == base.basis_element(1)
     quat = examples.make_cayley_dickson(2, [-1, -1])
     assert quat.dim == 4
@@ -81,8 +81,8 @@ def test_cayley_dickson_levels():
     assert report.verdict("alternative").holds
     assert report.verdict("flexible").holds
     i, j = quat.basis_element(2), quat.basis_element(3)
-    assert quat.multiply(i, i) == quat.scale(quat.field.from_int(-1),
-                                             quat.basis_element(1))
+    assert oracles.multiply(quat, i, i) == oracles.scale(quat, quat.field.from_int(-1),
+                                                         quat.basis_element(1))
     with pytest.raises(DomainError):
         examples.make_cayley_dickson(2, [-1, 0])
     with pytest.raises(DomainError):
@@ -95,10 +95,10 @@ def test_twist_conjugation():
     # conjugating both arguments keeps products of imaginary units and flips
     # signs on mixed products with the old unity
     i = twisted.basis_element(2)
-    assert twisted.multiply(i, i) == quat.multiply(i, i)
+    assert oracles.multiply(twisted, i, i) == oracles.multiply(quat, i, i)
     one = twisted.basis_element(1)
-    assert twisted.multiply(one, i) == quat.scale(quat.field.from_int(-1),
-                                                  quat.multiply(one, i))
+    assert oracles.multiply(twisted, one, i) == oracles.scale(
+        quat, quat.field.from_int(-1), oracles.multiply(quat, one, i))
     assert twisted.unity is None
     with pytest.raises(DomainError):
         oracles.twist_conjugation(quat, "sideways")
@@ -107,9 +107,9 @@ def test_twist_conjugation():
 def test_nonmixing7_products():
     n7 = examples.make_nonmixing7()
     u, v, z = (n7.basis_element(i) for i in (1, 2, 3))
-    m1 = n7.multiply(u, v)
+    m1 = oracles.multiply(n7, u, v)
     assert m1 == n7.basis_element(4)
-    assert n7.multiply(m1, z) == n7.basis_element(6)
-    m2 = n7.multiply(v, u)
+    assert oracles.multiply(n7, m1, z) == n7.basis_element(6)
+    m2 = oracles.multiply(n7, v, u)
     assert m2 == n7.basis_element(5)
-    assert n7.multiply(z, m2) == n7.basis_element(7)
+    assert oracles.multiply(n7, z, m2) == n7.basis_element(7)

@@ -564,8 +564,8 @@ def test_forced_coefficients_match_the_exact_oracle():
         pinned = 0
         for t in range(8):
             a, b = (identities.random_element(algebra, 5, 2 * t + i) for i in range(2))
-            values = {"a": algebra.scale(scale, a), "b": b, "a1": a, "a2": a}
-            values["b"] = algebra.scale(scale, b) if t % 2 else b
+            values = {"a": oracles.scale(algebra, scale, a), "b": b, "a1": a, "a2": a}
+            values["b"] = oracles.scale(algebra, scale, b) if t % 2 else b
             for v, texts in identities._SANDWICHES.items():
                 got = identities._forced_coefficients(algebra, values["a"], values["b"], (v,),
                                                       identities._row_product(algebra))

@@ -33,7 +33,7 @@ def test_parse_minimal():
     algebra = parse_algebra(MINIMAL)
     assert algebra.dim == 1 and algebra.field == PrimeField(2)
     a = algebra.basis_element(1)
-    assert algebra.multiply(a, a) == a
+    assert oracles.multiply(algebra, a, a) == a
 
 
 @pytest.mark.parametrize("name", sorted(oracles.EXAMPLES))
@@ -830,7 +830,8 @@ def _identity_elements(algebra):
     """Every two-sided identity of an algebra over GF(p), by trying all p^n vectors."""
     basis = [algebra.basis_element(i) for i in range(1, algebra.dim + 1)]
     return [e for e in product(range(algebra.field.p), repeat=algebra.dim)
-            if all(algebra.multiply(e, b) == b == algebra.multiply(b, e) for b in basis)]
+            if all(oracles.multiply(algebra, e, b) == b == oracles.multiply(algebra, b, e)
+                   for b in basis)]
 
 
 def test_find_unity_solver(z2n2, aflex):
@@ -889,6 +890,28 @@ def test_fractional_unity_golden(tmp_path, capsys):
     code, out = _run(capsys, "infer-unity", str(path), "--json")
     assert code == 0
     assert out == INFER_RESCALED_HULL.replace("PATH", json.dumps(str(path)))
+
+
+def test_unity_check_keeps_both_denominators(tmp_path, capsys):
+    # the rescaled hull above has D = 6 and its unity has denominator 2;
+    # b1, twice the unity, multiplies every basis vector by 2 and is refused
+    # on the first one, so a check that dropped D or the unity's denominator
+    # would refuse the true unity, and one up to a scalar would take b1
+    algebra = _rescaled(examples.make_unital_hull(examples.make_a_flex()),
+                        [2, 1, 1, 3, 1, Fraction(1, 2)])
+    assert algebra.product_table[1] == 6
+    assert algebra.verify_unity() == (True, None)
+    doubled = make_algebra(algebra.field, algebra.dim, dict(algebra.sc),
+                           unity=algebra.basis_element(1), labels=algebra.labels)
+    assert doubled.verify_unity() == (False, 1)
+    text = print_algebra(algebra)
+    assert parse_algebra(text) == algebra
+    path = tmp_path / "doubled.alg"
+    path.write_text(text.replace("unital vec 1/2 0 0 0 0 0", "unital vec 1 0 0 0 0 0"))
+    assert main(["infer-unity", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 3: declared unity fails on basis vector 1\n"
+    assert captured.out == ""
 
 
 def test_duplicate_set_warning(z2n2, tmp_path, capsys):

@@ -12,10 +12,11 @@ import oracles
 from alglen import examples, spans
 from alglen.algebra import make_algebra
 from alglen.errors import DimensionMismatch, NotFiniteField, ResourceLimit
-from alglen.field import PrimeField, Rationals
+from alglen.field import PrimeField, Rationals, integer_row
 from alglen.io_cli import build_example
 from alglen.spans import (DiffSequence, SpanBasis, count_subspaces, diff_sequence,
                           exact_algebra_length, gaussian_binomial, lin_span)
+from alglen.words import word_row
 from oracles import enumerate_subspaces
 
 Q = Rationals()
@@ -282,7 +283,7 @@ def test_wrong_length_generator_is_refused(aflex, aflex_gf2):
 
 def test_first_difference_matches_rank(aflex):
     gens = [aflex.basis_element(1),
-            aflex.scale(aflex.field.from_int(3), aflex.basis_element(1)),
+            oracles.scale(aflex, aflex.field.from_int(3), aflex.basis_element(1)),
             aflex.basis_element(2)]
     seq = diff_sequence(aflex, gens)
     assert seq.d[1] == 2  # rank of S, duplicates collapse
@@ -1026,3 +1027,32 @@ def test_exact_length_matches_word_brute_force(kind, triangular, data):
                 level += 1
             best = max(best, level)
     assert exact_algebra_length(algebra)[0] == best
+
+
+@pytest.mark.parametrize("kind, triangular", KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_word_rows_match_the_exact_oracle(kind, triangular, data):
+    # over GF(p) a word's integer row is its value; over Q, on the same table
+    # with every constant divided by 5 (D = 5 unless the table is empty) and
+    # with fractional letters, it is the value times D^(m-1) and the
+    # denominator each letter's row dropped, once per occurrence
+    field = data.draw(st.sampled_from([PrimeField(2), PrimeField(3)]))
+    algebra = data.draw(prime_field_algebras(field, 4, kind, triangular))
+    n = algebra.dim
+    rational = make_algebra(Q, n, {ij: [(k, Fraction(c, 5)) for k, c in terms]
+                                   for ij, terms in algebra.sc.items()})
+    size = data.draw(st.integers(1, 3))
+    w = data.draw(st.recursive(st.integers(1, size), lambda sub: st.tuples(sub, sub),
+                               max_leaves=6))
+    m = len(oracles.word_letters(w))
+    for table, scalars in ((algebra, st.integers(0, field.p - 1)),
+                           (rational, st.fractions(-3, 3, max_denominator=4))):
+        gens = [tuple(data.draw(st.lists(scalars, min_size=n, max_size=n)))
+                for _ in range(size)]
+        rows, dens = zip(*map(integer_row, gens))
+        factor = table.product_table[1] ** (m - 1)
+        for i in oracles.word_letters(w):
+            factor *= dens[i - 1]
+        value = oracles.evaluate(table, gens, w)
+        assert list(word_row(table, rows, w)) == [factor * x for x in value]

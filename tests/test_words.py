@@ -3,13 +3,14 @@ import weakref
 
 import pytest
 
+import oracles
 from alglen import examples
 from alglen.canonical import canonical_alt_form
 from alglen.errors import IndexOutOfRange, ParseError, ResourceLimit
 from alglen.field import PrimeField
 from alglen.io_cli import resolve_set
-from alglen.words import (enumerate_restricted, MAX_WORD_DEPTH, evaluate, format_word,
-                          is_restricted, parse_word, word_length)
+from alglen.words import (enumerate_restricted, MAX_WORD_DEPTH, format_word, is_restricted,
+                          parse_word, word_length, word_row)
 from oracles import catalan, count_full, enumerate_full, word_letters
 
 
@@ -55,29 +56,31 @@ def test_resource_limits():
 
 
 def test_evaluate(aflex, z2n2):
+    # basis elements are integer rows, and both tables have D = 1, so the
+    # rows word_row gives are the words' values
     gens = (aflex.basis_element(1), aflex.basis_element(2))
     # e1 (e1 e2) = e1 e3 = e4
-    assert evaluate(aflex, gens, (1, (1, 2))) == aflex.basis_element(4)
-    assert evaluate(aflex, gens, 1) == aflex.basis_element(1)
+    assert tuple(word_row(aflex, gens, (1, (1, 2)))) == aflex.basis_element(4)
+    assert word_row(aflex, gens, 1) == aflex.basis_element(1)
     letters = [z2n2.basis_element(2), z2n2.basis_element(3)]
     # (e_f1 e_f2) e_f1 = e_f2
-    assert evaluate(z2n2, letters, ((1, 2), 1)) == z2n2.basis_element(3)
-    with pytest.raises(IndexOutOfRange):
-        evaluate(z2n2, letters, (1, 3))
+    assert tuple(word_row(z2n2, letters, ((1, 2), 1))) == z2n2.basis_element(3)
+    with pytest.raises(IndexOutOfRange, match="letter 3 with 2 generators"):
+        word_row(z2n2, letters, (1, 3))
 
 
 def test_evaluate_leaves_no_reference_cycle():
     # with the collector off, the algebra must go with its last reference:
-    # nothing that evaluate builds may keep it (or gens) in a cycle
+    # nothing that word_row builds may keep it (or gens) in a cycle
     algebra = examples.make_a_flex(PrimeField(3))
     gens = (algebra.basis_element(1), algebra.basis_element(2))
-    algebra.multiply(*gens)
+    oracles.multiply(algebra, *gens)
     alive = weakref.ref(algebra)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        assert evaluate(algebra, gens, ((1, 2), 1)) == algebra.multiply(
-            algebra.multiply(*gens), gens[0])
+        assert tuple(word_row(algebra, gens, ((1, 2), 1))) == oracles.multiply(
+            algebra, oracles.multiply(algebra, *gens), gens[0])
         del algebra
         assert alive() is None
     finally:
